@@ -16,6 +16,7 @@ all-keep record is exactly len(seq) * ln 3 under uniform logits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,6 +181,62 @@ def _run_matrices(runs: list[tuple[int, list[int]]], stop_class: int):
     return anchor_idx, teacher, targets, valid
 
 
+@dataclass
+class RestorationStats(AugLossStats):
+    """AugLossStats plus argmax hit counts; pool batches by summing counts."""
+
+    op_hits: int  # over the n_op_positions real positions
+    ins_hits: int  # over the n_ins_items teacher-forced run items
+    n_ins_items: int  # n_ins_targets without the STOP steps
+
+
+class _Head(NamedTuple):
+    """One output head of the restoration model over a batch."""
+
+    logits: Tensor
+    targets: np.ndarray
+    mask: np.ndarray  # 1 where a target counts
+    nll_sum: Tensor  # masked cross-entropy sum
+
+    def hits(self, steps: np.ndarray) -> int:
+        """Argmax hits over the steps marked 1."""
+        return int(((self.logits.data.argmax(axis=-1) == self.targets) * steps).sum())
+
+
+def _head(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> _Head:
+    nll = ag.cross_entropy(logits, targets) * ag.constant(mask)
+    return _Head(logits, targets, mask, nll.sum())
+
+
+def _restoration_forward(
+    records: list[CorruptionRecord],
+    enc: EncoderParams,
+    aug: AugmenterParams,
+    train: bool = False,
+    stream: SeedStream | None = None,
+) -> tuple[_Head, _Head, AugLossStats]:
+    """Encode the damaged sequences, then score operations and teacher-forced runs.
+
+    Returns the operation head over real positions, the generator head over
+    every run step up to and including STOP, and the batch's AugLossStats.
+    """
+    if not records:
+        raise ValueError("restoration needs a non-empty batch")
+    dims = enc.dims
+    batch, op_targets, op_mask, runs = _assemble_records(records, dims.mask_id)
+    n, w = batch.ids.shape
+    h = encode_batch(batch.ids, enc, train=train, stream=stream)
+    op = _head(predict_op_logits(h, aug), op_targets, op_mask)
+    anchor_idx, teacher, targets, valid = _run_matrices(runs, _stop_class(dims))
+    anchors = ag.embedding_lookup(h.reshape(n * w, dims.embed_dim), anchor_idx)
+    gen = _head(generator_forward(anchors, teacher, enc, aug, train=train, stream=stream),
+                targets, valid)
+    stats = AugLossStats(op_nll_sum=op.nll_sum.item(), ins_nll_sum=gen.nll_sum.item(),
+                         n_records=n, n_op_positions=int(op_mask.sum()),
+                         n_ins_targets=int(valid.sum()))
+    return op, gen, stats
+
+
 def augmenter_loss(
     records: list[CorruptionRecord],
     enc: EncoderParams,
@@ -192,64 +249,26 @@ def augmenter_loss(
     Every record contributes one end-of-sequence run (its deleted tail, or
     just STOP), so the generator also learns when nothing belongs at the end.
     """
-    if not records:
-        raise ValueError("augmenter_loss needs a non-empty batch")
-    dims = enc.dims
-    batch, op_targets, op_mask, runs = _assemble_records(records, dims.mask_id)
-    n, w = batch.ids.shape
-
-    h = encode_batch(batch.ids, enc, train=train, stream=stream)
-    op_logits = predict_op_logits(h, aug)
-    op_nll = ag.cross_entropy(op_logits, op_targets) * ag.constant(op_mask)
-    op_sum = op_nll.sum()
-
-    anchor_idx, teacher, targets, valid = _run_matrices(runs, _stop_class(dims))
-    anchors = ag.embedding_lookup(h.reshape(n * w, dims.embed_dim), anchor_idx)
-    gen_logits = generator_forward(anchors, teacher, enc, aug,
-                                   train=train, stream=stream)
-    ins_nll = ag.cross_entropy(gen_logits, targets) * ag.constant(valid)
-    ins_sum = ins_nll.sum()
-
-    loss = (op_sum + ins_sum) * (1.0 / n)
-    stats = AugLossStats(
-        op_nll_sum=op_sum.item(),
-        ins_nll_sum=ins_sum.item(),
-        n_records=n,
-        n_op_positions=int(op_mask.sum()),
-        n_ins_targets=int(valid.sum()),
-    )
-    return loss, stats
+    op, gen, stats = _restoration_forward(records, enc, aug, train=train, stream=stream)
+    return (op.nll_sum + gen.nll_sum) * (1.0 / stats.n_records), stats
 
 
 def restoration_accuracy(
     records: list[CorruptionRecord],
     enc: EncoderParams,
     aug: AugmenterParams,
-) -> dict[str, float]:
-    """Held-out diagnostics: operation accuracy and teacher-forced item top-1.
+) -> RestorationStats:
+    """Held-out diagnostics of one batch from a single no-grad pass.
 
-    op_accuracy counts argmax operation hits over real positions; ins_top1
-    counts argmax hits over teacher-forced run items (STOP steps excluded).
+    The loss numbers are augmenter_loss's; op_hits counts argmax operation
+    hits over real positions, ins_hits argmax hits over teacher-forced run
+    items (STOP steps excluded).
     """
-    dims = enc.dims
     with ag.no_grad():
-        batch, op_targets, op_mask, runs = _assemble_records(records, dims.mask_id)
-        n, w = batch.ids.shape
-        h = encode_batch(batch.ids, enc, train=False)
-        op_pred = predict_op_logits(h, aug).data.argmax(axis=-1)
-        hits = float(((op_pred == op_targets) * op_mask).sum())
-        total = float(op_mask.sum())
-
-        anchor_idx, teacher, targets, valid = _run_matrices(runs, _stop_class(dims))
-        anchors = ag.embedding_lookup(h.reshape(n * w, dims.embed_dim), anchor_idx)
-        gen_pred = generator_forward(anchors, teacher, enc, aug).data.argmax(axis=-1)
-        item_steps = valid * (targets != _stop_class(dims))
-        ins_hits = float(((gen_pred == targets) * item_steps).sum())
-        ins_total = float(item_steps.sum())
-    return {
-        "op_accuracy": hits / total if total else 0.0,
-        "ins_top1": ins_hits / ins_total if ins_total else 0.0,
-    }
+        op, gen, stats = _restoration_forward(records, enc, aug)
+    item_steps = gen.mask * (gen.targets != _stop_class(enc.dims))
+    return RestorationStats(**vars(stats), op_hits=op.hits(op.mask),
+                            ins_hits=gen.hits(item_steps), n_ins_items=int(item_steps.sum()))
 
 
 # ---------------------------------------------------------------------------

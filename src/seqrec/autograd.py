@@ -111,7 +111,7 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def param(data, rng: np.random.Generator | None = None) -> Tensor:
+def param(data) -> Tensor:
     """Trainable leaf tensor."""
     return Tensor(data, requires_grad=True)
 
@@ -306,15 +306,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             _accum(t, g[tuple(idx)])
 
     return _record(out, tuple(tensors), bw)
-
-
-def concat_rows(rows: list[Tensor]) -> Tensor:
-    """Stack 1-d vectors (or row blocks) along a new leading row axis."""
-    promoted = []
-    for r in rows:
-        r = _as_tensor(r)
-        promoted.append(reshape(r, (1,) + r.shape) if r.ndim == 1 else r)
-    return concat(promoted, axis=0)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

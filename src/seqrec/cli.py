@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .augmenter import generate_augmented
+from .augmenter import generate_augmented_batch
 from .augops import OP_NAMES, CorruptionConfig, corrupt_sequence
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import MODES, RunConfig, config_to_lines, load_config, parse_config_lines, read_meta
@@ -177,9 +177,10 @@ def cmd_augment(args) -> int:
     if model.aug is None:
         raise ConfigError("checkpoint has no augmenter parameters")
     augmented = []
-    for seq in sequences:
-        out = generate_augmented(seq.items, model.enc, model.aug)
-        augmented.append(ItemSequence(seq.user_id, out))
+    for start in range(0, len(sequences), ckpt_cfg.batch_size):
+        chunk = sequences[start:start + ckpt_cfg.batch_size]
+        outs = generate_augmented_batch([s.items for s in chunk], model.enc, model.aug)
+        augmented += [ItemSequence(s.user_id, out) for s, out in zip(chunk, outs)]
     write_sequences(args.out_file, augmented)
     print(f"wrote {len(augmented)} augmented sequences to {args.out_file}")
     return 0
@@ -276,7 +277,7 @@ def cmd_evaluate(args) -> int:
     if args.testaug:
         if model.aug is None:
             raise ConfigError("--testaug needs augmenter parameters in the checkpoint")
-        transform = lambda history: generate_augmented(history, model.enc, model.aug)
+        transform = lambda histories: generate_augmented_batch(histories, model.enc, model.aug)
     report = evaluate_model(split, vocab, model.enc, model.rec, which=args.split,
                             seed=cfg.seed, n_negatives=cfg.n_negatives,
                             batch_size=cfg.batch_size, noisy=noisy,

@@ -6,6 +6,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .evaluate import K_VALUES
 
 MODES = ("full", "base", "wo_tri", "duoaug", "testaug", "cotrain")
 
@@ -45,7 +46,6 @@ class RunConfig:
     seed: int = 0
     mode: str = "full"
     n_negatives: int = 99
-    ks: tuple[int, ...] = (5, 10, 20)
 
     def __post_init__(self):
         self.validate()
@@ -78,9 +78,16 @@ def _parse_value(name: str, raw: str):
         return float(raw)
     if field.type in ("str",):
         return raw
-    if name == "ks":
-        return tuple(int(x) for x in raw.replace(",", " ").split())
     raise ConfigError(f"cannot parse config key {name!r}")
+
+
+def _check_ks(raw: str, line_no: int) -> None:
+    """Accept the `ks` line older checkpoints carry only at its fixed value."""
+    parts = raw.replace(",", " ").split()
+    if not all(p.isdigit() for p in parts) or tuple(map(int, parts)) != K_VALUES:
+        fixed = ",".join(str(k) for k in K_VALUES)
+        raise ConfigError(f"config line {line_no}: ks is fixed at {fixed}, "
+                          f"got {raw.strip()!r}")
 
 
 def parse_config_lines(lines, base: RunConfig | None = None) -> RunConfig:
@@ -101,6 +108,9 @@ def parse_config_lines(lines, base: RunConfig | None = None) -> RunConfig:
         key = key.strip()
         if key.startswith("_"):
             continue
+        if key == "ks":
+            _check_ks(raw, line_no)
+            continue
         if key not in _FIELDS:
             raise ConfigError(f"config line {line_no}: unknown key {key!r}")
         setattr(cfg, key, _parse_value(key, raw))
@@ -117,10 +127,7 @@ def config_to_lines(cfg: RunConfig, meta: dict | None = None) -> list[str]:
     """Serialize a config (plus optional _meta keys) as key = value lines."""
     lines = []
     for f in dataclasses.fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if f.name == "ks":
-            value = ",".join(str(k) for k in value)
-        lines.append(f"{f.name} = {value}")
+        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
     for key, value in (meta or {}).items():
         lines.append(f"_{key} = {value}")
     return lines

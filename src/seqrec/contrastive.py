@@ -2,7 +2,7 @@
 
 A sequence's representation is the hidden state at its last real position
 after the full encoder + recommender stack. Similarity is the plain dot
-product (no normalization, temperature defaults to 1).
+product (no normalization, no temperature).
 """
 
 from __future__ import annotations
@@ -15,18 +15,12 @@ from .encoder import NEG_INF
 from .errors import ConfigError
 
 
-def batch_contrastive_loss(
-    reprs_a: Tensor,
-    reprs_b: Tensor,
-    temperature: float = 1.0,
-    symmetric: bool = True,
-) -> Tensor:
+def batch_contrastive_loss(reprs_a: Tensor, reprs_b: Tensor) -> Tensor:
     """In-batch InfoNCE over two aligned views.
 
     reprs_a/reprs_b: (N, e), row u of each being a view of the same source
     sequence. For each of the 2N anchors the positive is its partner view
     and the other 2N-2 rows are negatives; self-similarity is masked out.
-    With symmetric=False only the first view's N anchors are scored.
     Under all-equal representations the loss is ln(2N-1).
     """
     n = reprs_a.shape[0]
@@ -34,26 +28,13 @@ def batch_contrastive_loss(
         raise ConfigError(f"need two aligned views with N >= 2, got {reprs_a.shape} / {reprs_b.shape}")
     z = ag.concat([reprs_a, reprs_b], axis=0)  # (2N, e)
     sims = ag.matmul(z, ag.transpose_last(z))
-    if temperature != 1.0:
-        sims = sims * (1.0 / temperature)
     self_mask = ag.constant(np.eye(2 * n) * NEG_INF)
     logits = sims + self_mask
     partners = np.concatenate([np.arange(n) + n, np.arange(n)]).astype(np.int64)
-    per_anchor = ag.cross_entropy(logits, partners)  # (2N,)
-    if symmetric:
-        return per_anchor.mean()
-    first_half = ag.embedding_lookup(
-        per_anchor.reshape(2 * n, 1), np.arange(n, dtype=np.int64)
-    )
-    return first_half.mean()
+    return ag.cross_entropy(logits, partners).mean()  # over the 2N anchors
 
 
-def triplet_loss(
-    reprs_raw: Tensor,
-    reprs_pos: Tensor,
-    reprs_neg: Tensor,
-    temperature: float = 1.0,
-) -> Tensor:
+def triplet_loss(reprs_raw: Tensor, reprs_pos: Tensor, reprs_neg: Tensor) -> Tensor:
     """Two-way ranking loss preferring sim(raw, pos) over sim(raw, neg).
 
     Computed as softplus(sim(raw, neg) - sim(raw, pos)), the stable form of
@@ -66,5 +47,4 @@ def triplet_loss(
         )
     s_pos = (reprs_raw * reprs_pos).sum(axis=-1)
     s_neg = (reprs_raw * reprs_neg).sum(axis=-1)
-    delta = (s_neg - s_pos) * (1.0 / temperature)
-    return ag.softplus(delta).mean()
+    return ag.softplus(s_neg - s_pos).mean()

@@ -97,7 +97,6 @@ class SequenceBatch:
     user_ids: list[str]
     seqs: list[list[int]]
     ids: np.ndarray  # (N, T) int64, PAD on the left
-    lengths: np.ndarray  # (N,)
 
 
 def parse_interactions(path) -> list[Interaction]:
@@ -217,11 +216,9 @@ def pad_batch(user_ids: list[str], seqs: list[list[int]]) -> SequenceBatch:
     """Left-pad sequences with PAD to a right-aligned (N, T) id matrix."""
     width = max(len(s) for s in seqs)
     ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
-    lengths = np.zeros(len(seqs), dtype=np.int64)
     for i, s in enumerate(seqs):
         ids[i, width - len(s):] = s
-        lengths[i] = len(s)
-    return SequenceBatch(user_ids=user_ids, seqs=[list(s) for s in seqs], ids=ids, lengths=lengths)
+    return SequenceBatch(user_ids=user_ids, seqs=[list(s) for s in seqs], ids=ids)
 
 
 def make_batches(split: SplitDataset, batch_size: int, seed: int, min_prefix_len: int = 1):

@@ -156,11 +156,12 @@ def evaluate_model(
 
     which='valid' scores the validation item given the train prefix;
     which='test' scores the test item given prefix + validation item.
-    `noisy` damages the (test) histories first; `transform_context` may
-    rewrite each history (used by augment-at-test evaluation). Users whose
-    negative pool is too small are skipped and counted. `scorer` overrides
-    the model: a callable (contexts, candidate_id_matrix) -> score matrix,
-    with the target always in candidate column 0.
+    `noisy` damages the (test) histories first; `transform_context` maps
+    each scoring chunk's list of non-empty histories to the list that is
+    scored (used by augment-at-test evaluation). Users whose negative pool
+    is too small are skipped and counted. `scorer` overrides the model: a
+    callable (contexts, candidate_id_matrix) -> score matrix, with the
+    target always in candidate column 0.
     """
     if which not in ("valid", "test"):
         raise ValueError(f"split must be 'valid' or 'test', got {which!r}")
@@ -192,8 +193,6 @@ def evaluate_model(
             skipped += 1
             continue
         history = histories[u.user_id]
-        if transform_context is not None:
-            history = transform_context(history)
         if not history:
             history = [u.train[-1]] if u.train else [u.valid_target]
         contexts.append(history)
@@ -207,7 +206,10 @@ def evaluate_model(
     }
     for start in range(0, len(contexts), batch_size):
         chunk = slice(start, start + batch_size)
-        scores = scorer(contexts[chunk], np.asarray(cand_rows[chunk]))
+        ctxs = contexts[chunk]
+        if transform_context is not None:
+            ctxs = transform_context(ctxs)
+        scores = scorer(ctxs, np.asarray(cand_rows[chunk]))
         for row, cand, target in zip(scores, cand_rows[chunk], targets[chunk]):
             rank = rank_of_target(row, np.asarray(cand), target)
             for k in K_VALUES:

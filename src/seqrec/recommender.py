@@ -70,27 +70,17 @@ def sequence_reprs(
     rec: RecommenderParams,
     train: bool = False,
     stream: SeedStream | None = None,
-    pooling: str = "last",
 ) -> Tensor:
-    """(N, e) sequence summaries from the full stack, for similarity scores.
-
-    pooling='last' (default) takes the state at the final position;
-    'mean' averages the states of the real (non-PAD) positions.
+    """(N, e) sequence summaries from the full stack, for similarity scores:
+    the state at each sequence's final position.
     """
     if any(len(s) < 1 for s in seqs):
         raise ValueError("cannot represent an empty sequence")
-    if pooling not in ("last", "mean"):
-        raise ValueError(f"pooling must be 'last' or 'mean', got {pooling!r}")
     dims = enc.dims
     clipped = [s[-dims.max_aug_len:] for s in seqs]
     batch = pad_batch([str(i) for i in range(len(clipped))], clipped)
     h = full_forward(batch.ids, enc, rec, train=train, stream=stream)
-    if pooling == "last":
-        return take_last_position(h)
-    real = (batch.ids != 0).astype(float)
-    weights = real / real.sum(axis=1, keepdims=True)
-    weighted = h * ag.constant(weights[:, :, None])
-    return weighted.sum(axis=1)
+    return take_last_position(h)
 
 
 def item_logits(h_last: Tensor, enc: EncoderParams) -> Tensor:

@@ -27,7 +27,7 @@ from .augmenter import (
     restoration_accuracy,
 )
 from .augops import AugConfig, CorruptionConfig, corrupt_sequence, random_augment
-from .config import RunConfig
+from .config import MODES, RunConfig
 from .contrastive import batch_contrastive_loss, triplet_loss
 from .data import SplitDataset, Vocabulary, make_batches, pad_batch
 from .encoder import EncoderParams, ModelDims, encode_batch
@@ -113,31 +113,31 @@ def _corrupt_batch(seqs, user_ids, ccfg, base_seed, tag, max_mod_len):
 
 def validation_aug_loss(split: SplitDataset, model: RecModel, ccfg: CorruptionConfig,
                         seed: int, batch_size: int) -> tuple[float, dict[str, float]]:
-    """Restoration loss + accuracies on a fixed corruption of the prefixes."""
+    """Restoration loss + accuracies on a fixed corruption of the prefixes.
+
+    One no-grad pass per chunk. Hits and their denominators are summed over
+    chunks, so the accuracies do not depend on batch_size.
+    """
     eligible = [u for u in split.users if len(u.train) >= 2]
     max_mod_len = model.dims.max_aug_len - 1
     total, count = 0.0, 0
-    acc_num = {"op": 0.0, "ins": 0.0}
-    acc_den = {"op": 0.0, "ins": 0.0}
-    with ag.no_grad():
-        for chunk in _chunks(eligible, batch_size):
-            records = _corrupt_batch([u.train for u in chunk], [u.user_id for u in chunk],
-                                     ccfg, seed, "valid", max_mod_len)
-            if not records:
-                continue
-            _, stats = augmenter_loss(records, model.enc, model.aug, train=False)
-            total += stats.op_nll_sum + stats.ins_nll_sum
-            count += stats.n_records
-            acc = restoration_accuracy(records, model.enc, model.aug)
-            acc_num["op"] += acc["op_accuracy"] * stats.n_op_positions
-            acc_den["op"] += stats.n_op_positions
-            ins_items = stats.n_ins_targets  # includes STOP steps; fine as weight
-            acc_num["ins"] += acc["ins_top1"] * ins_items
-            acc_den["ins"] += ins_items
+    op_hits = op_total = ins_hits = ins_total = 0
+    for chunk in _chunks(eligible, batch_size):
+        records = _corrupt_batch([u.train for u in chunk], [u.user_id for u in chunk],
+                                 ccfg, seed, "valid", max_mod_len)
+        if not records:
+            continue
+        stats = restoration_accuracy(records, model.enc, model.aug)
+        total += stats.op_nll_sum + stats.ins_nll_sum
+        count += stats.n_records
+        op_hits += stats.op_hits
+        op_total += stats.n_op_positions
+        ins_hits += stats.ins_hits
+        ins_total += stats.n_ins_items
     mean = total / count if count else float("inf")
     detail = {
-        "op_accuracy": acc_num["op"] / acc_den["op"] if acc_den["op"] else 0.0,
-        "ins_top1": acc_num["ins"] / acc_den["ins"] if acc_den["ins"] else 0.0,
+        "op_accuracy": op_hits / op_total if op_total else 0.0,
+        "ins_top1": ins_hits / ins_total if ins_total else 0.0,
     }
     return mean, detail
 
@@ -222,7 +222,6 @@ def train_augmenter(
 # Phase 2: joint recommender training
 # ---------------------------------------------------------------------------
 
-TRAIN_MODES = ("full", "base", "wo_tri", "duoaug", "testaug", "cotrain")
 MODES_NEEDING_AUGMENTER = ("full", "wo_tri", "duoaug", "testaug")
 
 
@@ -271,7 +270,7 @@ def joint_loss(
     ccfg: CorruptionConfig | None = None,
 ):
     """L = L_rec + alpha*L_cl + beta*L_tri (+ restoration loss in cotrain)."""
-    if mode not in TRAIN_MODES:
+    if mode not in MODES:
         raise ConfigError(f"unknown training mode {mode!r}")
     alpha = cfg.alpha
     beta = 0.0 if mode == "wo_tri" else cfg.beta
@@ -349,7 +348,7 @@ def train_recommender(
     Validation tracks the summed metrics on the validation split.
     """
     mode = cfg.mode
-    if mode not in TRAIN_MODES:
+    if mode not in MODES:
         raise ConfigError(f"unknown training mode {mode!r}")
     if mode in MODES_NEEDING_AUGMENTER and pretrained is None and model is None:
         raise ConfigError(f"mode {mode!r} needs a pretrained augmenter")

@@ -339,20 +339,17 @@ def test_criterion_5_augmenter_learning():
 
     result = train_augmenter(split, vocab, cfg)
     model = result.model
-    acc_w = {"op": 0.0, "ins": 0.0}
-    den_w = {"op": 0.0, "ins": 0.0}
+    hits = {"op": 0, "ins": 0}
+    den = {"op": 0, "ins": 0}
     for start in range(0, len(heldout), cfg.batch_size):
         chunk = heldout[start:start + cfg.batch_size]
         acc = restoration_accuracy(chunk, model.enc, model.aug)
-        n_ops = sum(len(r.ops) for r in chunk)
-        n_ins = sum(len(run) for r in chunk for run in r.ins_targets.values())
-        n_ins += sum(len(r.tail_targets) for r in chunk)
-        acc_w["op"] += acc["op_accuracy"] * n_ops
-        den_w["op"] += n_ops
-        acc_w["ins"] += acc["ins_top1"] * n_ins
-        den_w["ins"] += n_ins
-    op_acc = acc_w["op"] / den_w["op"]
-    ins_top1 = acc_w["ins"] / den_w["ins"]
+        hits["op"] += acc.op_hits
+        den["op"] += acc.n_op_positions
+        hits["ins"] += acc.ins_hits
+        den["ins"] += acc.n_ins_items
+    op_acc = hits["op"] / den["op"]
+    ins_top1 = hits["ins"] / den["ins"]
     elapsed = time.time() - t0
     assert op_acc > 0.75, f"held-out op accuracy {op_acc:.3f}"
     assert ins_top1 >= 0.5, f"teacher-forced insertion top-1 {ins_top1:.3f}"

@@ -217,8 +217,22 @@ def test_restoration_accuracy_bounds():
     ccfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=DIMS.n_items)
     records = [corrupt_sequence(list(range(1, 10)), ccfg, seed=k) for k in range(4)]
     acc = restoration_accuracy(records, enc, aug)
-    assert 0.0 <= acc["op_accuracy"] <= 1.0
-    assert 0.0 <= acc["ins_top1"] <= 1.0
+    assert 0 <= acc.op_hits <= acc.n_op_positions
+    assert 0 <= acc.ins_hits <= acc.n_ins_items < acc.n_ins_targets
+
+
+def test_restoration_accuracy_reports_the_loss_sums():
+    enc, aug = fresh_params(15)
+    ccfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=DIMS.n_items)
+    records = [corrupt_sequence(list(range(1, 3 + k)), ccfg, seed=k) for k in range(6)]
+    _, stats = augmenter_loss(records, enc, aug)
+    ag.clear_tape()
+    acc = restoration_accuracy(records, enc, aug)
+    for name in ("op_nll_sum", "ins_nll_sum", "n_records", "n_op_positions", "n_ins_targets"):
+        assert getattr(acc, name) == getattr(stats, name), name
+    assert acc.n_op_positions == sum(len(r.ops) for r in records)
+    assert acc.n_ins_items == sum(len(run) for r in records
+                                  for run in [*r.ins_targets.values(), r.tail_targets])
 
 
 # ---------------------------------------------------------------------------

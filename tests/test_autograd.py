@@ -184,7 +184,8 @@ OP_CASES = {
     "layer_norm": lambda p, c: (ag.layer_norm(p["a"]) * c["w"]).sum(),
     "embedding": lambda p, c: (ag.embedding_lookup(p["table"], c["ids"]) * c["w3"]).sum(),
     "cross_entropy": lambda p, c: ag.cross_entropy(p["a"], c["targets"]).mean(),
-    "concat_rows": lambda p, c: (ag.layer_norm(ag.concat_rows([p["v1"], p["v2"]])) * c["w2"]).sum(),
+    "concat": lambda p, c: (ag.layer_norm(ag.concat([p["v1"].reshape(1, 6), p["v2"].reshape(1, 6)]))
+                            * c["w2"]).sum(),
     "transpose": lambda p, c: ag.matmul(p["m1"], ag.transpose_last(p["m1"])).sum(),
     "reshape": lambda p, c: (p["a"].reshape(24) * c["wflat"]).sum(),
     "mean": lambda p, c: p["a"].mean(),

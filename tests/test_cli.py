@@ -1,11 +1,17 @@
 """End-to-end CLI: every subcommand on a small synthetic dataset."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from seqrec.checkpoint import load_checkpoint
-from seqrec.cli import main
-from seqrec.data import read_sequences
+from seqrec.augmenter import generate_augmented
+from seqrec.checkpoint import load_checkpoint, save_checkpoint
+from seqrec.cli import _load_model_ckpt, main
+from seqrec.data import leave_one_out_split, read_sequences, read_vocabulary
+from seqrec.evaluate import NoisySimConfig, evaluate_model
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "ring120-full.ckpt"
 
 TINY_CFG = """
 # tiny configuration for CLI round trips
@@ -136,6 +142,47 @@ def test_full_mode_with_augmenter_checkpoint(workspace):
                "--augmenter", str(root / "aug-run" / "augmenter-best.ckpt")])
     assert rc == 0
     assert (out / "recommender-best.ckpt").exists()
+
+
+def test_batched_augmentation_matches_one_sequence_at_a_time(workspace, tmp_path):
+    _, _, data = workspace
+    # the benchmark's trained ring-120 model, whose augmenter inserts and
+    # deletes, re-saved with a small batch_size
+    text, params, _, _ = load_checkpoint(FIXTURE)
+    assert "batch_size = 256" in text.splitlines()
+    ckpt = tmp_path / "small-batches.ckpt"
+    save_checkpoint(ckpt, text.replace("batch_size = 256", "batch_size = 16"), params)
+    cfg, _, model, _, _ = _load_model_ckpt(ckpt)
+    sequences = read_sequences(data / "sequences.txt")
+    # several chunks of batch_size, each mixing history lengths
+    assert cfg.batch_size == 16 and len(sequences) > 3 * cfg.batch_size
+    assert len({len(s.items) for s in sequences[:cfg.batch_size]}) > 1
+
+    def one_at_a_time(histories):
+        return [generate_augmented(h, model.enc, model.aug) for h in histories]
+
+    out_file = tmp_path / "augmented.txt"
+    rc = main(["augment", "--data", str(data), "--checkpoint", str(ckpt),
+               "--out-file", str(out_file)])
+    assert rc == 0
+    got = read_sequences(out_file)
+    assert [s.user_id for s in got] == [s.user_id for s in sequences]
+    assert [s.items for s in got] == one_at_a_time([s.items for s in sequences])
+    assert any(len(a.items) > len(s.items) for a, s in zip(got, sequences))  # inserts
+
+    split = leave_one_out_split(sequences)
+    vocab = read_vocabulary(data / "vocab.txt")
+    for flags, noisy in (([], None), (["--noisy"], NoisySimConfig(seed=cfg.seed))):
+        rc = main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt),
+                   "--split", "test", "--testaug", "--out", str(tmp_path), *flags])
+        assert rc == 0
+        want = evaluate_model(split, vocab, model.enc, model.rec, which="test",
+                              seed=cfg.seed, n_negatives=cfg.n_negatives,
+                              batch_size=cfg.batch_size, noisy=noisy,
+                              transform_context=one_at_a_time)
+        suffix = "test" + ("-noisy" if noisy else "") + "-testaug"
+        kv = (tmp_path / f"report-{suffix}.kv").read_text()
+        assert kv == "\n".join(want.to_kv_lines()) + "\n"
 
 
 def test_simulate_noise_writes_file(workspace):

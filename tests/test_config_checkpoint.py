@@ -1,5 +1,7 @@
 """Config file parsing and the binary checkpoint round trip."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from seqrec.config import (
     read_meta,
 )
 from seqrec.errors import CheckpointError, ConfigError
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "ring120-full.ckpt"
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +37,7 @@ def test_defaults_match_documented_values():
     assert cfg.beta == 0.005
     assert (cfg.p_keep, cfg.p_delete, cfg.p_insert) == (0.4, 0.5, 0.1)
     assert cfg.n_negatives == 99
-    assert cfg.ks == (5, 10, 20)
+    assert not hasattr(cfg, "ks")  # evaluation always reports K_VALUES
 
 
 def test_parse_overrides_and_comments():
@@ -54,6 +58,21 @@ def test_unknown_key_is_hard_error():
         parse_config_lines(["alhpa = 0.2"])
 
 
+def test_stored_ks_line_still_loads():
+    # checkpoints written while `ks` was a config key carry this line
+    lines = config_to_lines(RunConfig(alpha=0.3)) + ["ks = 5,10,20"]
+    assert parse_config_lines(lines) == RunConfig(alpha=0.3)
+    text, _, _, _ = load_checkpoint(FIXTURE)
+    assert "ks = 5,10,20" in text.splitlines()
+    assert parse_config_lines(text.splitlines()).mode == "full"
+
+
+@pytest.mark.parametrize("raw", ["1,2", "5,10", "5,10,20,50", "ten"])
+def test_other_ks_values_name_the_fixed_k(raw):
+    with pytest.raises(ConfigError, match="ks is fixed at 5,10,20"):
+        parse_config_lines([f"ks = {raw}"])
+
+
 def test_bad_mode_rejected():
     with pytest.raises(ConfigError):
         parse_config_lines(["mode = fancy"])
@@ -65,7 +84,7 @@ def test_probability_sum_validated():
 
 
 def test_round_trip_through_lines():
-    cfg = RunConfig(alpha=0.3, seed=17, mode="wo_tri", ks=(5, 10, 20))
+    cfg = RunConfig(alpha=0.3, seed=17, mode="wo_tri")
     lines = config_to_lines(cfg, meta={"n_items": 55, "epoch": 3})
     again = parse_config_lines(lines)
     assert again == cfg

@@ -1,14 +1,21 @@
 """Training phases: joint-loss algebra, ablation modes, resume equivalence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from seqrec import augmenter as am
 from seqrec import autograd as ag
-from seqrec.config import RunConfig
+from seqrec.augmenter import restoration_accuracy
+from seqrec.augops import CorruptionConfig
+from seqrec.checkpoint import load_checkpoint
+from seqrec.config import RunConfig, parse_config_lines, read_meta
 from seqrec.data import ItemSequence, leave_one_out_split
 from seqrec.errors import ConfigError
 from seqrec.optim import AdamState, ParamStore
 from seqrec.trainer import (
+    _corrupt_batch,
     build_model,
     dims_from_config,
     generation_op_proportions,
@@ -17,6 +24,7 @@ from seqrec.trainer import (
     model_from_arrays,
     train_augmenter,
     train_recommender,
+    validation_aug_loss,
 )
 
 from test_data import make_vocab
@@ -48,6 +56,16 @@ def tiny_model(tiny_data):
     cfg = tiny_cfg()
     dims = dims_from_config(cfg, vocab.n_items)
     return build_model(dims, seed=5)
+
+
+@pytest.fixture(scope="module")
+def trained_model():
+    """The benchmark's pinned ring-120 model: its generator hits run items."""
+    ckpt = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "ring120-full.ckpt"
+    text, arrays, _, _ = load_checkpoint(ckpt)
+    cfg = parse_config_lines(text.splitlines())
+    dims = dims_from_config(cfg, int(read_meta(text.splitlines())["n_items"]))
+    return model_from_arrays(dims, arrays)
 
 
 def batch_from(split, n=8):
@@ -254,3 +272,40 @@ def test_generation_op_proportions_sum_to_one(tiny_data, tiny_model):
     props = generation_op_proportions([u.train for u in split.users[:20]], tiny_model)
     assert len(props) == 3
     assert abs(sum(props) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# restoration validation
+# ---------------------------------------------------------------------------
+
+CCFG = CorruptionConfig(0.4, 0.5, 0.1, max_insert_run=5, n_items=120)
+
+
+def test_validation_encodes_each_chunk_once(tiny_data, tiny_model, monkeypatch):
+    split, _ = tiny_data
+    calls = []
+    original = am.encode_batch
+
+    def counting(ids, *args, **kwargs):
+        calls.append(ids.shape[0])
+        return original(ids, *args, **kwargs)
+
+    monkeypatch.setattr(am, "encode_batch", counting)
+    validation_aug_loss(split, tiny_model, CCFG, seed=3, batch_size=16)
+    eligible = sum(len(u.train) >= 2 for u in split.users)
+    assert len(calls) == -(-eligible // 16)
+    assert sum(calls) == eligible
+
+
+def test_validation_pools_hits_not_ratios(tiny_data, trained_model):
+    split, _ = tiny_data
+    users = [u for u in split.users if len(u.train) >= 2]
+    records = _corrupt_batch([u.train for u in users], [u.user_id for u in users], CCFG,
+                             3, "valid", trained_model.dims.max_aug_len - 1)
+    whole = restoration_accuracy(records, trained_model.enc, trained_model.aug)
+    assert 0 < whole.ins_hits < whole.n_ins_items  # a figure that weighting can move
+    for batch_size in (7, 16, 64):
+        loss, detail = validation_aug_loss(split, trained_model, CCFG, 3, batch_size)
+        assert detail["ins_top1"] == whole.ins_hits / whole.n_ins_items
+        assert detail["op_accuracy"] == whole.op_hits / whole.n_op_positions
+        assert loss == pytest.approx(whole.loss, rel=1e-12)
