@@ -342,6 +342,32 @@ def reverse_generate(
     return _decode_runs(data[None, :], enc, aug, mode=mode, rng=rng, max_run=max_run)[0]
 
 
+def _decide_ops(
+    seqs: list[list[int]],
+    enc: EncoderParams,
+    aug: AugmenterParams,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode each sequence plus its MASK sentinel and pick one op per position.
+
+    Returns the hidden states (n, w, e) and the ops (n, w): the argmax
+    operation, or one drawn from its softmax when an rng is given. Sequence
+    i fills columns w-1-len(seqs[i]) .. w-2 and its sentinel column w-1.
+    """
+    batch = pad_batch([str(i) for i in range(len(seqs))],
+                      [s + [enc.dims.mask_id] for s in seqs])
+    with ag.no_grad():
+        h = encode_batch(batch.ids, enc, train=False)
+        op_logits = predict_op_logits(h, aug).data
+    if rng is None:
+        return h.data, op_logits.argmax(axis=-1)
+    shifted = op_logits - op_logits.max(axis=-1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    flat = probs.reshape(-1, 3)
+    return h.data, np.array([rng.choice(3, p=p) for p in flat]).reshape(op_logits.shape[:-1])
+
+
 def generate_augmented_batch(
     seqs: list[list[int]],
     enc: EncoderParams,
@@ -362,24 +388,13 @@ def generate_augmented_batch(
         raise ValueError("stochastic generation needs an rng")
     if any(len(s) < 1 for s in seqs):
         raise ValueError("cannot augment an empty sequence")
-    batch = pad_batch([str(i) for i in range(len(seqs))], [s + [dims.mask_id] for s in seqs])
-    n, w = batch.ids.shape
-    with ag.no_grad():
-        h = encode_batch(batch.ids, enc, train=False)
-        op_logits = predict_op_logits(h, aug).data
-    if stochastic:
-        shifted = op_logits - op_logits.max(axis=-1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        flat = probs.reshape(-1, 3)
-        ops = np.array([rng.choice(3, p=p) for p in flat]).reshape(n, w)
-    else:
-        ops = op_logits.argmax(axis=-1)
+    h, ops = _decide_ops(seqs, enc, aug, rng=rng if stochastic else None)
+    n, w = ops.shape
 
     # One decode slot per insert position plus one per sentinel.
     anchor_rows: list[int] = []
     slot_of: dict[tuple[int, int], int] = {}
-    h_flat = h.data.reshape(n * w, dims.embed_dim)
+    h_flat = h.reshape(n * w, dims.embed_dim)
     for i, seq in enumerate(seqs):
         offset = w - 1 - len(seq)
         for t in range(len(seq)):

@@ -4,8 +4,17 @@ Tensors are numpy arrays plus gradient bookkeeping. Every operation whose
 inputs require gradients appends its output node to a module-level tape in
 creation order; backward() replays the tape in reverse, which is a valid
 topological order, so each node propagates to its parents exactly once and
-gradients of reused tensors accumulate additively. The tape is cleared
-after each backward pass.
+gradients of reused tensors accumulate additively. backward() releases
+each tape node (its gradient, rule and parent links) as soon as the node's
+rule has run, so only leaf tensors keep a .grad afterwards.
+
+Gradient buffers have one owner. A backward rule hands each parent an
+array that no other tensor holds: a new array, or a reshape, transpose or
+slice of the incoming gradient, which is never read again once the node's
+own rule has run. The first gradient a tensor receives becomes its .grad
+without a copy; later ones are added into it in place. add() is the one
+rule that could give the same array to two parents, so it copies for the
+second.
 
 Shapes follow numpy broadcasting on the elementwise ops; reductions that
 broadcasting introduces are summed back out in the backward rules. All
@@ -161,20 +170,25 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], bw) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad; the first g is taken over, not copied (see module doc)."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        if type(g) is np.ndarray and g.dtype == t.data.dtype:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from loss.
+    """Populate .grad on every leaf requires_grad tensor reachable from loss.
 
     The loss must be a scalar produced on the current tape. Gradients add
     into any grads already present (call zero_grad/optimizer step between
-    passes). The tape is cleared afterwards.
+    passes). Each tape node is released as soon as its rule has run, and
+    the tape is empty afterwards.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -182,11 +196,12 @@ def backward(loss: Tensor) -> None:
         loss.grad = np.ones_like(loss.data)
     else:
         loss.grad += np.ones_like(loss.data)
-    for node in reversed(_TAPE):
-        if node.grad is None or node._bw is None:
-            continue
-        node._bw(node.grad)
-    clear_tape()
+    while _TAPE:
+        node = _TAPE.pop()
+        if node.grad is not None:
+            node._bw(node.grad)
+        node.grad = node._bw = None
+        node._parents = ()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -215,8 +230,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from exc
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        ga = _unbroadcast(g, a.shape)
+        _accum(a, ga)
+        gb = _unbroadcast(g, b.shape)
+        if gb is ga and a.requires_grad:
+            gb = gb.copy()  # a may own ga now
+        _accum(b, gb)
 
     return _record(out, (a, b), bw)
 
@@ -244,10 +263,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.matmul(a.data, b.data))
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accum(a, _unbroadcast(ga, a.shape))
-        _accum(b, _unbroadcast(gb, b.shape))
+        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b.ndim == 2:  # a weight: one GEMM over all leading axes of a
+            k, m = b.shape
+            _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, m))
+        else:
+            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return _record(out, (a, b), bw)
 
@@ -451,10 +472,11 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     out = Tensor(-picked)
 
     def bw(g):
-        p = np.exp(logp)
-        onehot = np.zeros_like(p)
-        np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-        _accum(logits, (p - onehot) * g[..., None])
+        d = np.exp(logp)  # softmax, minus 1 at each target
+        at = targets[..., None]
+        np.put_along_axis(d, at, np.take_along_axis(d, at, axis=-1) - 1.0, axis=-1)
+        d *= g[..., None]
+        _accum(logits, d)
 
     return _record(out, (logits,), bw)
 

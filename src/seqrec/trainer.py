@@ -21,16 +21,16 @@ import numpy as np
 from . import autograd as ag
 from .augmenter import (
     AugmenterParams,
+    _decide_ops,
     augmenter_loss,
     generate_augmented_batch,
-    predict_op_logits,
     restoration_accuracy,
 )
 from .augops import AugConfig, CorruptionConfig, corrupt_sequence, random_augment
 from .config import MODES, RunConfig
 from .contrastive import batch_contrastive_loss, triplet_loss
-from .data import SplitDataset, Vocabulary, make_batches, pad_batch
-from .encoder import EncoderParams, ModelDims, encode_batch
+from .data import SplitDataset, Vocabulary, make_batches
+from .encoder import EncoderParams, ModelDims
 from .errors import ConfigError
 from .evaluate import evaluate_model
 from .optim import AdamState, ParamStore, adam_step
@@ -437,18 +437,11 @@ def generation_op_proportions(
 ) -> tuple[float, float, float]:
     """Realized keep/delete/insert fractions when augmenting `seqs` greedily."""
     counts = np.zeros(3)
-    with ag.no_grad():
-        for chunk in _chunks(seqs, batch_size):
-            batch = pad_batch([str(i) for i in range(len(chunk))],
-                              [s + [model.dims.mask_id] for s in chunk])
-            h = encode_batch(batch.ids, model.enc, train=False)
-            ops = predict_op_logits(h, model.aug).data.argmax(axis=-1)
-            n, w = batch.ids.shape
-            for i, s in enumerate(chunk):
-                offset = w - 1 - len(s)
-                row = ops[i, offset:w - 1]
-                for op in row:
-                    counts[op] += 1
+    for chunk in _chunks(seqs, batch_size):
+        _, ops = _decide_ops(chunk, model.enc, model.aug)
+        w = ops.shape[1]
+        for i, s in enumerate(chunk):
+            counts += np.bincount(ops[i, w - 1 - len(s):w - 1], minlength=3)
     total = counts.sum()
     if total == 0:
         return (0.0, 0.0, 0.0)

@@ -1,5 +1,6 @@
 """Training phases: joint-loss algebra, ablation modes, resume equivalence."""
 
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from seqrec.config import RunConfig, parse_config_lines, read_meta
 from seqrec.data import ItemSequence, leave_one_out_split
 from seqrec.errors import ConfigError
 from seqrec.optim import AdamState, ParamStore
+from seqrec.seeding import SeedStream
 from seqrec.trainer import (
     _corrupt_batch,
     build_model,
@@ -138,6 +140,45 @@ def test_joint_gradient_is_sum_of_term_gradients(tiny_data, tiny_model):
             g_rec_cl[n] - g_rec[n], 2.0 * (half[n] - g_rec[n]), atol=1e-8
         )
         break  # one parameter suffices; full check happens in acceptance
+
+
+def test_joint_backward_gives_each_param_its_own_gradient(tiny_data, trained_model,
+                                                          monkeypatch):
+    split, _ = tiny_data
+    seqs, users = batch_from(split)
+    cfg = tiny_cfg()
+    store = ParamStore(trained_model.named_params())
+
+    def two_backward_passes():
+        store.zero_grads()
+        grads = []
+        for _ in range(2):  # the second pass adds into the first pass's buffers
+            stream = SeedStream(cfg.seed, "rec-dropout", 0, 0)
+            loss, _ = joint_loss(seqs, users, trained_model, "full", cfg, 0, 0,
+                                 train=True, stream=stream)
+            ag.backward(loss)
+            got = {n: p.grad for n, p in store.items() if p.grad is not None}
+            for (m, g), (n, h) in combinations(got.items(), 2):
+                assert not np.shares_memory(g, h), (m, n)
+            grads.append({n: g.copy() for n, g in got.items()})
+        store.zero_grads()
+        return grads
+
+    owned = two_backward_passes()
+
+    def copying_accum(t, g):
+        if t.requires_grad:
+            if t.grad is None:
+                t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+            else:
+                t.grad += g
+
+    monkeypatch.setattr(ag, "_accum", copying_accum)
+    copied = two_backward_passes()
+    for got, want in zip(owned, copied):
+        assert sorted(got) == sorted(want) and len(got) > 10
+        for n in want:
+            np.testing.assert_array_equal(got[n], want[n], err_msg=n)
 
 
 def test_base_mode_leaves_augmenter_untouched(tiny_data, tiny_model):
@@ -272,6 +313,15 @@ def test_generation_op_proportions_sum_to_one(tiny_data, tiny_model):
     props = generation_op_proportions([u.train for u in split.users[:20]], tiny_model)
     assert len(props) == 3
     assert abs(sum(props) - 1.0) < 1e-12
+
+
+def test_generation_op_proportions_are_the_augmenters_ops(tiny_data, trained_model):
+    split, _ = tiny_data
+    seqs = [u.train for u in split.users]
+    assert sum(len(s) for s in seqs) == 332
+    for batch_size in (256, 7):
+        props = generation_op_proportions(seqs, trained_model, batch_size=batch_size)
+        assert props == (73 / 332, 9 / 332, 250 / 332)
 
 
 # ---------------------------------------------------------------------------
