@@ -122,8 +122,7 @@ def generator_forward(
     # Padding beyond a run's true length sits to the right; causal masking
     # keeps it out of every valid step, so a plain causal mask suffices.
     fake_ids = np.ones((r, m + 1), dtype=np.int64)
-    h = transformer_stack(h, aug.gen_blocks, dims, fake_ids, causal=True,
-                          train=train, stream=stream)
+    h = transformer_stack(h, aug.gen_blocks, dims, fake_ids, train=train, stream=stream)
     return generator_output_logits(h, enc, aug)
 
 
@@ -276,6 +275,15 @@ def restoration_accuracy(
 # ---------------------------------------------------------------------------
 
 
+def _sample_rows(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One class per row drawn from softmax(logits), rows in C order."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    flat = probs.reshape(-1, logits.shape[-1])
+    return np.array([rng.choice(len(p), p=p) for p in flat]).reshape(logits.shape[:-1])
+
+
 def _decode_runs(
     anchors: np.ndarray,
     enc: EncoderParams,
@@ -310,13 +318,7 @@ def _decode_runs(
             logits = generator_forward(
                 ag.constant(anchors[idx]), teacher, enc, aug
             ).data[:, step, :]
-            if mode == "greedy":
-                picks = logits.argmax(axis=-1)
-            else:
-                shifted = logits - logits.max(axis=-1, keepdims=True)
-                probs = np.exp(shifted)
-                probs /= probs.sum(axis=-1, keepdims=True)
-                picks = np.array([rng.choice(len(p), p=p) for p in probs])
+            picks = logits.argmax(axis=-1) if mode == "greedy" else _sample_rows(logits, rng)
             survivors = []
             for row, pick in zip(active, picks):
                 if int(pick) == stop:
@@ -359,13 +361,7 @@ def _decide_ops(
     with ag.no_grad():
         h = encode_batch(batch.ids, enc, train=False)
         op_logits = predict_op_logits(h, aug).data
-    if rng is None:
-        return h.data, op_logits.argmax(axis=-1)
-    shifted = op_logits - op_logits.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    flat = probs.reshape(-1, 3)
-    return h.data, np.array([rng.choice(3, p=p) for p in flat]).reshape(op_logits.shape[:-1])
+    return h.data, op_logits.argmax(axis=-1) if rng is None else _sample_rows(op_logits, rng)
 
 
 def generate_augmented_batch(

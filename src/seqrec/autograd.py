@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Tensors are numpy arrays plus gradient bookkeeping. Every operation whose
+Tensors are float64 numpy arrays plus gradient bookkeeping. Every operation whose
 inputs require gradients appends its output node to a module-level tape in
 creation order; backward() replays the tape in reverse, which is a valid
 topological order, so each node propagates to its parents exactly once and
@@ -29,29 +29,13 @@ import numpy as np
 
 from .errors import ShapeError
 
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch the dtype used for newly created tensors (float32/float64)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 class Tensor:
     """A numpy array with an optional gradient and a backward rule."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -398,18 +382,6 @@ def softmax(x: Tensor) -> Tensor:
     def bw(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
         _accum(x, y * (g - inner))
-
-    return _record(out, (x,), bw)
-
-
-def log_softmax(x: Tensor) -> Tensor:
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = Tensor(shifted - lse)
-
-    def bw(g):
-        p = np.exp(out.data)
-        _accum(x, g - p * g.sum(axis=-1, keepdims=True))
 
     return _record(out, (x,), bw)
 

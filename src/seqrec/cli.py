@@ -13,11 +13,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import autograd as ag
 from .augmenter import generate_augmented_batch
-from .augops import OP_NAMES, CorruptionConfig, corrupt_sequence
+from .augops import OP_NAMES, corrupt_sequence
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import MODES, RunConfig, config_to_lines, load_config, parse_config_lines, read_meta
 from .data import (
@@ -35,13 +32,15 @@ from .data import (
 )
 from .errors import ConfigError
 from .evaluate import NoisySimConfig, evaluate_model, simulate_noisy_testset
-from .optim import AdamState, ParamStore
+from .optim import AdamState
 from .synthgen import SynthSpec, generate, write_interactions, write_truth
 from .trainer import (
     MODES_NEEDING_AUGMENTER,
     RecModel,
+    corruption_config,
     dims_from_config,
     generation_op_proportions,
+    make_optimizer,
     model_arrays,
     model_from_arrays,
     train_augmenter,
@@ -72,12 +71,15 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "out", None) is not None:
         cfg.out_dir = args.out
     cfg.validate()
-    ag.set_default_dtype(np.float32 if cfg.precision == "float32" else np.float64)
     return cfg
 
 
-def _read_config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
+def _read_config(args, stored: RunConfig | None = None) -> RunConfig:
+    """--config, else a checkpoint's stored config, else defaults; then the flags."""
+    if getattr(args, "config", None):
+        cfg = load_config(args.config)
+    else:
+        cfg = stored or RunConfig()
     return _apply_overrides(cfg, args)
 
 
@@ -100,7 +102,6 @@ def _load_model_ckpt(path):
     meta = read_meta(lines)
     if "n_items" not in meta:
         raise ConfigError("checkpoint config lacks the _n_items record")
-    ag.set_default_dtype(np.float32 if cfg.precision == "float32" else np.float64)
     dims = dims_from_config(cfg, int(meta["n_items"]))
     model = model_from_arrays(dims, params, seed=cfg.seed)
     return cfg, meta, model, opt_step, opt_arrays
@@ -149,8 +150,7 @@ def cmd_preprocess(args) -> int:
 def cmd_corrupt(args) -> int:
     cfg = _read_config(args)
     sequences, vocab = _load_processed(_data_dir(args, cfg))
-    ccfg = CorruptionConfig(cfg.p_keep, cfg.p_delete, cfg.p_insert,
-                            max_insert_run=cfg.max_insert, n_items=vocab.n_items)
+    ccfg = corruption_config(cfg, vocab.n_items)
     shown = 0
     for seq in sequences:
         if len(seq.items) < 2:
@@ -186,73 +186,49 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def cmd_train_augmenter(args) -> int:
-    cfg = _read_config(args)
-    sequences, vocab = _load_processed(_data_dir(args, cfg))
-    split = leave_one_out_split(sequences)
-    out_dir = Path(cfg.out_dir)
-    log = _train_logger(out_dir)
-    model = opt_state = None
+def _start_training(args, phase: str):
+    """Config, data and resume state shared by train-augmenter and train-recommender.
+
+    With --resume the checkpoint's stored config is read first (an explicit
+    --config still wins), so the data directory and out dir resolve from it.
+    Returns (cfg, split, vocab, keyword arguments for the phase's trainer).
+    """
+    stored = model = opt = None
     start_epoch = 0
     if args.resume:
-        r_cfg, meta, model, opt_step, opt_arrays = _load_model_ckpt(args.resume)
-        if not args.config:  # an explicit --config wins over the stored one
-            cfg = _apply_overrides(r_cfg, args)
+        stored, meta, model, opt_step, opt_arrays = _load_model_ckpt(args.resume)
+        if meta.get("phase") != phase:
+            raise ConfigError(f"{args.resume} is a {meta.get('phase')!r} checkpoint, "
+                              f"not a {phase!r} one")
         start_epoch = int(meta.get("epoch", -1)) + 1
-        params = ParamStore(model.named_params(("enc", "aug")))
-        opt_state = AdamState(params, lr=cfg.lr)
-        if opt_arrays is not None:
-            opt_state.load_state_arrays(opt_arrays, opt_step)
+    cfg = _read_config(args, stored)
+    if model is not None:
+        _, opt = make_optimizer(model, cfg, phase, opt_step, opt_arrays)
+    sequences, vocab = _load_processed(_data_dir(args, cfg))
+    out_dir = Path(cfg.out_dir)
+    log = _train_logger(out_dir)
 
     def on_epoch(epoch, model, opt, row, improved):
-        _save_model_ckpt(out_dir / "augmenter-last.ckpt", cfg, model, "augmenter",
-                         epoch, opt=opt)
-        if improved:
-            _save_model_ckpt(out_dir / "augmenter-best.ckpt", cfg, model,
-                             "augmenter", epoch, opt=opt)
+        for kind in ("last", "best") if improved else ("last",):
+            _save_model_ckpt(out_dir / f"{phase}-{kind}.ckpt", cfg, model, phase, epoch,
+                             opt=opt)
 
-    result = train_augmenter(split, vocab, cfg, model=model, opt=opt_state,
-                             start_epoch=start_epoch, on_epoch=on_epoch, log=log)
-    log(f"best augmenter epoch {result.best_epoch} (val loss {result.best_metric:.4f})")
+    run = dict(model=model, opt=opt, start_epoch=start_epoch, on_epoch=on_epoch, log=log)
+    return cfg, leave_one_out_split(sequences), vocab, run
+
+
+def cmd_train_augmenter(args) -> int:
+    cfg, split, vocab, run = _start_training(args, "augmenter")
+    result = train_augmenter(split, vocab, cfg, **run)
+    run["log"](f"best augmenter epoch {result.best_epoch} (val loss {result.best_metric:.4f})")
     return 0
 
 
 def cmd_train_recommender(args) -> int:
-    cfg = _read_config(args)
-    sequences, vocab = _load_processed(_data_dir(args, cfg))
-    split = leave_one_out_split(sequences)
-    out_dir = Path(cfg.out_dir)
-    log = _train_logger(out_dir)
-    pretrained = None
-    if args.augmenter:
-        _a_cfg, _a_meta, pretrained, _, _ = _load_model_ckpt(args.augmenter)
-        ag.set_default_dtype(np.float32 if cfg.precision == "float32" else np.float64)
-    elif cfg.mode in MODES_NEEDING_AUGMENTER:
-        raise ConfigError(f"mode {cfg.mode!r} needs --augmenter CKPT")
-    model = opt_state = None
-    start_epoch = 0
-    if args.resume:
-        r_cfg, meta, model, opt_step, opt_arrays = _load_model_ckpt(args.resume)
-        if not args.config:  # an explicit --config wins over the stored one
-            cfg = _apply_overrides(r_cfg, args)
-        start_epoch = int(meta.get("epoch", -1)) + 1
-        parts = ("enc", "rec", "aug") if cfg.mode == "cotrain" else ("enc", "rec")
-        params = ParamStore(model.named_params(parts))
-        opt_state = AdamState(params, lr=cfg.lr)
-        if opt_arrays is not None:
-            opt_state.load_state_arrays(opt_arrays, opt_step)
-
-    def on_epoch(epoch, model, opt, row, improved):
-        _save_model_ckpt(out_dir / "recommender-last.ckpt", cfg, model,
-                         "recommender", epoch, opt=opt)
-        if improved:
-            _save_model_ckpt(out_dir / "recommender-best.ckpt", cfg, model,
-                             "recommender", epoch, opt=opt)
-
-    result = train_recommender(split, vocab, cfg, pretrained=pretrained,
-                               model=model, opt=opt_state, start_epoch=start_epoch,
-                               on_epoch=on_epoch, log=log)
-    log(f"best recommender epoch {result.best_epoch} (val sum {result.best_metric:.4f})")
+    cfg, split, vocab, run = _start_training(args, "recommender")
+    pretrained = _load_model_ckpt(args.augmenter)[2] if args.augmenter else None
+    result = train_recommender(split, vocab, cfg, pretrained=pretrained, **run)
+    run["log"](f"best recommender epoch {result.best_epoch} (val sum {result.best_metric:.4f})")
     return 0
 
 
@@ -322,10 +298,11 @@ def cmd_sweep(args) -> int:
     for key, values in grids:
         cells = [dict(cell, **{key: v}) for cell in cells for v in values]
 
-    base_aug = None
-    if not sweep_probs and cfg.mode in MODES_NEEDING_AUGMENTER:
+    needs_phase1 = cfg.mode in MODES_NEEDING_AUGMENTER
+    pretrained = None
+    if needs_phase1 and not sweep_probs:
         print("training shared augmenter for the sweep...")
-        base_aug = train_augmenter(split, vocab, cfg)
+        pretrained = train_augmenter(split, vocab, cfg).model
 
     rows = []
     for cell in cells:
@@ -338,13 +315,8 @@ def cmd_sweep(args) -> int:
             pk, pd, pi = _parse_ratio(cell["probs"])
             cell_cfg.p_keep, cell_cfg.p_delete, cell_cfg.p_insert = pk, pd, pi
         cell_cfg.validate()
-        pretrained = None
-        if cell_cfg.mode in MODES_NEEDING_AUGMENTER:
-            if sweep_probs:
-                phase1 = train_augmenter(split, vocab, cell_cfg)
-                pretrained = phase1.model
-            else:
-                pretrained = base_aug.model
+        if needs_phase1 and sweep_probs:
+            pretrained = train_augmenter(split, vocab, cell_cfg).model
         phase2 = train_recommender(split, vocab, cell_cfg, pretrained=pretrained)
         report = evaluate_model(split, vocab, phase2.model.enc, phase2.model.rec,
                                 which="test", seed=cell_cfg.seed,

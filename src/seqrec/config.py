@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .evaluate import K_VALUES
 
-MODES = ("full", "base", "wo_tri", "duoaug", "testaug", "cotrain")
+MODES = ("full", "base", "wo_tri", "duoaug", "cotrain")
 
 
 @dataclass
@@ -31,7 +31,6 @@ class RunConfig:
     epochs_augmenter: int = 200
     epochs_recommender: int = 200
     patience: int = 20
-    precision: str = "float64"
     # loss weights and corruption probabilities
     alpha: float = 0.1
     beta: float = 0.005
@@ -55,8 +54,6 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
-        if self.precision not in ("float32", "float64"):
-            raise ConfigError(f"precision must be float32/float64, got {self.precision!r}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         total = self.p_keep + self.p_delete + self.p_insert
@@ -81,12 +78,16 @@ def _parse_value(name: str, raw: str):
     raise ConfigError(f"cannot parse config key {name!r}")
 
 
-def _check_ks(raw: str, line_no: int) -> None:
-    """Accept the `ks` line older checkpoints carry only at its fixed value."""
-    parts = raw.replace(",", " ").split()
-    if not all(p.isdigit() for p in parts) or tuple(map(int, parts)) != K_VALUES:
+def _check_retired(key: str, raw: str, line_no: int) -> None:
+    """Accept a retired key's line, as older checkpoints carry it, only at its fixed value."""
+    if key == "ks":
+        parts = raw.replace(",", " ").split()
+        ok = all(p.isdigit() for p in parts) and tuple(map(int, parts)) == K_VALUES
         fixed = ",".join(str(k) for k in K_VALUES)
-        raise ConfigError(f"config line {line_no}: ks is fixed at {fixed}, "
+    else:  # precision: tensors are always float64
+        ok, fixed = raw.strip() == "float64", "float64"
+    if not ok:
+        raise ConfigError(f"config line {line_no}: {key} is fixed at {fixed}, "
                           f"got {raw.strip()!r}")
 
 
@@ -108,11 +109,15 @@ def parse_config_lines(lines, base: RunConfig | None = None) -> RunConfig:
         key = key.strip()
         if key.startswith("_"):
             continue
-        if key == "ks":
-            _check_ks(raw, line_no)
+        if key in ("ks", "precision"):
+            _check_retired(key, raw, line_no)
             continue
         if key not in _FIELDS:
             raise ConfigError(f"config line {line_no}: unknown key {key!r}")
+        if key == "mode" and raw.strip() == "testaug":
+            # the retired testaug mode trained exactly as full; augmenting
+            # at test time is `evaluate --testaug`
+            raw = "full"
         setattr(cfg, key, _parse_value(key, raw))
     cfg.validate()
     return cfg

@@ -113,14 +113,11 @@ def position_indices(ids: np.ndarray) -> np.ndarray:
     return np.maximum(pos, 0)
 
 
-def attention_mask(ids: np.ndarray, causal: bool) -> np.ndarray:
-    """(N, 1, T, T) additive mask: 0 allowed, NEG_INF blocked."""
-    n, t = ids.shape
-    allowed = np.ones((n, 1, t, t), dtype=bool)
+def attention_mask(ids: np.ndarray) -> np.ndarray:
+    """(N, 1, T, T) additive mask: 0 allowed, NEG_INF blocked (PAD keys, future keys)."""
+    t = ids.shape[1]
     key_real = (ids != PAD_ID)[:, None, None, :]
-    allowed &= key_real
-    if causal:
-        allowed &= np.tril(np.ones((t, t), dtype=bool))[None, None]
+    allowed = key_real & np.tril(np.ones((t, t), dtype=bool))[None, None]
     return np.where(allowed, 0.0, NEG_INF)
 
 
@@ -157,17 +154,16 @@ def transformer_stack(
     blocks: list[BlockParams],
     dims: ModelDims,
     ids: np.ndarray,
-    causal: bool = True,
     train: bool = False,
     stream: SeedStream | None = None,
 ) -> Tensor:
-    """Run the block stack over (N, T, e) hidden states."""
+    """Run the causal block stack over (N, T, e) hidden states."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim == 1:
         ids = ids[None, :]
     n, t = ids.shape
     e, heads, dh = dims.embed_dim, dims.n_heads, dims.head_dim
-    mask = ag.constant(attention_mask(ids, causal))
+    mask = ag.constant(attention_mask(ids))
     scale = 1.0 / np.sqrt(dh)
     if train and dims.dropout > 0 and stream is None:
         raise ValueError("training forward needs a SeedStream for dropout")
@@ -200,15 +196,13 @@ def encode_batch(
     enc: EncoderParams,
     train: bool = False,
     stream: SeedStream | None = None,
-    causal: bool = True,
 ) -> Tensor:
     """Full encoder forward: embeddings then the block stack."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim == 1:
         ids = ids[None, :]
     h = embed_sequence(ids, enc, train=train, stream=stream)
-    return transformer_stack(h, enc.blocks, enc.dims, ids, causal=causal,
-                             train=train, stream=stream)
+    return transformer_stack(h, enc.blocks, enc.dims, ids, train=train, stream=stream)
 
 
 def take_last_position(h: Tensor) -> Tensor:

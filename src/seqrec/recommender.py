@@ -48,8 +48,7 @@ def rec_forward(
     stream: SeedStream | None = None,
 ) -> Tensor:
     """Run the recommender stack over encoder states (same masking rules)."""
-    return transformer_stack(h_enc, rec.blocks, rec.dims, ids, causal=True,
-                             train=train, stream=stream)
+    return transformer_stack(h_enc, rec.blocks, rec.dims, ids, train=train, stream=stream)
 
 
 def full_forward(
@@ -99,14 +98,12 @@ def next_item_distribution(
 ) -> np.ndarray:
     """Probabilities over item ids 1..n_items for the next interaction.
 
-    Appends a MASK slot after the (clipped) history; PAD and MASK never
-    receive probability mass because only real item rows are scored.
+    The history is scored as score_candidates scores it, against the whole
+    catalog; PAD and MASK never receive probability mass because only real
+    item rows are scored.
     """
-    dims = enc.dims
-    context = list(items[-(dims.max_aug_len - 1):]) + [dims.mask_id]
-    with ag.no_grad():
-        h = full_forward(np.asarray([context], dtype=np.int64), enc, rec)
-        logits = item_logits(take_last_position(h), enc).data[0]
+    catalog = np.arange(1, enc.dims.n_items + 1, dtype=np.int64)[None, :]
+    logits = score_candidates([items], catalog, enc, rec)[0]
     shifted = logits - logits.max()
     probs = np.exp(shifted)
     return probs / probs.sum()

@@ -7,6 +7,10 @@ and triplet contrastive terms over (raw, learned-augmented,
 random-augmented) views. The encoder keeps training in phase 2; the
 augmenter is frozen except in cotrain mode.
 
+This module owns the run policy: which modes need a pretrained augmenter,
+which components each phase trains, how the corruption generator is
+configured from a RunConfig, and whether a model can run a mode.
+
 All randomness is keyed by (seed, phase, epoch, batch, row), so a run can
 be resumed from a checkpoint and continue exactly as the unbroken run.
 """
@@ -79,6 +83,36 @@ def build_model(dims: ModelDims, seed: int, with_aug: bool = True,
         aug=AugmenterParams(dims, seed) if with_aug else None,
         rec=RecommenderParams(dims, seed) if with_rec else None,
     )
+
+
+# Modes whose contrast views come from a phase-1 augmenter. cotrain trains
+# its augmenter in phase 2 (fresh unless one is given); base never runs one.
+MODES_NEEDING_AUGMENTER = ("full", "wo_tri", "duoaug")
+
+
+def make_optimizer(model: RecModel, cfg: RunConfig, phase: str, step: int = 0,
+                   arrays: dict[str, np.ndarray] | None = None):
+    """(params, Adam state) over the components a phase trains.
+
+    Phase 1 ("augmenter") trains encoder + augmenter; phase 2 ("recommender")
+    trains encoder + recommender, plus the augmenter in cotrain. `arrays` and
+    `step` restore a checkpoint's optimizer state.
+    """
+    if phase == "augmenter":
+        parts = ("enc", "aug")
+    else:
+        parts = ("enc", "rec", "aug") if cfg.mode == "cotrain" else ("enc", "rec")
+    params = ParamStore(model.named_params(parts))
+    opt = AdamState(params, lr=cfg.lr)
+    if arrays is not None:
+        opt.load_state_arrays(arrays, step)
+    return params, opt
+
+
+def corruption_config(cfg: RunConfig, n_items: int) -> CorruptionConfig:
+    """The corruption generator phase 1 (and cotrain) trains restoration on."""
+    return CorruptionConfig(cfg.p_keep, cfg.p_delete, cfg.p_insert,
+                            max_insert_run=cfg.max_insert, n_items=n_items)
 
 
 @dataclass
@@ -160,11 +194,9 @@ def train_augmenter(
     dims = dims_from_config(cfg, vocab.n_items)
     if model is None:
         model = build_model(dims, cfg.seed, with_aug=True, with_rec=False)
-    ccfg = CorruptionConfig(cfg.p_keep, cfg.p_delete, cfg.p_insert,
-                            max_insert_run=cfg.max_insert, n_items=vocab.n_items)
-    params = ParamStore(model.named_params(("enc", "aug")))
-    if opt is None:
-        opt = AdamState(params, lr=cfg.lr)
+    ccfg = corruption_config(cfg, vocab.n_items)
+    params, new_opt = make_optimizer(model, cfg, "augmenter")
+    opt = opt or new_opt
     result = TrainResult(model=model, opt=opt)
     max_mod_len = dims.max_aug_len - 1
     patience_left = cfg.patience
@@ -222,9 +254,6 @@ def train_augmenter(
 # Phase 2: joint recommender training
 # ---------------------------------------------------------------------------
 
-MODES_NEEDING_AUGMENTER = ("full", "wo_tri", "duoaug", "testaug")
-
-
 def make_contrast_views(
     seqs: list[list[int]],
     user_ids: list[str],
@@ -252,7 +281,7 @@ def make_contrast_views(
         two = generate_augmented_batch(seqs, model.enc, model.aug, stochastic=True,
                                        rng=rng_for(seed, "duo2", epoch, batch_idx))
         return one, two
-    # full / wo_tri / testaug / cotrain: learned view + random view
+    # full / wo_tri / cotrain: learned view + random view
     one = generate_augmented_batch(seqs, model.enc, model.aug, stochastic=False)
     return one, random_views("view2")
 
@@ -261,15 +290,17 @@ def joint_loss(
     seqs: list[list[int]],
     user_ids: list[str],
     model: RecModel,
-    mode: str,
     cfg: RunConfig,
     epoch,
     batch_idx,
     train: bool = True,
     stream: SeedStream | None = None,
-    ccfg: CorruptionConfig | None = None,
 ):
-    """L = L_rec + alpha*L_cl + beta*L_tri (+ restoration loss in cotrain)."""
+    """L = L_rec + alpha*L_cl + beta*L_tri (+ restoration loss in cotrain).
+
+    The terms and views follow cfg.mode.
+    """
+    mode = cfg.mode
     if mode not in MODES:
         raise ConfigError(f"unknown training mode {mode!r}")
     alpha = cfg.alpha
@@ -295,6 +326,7 @@ def joint_loss(
             parts["tri"] = l_tri.item()
             total = total + beta * l_tri
     if mode == "cotrain":
+        ccfg = corruption_config(cfg, model.dims.n_items)
         records = _corrupt_batch(seqs, user_ids, ccfg, cfg.seed, f"co-{epoch}",
                                  model.dims.max_aug_len - 1)
         if records:
@@ -312,16 +344,14 @@ def joint_step(
     model: RecModel,
     params: ParamStore,
     opt: AdamState,
-    mode: str,
     cfg: RunConfig,
     epoch,
     batch_idx,
-    ccfg: CorruptionConfig | None = None,
 ) -> dict[str, float]:
     """One optimization step on the joint objective; returns the loss parts."""
     stream = SeedStream(cfg.seed, "rec-dropout", epoch, batch_idx)
-    loss, parts = joint_loss(seqs, user_ids, model, mode, cfg, epoch, batch_idx,
-                             train=True, stream=stream, ccfg=ccfg)
+    loss, parts = joint_loss(seqs, user_ids, model, cfg, epoch, batch_idx,
+                             train=True, stream=stream)
     ag.backward(loss)
     params.fill_missing_grads()
     adam_step(params, opt)
@@ -342,33 +372,25 @@ def train_recommender(
     """Train the recommender (and encoder) on the joint objective.
 
     Modes that contrast against a learned view need `pretrained` (phase-1
-    encoder + augmenter); its encoder continues training while the
-    augmenter stays frozen. cotrain trains encoder, augmenter, and
-    recommender together from whatever state is given (or fresh).
-    Validation tracks the summed metrics on the validation split.
+    encoder + augmenter), or a resumed `model` that holds an augmenter; the
+    encoder continues training while the augmenter stays frozen. cotrain
+    trains encoder, augmenter, and recommender together from whatever state
+    is given (or fresh). Validation tracks the summed metrics on the
+    validation split.
     """
-    mode = cfg.mode
-    if mode not in MODES:
-        raise ConfigError(f"unknown training mode {mode!r}")
-    if mode in MODES_NEEDING_AUGMENTER and pretrained is None and model is None:
-        raise ConfigError(f"mode {mode!r} needs a pretrained augmenter")
-    dims = dims_from_config(cfg, vocab.n_items)
     if model is None:
         if pretrained is not None:
             model = RecModel(dims=pretrained.dims, enc=pretrained.enc,
                              aug=pretrained.aug,
                              rec=RecommenderParams(pretrained.dims, cfg.seed))
         else:
-            with_aug = mode == "cotrain"
-            model = build_model(dims, cfg.seed, with_aug=with_aug, with_rec=True)
-    trained_parts = ("enc", "rec", "aug") if mode == "cotrain" else ("enc", "rec")
-    params = ParamStore(model.named_params(trained_parts))
-    if opt is None:
-        opt = AdamState(params, lr=cfg.lr)
-    ccfg = None
-    if mode == "cotrain":
-        ccfg = CorruptionConfig(cfg.p_keep, cfg.p_delete, cfg.p_insert,
-                                max_insert_run=cfg.max_insert, n_items=vocab.n_items)
+            model = build_model(dims_from_config(cfg, vocab.n_items), cfg.seed,
+                                with_aug=cfg.mode == "cotrain", with_rec=True)
+    if cfg.mode != "base" and model.aug is None:
+        raise ConfigError(f"mode {cfg.mode!r} needs an augmenter: pass a phase-1 "
+                          f"checkpoint (--augmenter CKPT)")
+    params, new_opt = make_optimizer(model, cfg, "recommender")
+    opt = opt or new_opt
     result = TrainResult(model=model, opt=opt)
     patience_left = cfg.patience
     best = -float("inf")
@@ -381,7 +403,7 @@ def train_recommender(
                                min_prefix_len=2)
         for b_idx, batch in enumerate(batches):
             parts = joint_step(batch.seqs, batch.user_ids, model, params, opt,
-                               mode, cfg, epoch, b_idx, ccfg=ccfg)
+                               cfg, epoch, b_idx)
             for key, val in parts.items():
                 sums[key] = sums.get(key, 0.0) + val
             n_batches += 1

@@ -1,5 +1,7 @@
 """Augmenter: operation head, reverse generator, restoration loss, generation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,10 @@ from seqrec.augops import (
     CorruptionRecord,
     corrupt_sequence,
 )
+from seqrec.cli import _load_model_ckpt
 from seqrec.encoder import EncoderParams, ModelDims, encode_batch
 
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "ring120-full.ckpt"
 DIMS = ModelDims(n_items=20, embed_dim=16, n_layers=1, n_heads=1, dropout=0.5,
                  max_len=50, max_aug_len=60, max_insert=5)
 
@@ -335,3 +339,19 @@ def test_generate_batch_matches_single():
     batch_out = generate_augmented_batch(seqs, enc, aug)
     single_out = [generate_augmented(s, enc, aug) for s in seqs]
     assert batch_out == single_out
+
+
+def test_stochastic_batch_draws_are_pinned():
+    # the benchmark's trained ring-120 model; the expected output was recorded
+    # before op and run sampling shared one helper, so the draw order is fixed
+    model = _load_model_ckpt(FIXTURE)[2]
+    seqs = [[(start + j) % 120 + 1 for j in range(n)]
+            for start, n in ((0, 6), (37, 9), (60, 3), (115, 8))]
+    got = generate_augmented_batch(seqs, model.enc, model.aug, stochastic=True,
+                                   rng=np.random.default_rng(5))
+    assert got == [
+        [1, 2, 3, 1, 2, 3, 4, 5, 6, 65, 35],
+        [38, 38, 39, 40, 40, 41, 38, 39, 40, 41, 42, 40, 41, 43, 43, 45, 5, 6, 46],
+        [61, 59, 62, 65, 66, 63, 64, 65],
+        [116, 120, 117, 119, 120, 119, 120, 1, 2, 3],
+    ]

@@ -223,7 +223,6 @@ OP_CASES = {
     "matmul_4d": lambda p, c: ag.softplus(ag.matmul(p["t4"], p["m2"])).sum(),
     "dot": lambda p, c: ag.dot(p["v1"], p["v2"]),
     "softmax": lambda p, c: (ag.softmax(p["a"]) * c["w"]).sum(),
-    "log_softmax": lambda p, c: (ag.log_softmax(p["a"]) * c["w"]).sum(),
     "relu": lambda p, c: ag.relu(p["a"]).sum(),
     "softplus": lambda p, c: ag.softplus(p["a"]).sum(),
     "layer_norm": lambda p, c: (ag.layer_norm(p["a"]) * c["w"]).sum(),

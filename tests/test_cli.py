@@ -8,6 +8,7 @@ import pytest
 from seqrec.augmenter import generate_augmented
 from seqrec.checkpoint import load_checkpoint, save_checkpoint
 from seqrec.cli import _load_model_ckpt, main
+from seqrec.config import config_to_lines, parse_config_lines, read_meta
 from seqrec.data import leave_one_out_split, read_sequences, read_vocabulary
 from seqrec.evaluate import NoisySimConfig, evaluate_model
 
@@ -224,6 +225,59 @@ def test_resume_reproduces_unbroken_run(workspace, tmp_path):
     assert set(params_a) == set(params_b)
     for name in params_a:
         np.testing.assert_array_equal(params_a[name], params_b[name])
+
+
+@pytest.mark.parametrize("command, mode", [("train-augmenter", None),
+                                           ("train-recommender", "base"),
+                                           ("train-recommender", "full")])
+def test_resume_alone_continues_from_the_stored_config(workspace, tmp_path, command, mode):
+    root, cfg, data = workspace
+    phase = command.removeprefix("train-")
+    flags = []
+    if mode is not None:
+        flags = ["--mode", mode]
+    if mode == "full":
+        aug_out = tmp_path / "phase1"
+        assert main(["train-augmenter", "--data", str(data), "--config", str(cfg),
+                     "--out", str(aug_out)]) == 0
+        flags += ["--augmenter", str(aug_out / "augmenter-last.ckpt")]
+    epochs_key = f"epochs_{phase}"
+    cfg2 = tmp_path / "two-epochs.cfg"
+    cfg2.write_text(TINY_CFG.replace(f"{epochs_key} = 1", f"{epochs_key} = 2"))
+    straight, part1, part2 = tmp_path / "straight", tmp_path / "part1", tmp_path / "part2"
+    assert main([command, "--data", str(data), "--config", str(cfg2),
+                 "--out", str(straight), *flags]) == 0
+    assert main([command, "--data", str(data), "--config", str(cfg),
+                 "--out", str(part1), *flags]) == 0
+
+    # the 1-epoch checkpoint, re-saved as if its run had been asked for 2
+    # epochs and had named its data and out dir in the config
+    text, params, opt_step, opt_arrays = load_checkpoint(part1 / f"{phase}-last.ckpt")
+    lines = text.splitlines()
+    stored = parse_config_lines(lines)
+    assert getattr(stored, epochs_key) == 1 and stored.processed_dir == ""
+    setattr(stored, epochs_key, 2)
+    stored.processed_dir, stored.out_dir = str(data), str(part2)
+    ckpt = tmp_path / "resume.ckpt"
+    save_checkpoint(ckpt, "\n".join(config_to_lines(stored, read_meta(lines))) + "\n",
+                    params, opt_step=opt_step, opt_arrays=opt_arrays)
+
+    assert main([command, "--resume", str(ckpt)]) == 0
+    _, params_a, step_a, opt_a = load_checkpoint(straight / f"{phase}-last.ckpt")
+    _, params_b, step_b, opt_b = load_checkpoint(part2 / f"{phase}-last.ckpt")
+    assert step_a == step_b and set(params_a) == set(params_b) and set(opt_a) == set(opt_b)
+    for name in params_a:
+        np.testing.assert_array_equal(params_a[name], params_b[name], err_msg=name)
+    for name in opt_a:
+        np.testing.assert_array_equal(opt_a[name], opt_b[name], err_msg=name)
+
+
+def test_resume_refuses_another_phase_checkpoint(workspace, tmp_path, capsys):
+    _, _, data = workspace
+    rc = main(["train-augmenter", "--data", str(data), "--resume", str(FIXTURE),
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "'recommender' checkpoint" in capsys.readouterr().err
 
 
 def test_sweep_emits_grid_table(workspace, tmp_path):

@@ -73,6 +73,24 @@ def test_other_ks_values_name_the_fixed_k(raw):
         parse_config_lines([f"ks = {raw}"])
 
 
+def test_stored_precision_line_loads_only_at_float64():
+    # every checkpoint written while `precision` was a config key carries it
+    text, _, _, _ = load_checkpoint(FIXTURE)
+    assert "precision = float64" in text.splitlines()
+    lines = config_to_lines(RunConfig(alpha=0.3)) + ["precision = float64"]
+    assert parse_config_lines(lines) == RunConfig(alpha=0.3)
+    assert not hasattr(RunConfig(), "precision")
+    with pytest.raises(ConfigError, match="precision is fixed at float64"):
+        parse_config_lines(["precision = float32"])
+
+
+def test_stored_testaug_mode_loads_as_full():
+    # testaug trained exactly as full; test-time augmentation is `evaluate --testaug`
+    assert parse_config_lines(["mode = testaug"]).mode == "full"
+    with pytest.raises(ConfigError):
+        RunConfig(mode="testaug")
+
+
 def test_bad_mode_rejected():
     with pytest.raises(ConfigError):
         parse_config_lines(["mode = fancy"])

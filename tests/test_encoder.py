@@ -75,7 +75,7 @@ def test_train_dropout_keyed_by_stream(enc):
 
 def test_attention_mask_blocks_pad_and_future():
     ids = np.array([[0, 3, 4]])
-    mask = attention_mask(ids, causal=True)[0, 0]
+    mask = attention_mask(ids)[0, 0]
     # column 0 is PAD: blocked for the real queries
     assert mask[1, 0] == NEG_INF and mask[2, 0] == NEG_INF
     # future blocked
@@ -88,7 +88,7 @@ def test_masked_attention_rows_are_distributions():
     rng = np.random.default_rng(0)
     ids = np.array([[0, 0, 3, 4, 5]])
     scores = ag.constant(rng.standard_normal((1, 1, 5, 5)))
-    weights = ag.softmax(scores + ag.constant(attention_mask(ids, causal=True))).data[0, 0]
+    weights = ag.softmax(scores + ag.constant(attention_mask(ids))).data[0, 0]
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
     # blocked entries carry exactly zero weight for real queries
     assert weights[2, 0] == 0.0 and weights[2, 1] == 0.0

@@ -84,7 +84,7 @@ def test_zero_weights_reduce_to_rec_loss(tiny_data, tiny_model):
     split, _ = tiny_data
     seqs, users = batch_from(split)
     cfg = tiny_cfg(alpha=0.0, beta=0.0)
-    total, parts = joint_loss(seqs, users, tiny_model, "full", cfg, 0, 0, train=False)
+    total, parts = joint_loss(seqs, users, tiny_model, cfg, 0, 0, train=False)
     assert parts["total"] == parts["rec"]
     assert "cl" not in parts and "tri" not in parts
     ag.clear_tape()
@@ -94,7 +94,7 @@ def test_joint_loss_is_linear_recombination(tiny_data, tiny_model):
     split, _ = tiny_data
     seqs, users = batch_from(split)
     cfg = tiny_cfg(alpha=0.3, beta=0.02)
-    total, parts = joint_loss(seqs, users, tiny_model, "full", cfg, 0, 0, train=False)
+    total, parts = joint_loss(seqs, users, tiny_model, cfg, 0, 0, train=False)
     recombined = parts["rec"] + 0.3 * parts["cl"] + 0.02 * parts["tri"]
     assert abs(parts["total"] - recombined) < 1e-12
     ag.clear_tape()
@@ -103,7 +103,7 @@ def test_joint_loss_is_linear_recombination(tiny_data, tiny_model):
 def test_wo_tri_drops_triplet_term(tiny_data, tiny_model):
     split, _ = tiny_data
     seqs, users = batch_from(split)
-    total, parts = joint_loss(seqs, users, tiny_model, "wo_tri", tiny_cfg(), 0, 0,
+    total, parts = joint_loss(seqs, users, tiny_model, tiny_cfg(mode="wo_tri"), 0, 0,
                               train=False)
     assert "tri" not in parts and "cl" in parts
     ag.clear_tape()
@@ -120,7 +120,7 @@ def test_joint_gradient_is_sum_of_term_gradients(tiny_data, tiny_model):
         cfg = tiny_cfg(alpha=a, beta=b)
         store = ParamStore(model.named_params(("enc", "rec")))
         store.zero_grads()
-        total, _ = joint_loss(seqs, users, model, "full", cfg, 0, 0, train=False)
+        total, _ = joint_loss(seqs, users, model, cfg, 0, 0, train=False)
         ag.backward(total)
         out = {n: (store[n].grad.copy() if store[n].grad is not None else 0.0)
                for n in names}
@@ -154,7 +154,7 @@ def test_joint_backward_gives_each_param_its_own_gradient(tiny_data, trained_mod
         grads = []
         for _ in range(2):  # the second pass adds into the first pass's buffers
             stream = SeedStream(cfg.seed, "rec-dropout", 0, 0)
-            loss, _ = joint_loss(seqs, users, trained_model, "full", cfg, 0, 0,
+            loss, _ = joint_loss(seqs, users, trained_model, cfg, 0, 0,
                                  train=True, stream=stream)
             ag.backward(loss)
             got = {n: p.grad for n, p in store.items() if p.grad is not None}
@@ -187,7 +187,7 @@ def test_base_mode_leaves_augmenter_untouched(tiny_data, tiny_model):
     model = tiny_model
     aug_store = ParamStore(model.named_params(("aug",)))
     aug_store.zero_grads()
-    total, _ = joint_loss(seqs, users, model, "base", tiny_cfg(), 0, 0, train=False)
+    total, _ = joint_loss(seqs, users, model, tiny_cfg(mode="base"), 0, 0, train=False)
     ag.backward(total)
     for name, p in aug_store.items():
         assert p.grad is None, f"augmenter param {name} got a gradient in base mode"
@@ -195,14 +195,11 @@ def test_base_mode_leaves_augmenter_untouched(tiny_data, tiny_model):
 
 
 def test_cotrain_adds_restoration_term(tiny_data, tiny_model):
-    from seqrec.augops import CorruptionConfig
-
-    split, vocab = tiny_data
+    split, _ = tiny_data
     seqs, users = batch_from(split)
     model = tiny_model
-    ccfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=vocab.n_items)
-    total, parts = joint_loss(seqs, users, model, "cotrain", tiny_cfg(), 0, 0,
-                              train=False, ccfg=ccfg)
+    total, parts = joint_loss(seqs, users, model, tiny_cfg(mode="cotrain"), 0, 0,
+                              train=False)
     assert "aug" in parts
     ag.backward(total)
     aug_store = ParamStore(model.named_params(("aug",)))
@@ -213,14 +210,16 @@ def test_cotrain_adds_restoration_term(tiny_data, tiny_model):
 def test_unknown_mode_rejected(tiny_data, tiny_model):
     split, _ = tiny_data
     seqs, users = batch_from(split)
+    cfg = tiny_cfg()
+    cfg.mode = "fancy"  # RunConfig validates on construction only
     with pytest.raises(ConfigError):
-        joint_loss(seqs, users, tiny_model, "fancy", tiny_cfg(), 0, 0)
+        joint_loss(seqs, users, tiny_model, cfg, 0, 0)
 
 
 def test_singleton_remainder_batch_skips_in_batch_term(tiny_data, tiny_model):
     split, _ = tiny_data
     seqs, users = batch_from(split, n=1)
-    total, parts = joint_loss(seqs, users, tiny_model, "full", tiny_cfg(), 0, 0,
+    total, parts = joint_loss(seqs, users, tiny_model, tiny_cfg(), 0, 0,
                               train=False)
     assert "cl" not in parts and "tri" in parts
     assert np.isfinite(parts["total"])
@@ -275,7 +274,7 @@ def test_recommender_base_mode_runs_without_augmenter(tiny_data):
 def test_full_pipeline_all_modes_smoke(tiny_data):
     split, vocab = tiny_data
     phase1 = train_augmenter(split, vocab, tiny_cfg(epochs_augmenter=1))
-    for mode in ("full", "wo_tri", "duoaug", "cotrain", "testaug"):
+    for mode in ("full", "wo_tri", "duoaug", "cotrain"):
         cfg = tiny_cfg(mode=mode, epochs_recommender=1)
         pre = phase1.model if mode != "base" else None
         result = train_recommender(split, vocab, cfg, pretrained=pre)
