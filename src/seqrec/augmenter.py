@@ -97,6 +97,7 @@ def generator_forward(
     aug: AugmenterParams,
     train: bool = False,
     stream: SeedStream | None = None,
+    last_only: bool = False,
 ) -> Tensor:
     """Teacher-forced reverse-generator pass.
 
@@ -105,6 +106,7 @@ def generator_forward(
     Returns logits (R, M+1, n_items+1); the row at step j conditions on the
     anchor plus teacher items < j, so j targets run item j (or STOP at the
     end of the run). Causal masking makes all steps trainable in one pass.
+    With last_only, only step M is computed and the logits are (R, n_items+1).
     """
     dims = enc.dims
     r, m = teacher_ids.shape
@@ -122,7 +124,8 @@ def generator_forward(
     # Padding beyond a run's true length sits to the right; causal masking
     # keeps it out of every valid step, so a plain causal mask suffices.
     fake_ids = np.ones((r, m + 1), dtype=np.int64)
-    h = transformer_stack(h, aug.gen_blocks, dims, fake_ids, train=train, stream=stream)
+    h = transformer_stack(h, aug.gen_blocks, dims, fake_ids, train=train, stream=stream,
+                          last_only=last_only)
     return generator_output_logits(h, enc, aug)
 
 
@@ -292,10 +295,12 @@ def _decode_runs(
     rng: np.random.Generator | None = None,
     max_run: int | None = None,
 ) -> list[list[int]]:
-    """Decode one insertion run per anchor, re-encoding the prefix each step.
+    """Decode one insertion run per anchor, one generator step at a time.
 
-    Returns runs in generation (reverse) order; a run ends at STOP or at
-    max_run items. All anchors still active at a step share one forward.
+    Each step runs the generator over the anchor plus the items decoded so
+    far and computes the newest step's logits only. Returns runs in
+    generation (reverse) order; a run ends at STOP or at max_run items. All
+    anchors still active at a step share one forward.
     """
     dims = enc.dims
     if max_run is None:
@@ -316,8 +321,8 @@ def _decode_runs(
                 if step > 0 else np.zeros((len(active), 0), dtype=np.int64)
             )
             logits = generator_forward(
-                ag.constant(anchors[idx]), teacher, enc, aug
-            ).data[:, step, :]
+                ag.constant(anchors[idx]), teacher, enc, aug, last_only=True
+            ).data
             picks = logits.argmax(axis=-1) if mode == "greedy" else _sample_rows(logits, rng)
             survivors = []
             for row, pick in zip(active, picks):

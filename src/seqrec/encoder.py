@@ -156,14 +156,22 @@ def transformer_stack(
     ids: np.ndarray,
     train: bool = False,
     stream: SeedStream | None = None,
+    last_only: bool = False,
 ) -> Tensor:
-    """Run the causal block stack over (N, T, e) hidden states."""
+    """Run the causal block stack over (N, T, e) hidden states.
+
+    Returns (N, T, e), or with last_only the (N, e) states of the final
+    column: the last block then attends from that column alone (its keys
+    and values still cover all T columns), and every other step of that
+    block runs on it alone. Batches are right-aligned, so the final column
+    holds a real token in every row.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim == 1:
         ids = ids[None, :]
     n, t = ids.shape
     e, heads, dh = dims.embed_dim, dims.n_heads, dims.head_dim
-    mask = ag.constant(attention_mask(ids))
+    mask = attention_mask(ids)
     scale = 1.0 / np.sqrt(dh)
     if train and dims.dropout > 0 and stream is None:
         raise ValueError("training forward needs a SeedStream for dropout")
@@ -173,22 +181,27 @@ def transformer_stack(
             return ag.dropout(x, dims.dropout, train=True, rng=stream.next_rng())
         return x
 
-    def split_heads(x):
-        return ag.transpose(x.reshape(n, t, heads, dh), (0, 2, 1, 3))
+    def split_heads(x, rows):
+        return ag.transpose(x.reshape(n, rows, heads, dh), (0, 2, 1, 3))
 
-    for blk in blocks:
-        q = split_heads(ag.matmul(h, blk.Wq))
-        k = split_heads(ag.matmul(h, blk.Wk))
-        v = split_heads(ag.matmul(h, blk.Wv))
-        scores = ag.matmul(q, ag.transpose_last(k)) * scale + mask
+    for i, blk in enumerate(blocks):
+        k = split_heads(ag.matmul(h, blk.Wk), t)
+        v = split_heads(ag.matmul(h, blk.Wv), t)
+        rows = t
+        if last_only and i == len(blocks) - 1:
+            rows = 1
+            h = take_last_position(h).reshape(n, 1, e)
+            mask = mask[:, :, -1:, :]
+        q = split_heads(ag.matmul(h, blk.Wq), rows)
+        scores = ag.matmul(q, ag.transpose_last(k)) * scale + ag.constant(mask)
         attn = drop(ag.softmax(scores))
-        ctx = ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)).reshape(n, t, e)
+        ctx = ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)).reshape(n, rows, e)
         h = h + drop(ag.matmul(ctx, blk.Wo))
         h = ag.layer_norm(h) * blk.ln1_g + blk.ln1_b
         f = ag.relu(ag.matmul(h, blk.W1) + blk.b1)
         f = drop(ag.matmul(f, blk.W2) + blk.b2)
         h = ag.layer_norm(h + f) * blk.ln2_g + blk.ln2_b
-    return h
+    return h.reshape(n, e) if last_only else h
 
 
 def encode_batch(

@@ -25,3 +25,11 @@ class ConfigError(ValueError):
 
 class CheckpointError(ValueError):
     """Checkpoint file is corrupt, truncated, or of an unsupported version."""
+
+
+class NonFiniteError(FloatingPointError):
+    """A training loss or gradient is NaN or Inf; key names the batch."""
+
+    def __init__(self, message: str, key: tuple):
+        super().__init__(message)
+        self.key = key

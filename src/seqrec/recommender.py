@@ -3,7 +3,8 @@
 Training masks the last item of each row and scores it against the shared
 item table; inference appends a MASK slot after the full history so the
 prediction conditions on every real item. Sequence representations for the
-contrastive losses come from the same stack's last-position states.
+contrastive losses come from the same stack's last-position states. Every
+caller reads only that position, so the stack's last block computes it alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .encoder import (
     EncoderParams,
     ModelDims,
     encode_batch,
-    take_last_position,
     transformer_stack,
 )
 from .seeding import SeedStream
@@ -40,17 +40,6 @@ class RecommenderParams:
         return out
 
 
-def rec_forward(
-    h_enc: Tensor,
-    ids: np.ndarray,
-    rec: RecommenderParams,
-    train: bool = False,
-    stream: SeedStream | None = None,
-) -> Tensor:
-    """Run the recommender stack over encoder states (same masking rules)."""
-    return transformer_stack(h_enc, rec.blocks, rec.dims, ids, train=train, stream=stream)
-
-
 def full_forward(
     ids: np.ndarray,
     enc: EncoderParams,
@@ -58,9 +47,10 @@ def full_forward(
     train: bool = False,
     stream: SeedStream | None = None,
 ) -> Tensor:
-    """Encoder then recommender stack."""
+    """Encoder then recommender stack; (N, e) states at the final position."""
     h = encode_batch(ids, enc, train=train, stream=stream)
-    return rec_forward(h, ids, rec, train=train, stream=stream)
+    return transformer_stack(h, rec.blocks, rec.dims, ids, train=train, stream=stream,
+                             last_only=True)
 
 
 def sequence_reprs(
@@ -78,8 +68,7 @@ def sequence_reprs(
     dims = enc.dims
     clipped = [s[-dims.max_aug_len:] for s in seqs]
     batch = pad_batch([str(i) for i in range(len(clipped))], clipped)
-    h = full_forward(batch.ids, enc, rec, train=train, stream=stream)
-    return take_last_position(h)
+    return full_forward(batch.ids, enc, rec, train=train, stream=stream)
 
 
 def item_logits(h_last: Tensor, enc: EncoderParams) -> Tensor:
@@ -133,8 +122,7 @@ def rec_loss(
     """Batch-mean NLL of each row's true last item at the masked slot."""
     dims = enc.dims
     ids, targets = masked_last_rows([s[-dims.max_aug_len:] for s in seqs], dims.mask_id)
-    h = full_forward(ids, enc, rec, train=train, stream=stream)
-    logits = item_logits(take_last_position(h), enc)
+    logits = item_logits(full_forward(ids, enc, rec, train=train, stream=stream), enc)
     return ag.cross_entropy(logits, targets).mean()
 
 
@@ -154,8 +142,7 @@ def score_candidates(
     inputs = [list(c[-(dims.max_aug_len - 1):]) + [dims.mask_id] for c in contexts]
     batch = pad_batch([str(i) for i in range(len(inputs))], inputs)
     with ag.no_grad():
-        h = full_forward(batch.ids, enc, rec)
-        logits = item_logits(take_last_position(h), enc).data
+        logits = item_logits(full_forward(batch.ids, enc, rec), enc).data
     return np.take_along_axis(logits, np.asarray(candidate_ids, dtype=np.int64) - 1, axis=1)
 
 

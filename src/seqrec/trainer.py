@@ -18,7 +18,7 @@ be resumed from a checkpoint and continue exactly as the unbroken run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .config import MODES, RunConfig
 from .contrastive import batch_contrastive_loss, triplet_loss
 from .data import SplitDataset, Vocabulary, make_batches
 from .encoder import EncoderParams, ModelDims
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError
 from .evaluate import evaluate_model
 from .optim import AdamState, ParamStore, adam_step
 from .recommender import RecommenderParams, rec_loss, sequence_reprs
@@ -123,6 +123,23 @@ class TrainResult:
     best_epoch: int = -1
     best_metric: float = float("nan")
     best_arrays: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def _step(loss, params: ParamStore, opt: AdamState, key: tuple) -> None:
+    """Backward and one Adam step, refused when the loss or a gradient is not finite.
+
+    key is the batch's (seed, phase, epoch, batch); the run stops before a
+    NaN or Inf reaches the parameters, the Adam moments or a checkpoint.
+    """
+    ag.backward(loss)
+    params.fill_missing_grads()
+    bad = [name for name, t in params.items() if not np.isfinite(t.grad).all()]
+    if bad or not np.isfinite(loss.item()):
+        seed, phase, epoch, batch = key
+        what = f"gradient of {', '.join(bad)}" if bad else "loss"
+        raise NonFiniteError(f"non-finite {what} at seed {seed}, phase {phase}, "
+                             f"epoch {epoch}, batch {batch}", key)
+    adam_step(params, opt)
 
 
 def _chunks(seq, size):
@@ -215,9 +232,7 @@ def train_augmenter(
             stream = SeedStream(cfg.seed, "aug-dropout", epoch, b_idx)
             loss, stats = augmenter_loss(records, model.enc, model.aug,
                                          train=True, stream=stream)
-            ag.backward(loss)
-            params.fill_missing_grads()
-            adam_step(params, opt)
+            _step(loss, params, opt, (cfg.seed, "augmenter", epoch, b_idx))
             epoch_loss += stats.loss
             n_batches += 1
         val_loss, val_acc = validation_aug_loss(split, model, ccfg, cfg.seed, cfg.batch_size)
@@ -352,9 +367,7 @@ def joint_step(
     stream = SeedStream(cfg.seed, "rec-dropout", epoch, batch_idx)
     loss, parts = joint_loss(seqs, user_ids, model, cfg, epoch, batch_idx,
                              train=True, stream=stream)
-    ag.backward(loss)
-    params.fill_missing_grads()
-    adam_step(params, opt)
+    _step(loss, params, opt, (cfg.seed, "recommender", epoch, batch_idx))
     return parts
 
 
@@ -375,17 +388,23 @@ def train_recommender(
     encoder + augmenter), or a resumed `model` that holds an augmenter; the
     encoder continues training while the augmenter stays frozen. cotrain
     trains encoder, augmenter, and recommender together from whatever state
-    is given (or fresh). Validation tracks the summed metrics on the
+    is given (or fresh). `pretrained` must have the dims cfg gives, since
+    checkpoints store cfg. Validation tracks the summed metrics on the
     validation split.
     """
     if model is None:
+        dims = dims_from_config(cfg, vocab.n_items)
         if pretrained is not None:
-            model = RecModel(dims=pretrained.dims, enc=pretrained.enc,
-                             aug=pretrained.aug,
-                             rec=RecommenderParams(pretrained.dims, cfg.seed))
+            have, want = asdict(pretrained.dims), asdict(dims)
+            differ = [f"{k} {have[k]} vs {v}" for k, v in want.items() if have[k] != v]
+            if differ:
+                raise ConfigError("the phase-1 model does not match the run config "
+                                  f"(phase-1 vs config): {'; '.join(differ)}")
+            model = RecModel(dims=dims, enc=pretrained.enc, aug=pretrained.aug,
+                             rec=RecommenderParams(dims, cfg.seed))
         else:
-            model = build_model(dims_from_config(cfg, vocab.n_items), cfg.seed,
-                                with_aug=cfg.mode == "cotrain", with_rec=True)
+            model = build_model(dims, cfg.seed, with_aug=cfg.mode == "cotrain",
+                                with_rec=True)
     if cfg.mode != "base" and model.aug is None:
         raise ConfigError(f"mode {cfg.mode!r} needs an augmenter: pass a phase-1 "
                           f"checkpoint (--augmenter CKPT)")

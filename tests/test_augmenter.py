@@ -112,11 +112,12 @@ def test_reverse_generate_stop_first_gives_empty(monkeypatch):
     enc, aug = fresh_params(8)
     stop = DIMS.n_items
 
-    def fake_forward(anchors, teacher, enc_, aug_, train=False, stream=None):
+    def fake_forward(anchors, teacher, enc_, aug_, train=False, stream=None,
+                     last_only=False):
         r, m = teacher.shape
         logits = np.zeros((r, m + 1, DIMS.n_items + 1))
         logits[:, :, stop] = 5.0  # STOP dominates everywhere
-        return ag.constant(logits)
+        return ag.constant(logits[:, -1] if last_only else logits)
 
     monkeypatch.setattr(am, "generator_forward", fake_forward)
     assert reverse_generate(np.zeros(16), enc, aug) == []
@@ -355,3 +356,24 @@ def test_stochastic_batch_draws_are_pinned():
         [61, 59, 62, 65, 66, 63, 64, 65],
         [116, 120, 117, 119, 120, 119, 120, 1, 2, 3],
     ]
+
+
+def test_greedy_decode_matches_full_row_decoding(monkeypatch):
+    # every position of the pinned model's batch as an anchor; decoding that
+    # computes each step's logits alone must pick what full-row decoding picks
+    model = _load_model_ckpt(FIXTURE)[2]
+    seqs = [[(start + 2 * j) % 120 + 1 for j in range(n)]
+            for start, n in ((0, 6), (37, 9), (60, 3), (115, 8), (90, 14))]
+    h, _ = am._decide_ops(seqs, model.enc, model.aug)
+    anchors = h.reshape(-1, h.shape[-1])
+    last_step = am._decode_runs(anchors, model.enc, model.aug)
+
+    full = am.generator_forward
+
+    def full_rows(anchors_, teacher, enc_, aug_, last_only=False):
+        assert last_only
+        return ag.constant(full(anchors_, teacher, enc_, aug_).data[:, -1])
+
+    monkeypatch.setattr(am, "generator_forward", full_rows)
+    assert am._decode_runs(anchors, model.enc, model.aug) == last_step
+    assert sum(len(run) >= 2 for run in last_step) >= 5  # several multi-step runs

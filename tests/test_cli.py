@@ -272,6 +272,18 @@ def test_resume_alone_continues_from_the_stored_config(workspace, tmp_path, comm
         np.testing.assert_array_equal(opt_a[name], opt_b[name], err_msg=name)
 
 
+def test_augmenter_with_other_dims_is_refused_before_training(workspace, tmp_path, capsys):
+    # the 16-dim run config against the 64-dim pinned fixture
+    _, cfg, data = workspace
+    out = tmp_path / "mismatch"
+    rc = main(["train-recommender", "--data", str(data), "--config", str(cfg),
+               "--out", str(out), "--mode", "full", "--augmenter", str(FIXTURE)])
+    assert rc == 1
+    assert "embed_dim 64 vs 16" in capsys.readouterr().err
+    assert not list(out.glob("*.ckpt"))
+    assert not (out / "train-log.txt").exists()  # no epoch ran
+
+
 def test_resume_refuses_another_phase_checkpoint(workspace, tmp_path, capsys):
     _, _, data = workspace
     rc = main(["train-augmenter", "--data", str(data), "--resume", str(FIXTURE),

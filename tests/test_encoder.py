@@ -13,6 +13,7 @@ from seqrec.encoder import (
     encode_batch,
     position_indices,
     take_last_position,
+    transformer_stack,
 )
 from seqrec.errors import ShapeError
 from seqrec.seeding import SeedStream
@@ -142,3 +143,37 @@ def test_encoder_gradients_flow_to_all_params(enc):
     ag.backward((h * ag.constant(np.ones(h.shape))).sum() * 0.5)
     for name, p in probe.named_params().items():
         assert p.grad is not None, name
+
+
+def _rel_diff(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_last_only_matches_the_full_stacks_last_column(n_layers):
+    # left-padded rows of mixed lengths; the value and every parameter
+    # gradient of a scalar loss on the last column must not depend on
+    # whether the final block computes the other columns
+    dims = ModelDims(n_items=20, embed_dim=16, n_layers=n_layers, n_heads=2, dropout=0.0)
+    probe = EncoderParams(dims, seed=13)
+    ids = np.array([[0, 0, 0, 0, 4, 9], [0, 0, 3, 8, 1, 20], [5, 6, 7, 2, 11, 12],
+                    [0, 0, 0, 0, 0, 17]])
+    weights = ag.constant(np.random.default_rng(5).standard_normal((4, 16)))
+
+    def run(last_only):
+        h = embed_sequence(ids, probe)
+        out = transformer_stack(h, probe.blocks, dims, ids, last_only=last_only)
+        if not last_only:
+            out = take_last_position(out)
+        ag.backward((out * weights).sum())
+        grads = {}
+        for name, p in probe.named_params().items():
+            grads[name], p.grad = p.grad, None
+        return out.data, grads
+
+    full, full_grads = run(last_only=False)
+    last, last_grads = run(last_only=True)
+    assert last.shape == (4, 16)
+    assert _rel_diff(last, full) <= 1e-12
+    for name, g in full_grads.items():
+        assert _rel_diff(last_grads[name], g) <= 1e-12, name

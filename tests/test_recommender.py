@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from seqrec import autograd as ag
-from seqrec.encoder import EncoderParams, ModelDims, encode_batch, take_last_position
+from seqrec.encoder import (
+    EncoderParams,
+    ModelDims,
+    encode_batch,
+    take_last_position,
+    transformer_stack,
+)
 from seqrec.recommender import (
     RecommenderParams,
     full_forward,
     item_logits,
     masked_last_rows,
     next_item_distribution,
-    rec_forward,
     rec_loss,
     recommend_topk,
     score_candidates,
@@ -29,17 +34,21 @@ def test_forward_preserves_shape(parts):
     enc, rec = parts
     ids = np.array([[1, 2, 3, 4], [0, 5, 6, 7]])
     h = encode_batch(ids, enc)
-    out = rec_forward(h, ids, rec)
-    assert out.shape == (2, 4, DIMS.embed_dim)
+    assert transformer_stack(h, rec.blocks, DIMS, ids).shape == (2, 4, DIMS.embed_dim)
+    assert full_forward(ids, enc, rec).shape == (2, DIMS.embed_dim)
 
 
 def test_forward_is_causal(parts):
     enc, rec = parts
+
+    def all_positions(ids):
+        return transformer_stack(encode_batch(ids, enc), rec.blocks, DIMS, ids).data
+
     ids = np.array([[1, 2, 3, 4, 5, 6]])
-    a = full_forward(ids, enc, rec).data
+    a = all_positions(ids)
     ids2 = ids.copy()
     ids2[0, 4:] = [9, 10]
-    b = full_forward(ids2, enc, rec).data
+    b = all_positions(ids2)
     np.testing.assert_array_equal(a[0, :4], b[0, :4])
 
 
@@ -54,7 +63,7 @@ def test_degenerate_blocks_pass_residual_through(parts):
     h_rows = rng.standard_normal((1, 5, DIMS.embed_dim))
     h_rows = (h_rows - h_rows.mean(-1, keepdims=True)) / h_rows.std(-1, keepdims=True)
     ids = np.ones((1, 5), dtype=np.int64)
-    out = rec_forward(ag.constant(h_rows), ids, rec).data
+    out = transformer_stack(ag.constant(h_rows), rec.blocks, DIMS, ids).data
     # with zeroed sublayers each block is layer_norm twice; normalized rows
     # pass through up to the epsilon in the variance
     np.testing.assert_allclose(out, h_rows, atol=1e-6)
@@ -102,8 +111,8 @@ def test_rec_loss_matches_manual_nll(parts):
     seq = [4, 9, 2, 11]
     loss = rec_loss([seq], enc, rec)
     ids, targets = masked_last_rows([seq], DIMS.mask_id)
-    with ag.no_grad():
-        h = full_forward(ids, enc, rec)
+    with ag.no_grad():  # every position through the recommender stack, then the last
+        h = transformer_stack(encode_batch(ids, enc), rec.blocks, DIMS, ids)
         logits = item_logits(take_last_position(h), enc).data[0]
     shifted = logits - logits.max()
     manual = -(shifted[targets[0]] - np.log(np.exp(shifted).sum()))

@@ -13,7 +13,8 @@ from seqrec.augops import CorruptionConfig
 from seqrec.checkpoint import load_checkpoint
 from seqrec.config import RunConfig, parse_config_lines, read_meta
 from seqrec.data import ItemSequence, leave_one_out_split
-from seqrec.errors import ConfigError
+from seqrec.cli import _save_model_ckpt
+from seqrec.errors import ConfigError, NonFiniteError
 from seqrec.optim import AdamState, ParamStore
 from seqrec.seeding import SeedStream
 from seqrec.trainer import (
@@ -279,6 +280,35 @@ def test_full_pipeline_all_modes_smoke(tiny_data):
         pre = phase1.model if mode != "base" else None
         result = train_recommender(split, vocab, cfg, pretrained=pre)
         assert np.isfinite(result.history[0]["val_sum"])
+
+
+def test_pretrained_dims_must_match_the_run_config(tiny_data):
+    split, vocab = tiny_data
+    phase1 = train_augmenter(split, vocab, tiny_cfg(epochs_augmenter=1))
+    with pytest.raises(ConfigError, match=r"embed_dim 16 vs 32; dropout 0.0 vs 0.2"):
+        train_recommender(split, vocab, tiny_cfg(embed_dim=32, dropout=0.2),
+                          pretrained=phase1.model)
+
+
+@pytest.mark.parametrize("phase", ["augmenter", "recommender"])
+def test_non_finite_step_stops_before_adam_and_checkpoint(tiny_data, tmp_path, phase):
+    split, vocab = tiny_data
+    cfg = tiny_cfg(mode="base", epochs_augmenter=3, epochs_recommender=3)
+    ckpt = tmp_path / f"{phase}-last.ckpt"
+    saved = {}
+
+    def on_epoch(epoch, model, opt, row, improved):
+        _save_model_ckpt(ckpt, cfg, model, phase, epoch, opt=opt)
+        saved[epoch] = ckpt.read_bytes()
+        model.enc.pos_emb.data[0, 0] = np.nan  # every sequence reads position 0
+
+    train = train_augmenter if phase == "augmenter" else train_recommender
+    with pytest.raises(NonFiniteError) as err:
+        train(split, vocab, cfg, on_epoch=on_epoch)
+    assert err.value.key == (cfg.seed, phase, 1, 0)
+    assert "epoch 1, batch 0" in str(err.value)
+    assert list(saved) == [0]
+    assert ckpt.read_bytes() == saved[0]
 
 
 def test_resume_matches_unbroken_run(tiny_data):
