@@ -98,6 +98,7 @@ def generator_forward(
     train: bool = False,
     stream: SeedStream | None = None,
     last_only: bool = False,
+    steps: np.ndarray | None = None,
 ) -> Tensor:
     """Teacher-forced reverse-generator pass.
 
@@ -107,6 +108,8 @@ def generator_forward(
     anchor plus teacher items < j, so j targets run item j (or STOP at the
     end of the run). Causal masking makes all steps trainable in one pass.
     With last_only, only step M is computed and the logits are (R, n_items+1).
+    With steps, flat indices into the R x (M+1) step grid, only those steps
+    are projected and the logits are (len(steps), n_items+1) in that order.
     """
     dims = enc.dims
     r, m = teacher_ids.shape
@@ -126,6 +129,8 @@ def generator_forward(
     fake_ids = np.ones((r, m + 1), dtype=np.int64)
     h = transformer_stack(h, aug.gen_blocks, dims, fake_ids, train=train, stream=stream,
                           last_only=last_only)
+    if steps is not None:
+        h = ag.embedding_lookup(h.reshape(r * (m + 1), e), steps)
     return generator_output_logits(h, enc, aug)
 
 
@@ -167,20 +172,36 @@ def _assemble_records(records: list[CorruptionRecord], mask_id: int):
     return batch, op_targets, op_mask, runs
 
 
+def _length_groups(runs: list[tuple[int, list[int]]]) -> list[list[tuple[int, list[int]]]]:
+    """Split runs into power-of-two step-count classes (1, 2, 3-4, 5-8, ...).
+
+    A run of length L takes L+1 teacher-forced steps; its class is
+    L.bit_length(), so a class pads no run to more than twice its steps.
+    Classes come shortest first and keep the runs' order within a class.
+    """
+    classes: dict[int, list[tuple[int, list[int]]]] = {}
+    for anchor_run in runs:
+        classes.setdefault(len(anchor_run[1]).bit_length(), []).append(anchor_run)
+    return [classes[k] for k in sorted(classes)]
+
+
 def _run_matrices(runs: list[tuple[int, list[int]]], stop_class: int):
-    """Right-pad teacher runs and lay out their target classes + valid mask."""
+    """Right-pad teacher runs; return their real steps and those steps' targets.
+
+    steps are flat indices into the (R, M+1) step grid, in C order: run j's
+    steps 0..len(run), whose targets are its items as classes, then STOP.
+    """
     r = len(runs)
-    m = max(len(run) for _, run in runs)
+    lengths = np.array([len(run) for _, run in runs], dtype=np.int64)
+    m = int(lengths.max())
     anchor_idx = np.array([a for a, _ in runs], dtype=np.int64)
     teacher = np.full((r, m), PAD_ID, dtype=np.int64)
-    targets = np.zeros((r, m + 1), dtype=np.int64)
-    valid = np.zeros((r, m + 1))
     for j, (_, run) in enumerate(runs):
         teacher[j, :len(run)] = run
-        targets[j, :len(run)] = [item - 1 for item in run]
-        targets[j, len(run)] = stop_class
-        valid[j, :len(run) + 1] = 1.0
-    return anchor_idx, teacher, targets, valid
+    targets = np.concatenate([teacher - 1, np.zeros((r, 1), dtype=np.int64)], axis=1)
+    targets[np.arange(r), lengths] = stop_class
+    steps = np.flatnonzero(np.arange(m + 1) <= lengths[:, None])
+    return anchor_idx, teacher, steps, targets.reshape(-1)[steps]
 
 
 @dataclass
@@ -193,7 +214,12 @@ class RestorationStats(AugLossStats):
 
 
 class _Head(NamedTuple):
-    """One output head of the restoration model over a batch."""
+    """One output head of the restoration model over a batch.
+
+    The operation head's rows are the padded (N, W) grid with a mask of the
+    real positions; the generator head's rows are the flat real run steps
+    only, so its mask is all ones.
+    """
 
     logits: Tensor
     targets: np.ndarray
@@ -221,6 +247,9 @@ def _restoration_forward(
 
     Returns the operation head over real positions, the generator head over
     every run step up to and including STOP, and the batch's AugLossStats.
+    The generator runs once per length class of runs (_length_groups), so
+    no pass pads a run beyond twice its steps; each pass projects only its
+    real steps, and one cross-entropy scores them all.
     """
     if not records:
         raise ValueError("restoration needs a non-empty batch")
@@ -229,13 +258,18 @@ def _restoration_forward(
     n, w = batch.ids.shape
     h = encode_batch(batch.ids, enc, train=train, stream=stream)
     op = _head(predict_op_logits(h, aug), op_targets, op_mask)
-    anchor_idx, teacher, targets, valid = _run_matrices(runs, _stop_class(dims))
-    anchors = ag.embedding_lookup(h.reshape(n * w, dims.embed_dim), anchor_idx)
-    gen = _head(generator_forward(anchors, teacher, enc, aug, train=train, stream=stream),
-                targets, valid)
+    h_flat = h.reshape(n * w, dims.embed_dim)
+    logits, targets = [], []
+    for group in _length_groups(runs):
+        anchor_idx, teacher, steps, group_targets = _run_matrices(group, _stop_class(dims))
+        logits.append(generator_forward(ag.embedding_lookup(h_flat, anchor_idx), teacher,
+                                        enc, aug, train=train, stream=stream, steps=steps))
+        targets.append(group_targets)
+    gen_targets = np.concatenate(targets)
+    gen = _head(ag.concat(logits, axis=0), gen_targets, np.ones(len(gen_targets)))
     stats = AugLossStats(op_nll_sum=op.nll_sum.item(), ins_nll_sum=gen.nll_sum.item(),
                          n_records=n, n_op_positions=int(op_mask.sum()),
-                         n_ins_targets=int(valid.sum()))
+                         n_ins_targets=len(gen_targets))
     return op, gen, stats
 
 

@@ -15,11 +15,15 @@ One array block:
     raw little-endian payload
 
 Arrays round-trip bit-exactly in their own dtype, so a float64 training
-run resumes with no precision loss.
+run resumes with no precision loss. A save writes a temporary file next to
+the target and renames it into place, so an interrupted save leaves the
+previous file whole.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -65,6 +69,24 @@ def _read_array(fh) -> tuple[str, np.ndarray]:
     return name, arr
 
 
+def _write_payload(fh, config_text, params, opt_step, opt_arrays) -> None:
+    fh.write(MAGIC)
+    config_b = config_text.encode("utf-8")
+    fh.write(struct.pack("<I", len(config_b)))
+    fh.write(config_b)
+    fh.write(struct.pack("<I", len(params)))
+    for name, arr in params.items():
+        _write_array(fh, name, arr)
+    if opt_step is None:
+        fh.write(struct.pack("<B", 0))
+    else:
+        fh.write(struct.pack("<B", 1))
+        fh.write(struct.pack("<Q", opt_step))
+        fh.write(struct.pack("<I", len(opt_arrays or {})))
+        for name, arr in (opt_arrays or {}).items():
+            _write_array(fh, name, arr)
+
+
 def save_checkpoint(
     path,
     config_text: str,
@@ -72,22 +94,18 @@ def save_checkpoint(
     opt_step: int | None = None,
     opt_arrays: dict[str, np.ndarray] | None = None,
 ) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        config_b = config_text.encode("utf-8")
-        fh.write(struct.pack("<I", len(config_b)))
-        fh.write(config_b)
-        fh.write(struct.pack("<I", len(params)))
-        for name, arr in params.items():
-            _write_array(fh, name, arr)
-        if opt_step is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            fh.write(struct.pack("<Q", opt_step))
-            fh.write(struct.pack("<I", len(opt_arrays or {})))
-            for name, arr in (opt_arrays or {}).items():
-                _write_array(fh, name, arr)
+    """Write atomically: a synced temporary file in path's directory replaces path."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_payload(fh, config_text, params, opt_step, opt_arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -30,7 +30,7 @@ from .data import (
     write_sequences,
     write_vocabulary,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .evaluate import NoisySimConfig, evaluate_model, simulate_noisy_testset
 from .optim import AdamState
 from .synthgen import SynthSpec, generate, write_interactions, write_truth
@@ -52,6 +52,11 @@ def _load_processed(data_dir):
     data_dir = Path(data_dir)
     sequences = read_sequences(data_dir / "sequences.txt")
     vocab = read_vocabulary(data_dir / "vocab.txt")
+    for seq in sequences:
+        bad = [i for i in seq.items if not 1 <= i <= vocab.n_items]
+        if bad:
+            raise ParseError(f"{data_dir / 'sequences.txt'}: user {seq.user_id!r} has item "
+                             f"id {bad[0]} outside the vocabulary's 1..{vocab.n_items}")
     return sequences, vocab
 
 

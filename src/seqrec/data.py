@@ -277,7 +277,9 @@ def write_vocabulary(path, vocab: Vocabulary) -> None:
 
 
 def read_vocabulary(path) -> Vocabulary:
+    """Read a vocabulary file; tokens and ids must be unique and ids dense 1..n."""
     token_to_id: dict[str, int] = {}
+    line_of_id: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != VOCAB_FILE_HEADER:
@@ -289,8 +291,23 @@ def read_vocabulary(path) -> Vocabulary:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"expected 'token<TAB>id': {line!r}", line_no)
-            token_to_id[parts[0]] = int(parts[1])
-    id_to_token = ["<pad>"] * (len(token_to_id) + 1)
+            tok, raw_id = parts
+            try:
+                item_id = int(raw_id)
+            except ValueError:
+                raise ParseError(f"non-integer item id: {raw_id!r}", line_no) from None
+            if tok in token_to_id:
+                raise ParseError(f"duplicate token {tok!r}", line_no)
+            if item_id in line_of_id:
+                raise ParseError(f"duplicate id {item_id} (first on line "
+                                 f"{line_of_id[item_id]})", line_no)
+            token_to_id[tok] = item_id
+            line_of_id[item_id] = line_no
+    n = len(token_to_id)
+    for item_id, line_no in line_of_id.items():
+        if not 1 <= item_id <= n:
+            raise ParseError(f"id {item_id} outside 1..{n}: ids must be dense 1..n", line_no)
+    id_to_token = ["<pad>"] * (n + 1)
     for tok, i in token_to_id.items():
         id_to_token[i] = tok
     return Vocabulary(token_to_id, id_to_token)

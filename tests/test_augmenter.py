@@ -240,6 +240,98 @@ def test_restoration_accuracy_reports_the_loss_sums():
                                   for run in [*r.ins_targets.values(), r.tail_targets])
 
 
+# Runs of every length class: 0, 1, 2-3, 4-7 and >= 8 items.
+CLASS_RECORDS = [
+    CorruptionRecord(s_mod=[4, 9, 2, 7], ops=[OP_KEEP, OP_INSERT, OP_DELETE, OP_INSERT],
+                     ins_targets={1: [7, 3], 3: [1]}),
+    CorruptionRecord(s_mod=[5, 6], ops=[OP_INSERT, OP_KEEP],
+                     ins_targets={0: [1, 2, 3, 4, 5]},
+                     tail_targets=[8, 9, 10, 11, 12, 13, 14, 15, 16]),
+    CorruptionRecord(s_mod=[3], ops=[OP_KEEP], tail_targets=[2, 3, 4]),
+    CorruptionRecord(s_mod=[1, 2, 3], ops=[OP_INSERT, OP_INSERT, OP_KEEP],
+                     ins_targets={0: [6, 7, 8, 9, 10, 11, 12], 1: [11, 12]},
+                     tail_targets=[20]),
+]
+
+
+def _one_pass_restoration(records, enc, aug):
+    """Oracle: every run padded into one generator pass, every step scored and masked."""
+    batch, op_targets, op_mask, runs = am._assemble_records(records, DIMS.mask_id)
+    n, w = batch.ids.shape
+    h = encode_batch(batch.ids, enc)
+    op_logits = predict_op_logits(h, aug)
+    m = max(len(run) for _, run in runs)
+    teacher = np.zeros((len(runs), m), dtype=np.int64)
+    targets = np.zeros((len(runs), m + 1), dtype=np.int64)
+    valid = np.zeros((len(runs), m + 1))
+    for j, (_, run) in enumerate(runs):
+        teacher[j, :len(run)] = run
+        targets[j, :len(run) + 1] = [item - 1 for item in run] + [DIMS.n_items]
+        valid[j, :len(run) + 1] = 1.0
+    anchors = ag.embedding_lookup(h.reshape(n * w, DIMS.embed_dim), [a for a, _ in runs])
+    gen_logits = generator_forward(anchors, teacher, enc, aug)
+    nll = ((ag.cross_entropy(op_logits, op_targets) * ag.constant(op_mask)).sum()
+           + (ag.cross_entropy(gen_logits, targets) * ag.constant(valid)).sum())
+    item_steps = valid * (targets != DIMS.n_items)
+    counts = {"n_ins_targets": int(valid.sum()), "n_ins_items": int(item_steps.sum()),
+              "op_hits": int(((op_logits.data.argmax(-1) == op_targets) * op_mask).sum()),
+              "ins_hits": int(((gen_logits.data.argmax(-1) == targets) * item_steps).sum())}
+    return nll * (1.0 / n), counts
+
+
+def _rel_diff(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def test_grouped_restoration_matches_one_padded_pass():
+    enc, aug = fresh_params(16)
+    params = {**enc.named_params(), **aug.named_params()}
+    lengths = {len(run) for r in CLASS_RECORDS
+               for run in [*r.ins_targets.values(), r.tail_targets]}
+    assert {n.bit_length() for n in lengths} == {0, 1, 2, 3, 4}
+
+    def value_and_grads(loss):
+        ag.backward(loss)
+        grads = {}
+        for name, p in params.items():
+            grads[name], p.grad = p.grad, None
+        return loss.item(), grads
+
+    loss, grads = value_and_grads(augmenter_loss(CLASS_RECORDS, enc, aug)[0])
+    oracle_loss, counts = _one_pass_restoration(CLASS_RECORDS, enc, aug)
+    expected, expected_grads = value_and_grads(oracle_loss)
+    assert abs(loss - expected) <= 1e-12 * abs(expected)
+    for name, g in expected_grads.items():
+        assert _rel_diff(grads[name], g) <= 1e-12, name
+    acc = restoration_accuracy(CLASS_RECORDS, enc, aug)
+    assert {name: getattr(acc, name) for name in counts} == counts
+
+
+def test_generator_passes_score_only_real_steps(monkeypatch):
+    # each generator pass pads its runs to at most twice the shortest run's
+    # steps, and the generator's cross-entropy sees one row per real step
+    enc, aug = fresh_params(17)
+    passes, ce_rows = [], []
+    forward, cross_entropy = am.generator_forward, ag.cross_entropy
+
+    def recording_forward(anchors, teacher, *args, **kwargs):
+        passes.append((teacher.shape[1] + 1, int((teacher != 0).sum(axis=1).min()) + 1))
+        return forward(anchors, teacher, *args, **kwargs)
+
+    def recording_ce(logits, targets):
+        if logits.shape[-1] == DIMS.n_items + 1:
+            ce_rows.append(logits.shape[:-1])
+        return cross_entropy(logits, targets)
+
+    monkeypatch.setattr(am, "generator_forward", recording_forward)
+    monkeypatch.setattr(ag, "cross_entropy", recording_ce)
+    _, stats = augmenter_loss(CLASS_RECORDS, enc, aug)
+    assert ce_rows == [(stats.n_ins_targets,)]
+    assert len(passes) == 5
+    for width, shortest in passes:
+        assert width <= 2 * shortest, passes
+
+
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------

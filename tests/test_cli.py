@@ -284,6 +284,17 @@ def test_augmenter_with_other_dims_is_refused_before_training(workspace, tmp_pat
     assert not (out / "train-log.txt").exists()  # no epoch ran
 
 
+def test_sequence_ids_outside_the_vocabulary_are_refused(workspace, tmp_path, capsys):
+    _, cfg, data = workspace
+    bad = tmp_path / "data"
+    bad.mkdir()
+    (bad / "vocab.txt").write_text((data / "vocab.txt").read_text())
+    (bad / "sequences.txt").write_text("#seqrec-v1\nu1: 1 2 3\nu2: 4 121 5\n")
+    rc = main(["corrupt", "--data", str(bad), "--config", str(cfg), "--limit", "1"])
+    assert rc == 1
+    assert "user 'u2' has item id 121 outside the vocabulary's 1..120" in capsys.readouterr().err
+
+
 def test_resume_refuses_another_phase_checkpoint(workspace, tmp_path, capsys):
     _, _, data = workspace
     rc = main(["train-augmenter", "--data", str(data), "--resume", str(FIXTURE),

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqrec import checkpoint as ckpt
 from seqrec.checkpoint import load_checkpoint, save_checkpoint
 from seqrec.config import (
     RunConfig,
@@ -170,6 +171,30 @@ def test_truncated_payload_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "augmenter-last.ckpt"
+    save_checkpoint(path, "seed = 1\n", {"a": np.zeros(3), "b": np.ones((2, 2))},
+                    opt_step=1, opt_arrays={"m.a": np.zeros(3)})
+    before = path.read_bytes()
+    write_array = ckpt._write_array
+    calls = []
+
+    def failing_write(fh, name, arr):
+        calls.append(name)
+        if len(calls) == 2:  # the first array is already written
+            raise OSError("disk full")
+        write_array(fh, name, arr)
+
+    monkeypatch.setattr(ckpt, "_write_array", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, "seed = 2\n", {"a": np.full(3, 7.0), "b": np.zeros((2, 2))},
+                        opt_step=2, opt_arrays={"m.a": np.ones(3)})
+    assert calls == ["a", "b"]
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["augmenter-last.ckpt"]
+
+
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(CheckpointError):
         save_checkpoint(tmp_path / "x.ckpt", "", {"w": np.zeros(3, dtype=np.int32)})
+    assert list(tmp_path.iterdir()) == []

@@ -316,6 +316,22 @@ def test_vocab_file_round_trip(tmp_path):
     assert loaded.mask_id == 8
 
 
+@pytest.mark.parametrize("lines, message, line_no", [
+    (["a\t1", "b\tx2"], "non-integer item id: 'x2'", 3),
+    (["a\t1", "b\t2", "a\t3"], "duplicate token 'a'", 4),
+    (["a\t1", "b\t1"], "duplicate id 1 (first on line 2)", 3),
+    (["a\t1", "b\t3"], "id 3 outside 1..2", 3),
+    (["a\t0", "b\t1"], "id 0 outside 1..2", 2),
+], ids=["non-integer", "duplicate-token", "duplicate-id", "gap", "zero"])
+def test_vocab_file_rejects_malformed_ids(tmp_path, lines, message, line_no):
+    path = tmp_path / "vocab.txt"
+    path.write_text("\n".join(["#seqrec-vocab-v1", *lines]) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_vocabulary(path)
+    assert err.value.line_no == line_no
+    assert message in str(err.value)
+
+
 def test_density_on_grid():
     vocab = make_vocab(10)
     seqs = [ItemSequence(f"u{k}", list(range(1, 6))) for k in range(10)]
