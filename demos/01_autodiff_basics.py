@@ -12,7 +12,7 @@ from seqrec.optim import AdamState, ParamStore, adam_step
 # --- tensors and gradients --------------------------------------------------
 
 x = ag.param([1.0, 2.0])
-loss = ag.dot(x, x)
+loss = (x * x).sum()
 ag.backward(loss)
 print("d(x.x)/dx at [1,2]  ->", x.grad, "(expect [2, 4])")
 
@@ -59,6 +59,6 @@ p = ag.param([4.0, -3.0])
 store = ParamStore({"p": p})
 opt = AdamState(store, lr=0.05)
 for step in range(200):
-    ag.backward(ag.dot(p, p))
+    ag.backward((p * p).sum())
     adam_step(store, opt)
 print("after 200 Adam steps on |p|^2:", np.round(p.data, 4))

@@ -12,8 +12,6 @@ from .augmenter import (
     augmenter_loss,
     generate_augmented,
     generate_augmented_batch,
-    predict_ops,
-    reverse_generate,
 )
 from .augops import (
     AugConfig,
@@ -51,19 +49,12 @@ from .evaluate import (
     user_metrics,
 )
 from .optim import AdamState, ParamStore, adam_step
-from .recommender import (
-    RecommenderParams,
-    next_item_distribution,
-    rec_loss,
-    recommend_topk,
-    sequence_reprs,
-)
+from .recommender import RecommenderParams, rec_loss, sequence_reprs
 from .synthgen import SynthSpec, generate
 from .trainer import (
     RecModel,
     build_model,
     joint_loss,
-    joint_step,
     train_augmenter,
     train_recommender,
 )

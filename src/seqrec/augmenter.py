@@ -69,11 +69,6 @@ def predict_op_logits(h: Tensor, aug: AugmenterParams) -> Tensor:
     return ag.matmul(h, ag.transpose_last(aug.op_proj))
 
 
-def predict_ops(h: Tensor, aug: AugmenterParams) -> Tensor:
-    """Per-position keep/delete/insert probability rows (sum to 1)."""
-    return ag.softmax(predict_op_logits(h, aug))
-
-
 def _stop_class(dims: ModelDims) -> int:
     return dims.n_items  # classes 0..n_items-1 are items 1..n_items
 
@@ -325,30 +320,23 @@ def _decode_runs(
     anchors: np.ndarray,
     enc: EncoderParams,
     aug: AugmenterParams,
-    mode: str = "greedy",
     rng: np.random.Generator | None = None,
-    max_run: int | None = None,
 ) -> list[list[int]]:
     """Decode one insertion run per anchor, one generator step at a time.
 
     Each step runs the generator over the anchor plus the items decoded so
-    far and computes the newest step's logits only. Returns runs in
-    generation (reverse) order; a run ends at STOP or at max_run items. All
-    anchors still active at a step share one forward.
+    far and computes the newest step's logits only. Each step picks the
+    argmax, or draws from the softmax when an rng is given. Returns runs in
+    generation (reverse) order; a run ends at STOP or at max_insert items.
+    All anchors still active at a step share one forward.
     """
     dims = enc.dims
-    if max_run is None:
-        max_run = dims.max_insert
-    if mode not in ("greedy", "sample"):
-        raise ValueError(f"unknown decode mode {mode!r}")
-    if mode == "sample" and rng is None:
-        raise ValueError("sample mode needs an rng")
     stop = _stop_class(dims)
     n_anchors = anchors.shape[0]
     runs: list[list[int]] = [[] for _ in range(n_anchors)]
     active = list(range(n_anchors))
     with ag.no_grad():
-        for step in range(max_run):
+        for step in range(dims.max_insert):
             idx = np.array(active, dtype=np.int64)
             teacher = (
                 np.array([runs[i] for i in active], dtype=np.int64)
@@ -357,7 +345,7 @@ def _decode_runs(
             logits = generator_forward(
                 ag.constant(anchors[idx]), teacher, enc, aug, last_only=True
             ).data
-            picks = logits.argmax(axis=-1) if mode == "greedy" else _sample_rows(logits, rng)
+            picks = logits.argmax(axis=-1) if rng is None else _sample_rows(logits, rng)
             survivors = []
             for row, pick in zip(active, picks):
                 if int(pick) == stop:
@@ -368,19 +356,6 @@ def _decode_runs(
             if not active:
                 break
     return runs
-
-
-def reverse_generate(
-    anchor_h,
-    enc: EncoderParams,
-    aug: AugmenterParams,
-    mode: str = "greedy",
-    rng: np.random.Generator | None = None,
-    max_run: int | None = None,
-) -> list[int]:
-    """Generate one insertion run (reverse order) from a single anchor state."""
-    data = anchor_h.data if isinstance(anchor_h, Tensor) else np.asarray(anchor_h)
-    return _decode_runs(data[None, :], enc, aug, mode=mode, rng=rng, max_run=max_run)[0]
 
 
 def _decide_ops(
@@ -407,23 +382,21 @@ def generate_augmented_batch(
     seqs: list[list[int]],
     enc: EncoderParams,
     aug: AugmenterParams,
-    stochastic: bool = False,
     rng: np.random.Generator | None = None,
 ) -> list[list[int]]:
     """Augment each sequence with the trained model.
 
-    Per position the argmax operation is applied (sampled when stochastic);
-    insert runs are decoded reverse-first and spliced back in forward order
-    before their anchor. The sentinel anchor may append items at the end.
+    Per position the argmax operation is applied, or one drawn from its
+    softmax when an rng is given (insert runs are then sampled too); insert
+    runs are decoded reverse-first and spliced back in forward order before
+    their anchor. The sentinel anchor may append items at the end.
     Output is never empty (falls back to the last item) and is truncated to
     the max_aug_len most recent tokens.
     """
     dims = enc.dims
-    if stochastic and rng is None:
-        raise ValueError("stochastic generation needs an rng")
     if any(len(s) < 1 for s in seqs):
         raise ValueError("cannot augment an empty sequence")
-    h, ops = _decide_ops(seqs, enc, aug, rng=rng if stochastic else None)
+    h, ops = _decide_ops(seqs, enc, aug, rng=rng)
     n, w = ops.shape
 
     # One decode slot per insert position plus one per sentinel.
@@ -438,9 +411,7 @@ def generate_augmented_batch(
                 anchor_rows.append(i * w + offset + t)
         slot_of[(i, len(seq))] = len(anchor_rows)  # sentinel slot
         anchor_rows.append(i * w + (w - 1))
-    decode_mode = "sample" if stochastic else "greedy"
-    runs = _decode_runs(h_flat[np.array(anchor_rows, dtype=np.int64)], enc, aug,
-                        mode=decode_mode, rng=rng)
+    runs = _decode_runs(h_flat[np.array(anchor_rows, dtype=np.int64)], enc, aug, rng=rng)
 
     out: list[list[int]] = []
     for i, seq in enumerate(seqs):
@@ -463,8 +434,7 @@ def generate_augmented(
     items: list[int],
     enc: EncoderParams,
     aug: AugmenterParams,
-    stochastic: bool = False,
     rng: np.random.Generator | None = None,
 ) -> list[int]:
     """Single-sequence convenience wrapper over generate_augmented_batch."""
-    return generate_augmented_batch([items], enc, aug, stochastic=stochastic, rng=rng)[0]
+    return generate_augmented_batch([items], enc, aug, rng=rng)[0]

@@ -257,19 +257,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two 1-d tensors; returns a scalar tensor."""
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"dot needs equal-length vectors, got {a.shape} and {b.shape}")
-    out = Tensor(np.dot(a.data, b.data))
-
-    def bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _record(out, (a, b), bw)
-
-
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor(np.transpose(x.data, axes))
     inv = np.argsort(axes)

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: preprocess, corrupt, augment, train-augmenter,
-train-recommender, evaluate, simulate-noise, sweep, synth. Every command
-honours --seed; identical config + seed reproduces identical artifacts.
+train-recommender, evaluate, simulate-noise, sweep, synth. The same config
+and seed reproduce the same artifacts.
 Exit code 0 on success, 1 with a one-line diagnostic otherwise.
 """
 
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="filter raw interactions into sequence files")
     p.add_argument("--input", help="raw interaction log (or config interactions)")
     p.add_argument("--out", required=True, help="output directory")
-    common(p, out=False)
+    common(p, seed=False)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("corrupt", help="show corruption records for inspection")
@@ -401,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out-file", required=True)
-    common(p, config=False)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("train-augmenter", help="phase 1: restoration pretraining")

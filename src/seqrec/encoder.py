@@ -129,8 +129,6 @@ def embed_sequence(
 ) -> Tensor:
     """Initial hidden states: item embedding + position embedding (+ dropout)."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     dims = enc.dims
     if ids.shape[1] > dims.max_aug_len:
         raise ShapeError(
@@ -167,8 +165,6 @@ def transformer_stack(
     holds a real token in every row.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     n, t = ids.shape
     e, heads, dh = dims.embed_dim, dims.n_heads, dims.head_dim
     mask = attention_mask(ids)
@@ -211,9 +207,6 @@ def encode_batch(
     stream: SeedStream | None = None,
 ) -> Tensor:
     """Full encoder forward: embeddings then the block stack."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     h = embed_sequence(ids, enc, train=train, stream=stream)
     return transformer_stack(h, enc.blocks, enc.dims, ids, train=train, stream=stream)
 

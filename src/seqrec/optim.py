@@ -6,6 +6,11 @@ import numpy as np
 
 from .autograd import Tensor
 
+# Adam's moment decay rates and denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class ParamStore:
     """Ordered name -> Tensor mapping for one trainable parameter set."""
@@ -13,34 +18,11 @@ class ParamStore:
     def __init__(self, named: dict[str, Tensor] | None = None):
         self._params: dict[str, Tensor] = dict(named or {})
 
-    def add(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self._params[name] = tensor
-        return tensor
-
-    def update(self, named: dict[str, Tensor]) -> None:
-        for name, t in named.items():
-            self.add(name, t)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.grad = None
 
     def fill_missing_grads(self) -> None:
         """Give zero gradients to params a loss did not touch this step."""
@@ -64,12 +46,8 @@ class ParamStore:
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter."""
 
-    def __init__(self, params: ParamStore, lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParamStore, lr: float = 0.001):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -95,18 +73,17 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
         raise ValueError(f"uninitialized gradient for parameters: {missing[:5]}")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** t
-    bias2 = 1.0 - b2 ** t
+    bias1 = 1.0 - BETA1 ** t
+    bias2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = p.grad
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         m_hat = m / bias1
         v_hat = v / bias2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
         p.grad = None

@@ -80,24 +80,6 @@ def item_logits(h_last: Tensor, enc: EncoderParams) -> Tensor:
     return ag.matmul(h_last, ag.transpose_last(rows))
 
 
-def next_item_distribution(
-    items: list[int],
-    enc: EncoderParams,
-    rec: RecommenderParams,
-) -> np.ndarray:
-    """Probabilities over item ids 1..n_items for the next interaction.
-
-    The history is scored as score_candidates scores it, against the whole
-    catalog; PAD and MASK never receive probability mass because only real
-    item rows are scored.
-    """
-    catalog = np.arange(1, enc.dims.n_items + 1, dtype=np.int64)[None, :]
-    logits = score_candidates([items], catalog, enc, rec)[0]
-    shifted = logits - logits.max()
-    probs = np.exp(shifted)
-    return probs / probs.sum()
-
-
 def masked_last_rows(seqs: list[list[int]], mask_id: int):
     """Rows for the recommendation loss: last item swapped for MASK.
 
@@ -145,23 +127,3 @@ def score_candidates(
         logits = item_logits(full_forward(batch.ids, enc, rec), enc).data
     return np.take_along_axis(logits, np.asarray(candidate_ids, dtype=np.int64) - 1, axis=1)
 
-
-def recommend_topk(
-    items: list[int],
-    enc: EncoderParams,
-    rec: RecommenderParams,
-    candidates: list[int] | None = None,
-    k: int = 10,
-) -> list[int]:
-    """Top-k candidate ids by next-item score, ties broken by ascending id.
-
-    candidates defaults to the full catalog 1..n_items.
-    """
-    dims = enc.dims
-    if candidates is None:
-        candidates = list(range(1, dims.n_items + 1))
-    probs = next_item_distribution(items, enc, rec)
-    cand = np.asarray(candidates, dtype=np.int64)
-    scores = probs[cand - 1]
-    order = np.lexsort((cand, -scores))  # score desc, then id asc
-    return [int(cand[i]) for i in order[:k]]

@@ -162,6 +162,19 @@ def _corrupt_batch(seqs, user_ids, ccfg, base_seed, tag, max_mod_len):
     return records
 
 
+def _check_prefix_lengths(split: SplitDataset, max_len: int) -> None:
+    """Refuse train prefixes longer than max_len before the first batch.
+
+    A corruption may delete a whole prefix into one teacher-forced run, and
+    the generator's position table covers runs of at most max_len items.
+    """
+    for u in split.users:
+        if len(u.train) > max_len:
+            raise ConfigError(f"user {u.user_id!r} has a train prefix of {len(u.train)} "
+                              f"items, longer than max_len {max_len}; preprocess the "
+                              f"data with the run's max_len")
+
+
 def validation_aug_loss(split: SplitDataset, model: RecModel, ccfg: CorruptionConfig,
                         seed: int, batch_size: int) -> tuple[float, dict[str, float]]:
     """Restoration loss + accuracies on a fixed corruption of the prefixes.
@@ -211,6 +224,7 @@ def train_augmenter(
     dims = dims_from_config(cfg, vocab.n_items)
     if model is None:
         model = build_model(dims, cfg.seed, with_aug=True, with_rec=False)
+    _check_prefix_lengths(split, model.dims.max_len)
     ccfg = corruption_config(cfg, vocab.n_items)
     params, new_opt = make_optimizer(model, cfg, "augmenter")
     opt = opt or new_opt
@@ -291,13 +305,13 @@ def make_contrast_views(
     if mode == "base":
         return random_views("view1"), random_views("view2")
     if mode == "duoaug":
-        one = generate_augmented_batch(seqs, model.enc, model.aug, stochastic=True,
+        one = generate_augmented_batch(seqs, model.enc, model.aug,
                                        rng=rng_for(seed, "duo1", epoch, batch_idx))
-        two = generate_augmented_batch(seqs, model.enc, model.aug, stochastic=True,
+        two = generate_augmented_batch(seqs, model.enc, model.aug,
                                        rng=rng_for(seed, "duo2", epoch, batch_idx))
         return one, two
     # full / wo_tri / cotrain: learned view + random view
-    one = generate_augmented_batch(seqs, model.enc, model.aug, stochastic=False)
+    one = generate_augmented_batch(seqs, model.enc, model.aug)
     return one, random_views("view2")
 
 
@@ -353,24 +367,6 @@ def joint_loss(
     return total, parts
 
 
-def joint_step(
-    seqs: list[list[int]],
-    user_ids: list[str],
-    model: RecModel,
-    params: ParamStore,
-    opt: AdamState,
-    cfg: RunConfig,
-    epoch,
-    batch_idx,
-) -> dict[str, float]:
-    """One optimization step on the joint objective; returns the loss parts."""
-    stream = SeedStream(cfg.seed, "rec-dropout", epoch, batch_idx)
-    loss, parts = joint_loss(seqs, user_ids, model, cfg, epoch, batch_idx,
-                             train=True, stream=stream)
-    _step(loss, params, opt, (cfg.seed, "recommender", epoch, batch_idx))
-    return parts
-
-
 def train_recommender(
     split: SplitDataset,
     vocab: Vocabulary,
@@ -408,6 +404,8 @@ def train_recommender(
     if cfg.mode != "base" and model.aug is None:
         raise ConfigError(f"mode {cfg.mode!r} needs an augmenter: pass a phase-1 "
                           f"checkpoint (--augmenter CKPT)")
+    if cfg.mode == "cotrain":
+        _check_prefix_lengths(split, model.dims.max_len)
     params, new_opt = make_optimizer(model, cfg, "recommender")
     opt = opt or new_opt
     result = TrainResult(model=model, opt=opt)
@@ -421,8 +419,10 @@ def train_recommender(
                                seed=derive_seed(cfg.seed, "rec-order", epoch),
                                min_prefix_len=2)
         for b_idx, batch in enumerate(batches):
-            parts = joint_step(batch.seqs, batch.user_ids, model, params, opt,
-                               cfg, epoch, b_idx)
+            stream = SeedStream(cfg.seed, "rec-dropout", epoch, b_idx)
+            loss, parts = joint_loss(batch.seqs, batch.user_ids, model, cfg, epoch, b_idx,
+                                     train=True, stream=stream)
+            _step(loss, params, opt, (cfg.seed, "recommender", epoch, b_idx))
             for key, val in parts.items():
                 sums[key] = sums.get(key, 0.0) + val
             n_batches += 1

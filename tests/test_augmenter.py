@@ -1,9 +1,9 @@
 """Augmenter: operation head, reverse generator, restoration loss, generation."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from gradcheck import directional_rel_error, max_rel_error
 from seqrec import augmenter as am
@@ -15,9 +15,7 @@ from seqrec.augmenter import (
     generate_augmented_batch,
     generator_forward,
     predict_op_logits,
-    predict_ops,
     restoration_accuracy,
-    reverse_generate,
 )
 from seqrec.augops import (
     OP_DELETE,
@@ -35,8 +33,8 @@ DIMS = ModelDims(n_items=20, embed_dim=16, n_layers=1, n_heads=1, dropout=0.5,
                  max_len=50, max_aug_len=60, max_insert=5)
 
 
-def fresh_params(seed=0):
-    return EncoderParams(DIMS, seed), AugmenterParams(DIMS, seed + 1)
+def fresh_params(seed=0, dims=DIMS):
+    return EncoderParams(dims, seed), AugmenterParams(dims, seed + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +46,14 @@ def test_zero_projection_gives_uniform_ops():
     enc, aug = fresh_params()
     aug.op_proj.data[:] = 0.0
     h = encode_batch(np.array([[1, 2, 3]]), enc)
-    probs = predict_ops(h, aug).data
+    probs = ag.softmax(predict_op_logits(h, aug)).data
     np.testing.assert_allclose(probs, 1 / 3, atol=1e-15)
 
 
 def test_op_rows_are_distributions():
     enc, aug = fresh_params(3)
     h = encode_batch(np.array([[4, 9, 2, 7]]), enc)
-    probs = predict_ops(h, aug).data
+    probs = ag.softmax(predict_op_logits(h, aug)).data
     assert probs.shape == (1, 4, 3)
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -97,39 +95,37 @@ def test_generator_teacher_steps_are_causal():
     assert not np.array_equal(la[0, 3], lb[0, 3])
 
 
-def test_reverse_generate_respects_cap_and_determinism():
-    enc, aug = fresh_params(7)
-    anchor = np.random.default_rng(2).standard_normal(16)
+def _forward_with_stop_logit(stop_logit):
+    """A generator stand-in: item 1 scores 1.0 at every step, STOP stop_logit."""
+
+    def fake_forward(anchors, teacher, enc_, aug_, last_only=False):
+        assert last_only
+        logits = np.zeros((teacher.shape[0], DIMS.n_items + 1))
+        logits[:, 0] = 1.0
+        logits[:, DIMS.n_items] = stop_logit
+        return ag.constant(logits)
+
+    return fake_forward
+
+
+def test_decode_respects_max_insert_and_is_deterministic(monkeypatch):
+    anchors = np.random.default_rng(2).standard_normal((4, 16))
     for cap in (1, 3, 5):
-        run = reverse_generate(anchor, enc, aug, max_run=cap)
-        assert len(run) <= cap
-        assert all(1 <= x <= DIMS.n_items for x in run)
-    again = reverse_generate(anchor, enc, aug, max_run=5)
-    assert again == reverse_generate(anchor, enc, aug, max_run=5)
+        enc, aug = fresh_params(7, dims=dataclasses.replace(DIMS, max_insert=cap))
+        runs = am._decode_runs(anchors, enc, aug)
+        assert all(len(run) <= cap for run in runs)
+        assert all(1 <= x <= DIMS.n_items for run in runs for x in run)
+        assert am._decode_runs(anchors, enc, aug) == runs
+        # a generator that never stops is cut at exactly max_insert items
+        with monkeypatch.context() as patch:
+            patch.setattr(am, "generator_forward", _forward_with_stop_logit(-5.0))
+            assert am._decode_runs(anchors, enc, aug) == [[1] * cap] * 4
 
 
-def test_reverse_generate_stop_first_gives_empty(monkeypatch):
+def test_decode_stop_first_gives_empty_runs(monkeypatch):
     enc, aug = fresh_params(8)
-    stop = DIMS.n_items
-
-    def fake_forward(anchors, teacher, enc_, aug_, train=False, stream=None,
-                     last_only=False):
-        r, m = teacher.shape
-        logits = np.zeros((r, m + 1, DIMS.n_items + 1))
-        logits[:, :, stop] = 5.0  # STOP dominates everywhere
-        return ag.constant(logits[:, -1] if last_only else logits)
-
-    monkeypatch.setattr(am, "generator_forward", fake_forward)
-    assert reverse_generate(np.zeros(16), enc, aug) == []
-
-
-def test_reverse_generate_sample_mode_needs_rng():
-    enc, aug = fresh_params(9)
-    with pytest.raises(ValueError):
-        reverse_generate(np.zeros(16), enc, aug, mode="sample")
-    run = reverse_generate(np.zeros(16), enc, aug, mode="sample",
-                           rng=np.random.default_rng(0))
-    assert len(run) <= DIMS.max_insert
+    monkeypatch.setattr(am, "generator_forward", _forward_with_stop_logit(5.0))
+    assert am._decode_runs(np.zeros((3, 16)), enc, aug) == [[], [], []]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +171,7 @@ def test_loss_matches_hand_rolled_accumulation():
     ids = np.array([[4, 9, 2, DIMS.mask_id]])
     with ag.no_grad():
         h = encode_batch(ids, enc)
-        op_probs = predict_ops(h, aug).data[0]
+        op_probs = ag.softmax(predict_op_logits(h, aug)).data[0]
         expected = 0.0
         for pos, op in enumerate(record.ops):
             expected += -np.log(op_probs[pos, op])
@@ -420,8 +416,8 @@ def test_generate_never_empty_and_bounded():
 def test_generate_stochastic_bounded_and_seeded():
     enc, aug = fresh_params(19)
     seq = [1 + (k % DIMS.n_items) for k in range(29)]
-    a = generate_augmented(seq, enc, aug, stochastic=True, rng=np.random.default_rng(5))
-    b = generate_augmented(seq, enc, aug, stochastic=True, rng=np.random.default_rng(5))
+    a = generate_augmented(seq, enc, aug, rng=np.random.default_rng(5))
+    b = generate_augmented(seq, enc, aug, rng=np.random.default_rng(5))
     assert a == b
     assert 1 <= len(a) <= DIMS.max_aug_len
 
@@ -440,8 +436,7 @@ def test_stochastic_batch_draws_are_pinned():
     model = _load_model_ckpt(FIXTURE)[2]
     seqs = [[(start + j) % 120 + 1 for j in range(n)]
             for start, n in ((0, 6), (37, 9), (60, 3), (115, 8))]
-    got = generate_augmented_batch(seqs, model.enc, model.aug, stochastic=True,
-                                   rng=np.random.default_rng(5))
+    got = generate_augmented_batch(seqs, model.enc, model.aug, rng=np.random.default_rng(5))
     assert got == [
         [1, 2, 3, 1, 2, 3, 4, 5, 6, 65, 35],
         [38, 38, 39, 40, 40, 41, 38, 39, 40, 41, 42, 40, 41, 43, 43, 45, 5, 6, 46],

@@ -109,7 +109,7 @@ def test_layer_norm_row_moments():
 
 def test_backward_dot_square():
     x = ag.param([1.0, 2.0])
-    ag.backward(ag.dot(x, x))
+    ag.backward((x * x).sum())
     np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
 
@@ -136,7 +136,7 @@ def test_gradients_accumulate_over_reuse():
 
 def test_tape_cleared_after_backward():
     x = ag.param([1.0, 2.0])
-    ag.backward(ag.dot(x, x))
+    ag.backward((x * x).sum())
     assert ag.tape_size() == 0
 
 
@@ -183,7 +183,7 @@ def test_backward_frees_node_gradients_as_it_goes():
 def test_no_grad_blocks_recording():
     x = ag.param([1.0, 2.0])
     with ag.no_grad():
-        y = ag.dot(x, x)
+        y = (x * x).sum()
     assert ag.tape_size() == 0
     assert not y.requires_grad
 
@@ -221,7 +221,6 @@ OP_CASES = {
     "matmul": lambda p, c: ag.matmul(p["m1"], p["m2"]).sum(),
     "matmul_batched": lambda p, c: ag.matmul(p["t3"], p["m2"]).sum(),
     "matmul_4d": lambda p, c: ag.softplus(ag.matmul(p["t4"], p["m2"])).sum(),
-    "dot": lambda p, c: ag.dot(p["v1"], p["v2"]),
     "softmax": lambda p, c: (ag.softmax(p["a"]) * c["w"]).sum(),
     "relu": lambda p, c: ag.relu(p["a"]).sum(),
     "softplus": lambda p, c: ag.softplus(p["a"]).sum(),

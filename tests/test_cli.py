@@ -284,6 +284,19 @@ def test_augmenter_with_other_dims_is_refused_before_training(workspace, tmp_pat
     assert not (out / "train-log.txt").exists()  # no epoch ran
 
 
+def test_prefix_longer_than_max_len_is_refused_before_training(workspace, tmp_path, capsys):
+    # data preprocessed at the default max_len 50, trained with max_len 4
+    _, cfg, data = workspace
+    short = tmp_path / "short.cfg"
+    short.write_text(cfg.read_text() + "max_len = 4\n")
+    out = tmp_path / "short"
+    rc = main(["train-augmenter", "--data", str(data), "--config", str(short),
+               "--out", str(out)])
+    assert rc == 1
+    assert "items, longer than max_len 4" in capsys.readouterr().err
+    assert not (out / "train-log.txt").exists()  # no epoch ran
+
+
 def test_sequence_ids_outside_the_vocabulary_are_refused(workspace, tmp_path, capsys):
     _, cfg, data = workspace
     bad = tmp_path / "data"

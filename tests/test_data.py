@@ -332,6 +332,20 @@ def test_vocab_file_rejects_malformed_ids(tmp_path, lines, message, line_no):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("lines, message, line_no", [
+    (["u1: 3 4 5", "u2 6 7"], "missing ':' separator", 3),
+    (["u1: 3 x 5"], "non-integer item id", 2),
+    (["u1: 3 4", "", "u2: 4 2.5"], "non-integer item id", 4),
+], ids=["missing-colon", "non-integer", "non-integer-after-blank"])
+def test_sequence_file_rejects_malformed_lines(tmp_path, lines, message, line_no):
+    path = tmp_path / "sequences.txt"
+    path.write_text("\n".join(["#seqrec-v1", *lines]) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_sequences(path)
+    assert err.value.line_no == line_no
+    assert message in str(err.value)
+
+
 def test_density_on_grid():
     vocab = make_vocab(10)
     seqs = [ItemSequence(f"u{k}", list(range(1, 6))) for k in range(10)]

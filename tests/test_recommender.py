@@ -1,4 +1,4 @@
-"""Recommender: scoring rules, loss closed forms, top-k behaviour."""
+"""Recommender: scoring rules, loss closed forms, candidate scores."""
 
 import numpy as np
 import pytest
@@ -16,9 +16,7 @@ from seqrec.recommender import (
     full_forward,
     item_logits,
     masked_last_rows,
-    next_item_distribution,
     rec_loss,
-    recommend_topk,
     score_candidates,
 )
 
@@ -69,10 +67,13 @@ def test_degenerate_blocks_pass_residual_through(parts):
     np.testing.assert_allclose(out, h_rows, atol=1e-6)
 
 
-def test_next_item_distribution_is_valid(parts):
+def test_catalog_scores_leave_pad_and_mask_out(parts):
+    # one score per real item: PAD and MASK get no column, hence no mass
     enc, rec = parts
-    probs = next_item_distribution([3, 8, 2], enc, rec)
-    assert probs.shape == (DIMS.n_items,)
+    catalog = np.arange(1, DIMS.n_items + 1)[None, :]
+    scores = score_candidates([[3, 8, 2]], catalog, enc, rec)
+    assert scores.shape == (1, DIMS.n_items)
+    probs = ag.softmax(ag.constant(scores)).data
     assert np.all(probs >= 0)
     assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -138,38 +139,15 @@ def test_rec_loss_decreases_with_training(parts):
 
 
 def test_score_candidates_matches_distribution(parts):
+    # the candidates' scores order them as the next-item distribution over
+    # the whole catalog does, computed here from the history plus MASK
     enc, rec = parts
     history = [3, 8, 2]
     cands = np.array([[1, 5, 20]])
     scores = score_candidates([history], cands, enc, rec)[0]
-    probs = next_item_distribution(history, enc, rec)
+    with ag.no_grad():
+        ids = np.array([history + [DIMS.mask_id]])
+        probs = ag.softmax(item_logits(full_forward(ids, enc, rec), enc)).data[0]
     order_scores = np.argsort(-scores)
     order_probs = np.argsort(-probs[cands[0] - 1])
     np.testing.assert_array_equal(order_scores, order_probs)
-
-
-def test_topk_k1_is_argmax(parts):
-    enc, rec = parts
-    probs = next_item_distribution([2, 4], enc, rec)
-    top = recommend_topk([2, 4], enc, rec, k=1)
-    assert top == [int(probs.argmax()) + 1]
-
-
-def test_topk_is_permutation_prefix(parts):
-    enc, rec = parts
-    cands = [9, 3, 17, 5, 21]
-    for k in (1, 3, 5, 8):
-        top = recommend_topk([2, 4], enc, rec, candidates=cands, k=k)
-        assert len(top) == min(k, len(cands))
-        assert len(set(top)) == len(top)
-        assert set(top) <= set(cands)
-
-
-def test_topk_ties_break_by_ascending_id():
-    enc = EncoderParams(DIMS, seed=10)
-    rec = RecommenderParams(DIMS, seed=11)
-    enc.item_emb.data[:] = 0.0  # every candidate ties
-    top = recommend_topk([3, 4], enc, rec, candidates=[14, 2, 9, 30 - 7], k=3)
-    assert top == [2, 9, 14]
-    again = recommend_topk([3, 4], enc, rec, candidates=[14, 2, 9, 23], k=3)
-    assert again == top

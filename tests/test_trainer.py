@@ -8,6 +8,7 @@ import pytest
 
 from seqrec import augmenter as am
 from seqrec import autograd as ag
+from seqrec import trainer
 from seqrec.augmenter import restoration_accuracy
 from seqrec.augops import CorruptionConfig
 from seqrec.checkpoint import load_checkpoint
@@ -31,6 +32,12 @@ from seqrec.trainer import (
 )
 
 from test_data import make_vocab
+
+
+def zero_grads(params):
+    """Drop every gradient of a name -> Tensor mapping (dict or ParamStore)."""
+    for _, t in params.items():
+        t.grad = None
 
 
 def tiny_cfg(**overrides):
@@ -120,12 +127,12 @@ def test_joint_gradient_is_sum_of_term_gradients(tiny_data, tiny_model):
     def grads_of(a, b):
         cfg = tiny_cfg(alpha=a, beta=b)
         store = ParamStore(model.named_params(("enc", "rec")))
-        store.zero_grads()
+        zero_grads(store)
         total, _ = joint_loss(seqs, users, model, cfg, 0, 0, train=False)
         ag.backward(total)
         out = {n: (store[n].grad.copy() if store[n].grad is not None else 0.0)
                for n in names}
-        store.zero_grads()
+        zero_grads(store)
         return out
 
     g_joint = grads_of(alpha, beta)
@@ -151,7 +158,7 @@ def test_joint_backward_gives_each_param_its_own_gradient(tiny_data, trained_mod
     store = ParamStore(trained_model.named_params())
 
     def two_backward_passes():
-        store.zero_grads()
+        zero_grads(store)
         grads = []
         for _ in range(2):  # the second pass adds into the first pass's buffers
             stream = SeedStream(cfg.seed, "rec-dropout", 0, 0)
@@ -162,7 +169,7 @@ def test_joint_backward_gives_each_param_its_own_gradient(tiny_data, trained_mod
             for (m, g), (n, h) in combinations(got.items(), 2):
                 assert not np.shares_memory(g, h), (m, n)
             grads.append({n: g.copy() for n, g in got.items()})
-        store.zero_grads()
+        zero_grads(store)
         return grads
 
     owned = two_backward_passes()
@@ -187,12 +194,12 @@ def test_base_mode_leaves_augmenter_untouched(tiny_data, tiny_model):
     seqs, users = batch_from(split)
     model = tiny_model
     aug_store = ParamStore(model.named_params(("aug",)))
-    aug_store.zero_grads()
+    zero_grads(aug_store)
     total, _ = joint_loss(seqs, users, model, tiny_cfg(mode="base"), 0, 0, train=False)
     ag.backward(total)
     for name, p in aug_store.items():
         assert p.grad is None, f"augmenter param {name} got a gradient in base mode"
-    ParamStore(model.named_params()).zero_grads()
+    zero_grads(model.named_params())
 
 
 def test_cotrain_adds_restoration_term(tiny_data, tiny_model):
@@ -205,7 +212,7 @@ def test_cotrain_adds_restoration_term(tiny_data, tiny_model):
     ag.backward(total)
     aug_store = ParamStore(model.named_params(("aug",)))
     assert any(p.grad is not None for _, p in aug_store.items())
-    ParamStore(model.named_params()).zero_grads()
+    zero_grads(model.named_params())
 
 
 def test_unknown_mode_rejected(tiny_data, tiny_model):
@@ -288,6 +295,25 @@ def test_pretrained_dims_must_match_the_run_config(tiny_data):
     with pytest.raises(ConfigError, match=r"embed_dim 16 vs 32; dropout 0.0 vs 0.2"):
         train_recommender(split, vocab, tiny_cfg(embed_dim=32, dropout=0.2),
                           pretrained=phase1.model)
+
+
+@pytest.mark.parametrize("train, mode", [(train_augmenter, "base"),
+                                         (train_recommender, "cotrain")])
+def test_prefix_longer_than_max_len_is_refused_before_training(tiny_data, monkeypatch,
+                                                                train, mode):
+    # the generator's position table has max_len + 1 rows, so a corruption
+    # that deletes a whole longer prefix would index past it mid-epoch
+    split, vocab = tiny_data
+    first = next(u for u in split.users if len(u.train) > 4)
+
+    def no_batches(*args, **kwargs):
+        raise AssertionError("a batch was built before the prefix check")
+
+    monkeypatch.setattr(trainer, "make_batches", no_batches)
+    expected = f"user '{first.user_id}' has a train prefix of {len(first.train)} items, " \
+               f"longer than max_len 4"
+    with pytest.raises(ConfigError, match=expected):
+        train(split, vocab, tiny_cfg(mode=mode, max_len=4))
 
 
 @pytest.mark.parametrize("phase", ["augmenter", "recommender"])
