@@ -38,7 +38,7 @@ from .data import (
     parse_interactions,
     sample_negatives,
 )
-from .encoder import EncoderParams, ModelDims, embed_sequence, encode_batch
+from .encoder import EncoderParams, ModelDims, encode_batch
 from .evaluate import (
     MetricReport,
     NoisySimConfig,

@@ -23,7 +23,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .augops import OP_DELETE, OP_INSERT, CorruptionRecord
-from .data import PAD_ID, pad_batch
+from .data import PAD_ID, length_classes, pad_batch
 from .encoder import (
     BlockParams,
     EncoderParams,
@@ -167,19 +167,6 @@ def _assemble_records(records: list[CorruptionRecord], mask_id: int):
     return batch, op_targets, op_mask, runs
 
 
-def _length_groups(runs: list[tuple[int, list[int]]]) -> list[list[tuple[int, list[int]]]]:
-    """Split runs into power-of-two step-count classes (1, 2, 3-4, 5-8, ...).
-
-    A run of length L takes L+1 teacher-forced steps; its class is
-    L.bit_length(), so a class pads no run to more than twice its steps.
-    Classes come shortest first and keep the runs' order within a class.
-    """
-    classes: dict[int, list[tuple[int, list[int]]]] = {}
-    for anchor_run in runs:
-        classes.setdefault(len(anchor_run[1]).bit_length(), []).append(anchor_run)
-    return [classes[k] for k in sorted(classes)]
-
-
 def _run_matrices(runs: list[tuple[int, list[int]]], stop_class: int):
     """Right-pad teacher runs; return their real steps and those steps' targets.
 
@@ -242,7 +229,7 @@ def _restoration_forward(
 
     Returns the operation head over real positions, the generator head over
     every run step up to and including STOP, and the batch's AugLossStats.
-    The generator runs once per length class of runs (_length_groups), so
+    The generator runs once per length class of runs (data.length_classes), so
     no pass pads a run beyond twice its steps; each pass projects only its
     real steps, and one cross-entropy scores them all.
     """
@@ -255,8 +242,9 @@ def _restoration_forward(
     op = _head(predict_op_logits(h, aug), op_targets, op_mask)
     h_flat = h.reshape(n * w, dims.embed_dim)
     logits, targets = [], []
-    for group in _length_groups(runs):
-        anchor_idx, teacher, steps, group_targets = _run_matrices(group, _stop_class(dims))
+    for rows in length_classes([len(run) for _, run in runs]):
+        anchor_idx, teacher, steps, group_targets = _run_matrices([runs[j] for j in rows],
+                                                                  _stop_class(dims))
         logits.append(generator_forward(ag.embedding_lookup(h_flat, anchor_idx), teacher,
                                         enc, aug, train=train, stream=stream, steps=steps))
         targets.append(group_targets)
@@ -369,13 +357,23 @@ def _decide_ops(
     Returns the hidden states (n, w, e) and the ops (n, w): the argmax
     operation, or one drawn from its softmax when an rng is given. Sequence
     i fills columns w-1-len(seqs[i]) .. w-2 and its sentinel column w-1.
+    One encoder pass runs per length class (data.length_classes), so no
+    row is padded to more than twice its width; the cells left of a row
+    hold zero states and zero op logits. Sampling still draws over the whole
+    (n, w) grid in C order.
     """
-    batch = pad_batch([str(i) for i in range(len(seqs))],
-                      [s + [enc.dims.mask_id] for s in seqs])
+    dims = enc.dims
+    n, w = len(seqs), max(len(s) for s in seqs) + 1
+    h = np.zeros((n, w, dims.embed_dim))
+    op_logits = np.zeros((n, w, 3))
     with ag.no_grad():
-        h = encode_batch(batch.ids, enc, train=False)
-        op_logits = predict_op_logits(h, aug).data
-    return h.data, op_logits.argmax(axis=-1) if rng is None else _sample_rows(op_logits, rng)
+        for rows in length_classes([len(s) for s in seqs]):
+            batch = pad_batch([str(i) for i in rows], [seqs[i] + [dims.mask_id] for i in rows])
+            h_class = encode_batch(batch.ids, enc)
+            cols = slice(w - batch.ids.shape[1], w)
+            h[rows, cols] = h_class.data
+            op_logits[rows, cols] = predict_op_logits(h_class, aug).data
+    return h, op_logits.argmax(axis=-1) if rng is None else _sample_rows(op_logits, rng)
 
 
 def generate_augmented_batch(
@@ -390,12 +388,15 @@ def generate_augmented_batch(
     softmax when an rng is given (insert runs are then sampled too); insert
     runs are decoded reverse-first and spliced back in forward order before
     their anchor. The sentinel anchor may append items at the end.
-    Output is never empty (falls back to the last item) and is truncated to
-    the max_aug_len most recent tokens.
+    Each input is clipped to its max_aug_len - 1 most recent items, which
+    leaves the sentinel a slot within the encoder's window. Output is never
+    empty (falls back to the last item) and is truncated to the max_aug_len
+    most recent tokens.
     """
     dims = enc.dims
     if any(len(s) < 1 for s in seqs):
         raise ValueError("cannot augment an empty sequence")
+    seqs = [list(s[-(dims.max_aug_len - 1):]) for s in seqs]
     h, ops = _decide_ops(seqs, enc, aug, rng=rng)
     n, w = ops.shape
 

@@ -221,6 +221,21 @@ def pad_batch(user_ids: list[str], seqs: list[list[int]]) -> SequenceBatch:
     return SequenceBatch(user_ids=user_ids, seqs=[list(s) for s in seqs], ids=ids)
 
 
+def length_classes(lengths) -> list[np.ndarray]:
+    """Row indices grouped by power-of-two length class, shortest class first.
+
+    A row of length L takes L + 1 slots (a trailing sentinel or STOP step);
+    its class is L.bit_length(), so the classes hold 1, 2, 3-4, 5-8, ...
+    slots and padding to a class's widest row at most doubles any row.
+    Indices keep their input order within a class.
+    """
+    keys = np.array([int(n).bit_length() for n in lengths], dtype=np.int64)
+    if not keys.size:
+        return []
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+
+
 def make_batches(split: SplitDataset, batch_size: int, seed: int, min_prefix_len: int = 1):
     """Yield shuffled SequenceBatch objects over the train prefixes.
 

@@ -15,14 +15,11 @@ EPS = 1e-8
 class ParamStore:
     """Ordered name -> Tensor mapping for one trainable parameter set."""
 
-    def __init__(self, named: dict[str, Tensor] | None = None):
-        self._params: dict[str, Tensor] = dict(named or {})
+    def __init__(self, named: dict[str, Tensor]):
+        self._params: dict[str, Tensor] = dict(named)
 
     def items(self):
         return self._params.items()
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
 
     def fill_missing_grads(self) -> None:
         """Give zero gradients to params a loss did not touch this step."""

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import pad_batch
+from .data import length_classes, pad_batch
 from .encoder import (
     BlockParams,
     EncoderParams,
@@ -116,14 +116,24 @@ def score_candidates(
 ) -> np.ndarray:
     """Scores of per-user candidate items given per-user histories.
 
-    contexts: N histories; candidate_ids: (N, C) item ids. Returns (N, C)
-    raw scores (monotone in probability). Histories are clipped to the
-    model's window and given a trailing MASK slot.
+    contexts: N histories; candidate_ids: (N, C) item ids in 1..n_items.
+    Returns (N, C) raw scores (monotone in probability). Histories are
+    clipped to the model's window and given a trailing MASK slot. One
+    forward pass runs per length class of histories (data.length_classes),
+    so no row is padded to more than twice its width; rows keep their order.
     """
     dims = enc.dims
-    inputs = [list(c[-(dims.max_aug_len - 1):]) + [dims.mask_id] for c in contexts]
-    batch = pad_batch([str(i) for i in range(len(inputs))], inputs)
+    cands = np.asarray(candidate_ids, dtype=np.int64)
+    if cands.size and (cands.min() < 1 or cands.max() > dims.n_items):
+        raise ValueError(f"candidate ids must lie in 1..{dims.n_items}, "
+                         f"got {cands.min()}..{cands.max()}")
+    histories = [list(c[-(dims.max_aug_len - 1):]) for c in contexts]
+    scores = np.empty(cands.shape)
     with ag.no_grad():
-        logits = item_logits(full_forward(batch.ids, enc, rec), enc).data
-    return np.take_along_axis(logits, np.asarray(candidate_ids, dtype=np.int64) - 1, axis=1)
+        for rows in length_classes([len(c) for c in histories]):
+            batch = pad_batch([str(i) for i in rows],
+                              [histories[i] + [dims.mask_id] for i in rows])
+            logits = item_logits(full_forward(batch.ids, enc, rec), enc).data
+            scores[rows] = np.take_along_axis(logits, cands[rows] - 1, axis=1)
+    return scores
 

@@ -26,6 +26,7 @@ from seqrec.augops import (
     corrupt_sequence,
 )
 from seqrec.cli import _load_model_ckpt
+from seqrec.data import pad_batch
 from seqrec.encoder import EncoderParams, ModelDims, encode_batch
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "ring120-full.ckpt"
@@ -406,8 +407,12 @@ def test_generate_oracle_restores_corruption(monkeypatch):
 def test_generate_never_empty_and_bounded():
     enc, aug = fresh_params(18)
     rng = np.random.default_rng(11)
-    for trial in range(10):
-        seq = list(rng.integers(1, DIMS.n_items + 1, size=int(rng.integers(1, 55))))
+    seqs = [list(rng.integers(1, DIMS.n_items + 1, size=int(rng.integers(1, 55))))
+            for _ in range(10)]
+    # inputs that fill or overflow the window are clipped to leave the sentinel a slot
+    seqs += [[1 + k % DIMS.n_items for k in range(n)]
+             for n in (DIMS.max_aug_len, DIMS.max_aug_len + 5)]
+    for seq in seqs:
         out = generate_augmented(seq, enc, aug)
         assert 1 <= len(out) <= DIMS.max_aug_len
         assert all(1 <= x <= DIMS.n_items for x in out)
@@ -423,11 +428,41 @@ def test_generate_stochastic_bounded_and_seeded():
 
 
 def test_generate_batch_matches_single():
-    enc, aug = fresh_params(20)
-    seqs = [[1, 2, 3], [7, 8], [9, 10, 11, 12]]
-    batch_out = generate_augmented_batch(seqs, enc, aug)
-    single_out = [generate_augmented(s, enc, aug) for s in seqs]
-    assert batch_out == single_out
+    # the pinned model inserts, so its mixed-length batch, which spans six
+    # length classes of the grouped encoder pass, also checks the splicing
+    pinned = _load_model_ckpt(FIXTURE)[2]
+    mixed = [[(5 * i + j) % 120 + 1 for j in range(n)]
+             for i, n in enumerate((12, 1, 40, 3, 6, 25, 2))]
+    for (enc, aug), seqs in ((fresh_params(20), [[1, 2, 3], [7, 8], [9, 10, 11, 12]]),
+                             ((pinned.enc, pinned.aug), mixed)):
+        batch_out = generate_augmented_batch(seqs, enc, aug)
+        assert batch_out == [generate_augmented(s, enc, aug) for s in seqs]
+    assert sum(len(out) > len(s) for out, s in zip(batch_out, mixed)) >= 3
+
+
+def test_decide_ops_runs_one_encoder_pass_per_length_class(monkeypatch):
+    # each length class gets its own pass; the real cells match one pass
+    # over the whole batch up to padding's last-ulp rounding
+    enc, aug = fresh_params(21)
+    seqs = [[1 + (3 * i + j) % DIMS.n_items for j in range(n)]
+            for i, n in enumerate((9, 1, 4, 2, 3, 17))]
+    ids = pad_batch([str(i) for i in range(len(seqs))],
+                    [s + [DIMS.mask_id] for s in seqs]).ids
+    with ag.no_grad():
+        one_pass = encode_batch(ids, enc)
+        one_pass_ops = predict_op_logits(one_pass, aug).data.argmax(axis=-1)
+    widths = []
+
+    def counting_encode(ids_, *args, **kwargs):
+        widths.append(ids_.shape[1])
+        return encode_batch(ids_, *args, **kwargs)
+
+    monkeypatch.setattr(am, "encode_batch", counting_encode)
+    h, ops = am._decide_ops(seqs, enc, aug)
+    assert widths == [2, 4, 5, 10, 18]  # each class's widest row, sentinel included
+    real = ids != 0
+    np.testing.assert_allclose(h[real], one_pass.data[real], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(ops[real], one_pass_ops[real])
 
 
 def test_stochastic_batch_draws_are_pinned():

@@ -8,48 +8,50 @@ from seqrec.optim import AdamState, ParamStore, adam_step
 
 
 def make_store(values):
-    return ParamStore({name: ag.param(np.array(val)) for name, val in values.items()})
+    """A ParamStore and the tensors it holds, by name."""
+    params = {name: ag.param(np.array(val)) for name, val in values.items()}
+    return ParamStore(params), params
 
 
 def test_first_step_closed_form():
     # m_hat = g, v_hat = g^2 at step 1, so the update is lr*g/(|g|+eps)
-    store = make_store({"p": [0.0]})
+    store, params = make_store({"p": [0.0]})
     state = AdamState(store, lr=0.001)
-    store["p"].grad = np.array([1.0])
+    params["p"].grad = np.array([1.0])
     adam_step(store, state)
     expected = -0.001 * 1.0 / (1.0 + 1e-8)
-    np.testing.assert_allclose(store["p"].data, [expected], rtol=1e-12)
+    np.testing.assert_allclose(params["p"].data, [expected], rtol=1e-12)
 
 
 def test_zero_grad_leaves_param_untouched():
-    store = make_store({"p": [1.5, -2.0]})
+    store, params = make_store({"p": [1.5, -2.0]})
     state = AdamState(store)
-    store["p"].grad = np.zeros(2)
+    params["p"].grad = np.zeros(2)
     adam_step(store, state)
-    np.testing.assert_array_equal(store["p"].data, [1.5, -2.0])
+    np.testing.assert_array_equal(params["p"].data, [1.5, -2.0])
 
 
 def test_missing_grad_raises():
-    store = make_store({"p": [1.0], "q": [2.0]})
+    store, params = make_store({"p": [1.0], "q": [2.0]})
     state = AdamState(store)
-    store["p"].grad = np.array([0.5])
+    params["p"].grad = np.array([0.5])
     with pytest.raises(ValueError, match="uninitialized"):
         adam_step(store, state)
 
 
 def test_grads_cleared_after_step():
-    store = make_store({"p": [1.0]})
+    store, params = make_store({"p": [1.0]})
     state = AdamState(store)
-    store["p"].grad = np.array([0.5])
+    params["p"].grad = np.array([0.5])
     adam_step(store, state)
-    assert store["p"].grad is None
+    assert params["p"].grad is None
 
 
 def test_step_counter_increments():
-    store = make_store({"p": [1.0]})
+    store, params = make_store({"p": [1.0]})
     state = AdamState(store)
     for expected in (1, 2, 3):
-        store["p"].grad = np.array([0.1])
+        params["p"].grad = np.array([0.1])
         adam_step(store, state)
         assert state.step_count == expected
 
@@ -57,22 +59,22 @@ def test_step_counter_increments():
 def test_identical_runs_are_bitwise_identical():
     def run():
         rng = np.random.default_rng(42)
-        store = make_store({"w": rng.standard_normal((3, 3))})
+        store, params = make_store({"w": rng.standard_normal((3, 3))})
         state = AdamState(store, lr=0.01)
         for step in range(10):
             g_rng = np.random.default_rng(100 + step)
-            store["w"].grad = g_rng.standard_normal((3, 3))
+            params["w"].grad = g_rng.standard_normal((3, 3))
             adam_step(store, state)
-        return store["w"].data.copy()
+        return params["w"].data.copy()
 
     np.testing.assert_array_equal(run(), run())
 
 
 def test_training_reduces_quadratic_loss():
-    store = make_store({"x": [5.0, -3.0]})
+    store, params = make_store({"x": [5.0, -3.0]})
     state = AdamState(store, lr=0.05)
     for _ in range(400):
-        x = store["x"]
+        x = params["x"]
         ag.backward((x * x).sum())
         adam_step(store, state)
-    assert np.all(np.abs(store["x"].data) < 0.05)
+    assert np.all(np.abs(params["x"].data) < 0.05)

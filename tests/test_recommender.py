@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqrec import autograd as ag
+from seqrec import recommender
 from seqrec.encoder import (
     EncoderParams,
     ModelDims,
@@ -151,3 +152,48 @@ def test_score_candidates_matches_distribution(parts):
     order_scores = np.argsort(-scores)
     order_probs = np.argsort(-probs[cands[0] - 1])
     np.testing.assert_array_equal(order_scores, order_probs)
+
+
+MIXED_LENGTHS = (33, 1, 9, 59, 2, 17, 5, 3)  # six length classes, out of order
+
+
+def mixed_histories():
+    return [[1 + (7 * i + 3 * j) % DIMS.n_items for j in range(n)]
+            for i, n in enumerate(MIXED_LENGTHS)]
+
+
+def test_grouped_scores_match_scoring_each_row_alone(parts):
+    # one chunk spanning several length classes: each row's scores equal the
+    # row scored by itself, in input order, up to padding's last-ulp rounding
+    enc, rec = parts
+    histories = mixed_histories()
+    rng = np.random.default_rng(0)
+    cands = rng.integers(1, DIMS.n_items + 1, size=(len(histories), 6))
+    grouped = score_candidates(histories, cands, enc, rec)
+    alone = np.concatenate([score_candidates([h], c[None], enc, rec)
+                            for h, c in zip(histories, cands)])
+    np.testing.assert_allclose(grouped, alone, rtol=0, atol=1e-12)
+
+
+def test_scores_run_one_forward_per_length_class(parts, monkeypatch):
+    enc, rec = parts
+    widths = []
+    real_forward = recommender.full_forward
+
+    def counting_forward(ids, *args, **kwargs):
+        widths.append(ids.shape[1])
+        return real_forward(ids, *args, **kwargs)
+
+    monkeypatch.setattr(recommender, "full_forward", counting_forward)
+    histories = mixed_histories()
+    score_candidates(histories, np.ones((len(histories), 2), dtype=np.int64), enc, rec)
+    # classes of 2, 3-4, 5-8, 9-16, 17-32 and 33-64 slots, each padded to its widest row
+    assert widths == [2, 4, 6, 10, 18, 60]
+
+
+def test_score_candidates_rejects_ids_outside_the_catalog(parts):
+    # id 0 would read the last item's score and n_items + 1 has no row
+    enc, rec = parts
+    for bad in (0, DIMS.n_items + 1):
+        with pytest.raises(ValueError, match="candidate ids"):
+            score_candidates([[3, 4]], np.array([[bad, 5]]), enc, rec)

@@ -126,13 +126,13 @@ def test_joint_gradient_is_sum_of_term_gradients(tiny_data, tiny_model):
 
     def grads_of(a, b):
         cfg = tiny_cfg(alpha=a, beta=b)
-        store = ParamStore(model.named_params(("enc", "rec")))
-        zero_grads(store)
+        params = model.named_params(("enc", "rec"))
+        zero_grads(params)
         total, _ = joint_loss(seqs, users, model, cfg, 0, 0, train=False)
         ag.backward(total)
-        out = {n: (store[n].grad.copy() if store[n].grad is not None else 0.0)
+        out = {n: (params[n].grad.copy() if params[n].grad is not None else 0.0)
                for n in names}
-        zero_grads(store)
+        zero_grads(params)
         return out
 
     g_joint = grads_of(alpha, beta)
