@@ -201,14 +201,18 @@ def sample_negatives(
         target = seq.items[-1]
     elif target not in interacted:
         raise ValueError(f"target {target} is not part of the user's sequence")
-    pool = [i for i in range(1, vocab.n_items + 1) if i not in interacted]
+    ids = np.asarray(seq.items, dtype=np.int64)
+    free = np.ones(vocab.n_items + 1, dtype=bool)
+    free[0] = False
+    free[ids[(ids >= 1) & (ids <= vocab.n_items)]] = False
+    pool = np.flatnonzero(free)  # uninteracted ids, ascending
     if len(pool) < count:
         raise PoolTooSmallError(
             f"user {seq.user_id}: only {len(pool)} uninteracted items, need {count}"
         )
     rng = rng_for(seed, seq.user_id, "negatives")
     chosen = rng.choice(len(pool), size=count, replace=False)
-    negatives = [pool[i] for i in chosen]
+    negatives = pool[chosen].tolist()
     return EvalCandidates(target=target, negatives=negatives)
 
 

@@ -4,7 +4,8 @@ Training masks the last item of each row and scores it against the shared
 item table; inference appends a MASK slot after the full history so the
 prediction conditions on every real item. Sequence representations for the
 contrastive losses come from the same stack's last-position states. Every
-caller reads only that position, so the stack's last block computes it alone.
+caller reads only that position, so the stack's last block computes it alone,
+and every caller runs one pass per length class of its rows (_class_forward).
 """
 
 from __future__ import annotations
@@ -53,6 +54,31 @@ def full_forward(
                              last_only=True)
 
 
+def _class_forward(
+    rows: list[list[int]],
+    enc: EncoderParams,
+    rec: RecommenderParams,
+    train: bool = False,
+    stream: SeedStream | None = None,
+) -> Tensor:
+    """(N, e) final-position states of `rows`, in input order.
+
+    One full_forward runs per length class of rows (data.length_classes on
+    len(row) - 1), so no row is padded to more than twice its width. Each
+    class draws its dropout masks from `stream` in class order; one row
+    gather puts the classes' states back in input order.
+    """
+    classes = length_classes([len(r) - 1 for r in rows])
+    states = [full_forward(pad_batch([str(i) for i in idx], [rows[i] for i in idx]).ids,
+                           enc, rec, train=train, stream=stream)
+              for idx in classes]
+    if len(states) == 1:
+        return states[0]
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[np.concatenate(classes)] = np.arange(len(rows))
+    return ag.embedding_lookup(ag.concat(states, axis=0), inverse)
+
+
 def sequence_reprs(
     seqs: list[list[int]],
     enc: EncoderParams,
@@ -61,14 +87,12 @@ def sequence_reprs(
     stream: SeedStream | None = None,
 ) -> Tensor:
     """(N, e) sequence summaries from the full stack, for similarity scores:
-    the state at each sequence's final position.
+    the state at each sequence's final position, one pass per length class.
     """
     if any(len(s) < 1 for s in seqs):
         raise ValueError("cannot represent an empty sequence")
-    dims = enc.dims
-    clipped = [s[-dims.max_aug_len:] for s in seqs]
-    batch = pad_batch([str(i) for i in range(len(clipped))], clipped)
-    return full_forward(batch.ids, enc, rec, train=train, stream=stream)
+    clipped = [s[-enc.dims.max_aug_len:] for s in seqs]
+    return _class_forward(clipped, enc, rec, train=train, stream=stream)
 
 
 def item_logits(h_last: Tensor, enc: EncoderParams) -> Tensor:
@@ -80,20 +104,6 @@ def item_logits(h_last: Tensor, enc: EncoderParams) -> Tensor:
     return ag.matmul(h_last, ag.transpose_last(rows))
 
 
-def masked_last_rows(seqs: list[list[int]], mask_id: int):
-    """Rows for the recommendation loss: last item swapped for MASK.
-
-    Returns (padded ids, 0-based target classes). Rows need >= 1 context
-    item before the masked slot, i.e. sequence length >= 2.
-    """
-    if any(len(s) < 2 for s in seqs):
-        raise ValueError("recommendation rows need >= 2 items (context + target)")
-    inputs = [s[:-1] + [mask_id] for s in seqs]
-    targets = np.array([s[-1] - 1 for s in seqs], dtype=np.int64)
-    batch = pad_batch([str(i) for i in range(len(seqs))], inputs)
-    return batch.ids, targets
-
-
 def rec_loss(
     seqs: list[list[int]],
     enc: EncoderParams,
@@ -101,11 +111,19 @@ def rec_loss(
     train: bool = False,
     stream: SeedStream | None = None,
 ) -> Tensor:
-    """Batch-mean NLL of each row's true last item at the masked slot."""
+    """Batch-mean NLL of each row's true last item at the masked slot.
+
+    Each row is clipped to the model's window and its last item swapped
+    for MASK; rows need >= 1 context item before it (length >= 2).
+    """
     dims = enc.dims
-    ids, targets = masked_last_rows([s[-dims.max_aug_len:] for s in seqs], dims.mask_id)
-    logits = item_logits(full_forward(ids, enc, rec, train=train, stream=stream), enc)
-    return ag.cross_entropy(logits, targets).mean()
+    clipped = [s[-dims.max_aug_len:] for s in seqs]
+    if any(len(s) < 2 for s in clipped):
+        raise ValueError("recommendation rows need >= 2 items (context + target)")
+    rows = [s[:-1] + [dims.mask_id] for s in clipped]
+    targets = np.array([s[-1] - 1 for s in clipped], dtype=np.int64)
+    h = _class_forward(rows, enc, rec, train=train, stream=stream)
+    return ag.cross_entropy(item_logits(h, enc), targets).mean()
 
 
 def score_candidates(
@@ -118,22 +136,16 @@ def score_candidates(
 
     contexts: N histories; candidate_ids: (N, C) item ids in 1..n_items.
     Returns (N, C) raw scores (monotone in probability). Histories are
-    clipped to the model's window and given a trailing MASK slot. One
-    forward pass runs per length class of histories (data.length_classes),
-    so no row is padded to more than twice its width; rows keep their order.
+    clipped to the model's window and given a trailing MASK slot, and run
+    one forward pass per length class as the training stacks do.
     """
     dims = enc.dims
     cands = np.asarray(candidate_ids, dtype=np.int64)
     if cands.size and (cands.min() < 1 or cands.max() > dims.n_items):
         raise ValueError(f"candidate ids must lie in 1..{dims.n_items}, "
                          f"got {cands.min()}..{cands.max()}")
-    histories = [list(c[-(dims.max_aug_len - 1):]) for c in contexts]
-    scores = np.empty(cands.shape)
+    rows = [list(c[-(dims.max_aug_len - 1):]) + [dims.mask_id] for c in contexts]
     with ag.no_grad():
-        for rows in length_classes([len(c) for c in histories]):
-            batch = pad_batch([str(i) for i in rows],
-                              [histories[i] + [dims.mask_id] for i in rows])
-            logits = item_logits(full_forward(batch.ids, enc, rec), enc).data
-            scores[rows] = np.take_along_axis(logits, cands[rows] - 1, axis=1)
-    return scores
+        logits = item_logits(_class_forward(rows, enc, rec), enc).data
+    return np.take_along_axis(logits, cands - 1, axis=1)
 

@@ -232,6 +232,32 @@ def test_negatives_with_explicit_target():
         sample_negatives(seq, vocab, seed=5, target=140)
 
 
+def test_negatives_match_the_scanned_pool():
+    # the keyed draw indexes the ascending pool of uninteracted ids; rebuild
+    # that pool by scanning the catalog and replay the draw
+    from seqrec.seeding import rng_for
+
+    vocab = make_vocab(130)
+    users = [
+        (ItemSequence("u1", [5, 17, 3, 17, 99]), None),
+        (ItemSequence("u2", list(range(1, 31)) + [130]), None),  # pool of exactly 99
+        (ItemSequence("u3", [120, 7, 64, 2, 88, 41]), 64),  # target not last
+        (ItemSequence("u4", [1]), None),
+    ]
+    for seq, target in users:
+        cands = sample_negatives(seq, vocab, count=99, seed=8, target=target)
+        pool = [i for i in range(1, vocab.n_items + 1) if i not in set(seq.items)]
+        chosen = rng_for(8, seq.user_id, "negatives").choice(len(pool), size=99,
+                                                             replace=False)
+        assert cands.negatives == [pool[i] for i in chosen]
+        assert all(type(i) is int for i in cands.negatives)
+        assert cands.target == (seq.items[-1] if target is None else target)
+    # one more interacted item leaves 98: the boundary sits at count
+    with pytest.raises(PoolTooSmallError, match="only 98 uninteracted items"):
+        sample_negatives(ItemSequence("u2", list(range(1, 32)) + [130]), vocab,
+                         count=99, seed=8)
+
+
 # ---------------------------------------------------------------------------
 # batching
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from seqrec import autograd as ag
 from seqrec import recommender
+from seqrec.data import pad_batch
 from seqrec.encoder import (
     EncoderParams,
     ModelDims,
@@ -16,9 +17,9 @@ from seqrec.recommender import (
     RecommenderParams,
     full_forward,
     item_logits,
-    masked_last_rows,
     rec_loss,
     score_candidates,
+    sequence_reprs,
 )
 
 DIMS = ModelDims(n_items=25, embed_dim=32, n_layers=1, n_heads=1, dropout=0.0)
@@ -27,6 +28,20 @@ DIMS = ModelDims(n_items=25, embed_dim=32, n_layers=1, n_heads=1, dropout=0.0)
 @pytest.fixture(scope="module")
 def parts():
     return EncoderParams(DIMS, seed=3), RecommenderParams(DIMS, seed=4)
+
+
+@pytest.fixture
+def forward_ids(monkeypatch):
+    """The id matrix of every recommender.full_forward call, in call order."""
+    seen = []
+    real_forward = recommender.full_forward
+
+    def recording_forward(ids, *args, **kwargs):
+        seen.append(ids)
+        return real_forward(ids, *args, **kwargs)
+
+    monkeypatch.setattr(recommender, "full_forward", recording_forward)
+    return seen
 
 
 def test_forward_preserves_shape(parts):
@@ -91,13 +106,20 @@ def test_aligned_embedding_rows_score_their_item():
         assert logits.argmax() + 1 == k
 
 
-def test_masked_last_rows_swaps_target():
-    ids, targets = masked_last_rows([[4, 9, 2], [7, 5]], mask_id=DIMS.mask_id)
-    assert list(ids[0]) == [4, 9, DIMS.mask_id]
-    assert list(ids[1]) == [0, 7, DIMS.mask_id]
-    np.testing.assert_array_equal(targets, [2 - 1, 5 - 1])
-    with pytest.raises(ValueError):
-        masked_last_rows([[3]], mask_id=DIMS.mask_id)
+def test_rec_loss_masks_the_last_item(parts, forward_ids):
+    enc, rec = parts
+    loss = rec_loss([[4, 9, 2], [7, 5]], enc, rec).item()
+    # the 2- and 3-slot rows fall in two length classes, shortest first
+    assert [ids.tolist() for ids in forward_ids] == [[[7, DIMS.mask_id]],
+                                                     [[4, 9, DIMS.mask_id]]]
+    with ag.no_grad():
+        logits = [item_logits(full_forward(np.array(ids), enc, rec), enc).data[0]
+                  for ids in ([[4, 9, DIMS.mask_id]], [[7, DIMS.mask_id]])]
+    nll = [np.log(np.exp(row).sum()) - row[target - 1]
+           for row, target in zip(logits, (2, 5))]
+    assert abs(loss - np.mean(nll)) < 1e-12
+    with pytest.raises(ValueError, match="need >= 2 items"):
+        rec_loss([[3]], enc, rec)
 
 
 def test_rec_loss_uniform_logits_is_ln_catalog(parts):
@@ -112,12 +134,12 @@ def test_rec_loss_matches_manual_nll(parts):
     enc, rec = parts
     seq = [4, 9, 2, 11]
     loss = rec_loss([seq], enc, rec)
-    ids, targets = masked_last_rows([seq], DIMS.mask_id)
+    ids = np.array([seq[:-1] + [DIMS.mask_id]])
     with ag.no_grad():  # every position through the recommender stack, then the last
         h = transformer_stack(encode_batch(ids, enc), rec.blocks, DIMS, ids)
         logits = item_logits(take_last_position(h), enc).data[0]
     shifted = logits - logits.max()
-    manual = -(shifted[targets[0]] - np.log(np.exp(shifted).sum()))
+    manual = -(shifted[seq[-1] - 1] - np.log(np.exp(shifted).sum()))
     assert abs(loss.item() - manual) < 1e-12
 
 
@@ -175,20 +197,12 @@ def test_grouped_scores_match_scoring_each_row_alone(parts):
     np.testing.assert_allclose(grouped, alone, rtol=0, atol=1e-12)
 
 
-def test_scores_run_one_forward_per_length_class(parts, monkeypatch):
+def test_scores_run_one_forward_per_length_class(parts, forward_ids):
     enc, rec = parts
-    widths = []
-    real_forward = recommender.full_forward
-
-    def counting_forward(ids, *args, **kwargs):
-        widths.append(ids.shape[1])
-        return real_forward(ids, *args, **kwargs)
-
-    monkeypatch.setattr(recommender, "full_forward", counting_forward)
     histories = mixed_histories()
     score_candidates(histories, np.ones((len(histories), 2), dtype=np.int64), enc, rec)
     # classes of 2, 3-4, 5-8, 9-16, 17-32 and 33-64 slots, each padded to its widest row
-    assert widths == [2, 4, 6, 10, 18, 60]
+    assert [ids.shape[1] for ids in forward_ids] == [2, 4, 6, 10, 18, 60]
 
 
 def test_score_candidates_rejects_ids_outside_the_catalog(parts):
@@ -197,3 +211,75 @@ def test_score_candidates_rejects_ids_outside_the_catalog(parts):
     for bad in (0, DIMS.n_items + 1):
         with pytest.raises(ValueError, match="candidate ids"):
             score_candidates([[3, 4]], np.array([[bad, 5]]), enc, rec)
+
+
+# one batch over six length classes, out of order: single-row classes, and a
+# row longer than the model's window that is clipped to its last 60 items
+TRAIN_LENGTHS = (33, 2, 9, 75, 3, 17, 5, 40)
+
+
+def one_padded_pass(rows, enc, rec, train=False, stream=None):
+    """The oracle for recommender._class_forward: every row in one padded pass."""
+    ids = pad_batch([str(i) for i in range(len(rows))], rows).ids
+    return recommender.full_forward(ids, enc, rec, train=train, stream=stream)
+
+
+def train_rows():
+    return [[1 + (5 * i + 3 * j) % DIMS.n_items for j in range(n)]
+            for i, n in enumerate(TRAIN_LENGTHS)]
+
+
+def loss_and_grads(make_loss, params):
+    for t in params.values():
+        t.grad = None
+    loss = make_loss()
+    ag.backward(loss)
+    grads = {n: t.grad.copy() for n, t in params.items() if t.grad is not None}
+    for t in params.values():
+        t.grad = None
+    return loss.item(), grads
+
+
+def assert_close_relative(got, want, rtol=1e-12):
+    """Equal up to rtol times the largest magnitude of `want`."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("stack", ["rec_loss", "sequence_reprs"])
+def test_grouped_stacks_match_one_padded_pass(parts, monkeypatch, stack):
+    enc, rec = parts
+    params = {**enc.named_params(), **rec.named_params()}
+    seqs = train_rows()
+    if stack == "rec_loss":
+        make_loss = lambda: rec_loss(seqs, enc, rec, train=True)
+    else:  # a loss that reads every row's representation unevenly
+        weights = ag.constant(np.arange(len(seqs) * DIMS.embed_dim, dtype=float)
+                              .reshape(len(seqs), DIMS.embed_dim) / 100)
+        make_loss = lambda: (sequence_reprs(seqs, enc, rec, train=True) * weights).sum()
+    grouped, g_grouped = loss_and_grads(make_loss, params)
+    monkeypatch.setattr(recommender, "_class_forward", one_padded_pass)
+    padded, g_padded = loss_and_grads(make_loss, params)
+    assert abs(grouped - padded) <= 1e-12 * abs(padded)
+    assert sorted(g_grouped) == sorted(g_padded) and len(g_padded) > 10
+    for name in g_padded:
+        assert_close_relative(g_grouped[name], g_padded[name])
+
+
+def test_grouped_reprs_follow_the_input_order(parts):
+    enc, rec = parts
+    seqs = train_rows()
+    perm = np.random.default_rng(1).permutation(len(seqs))
+    with ag.no_grad():
+        reprs = sequence_reprs(seqs, enc, rec).data
+        permuted = sequence_reprs([seqs[i] for i in perm], enc, rec).data
+    np.testing.assert_allclose(permuted, reprs[perm], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stack", ["rec_loss", "sequence_reprs"])
+def test_training_stacks_run_one_forward_per_length_class(parts, forward_ids, stack):
+    enc, rec = parts
+    getattr(recommender, stack)(train_rows(), enc, rec, train=True)
+    # classes of 2, 3, 5, 9, 17 and 33-60 slots (the 75-item row is clipped)
+    assert [ids.shape[1] for ids in forward_ids] == [2, 3, 5, 9, 17, 60]

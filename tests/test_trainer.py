@@ -8,7 +8,7 @@ import pytest
 
 from seqrec import augmenter as am
 from seqrec import autograd as ag
-from seqrec import trainer
+from seqrec import recommender, trainer
 from seqrec.augmenter import restoration_accuracy
 from seqrec.augops import CorruptionConfig
 from seqrec.checkpoint import load_checkpoint
@@ -32,6 +32,7 @@ from seqrec.trainer import (
 )
 
 from test_data import make_vocab
+from test_recommender import assert_close_relative, loss_and_grads, one_padded_pass
 
 
 def zero_grads(params):
@@ -187,6 +188,50 @@ def test_joint_backward_gives_each_param_its_own_gradient(tiny_data, trained_mod
         assert sorted(got) == sorted(want) and len(got) > 10
         for n in want:
             np.testing.assert_array_equal(got[n], want[n], err_msg=n)
+
+
+def mixed_length_batch(split):
+    """Train prefixes plus rows of 2, 12 and 70 items (the last one clipped)."""
+    seqs, users = batch_from(split, n=6)
+    extra = [[(7 * k + j) % 120 + 1 for j in range(n)] for k, n in enumerate((2, 12, 70))]
+    return seqs + extra, users + ["x0", "x1", "x2"]
+
+
+def test_grouped_joint_loss_matches_one_padded_pass(tiny_data, trained_model,
+                                                    monkeypatch):
+    split, _ = tiny_data
+    seqs, users = mixed_length_batch(split)
+    cfg = tiny_cfg()
+    params = trained_model.named_params(("enc", "rec"))
+    run = lambda: joint_loss(seqs, users, trained_model, cfg, 0, 0, train=False)[0]
+    grouped, g_grouped = loss_and_grads(run, params)
+    monkeypatch.setattr(recommender, "_class_forward", one_padded_pass)
+    padded, g_padded = loss_and_grads(run, params)
+    assert abs(grouped - padded) <= 1e-12 * abs(padded)
+    assert sorted(g_grouped) == sorted(g_padded) and len(g_padded) > 10
+    for name in g_padded:
+        assert_close_relative(g_grouped[name], g_padded[name])
+
+
+def test_grouped_joint_dropout_is_deterministic(tiny_data, trained_model):
+    # each length class draws its dropout masks from the batch's stream in
+    # class order, so one key gives one loss and one gradient, bit for bit
+    split, _ = tiny_data
+    seqs, users = mixed_length_batch(split)
+    cfg = tiny_cfg()
+    params = trained_model.named_params()
+
+    def run():
+        stream = SeedStream(cfg.seed, "rec-dropout", 0, 0)
+        return joint_loss(seqs, users, trained_model, cfg, 0, 0, train=True,
+                          stream=stream)[0]
+
+    first, g_first = loss_and_grads(run, params)
+    second, g_second = loss_and_grads(run, params)
+    assert first == second
+    assert sorted(g_first) == sorted(g_second) and len(g_first) > 10
+    for name in g_first:
+        np.testing.assert_array_equal(g_first[name], g_second[name], err_msg=name)
 
 
 def test_base_mode_leaves_augmenter_untouched(tiny_data, tiny_model):
