@@ -149,14 +149,40 @@ class AugLossStats:
         return (self.op_nll_sum + self.ins_nll_sum) / self.n_records
 
 
-def _assemble_records(records: list[CorruptionRecord], mask_id: int):
-    """Pad damaged sequences (with sentinel) and align labels/runs to columns."""
-    seqs = [r.s_mod + [mask_id] for r in records]
-    batch = pad_batch([str(i) for i in range(len(records))], seqs)
-    n, w = batch.ids.shape
+def _encode_classes(
+    seqs: list[list[int]],
+    enc: EncoderParams,
+    train: bool = False,
+    stream: SeedStream | None = None,
+) -> list[tuple[np.ndarray, Tensor]]:
+    """Encode each sequence plus its MASK sentinel, one pass per length class.
+
+    Returns (rows, h) per data.length_classes class of len(seq), shortest
+    first: the class's indices into seqs and its (n_c, w_c, e) states.
+    Rows are right-aligned to the class's widest, so seqs[rows[k]] fills
+    columns w_c-1-len .. w_c-2 and its sentinel column w_c-1, and no row is
+    padded to more than twice its slots. Each class draws its dropout masks
+    from stream in class order.
+    """
+    mask_id = enc.dims.mask_id
+    classes = []
+    for rows in length_classes([len(s) for s in seqs]):
+        ids = pad_batch([str(i) for i in rows], [seqs[i] + [mask_id] for i in rows]).ids
+        classes.append((rows, encode_batch(ids, enc, train=train, stream=stream)))
+    return classes
+
+
+def _assemble_records(records: list[CorruptionRecord], w: int):
+    """Align labels and runs to the (len(records), w) grid of right-aligned rows.
+
+    Returns the op targets, the mask of real positions and the runs as
+    (flat anchor index into the grid, target run); a record's sentinel run
+    (its deleted tail, anchored at column w-1) follows its insert runs.
+    """
+    n = len(records)
     op_targets = np.zeros((n, w), dtype=np.int64)
     op_mask = np.zeros((n, w))
-    runs: list[tuple[int, list[int]]] = []  # (flat anchor index, target run)
+    runs: list[tuple[int, list[int]]] = []
     for i, rec in enumerate(records):
         offset = w - 1 - len(rec.s_mod)  # column of s_mod[0]
         op_targets[i, offset:w - 1] = rec.ops
@@ -164,7 +190,7 @@ def _assemble_records(records: list[CorruptionRecord], mask_id: int):
         for pos, run in rec.ins_targets.items():
             runs.append((i * w + offset + pos, list(run)))
         runs.append((i * w + (w - 1), list(rec.tail_targets)))
-    return batch, op_targets, op_mask, runs
+    return op_targets, op_mask, runs
 
 
 def _run_matrices(runs: list[tuple[int, list[int]]], stop_class: int):
@@ -198,9 +224,9 @@ class RestorationStats(AugLossStats):
 class _Head(NamedTuple):
     """One output head of the restoration model over a batch.
 
-    The operation head's rows are the padded (N, W) grid with a mask of the
-    real positions; the generator head's rows are the flat real run steps
-    only, so its mask is all ones.
+    The operation head's rows are the cells of the encoder's padded class
+    grids, flattened, with a mask of the real positions; the generator
+    head's rows are the flat real run steps only, so its mask is all ones.
     """
 
     logits: Tensor
@@ -229,18 +255,31 @@ def _restoration_forward(
 
     Returns the operation head over real positions, the generator head over
     every run step up to and including STOP, and the batch's AugLossStats.
-    The generator runs once per length class of runs (data.length_classes), so
-    no pass pads a run beyond twice its steps; each pass projects only its
-    real steps, and one cross-entropy scores them all.
+    The encoder runs once per length class of the damaged sequences
+    (_encode_classes), and the operation head and the run anchors read one
+    concatenation of the classes' flattened states, so the operation head's
+    rows are the classes' grids in class order. The generator runs once per
+    length class of runs, so no pass pads a run beyond twice its steps; each
+    pass projects only its real steps, and one cross-entropy scores them all.
     """
     if not records:
         raise ValueError("restoration needs a non-empty batch")
     dims = enc.dims
-    batch, op_targets, op_mask, runs = _assemble_records(records, dims.mask_id)
-    n, w = batch.ids.shape
-    h = encode_batch(batch.ids, enc, train=train, stream=stream)
-    op = _head(predict_op_logits(h, aug), op_targets, op_mask)
-    h_flat = h.reshape(n * w, dims.embed_dim)
+    states, op_targets, op_masks = [], [], []
+    runs: list[tuple[int, list[int]]] = []
+    base = 0  # flat index of the class's first cell in the concatenation
+    for rows, h in _encode_classes([r.s_mod for r in records], enc, train=train,
+                                   stream=stream):
+        n_c, w_c = h.shape[:2]
+        targets_c, mask_c, runs_c = _assemble_records([records[i] for i in rows], w_c)
+        states.append(h.reshape(n_c * w_c, dims.embed_dim))
+        op_targets.append(targets_c.reshape(-1))
+        op_masks.append(mask_c.reshape(-1))
+        runs.extend((base + anchor, run) for anchor, run in runs_c)
+        base += n_c * w_c
+    h_flat = ag.concat(states, axis=0)
+    op_mask = np.concatenate(op_masks)
+    op = _head(predict_op_logits(h_flat, aug), np.concatenate(op_targets), op_mask)
     logits, targets = [], []
     for rows in length_classes([len(run) for _, run in runs]):
         anchor_idx, teacher, steps, group_targets = _run_matrices([runs[j] for j in rows],
@@ -251,7 +290,7 @@ def _restoration_forward(
     gen_targets = np.concatenate(targets)
     gen = _head(ag.concat(logits, axis=0), gen_targets, np.ones(len(gen_targets)))
     stats = AugLossStats(op_nll_sum=op.nll_sum.item(), ins_nll_sum=gen.nll_sum.item(),
-                         n_records=n, n_op_positions=int(op_mask.sum()),
+                         n_records=len(records), n_op_positions=int(op_mask.sum()),
                          n_ins_targets=len(gen_targets))
     return op, gen, stats
 
@@ -357,20 +396,18 @@ def _decide_ops(
     Returns the hidden states (n, w, e) and the ops (n, w): the argmax
     operation, or one drawn from its softmax when an rng is given. Sequence
     i fills columns w-1-len(seqs[i]) .. w-2 and its sentinel column w-1.
-    One encoder pass runs per length class (data.length_classes), so no
-    row is padded to more than twice its width; the cells left of a row
-    hold zero states and zero op logits. Sampling still draws over the whole
-    (n, w) grid in C order.
+    The encoder runs once per length class (_encode_classes), and each
+    class's states are copied into the right of the batch grid; the cells
+    left of a row hold zero states and zero op logits. Sampling still draws
+    over the whole (n, w) grid in C order.
     """
     dims = enc.dims
     n, w = len(seqs), max(len(s) for s in seqs) + 1
     h = np.zeros((n, w, dims.embed_dim))
     op_logits = np.zeros((n, w, 3))
     with ag.no_grad():
-        for rows in length_classes([len(s) for s in seqs]):
-            batch = pad_batch([str(i) for i in rows], [seqs[i] + [dims.mask_id] for i in rows])
-            h_class = encode_batch(batch.ids, enc)
-            cols = slice(w - batch.ids.shape[1], w)
+        for rows, h_class in _encode_classes(seqs, enc):
+            cols = slice(w - h_class.shape[1], w)
             h[rows, cols] = h_class.data
             op_logits[rows, cols] = predict_op_logits(h_class, aug).data
     return h, op_logits.argmax(axis=-1) if rng is None else _sample_rows(op_logits, rng)

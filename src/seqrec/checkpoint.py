@@ -2,10 +2,16 @@
 
 Layout (all integers little-endian):
 
-    magic   b"SEQRECKPT1\\n"
+    magic   b"SEQRECKPT2\\n"
     u32     config byte length, then UTF-8 config text (key = value lines)
     u32     parameter array count, then that many array blocks
     u8      optimizer flag; if 1: u64 step count, u32 count, array blocks
+    u32     zlib.crc32 of every byte before it, magic included
+
+Version 1 files (magic b"SEQRECKPT1\\n") hold the same payload with no
+CRC trailer; they still load. A version 2 file whose CRC does not match,
+or that is cut short or runs on past its trailer, is refused before any
+field of it is parsed.
 
 One array block:
 
@@ -23,14 +29,18 @@ previous file whole.
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import struct
+import zlib
 
 import numpy as np
 
 from .errors import CheckpointError
 
-MAGIC = b"SEQRECKPT1\n"
+MAGIC = b"SEQRECKPT2\n"
+MAGIC_V1 = b"SEQRECKPT1\n"
+_CRC = struct.Struct("<I")
 _DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 
 
@@ -69,8 +79,18 @@ def _read_array(fh) -> tuple[str, np.ndarray]:
     return name, arr
 
 
+class _CrcWriter:
+    """Write-through file wrapper keeping a running zlib.crc32 of what it wrote."""
+
+    def __init__(self, fh):
+        self.fh, self.crc = fh, 0
+
+    def write(self, data: bytes) -> None:
+        self.crc = zlib.crc32(data, self.crc)
+        self.fh.write(data)
+
+
 def _write_payload(fh, config_text, params, opt_step, opt_arrays) -> None:
-    fh.write(MAGIC)
     config_b = config_text.encode("utf-8")
     fh.write(struct.pack("<I", len(config_b)))
     fh.write(config_b)
@@ -98,7 +118,10 @@ def save_checkpoint(
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            _write_payload(fh, config_text, params, opt_step, opt_arrays)
+            out = _CrcWriter(fh)
+            out.write(MAGIC)
+            _write_payload(out, config_text, params, opt_step, opt_arrays)
+            fh.write(_CRC.pack(out.crc))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -108,23 +131,44 @@ def save_checkpoint(
         raise
 
 
+def _verified_end(data: bytes) -> int:
+    """Where a version 2 file's payload ends, once its CRC trailer matched."""
+    end = len(data) - _CRC.size
+    if end < len(MAGIC):
+        raise CheckpointError(f"truncated checkpoint: {len(data)} bytes, no CRC trailer")
+    (stored,) = _CRC.unpack_from(data, end)
+    computed = zlib.crc32(memoryview(data)[:end])
+    if stored != computed:
+        raise CheckpointError(f"checkpoint CRC mismatch: stored {stored:#010x}, "
+                              f"computed {computed:#010x} (corrupt or truncated file)")
+    return end
+
+
 def load_checkpoint(path):
     """Returns (config_text, params, opt_step | None, opt_arrays | None)."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(
-                f"bad magic/version header {magic!r}; expected {MAGIC!r}"
-            )
-        (config_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        config_text = _read_exact(fh, config_len).decode("utf-8")
-        (n_params,) = struct.unpack("<I", _read_exact(fh, 4))
-        params = dict(_read_array(fh) for _ in range(n_params))
-        (has_opt,) = struct.unpack("<B", _read_exact(fh, 1))
-        opt_step = None
-        opt_arrays = None
-        if has_opt:
-            (opt_step,) = struct.unpack("<Q", _read_exact(fh, 8))
-            (n_opt,) = struct.unpack("<I", _read_exact(fh, 4))
-            opt_arrays = dict(_read_array(fh) for _ in range(n_opt))
+        data = fh.read()
+    magic = data[:len(MAGIC)]
+    if magic == MAGIC:
+        end = _verified_end(data)
+    elif magic == MAGIC_V1:
+        end = len(data)
+    else:
+        raise CheckpointError(f"bad magic/version header {magic!r}; expected {MAGIC!r} "
+                              f"or {MAGIC_V1!r}")
+    buf = io.BytesIO(data)
+    buf.seek(len(magic))
+    (config_len,) = struct.unpack("<I", _read_exact(buf, 4))
+    config_text = _read_exact(buf, config_len).decode("utf-8")
+    (n_params,) = struct.unpack("<I", _read_exact(buf, 4))
+    params = dict(_read_array(buf) for _ in range(n_params))
+    (has_opt,) = struct.unpack("<B", _read_exact(buf, 1))
+    opt_step = None
+    opt_arrays = None
+    if has_opt:
+        (opt_step,) = struct.unpack("<Q", _read_exact(buf, 8))
+        (n_opt,) = struct.unpack("<I", _read_exact(buf, 4))
+        opt_arrays = dict(_read_array(buf) for _ in range(n_opt))
+    if buf.tell() != end:
+        raise CheckpointError(f"checkpoint payload ends at byte {buf.tell()}, expected {end}")
     return config_text, params, opt_step, opt_arrays

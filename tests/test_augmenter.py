@@ -28,6 +28,7 @@ from seqrec.augops import (
 from seqrec.cli import _load_model_ckpt
 from seqrec.data import pad_batch
 from seqrec.encoder import EncoderParams, ModelDims, encode_batch
+from seqrec.seeding import SeedStream
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "ring120-full.ckpt"
 DIMS = ModelDims(n_items=20, embed_dim=16, n_layers=1, n_heads=1, dropout=0.5,
@@ -253,8 +254,10 @@ CLASS_RECORDS = [
 
 def _one_pass_restoration(records, enc, aug):
     """Oracle: every run padded into one generator pass, every step scored and masked."""
-    batch, op_targets, op_mask, runs = am._assemble_records(records, DIMS.mask_id)
+    batch = pad_batch([str(i) for i in range(len(records))],
+                      [r.s_mod + [DIMS.mask_id] for r in records])
     n, w = batch.ids.shape
+    op_targets, op_mask, runs = am._assemble_records(records, w)
     h = encode_batch(batch.ids, enc)
     op_logits = predict_op_logits(h, aug)
     m = max(len(run) for _, run in runs)
@@ -280,28 +283,77 @@ def _rel_diff(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
 
 
-def test_grouped_restoration_matches_one_padded_pass():
-    enc, aug = fresh_params(16)
+def _value_and_grads(loss, params):
+    ag.backward(loss)
+    grads = {}
+    for name, p in params.items():
+        grads[name], p.grad = p.grad, None
+    return loss.item(), grads
+
+
+def _assert_matches_one_padded_pass(records, enc, aug):
     params = {**enc.named_params(), **aug.named_params()}
-    lengths = {len(run) for r in CLASS_RECORDS
-               for run in [*r.ins_targets.values(), r.tail_targets]}
-    assert {n.bit_length() for n in lengths} == {0, 1, 2, 3, 4}
-
-    def value_and_grads(loss):
-        ag.backward(loss)
-        grads = {}
-        for name, p in params.items():
-            grads[name], p.grad = p.grad, None
-        return loss.item(), grads
-
-    loss, grads = value_and_grads(augmenter_loss(CLASS_RECORDS, enc, aug)[0])
-    oracle_loss, counts = _one_pass_restoration(CLASS_RECORDS, enc, aug)
-    expected, expected_grads = value_and_grads(oracle_loss)
+    loss, grads = _value_and_grads(augmenter_loss(records, enc, aug)[0], params)
+    oracle_loss, counts = _one_pass_restoration(records, enc, aug)
+    expected, expected_grads = _value_and_grads(oracle_loss, params)
     assert abs(loss - expected) <= 1e-12 * abs(expected)
     for name, g in expected_grads.items():
         assert _rel_diff(grads[name], g) <= 1e-12, name
-    acc = restoration_accuracy(CLASS_RECORDS, enc, aug)
+    acc = restoration_accuracy(records, enc, aug)
     assert {name: getattr(acc, name) for name in counts} == counts
+
+
+def test_grouped_restoration_matches_one_padded_pass():
+    lengths = {len(run) for r in CLASS_RECORDS
+               for run in [*r.ins_targets.values(), r.tail_targets]}
+    assert {n.bit_length() for n in lengths} == {0, 1, 2, 3, 4}
+    _assert_matches_one_padded_pass(CLASS_RECORDS, *fresh_params(16))
+
+
+def _random_record(length, rng):
+    def items(lo, hi):
+        return (1 + rng.integers(0, DIMS.n_items, size=rng.integers(lo, hi))).tolist()
+
+    ops = rng.integers(0, 3, size=length).tolist()
+    return CorruptionRecord(s_mod=items(length, length + 1), ops=ops,
+                            ins_targets={t: items(1, 6) for t, op in enumerate(ops)
+                                         if op == OP_INSERT},
+                            tail_targets=items(0, 4))
+
+
+# Damaged sequences of five encoder classes (1, 2-3, 4-7, 8-15 and 16-31
+# items), out of order; the classes of 1, 9 and 17 items hold one record.
+ENCODER_CLASS_RECORDS = [_random_record(n, np.random.default_rng(n))
+                         for n in (17, 2, 5, 1, 3, 9, 6)]
+
+
+def test_grouped_encoder_matches_one_padded_pass(monkeypatch):
+    widths = []
+
+    def counting_encode(ids, *args, **kwargs):
+        widths.append(ids.shape[1])
+        return encode_batch(ids, *args, **kwargs)
+
+    monkeypatch.setattr(am, "encode_batch", counting_encode)
+    enc, aug = fresh_params(18)
+    augmenter_loss(ENCODER_CLASS_RECORDS, enc, aug)
+    assert widths == [2, 4, 7, 10, 18]  # each class's widest row, sentinel included
+    monkeypatch.undo()
+    _assert_matches_one_padded_pass(ENCODER_CLASS_RECORDS, enc, aug)
+
+
+def test_restoration_dropout_is_deterministic():
+    # one SeedStream key gives the same encoder and generator masks each time
+    enc, aug = fresh_params(19)
+    params = {**enc.named_params(), **aug.named_params()}
+    runs = [_value_and_grads(augmenter_loss(ENCODER_CLASS_RECORDS, enc, aug, train=True,
+                                            stream=SeedStream(7, "aug-batch"))[0], params)
+            for _ in range(2)]
+    (loss_a, grads_a), (loss_b, grads_b) = runs
+    assert loss_a == loss_b
+    assert loss_a != augmenter_loss(ENCODER_CLASS_RECORDS, enc, aug)[0].item()  # masks drawn
+    for name, g in grads_a.items():
+        np.testing.assert_array_equal(g, grads_b[name], err_msg=name)
 
 
 def test_generator_passes_score_only_real_steps(monkeypatch):

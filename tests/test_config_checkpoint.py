@@ -1,5 +1,6 @@
 """Config file parsing and the binary checkpoint round trip."""
 
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,65 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(raw[:len(raw) // 2])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+def _saved_v2(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, "seed = 1\n", {"w": np.arange(6.0).reshape(2, 3)},
+                    opt_step=3, opt_arrays={"m.w": np.ones((2, 3))})
+    return path
+
+
+def test_v2_trailer_is_the_crc_of_everything_before_it(tmp_path):
+    raw = _saved_v2(tmp_path).read_bytes()
+    assert raw.startswith(b"SEQRECKPT2\n")
+    assert int.from_bytes(raw[-4:], "little") == zlib.crc32(raw[:-4])
+
+
+@pytest.mark.parametrize("where", ["config", "array", "last"])
+def test_flipped_payload_byte_rejected(tmp_path, where):
+    path = _saved_v2(tmp_path)
+    raw = bytearray(path.read_bytes())
+    offset = {"config": len(ckpt.MAGIC) + 4, "array": raw.index(b"w") + 20,
+              "last": len(raw) - 5}[where]
+    raw[offset] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="CRC mismatch"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [1, 4, 5])
+def test_cut_off_trailer_rejected(tmp_path, cut):
+    path = _saved_v2(tmp_path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_bytes_after_the_trailer_rejected(tmp_path):
+    path = _saved_v2(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointError, match="CRC mismatch"):
+        load_checkpoint(path)
+
+
+def test_v1_file_still_loads_array_for_array(tmp_path):
+    # the pinned fixture is version 1; its v2 re-save, and that re-save
+    # turned back into v1 (magic swapped, trailer dropped), load the same
+    assert FIXTURE.read_bytes().startswith(ckpt.MAGIC_V1)
+    text, params, _, _ = load_checkpoint(FIXTURE)
+    v2 = tmp_path / "v2.ckpt"
+    save_checkpoint(v2, text, params, opt_step=7, opt_arrays={"m.x": np.full(4, 0.5)})
+    v1 = tmp_path / "v1.ckpt"
+    v1.write_bytes(ckpt.MAGIC_V1 + v2.read_bytes()[len(ckpt.MAGIC):-4])
+    for path in (v2, v1):
+        text_b, params_b, step_b, opt_b = load_checkpoint(path)
+        assert text_b == text and step_b == 7
+        assert list(params_b) == list(params)
+        for name, arr in params.items():
+            assert params_b[name].dtype == arr.dtype
+            np.testing.assert_array_equal(params_b[name], arr)
+        np.testing.assert_array_equal(opt_b["m.x"], np.full(4, 0.5))
 
 
 def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):

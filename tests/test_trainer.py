@@ -13,7 +13,7 @@ from seqrec.augmenter import restoration_accuracy
 from seqrec.augops import CorruptionConfig
 from seqrec.checkpoint import load_checkpoint
 from seqrec.config import RunConfig, parse_config_lines, read_meta
-from seqrec.data import ItemSequence, leave_one_out_split
+from seqrec.data import PAD_ID, ItemSequence, leave_one_out_split, length_classes
 from seqrec.cli import _save_model_ckpt
 from seqrec.errors import ConfigError, NonFiniteError
 from seqrec.optim import AdamState, ParamStore
@@ -431,20 +431,33 @@ def test_generation_op_proportions_are_the_augmenters_ops(tiny_data, trained_mod
 CCFG = CorruptionConfig(0.4, 0.5, 0.1, max_insert_run=5, n_items=120)
 
 
-def test_validation_encodes_each_chunk_once(tiny_data, tiny_model, monkeypatch):
+def test_validation_encodes_each_record_once_per_length_class(tiny_data, tiny_model,
+                                                             monkeypatch):
+    # each chunk runs one encoder pass per length class of its damaged
+    # sequences, no pass pads a row beyond twice its slots, and every
+    # eligible record is encoded exactly once
     split, _ = tiny_data
-    calls = []
-    original = am.encode_batch
+    chunks = []  # (s_mod lengths, [(rows, width, shortest row's slots)]) per chunk
+    accuracy, encode = trainer.restoration_accuracy, am.encode_batch
 
-    def counting(ids, *args, **kwargs):
-        calls.append(ids.shape[0])
-        return original(ids, *args, **kwargs)
+    def recording_accuracy(records, *args, **kwargs):
+        chunks.append(([len(r.s_mod) for r in records], []))
+        return accuracy(records, *args, **kwargs)
 
-    monkeypatch.setattr(am, "encode_batch", counting)
+    def recording_encode(ids, *args, **kwargs):
+        chunks[-1][1].append((*ids.shape, int((ids != PAD_ID).sum(axis=1).min())))
+        return encode(ids, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "restoration_accuracy", recording_accuracy)
+    monkeypatch.setattr(am, "encode_batch", recording_encode)
     validation_aug_loss(split, tiny_model, CCFG, seed=3, batch_size=16)
     eligible = sum(len(u.train) >= 2 for u in split.users)
-    assert len(calls) == -(-eligible // 16)
-    assert sum(calls) == eligible
+    assert len(chunks) == -(-eligible // 16)
+    assert sum(rows for _, calls in chunks for rows, _, _ in calls) == eligible
+    for lengths, calls in chunks:
+        assert len(calls) == len(length_classes(lengths))
+        for _, width, shortest in calls:
+            assert width <= 2 * shortest, calls
 
 
 def test_validation_pools_hits_not_ratios(tiny_data, trained_model):
