@@ -12,6 +12,7 @@ from seqrec.data import (
     five_core_filter,
     leave_one_out_split,
     make_batches,
+    pad_batch,
     sample_negatives,
 )
 from seqrec.synthgen import SynthSpec, generate
@@ -43,6 +44,7 @@ overlap = set(cands.negatives) & set(u.full())
 print(f"  99 negatives sampled, overlap with history: {len(overlap)} (must be 0)")
 
 batch = next(make_batches(split, batch_size=4, seed=0))
-print(f"\nfirst batch: ids matrix {batch.ids.shape}, left-padded rows:")
-for row in batch.ids[:2]:
+ids = pad_batch(batch.seqs)
+print(f"\nfirst batch: ids matrix {ids.shape}, left-padded rows:")
+for row in ids[:2]:
     print("  ", row)

@@ -11,6 +11,10 @@ state anchors end-of-sequence insertions: its generation target is the run
 of items deleted from the tail (possibly just STOP). Operation supervision
 covers only the real positions, so the per-position operation loss of an
 all-keep record is exactly len(seq) * ln 3 under uniform logits.
+
+Generation reads the model's ops and decoded runs as a CorruptionRecord
+and rebuilds each sequence with augops.restore_sequence, the same rule
+that undoes a corruption.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .augops import OP_DELETE, OP_INSERT, CorruptionRecord
+from .augops import OP_INSERT, CorruptionRecord, restore_sequence
 from .data import PAD_ID, length_classes, pad_batch
 from .encoder import (
     BlockParams,
@@ -167,7 +171,7 @@ def _encode_classes(
     mask_id = enc.dims.mask_id
     classes = []
     for rows in length_classes([len(s) for s in seqs]):
-        ids = pad_batch([str(i) for i in rows], [seqs[i] + [mask_id] for i in rows]).ids
+        ids = pad_batch([seqs[i] + [mask_id] for i in rows])
         classes.append((rows, encode_batch(ids, enc, train=train, stream=stream)))
     return classes
 
@@ -385,21 +389,28 @@ def _decode_runs(
     return runs
 
 
+def _clip_inputs(seqs: list[list[int]], dims: ModelDims) -> list[list[int]]:
+    """Each sequence's max_aug_len - 1 most recent items.
+
+    This leaves the MASK sentinel a slot within the encoder's window.
+    """
+    return [list(s[-(dims.max_aug_len - 1):]) for s in seqs]
+
+
 def _decide_ops(
     seqs: list[list[int]],
     enc: EncoderParams,
     aug: AugmenterParams,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Encode each sequence plus its MASK sentinel and pick one op per position.
 
-    Returns the hidden states (n, w, e) and the ops (n, w): the argmax
-    operation, or one drawn from its softmax when an rng is given. Sequence
-    i fills columns w-1-len(seqs[i]) .. w-2 and its sentinel column w-1.
-    The encoder runs once per length class (_encode_classes), and each
-    class's states are copied into the right of the batch grid; the cells
-    left of a row hold zero states and zero op logits. Sampling still draws
-    over the whole (n, w) grid in C order.
+    Returns, per sequence, its (len + 1, e) hidden states and its len + 1
+    ops, sentinel last: the argmax operation, or one drawn from its softmax
+    when an rng is given. The encoder runs once per length class
+    (_encode_classes). Each class's op logits are copied into the right of
+    an (n, w) grid whose cells left of a row hold zero logits, so sampling
+    still draws over the whole grid in C order.
     """
     dims = enc.dims
     n, w = len(seqs), max(len(s) for s in seqs) + 1
@@ -410,7 +421,9 @@ def _decide_ops(
             cols = slice(w - h_class.shape[1], w)
             h[rows, cols] = h_class.data
             op_logits[rows, cols] = predict_op_logits(h_class, aug).data
-    return h, op_logits.argmax(axis=-1) if rng is None else _sample_rows(op_logits, rng)
+    ops = op_logits.argmax(axis=-1) if rng is None else _sample_rows(op_logits, rng)
+    cells = [slice(w - 1 - len(s), w) for s in seqs]
+    return [h[i, c] for i, c in enumerate(cells)], [ops[i, c] for i, c in enumerate(cells)]
 
 
 def generate_augmented_batch(
@@ -422,49 +435,28 @@ def generate_augmented_batch(
     """Augment each sequence with the trained model.
 
     Per position the argmax operation is applied, or one drawn from its
-    softmax when an rng is given (insert runs are then sampled too); insert
-    runs are decoded reverse-first and spliced back in forward order before
-    their anchor. The sentinel anchor may append items at the end.
-    Each input is clipped to its max_aug_len - 1 most recent items, which
-    leaves the sentinel a slot within the encoder's window. Output is never
-    empty (falls back to the last item) and is truncated to the max_aug_len
-    most recent tokens.
+    softmax when an rng is given (insert runs are then sampled too). One
+    run is decoded per insert position and one per sentinel, and each
+    sequence is rebuilt by restore_sequence from its predicted ops and
+    runs, so generation undoes damage by the rule corruption records
+    follow. Each input is clipped to its max_aug_len - 1 most recent items
+    (_clip_inputs). Output is never empty (falls back to the last item) and
+    is truncated to the max_aug_len most recent tokens.
     """
     dims = enc.dims
     if any(len(s) < 1 for s in seqs):
         raise ValueError("cannot augment an empty sequence")
-    seqs = [list(s[-(dims.max_aug_len - 1):]) for s in seqs]
-    h, ops = _decide_ops(seqs, enc, aug, rng=rng)
-    n, w = ops.shape
-
-    # One decode slot per insert position plus one per sentinel.
-    anchor_rows: list[int] = []
-    slot_of: dict[tuple[int, int], int] = {}
-    h_flat = h.reshape(n * w, dims.embed_dim)
-    for i, seq in enumerate(seqs):
-        offset = w - 1 - len(seq)
-        for t in range(len(seq)):
-            if ops[i, offset + t] == OP_INSERT:
-                slot_of[(i, t)] = len(anchor_rows)
-                anchor_rows.append(i * w + offset + t)
-        slot_of[(i, len(seq))] = len(anchor_rows)  # sentinel slot
-        anchor_rows.append(i * w + (w - 1))
-    runs = _decode_runs(h_flat[np.array(anchor_rows, dtype=np.int64)], enc, aug, rng=rng)
-
+    seqs = _clip_inputs(seqs, dims)
+    states, ops = _decide_ops(seqs, enc, aug, rng=rng)
+    # Decode anchors per sequence: its insert positions, then its sentinel.
+    anchor_pos = [np.append(np.flatnonzero(o[:-1] == OP_INSERT), len(o) - 1) for o in ops]
+    runs = iter(_decode_runs(np.concatenate([h[p] for h, p in zip(states, anchor_pos)]),
+                             enc, aug, rng=rng))
     out: list[list[int]] = []
-    for i, seq in enumerate(seqs):
-        offset = w - 1 - len(seq)
-        built: list[int] = []
-        for t, item in enumerate(seq):
-            op = ops[i, offset + t]
-            if op == OP_INSERT:
-                built.extend(reversed(runs[slot_of[(i, t)]]))
-            if op != OP_DELETE:
-                built.append(item)
-        built.extend(reversed(runs[slot_of[(i, len(seq))]]))
-        if not built:
-            built = [seq[-1]]
-        out.append(built[-dims.max_aug_len:])
+    for seq, o, p in zip(seqs, ops, anchor_pos):
+        ins_runs = {int(pos): next(runs) for pos in p[:-1]}
+        built = restore_sequence(CorruptionRecord(seq, o[:-1].tolist(), ins_runs, next(runs)))
+        out.append(built[-dims.max_aug_len:] or [seq[-1]])
     return out
 
 

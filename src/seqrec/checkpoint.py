@@ -66,9 +66,17 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
+def _read_text(fh, n: int, what: str) -> str:
+    try:
+        return _read_exact(fh, n).decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise CheckpointError(f"{what} is not valid UTF-8: {err.reason} at byte "
+                              f"{err.start}") from None
+
+
 def _read_array(fh) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-    name = _read_exact(fh, name_len).decode("utf-8")
+    name = _read_text(fh, name_len, "array name")
     code, ndim = struct.unpack("<BB", _read_exact(fh, 2))
     if code not in _DTYPES:
         raise CheckpointError(f"array {name!r}: unknown dtype code {code}")
@@ -159,7 +167,7 @@ def load_checkpoint(path):
     buf = io.BytesIO(data)
     buf.seek(len(magic))
     (config_len,) = struct.unpack("<I", _read_exact(buf, 4))
-    config_text = _read_exact(buf, config_len).decode("utf-8")
+    config_text = _read_text(buf, config_len, "config text")
     (n_params,) = struct.unpack("<I", _read_exact(buf, 4))
     params = dict(_read_array(buf) for _ in range(n_params))
     (has_opt,) = struct.unpack("<B", _read_exact(buf, 1))

@@ -89,14 +89,11 @@ def _read_config(args, stored: RunConfig | None = None) -> RunConfig:
 
 
 def _save_model_ckpt(path, cfg: RunConfig, model: RecModel, phase: str, epoch: int,
-                     opt: AdamState | None = None) -> None:
+                     opt: AdamState) -> None:
     meta = {"n_items": model.dims.n_items, "phase": phase, "epoch": epoch}
     text = "\n".join(config_to_lines(cfg, meta)) + "\n"
-    if opt is None:
-        save_checkpoint(path, text, model_arrays(model))
-    else:
-        save_checkpoint(path, text, model_arrays(model),
-                        opt_step=opt.step_count, opt_arrays=opt.state_arrays())
+    save_checkpoint(path, text, model_arrays(model),
+                    opt_step=opt.step_count, opt_arrays=opt.state_arrays())
 
 
 def _load_model_ckpt(path):

@@ -92,11 +92,10 @@ class EvalCandidates:
 
 @dataclass
 class SequenceBatch:
-    """Right-aligned, left-PAD-padded batch of per-user sequences."""
+    """One batch of per-user train prefixes."""
 
     user_ids: list[str]
     seqs: list[list[int]]
-    ids: np.ndarray  # (N, T) int64, PAD on the left
 
 
 def parse_interactions(path) -> list[Interaction]:
@@ -216,13 +215,13 @@ def sample_negatives(
     return EvalCandidates(target=target, negatives=negatives)
 
 
-def pad_batch(user_ids: list[str], seqs: list[list[int]]) -> SequenceBatch:
-    """Left-pad sequences with PAD to a right-aligned (N, T) id matrix."""
+def pad_batch(seqs: list[list[int]]) -> np.ndarray:
+    """Left-pad sequences with PAD to a right-aligned (N, T) int64 id matrix."""
     width = max(len(s) for s in seqs)
     ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
     for i, s in enumerate(seqs):
         ids[i, width - len(s):] = s
-    return SequenceBatch(user_ids=user_ids, seqs=[list(s) for s in seqs], ids=ids)
+    return ids
 
 
 def length_classes(lengths) -> list[np.ndarray]:
@@ -252,7 +251,7 @@ def make_batches(split: SplitDataset, batch_size: int, seed: int, min_prefix_len
     order = rng_for(seed, "batch-order").permutation(len(eligible))
     for start in range(0, len(eligible), batch_size):
         chunk = [eligible[i] for i in order[start:start + batch_size]]
-        yield pad_batch([u.user_id for u in chunk], [u.train for u in chunk])
+        yield SequenceBatch([u.user_id for u in chunk], [list(u.train) for u in chunk])
 
 
 # ---------------------------------------------------------------------------

@@ -142,15 +142,14 @@ def dist(sum_noisy: float, sum_raw: float) -> float:
 def evaluate_model(
     split: SplitDataset,
     vocab: Vocabulary,
-    enc: EncoderParams | None,
-    rec: RecommenderParams | None,
+    enc: EncoderParams,
+    rec: RecommenderParams,
     which: str = "test",
     seed: int = 0,
     n_negatives: int = 99,
     batch_size: int = 256,
     noisy: NoisySimConfig | None = None,
     transform_context=None,
-    scorer=None,
 ) -> MetricReport:
     """Rank each user's held-out item against sampled negatives.
 
@@ -158,10 +157,9 @@ def evaluate_model(
     which='test' scores the test item given prefix + validation item.
     `noisy` damages the (test) histories first; `transform_context` maps
     each scoring chunk's list of non-empty histories to the list that is
-    scored (used by augment-at-test evaluation). Users whose negative pool
-    is too small are skipped and counted. `scorer` overrides the model: a
-    callable (contexts, candidate_id_matrix) -> score matrix, with the
-    target always in candidate column 0.
+    scored (used by augment-at-test evaluation). The target is always in
+    candidate column 0. Users whose negative pool is too small are skipped
+    and counted.
     """
     if which not in ("valid", "test"):
         raise ValueError(f"split must be 'valid' or 'test', got {which!r}")
@@ -199,8 +197,6 @@ def evaluate_model(
         cand_rows.append(cands.all_ids())
         targets.append(target)
 
-    if scorer is None:
-        scorer = lambda ctxs, cands: score_candidates(ctxs, cands, enc, rec)
     per_user: dict[tuple[str, int], list[float]] = {
         (m, k): [] for m in ("hr", "mrr", "ndcg") for k in K_VALUES
     }
@@ -209,7 +205,7 @@ def evaluate_model(
         ctxs = contexts[chunk]
         if transform_context is not None:
             ctxs = transform_context(ctxs)
-        scores = scorer(ctxs, np.asarray(cand_rows[chunk]))
+        scores = score_candidates(ctxs, np.asarray(cand_rows[chunk]), enc, rec)
         for row, cand, target in zip(scores, cand_rows[chunk], targets[chunk]):
             rank = rank_of_target(row, np.asarray(cand), target)
             for k in K_VALUES:

@@ -69,8 +69,8 @@ def _class_forward(
     gather puts the classes' states back in input order.
     """
     classes = length_classes([len(r) - 1 for r in rows])
-    states = [full_forward(pad_batch([str(i) for i in idx], [rows[i] for i in idx]).ids,
-                           enc, rec, train=train, stream=stream)
+    states = [full_forward(pad_batch([rows[i] for i in idx]), enc, rec, train=train,
+                           stream=stream)
               for idx in classes]
     if len(states) == 1:
         return states[0]

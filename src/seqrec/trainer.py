@@ -25,6 +25,7 @@ import numpy as np
 from . import autograd as ag
 from .augmenter import (
     AugmenterParams,
+    _clip_inputs,
     _decide_ops,
     augmenter_loss,
     generate_augmented_batch,
@@ -122,7 +123,6 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     best_metric: float = float("nan")
-    best_arrays: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _step(loss, params: ParamStore, opt: AdamState, key: tuple) -> None:
@@ -264,7 +264,6 @@ def train_augmenter(
             best = val_loss
             result.best_epoch = epoch
             result.best_metric = val_loss
-            result.best_arrays = params.copy_values()
             patience_left = cfg.patience
         else:
             patience_left -= 1
@@ -440,7 +439,6 @@ def train_recommender(
             best = report.total
             result.best_epoch = epoch
             result.best_metric = report.total
-            result.best_arrays = ParamStore(model.named_params()).copy_values()
             patience_left = cfg.patience
         else:
             patience_left -= 1
@@ -476,13 +474,14 @@ def generation_op_proportions(
     model: RecModel,
     batch_size: int = 256,
 ) -> tuple[float, float, float]:
-    """Realized keep/delete/insert fractions when augmenting `seqs` greedily."""
+    """Realized keep/delete/insert fractions when augmenting `seqs` greedily.
+
+    The inputs are clipped as generation clips them.
+    """
     counts = np.zeros(3)
     for chunk in _chunks(seqs, batch_size):
-        _, ops = _decide_ops(chunk, model.enc, model.aug)
-        w = ops.shape[1]
-        for i, s in enumerate(chunk):
-            counts += np.bincount(ops[i, w - 1 - len(s):w - 1], minlength=3)
+        _, ops = _decide_ops(_clip_inputs(chunk, model.dims), model.enc, model.aug)
+        counts += np.bincount(np.concatenate([o[:-1] for o in ops]), minlength=3)
     total = counts.sum()
     if total == 0:
         return (0.0, 0.0, 0.0)

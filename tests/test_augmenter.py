@@ -254,11 +254,10 @@ CLASS_RECORDS = [
 
 def _one_pass_restoration(records, enc, aug):
     """Oracle: every run padded into one generator pass, every step scored and masked."""
-    batch = pad_batch([str(i) for i in range(len(records))],
-                      [r.s_mod + [DIMS.mask_id] for r in records])
-    n, w = batch.ids.shape
+    ids = pad_batch([r.s_mod + [DIMS.mask_id] for r in records])
+    n, w = ids.shape
     op_targets, op_mask, runs = am._assemble_records(records, w)
-    h = encode_batch(batch.ids, enc)
+    h = encode_batch(ids, enc)
     op_logits = predict_op_logits(h, aug)
     m = max(len(run) for _, run in runs)
     teacher = np.zeros((len(runs), m), dtype=np.int64)
@@ -493,13 +492,13 @@ def test_generate_batch_matches_single():
 
 
 def test_decide_ops_runs_one_encoder_pass_per_length_class(monkeypatch):
-    # each length class gets its own pass; the real cells match one pass
-    # over the whole batch up to padding's last-ulp rounding
+    # each length class gets its own pass; each sequence's row matches its
+    # real cells of one pass over the whole batch up to padding's last-ulp
+    # rounding
     enc, aug = fresh_params(21)
     seqs = [[1 + (3 * i + j) % DIMS.n_items for j in range(n)]
             for i, n in enumerate((9, 1, 4, 2, 3, 17))]
-    ids = pad_batch([str(i) for i in range(len(seqs))],
-                    [s + [DIMS.mask_id] for s in seqs]).ids
+    ids = pad_batch([s + [DIMS.mask_id] for s in seqs])
     with ag.no_grad():
         one_pass = encode_batch(ids, enc)
         one_pass_ops = predict_op_logits(one_pass, aug).data.argmax(axis=-1)
@@ -510,11 +509,14 @@ def test_decide_ops_runs_one_encoder_pass_per_length_class(monkeypatch):
         return encode_batch(ids_, *args, **kwargs)
 
     monkeypatch.setattr(am, "encode_batch", counting_encode)
-    h, ops = am._decide_ops(seqs, enc, aug)
+    states, ops = am._decide_ops(seqs, enc, aug)
     assert widths == [2, 4, 5, 10, 18]  # each class's widest row, sentinel included
+    assert [len(o) for o in ops] == [len(s) + 1 for s in seqs]
     real = ids != 0
-    np.testing.assert_allclose(h[real], one_pass.data[real], rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(ops[real], one_pass_ops[real])
+    for i, (h_i, ops_i) in enumerate(zip(states, ops)):
+        assert h_i.shape == (len(seqs[i]) + 1, DIMS.embed_dim)
+        np.testing.assert_allclose(h_i, one_pass.data[i][real[i]], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(ops_i, one_pass_ops[i][real[i]])
 
 
 def test_stochastic_batch_draws_are_pinned():
@@ -533,13 +535,15 @@ def test_stochastic_batch_draws_are_pinned():
 
 
 def test_greedy_decode_matches_full_row_decoding(monkeypatch):
-    # every position of the pinned model's batch as an anchor; decoding that
-    # computes each step's logits alone must pick what full-row decoding picks
+    # every real position of the pinned model's batch as an anchor; decoding
+    # that computes each step's logits alone must pick what full-row
+    # decoding picks
     model = _load_model_ckpt(FIXTURE)[2]
     seqs = [[(start + 2 * j) % 120 + 1 for j in range(n)]
             for start, n in ((0, 6), (37, 9), (60, 3), (115, 8), (90, 14))]
-    h, _ = am._decide_ops(seqs, model.enc, model.aug)
-    anchors = h.reshape(-1, h.shape[-1])
+    states, _ = am._decide_ops(seqs, model.enc, model.aug)
+    anchors = np.concatenate(states)  # every real position and every sentinel
+    assert len(anchors) == 45
     last_step = am._decode_runs(anchors, model.enc, model.aug)
 
     full = am.generator_forward

@@ -231,6 +231,17 @@ def test_v1_file_still_loads_array_for_array(tmp_path):
         np.testing.assert_array_equal(opt_b["m.x"], np.full(4, 0.5))
 
 
+@pytest.mark.parametrize("where", ["config", "array name"])
+def test_v1_invalid_utf8_rejected(tmp_path, where):
+    # a v1 file has no CRC, so a bad text byte must fail in the parser
+    path = _saved_v2(tmp_path)
+    raw = bytearray(ckpt.MAGIC_V1 + path.read_bytes()[len(ckpt.MAGIC):-4])
+    raw[{"config": len(ckpt.MAGIC_V1) + 4, "array name": raw.index(b"w")}[where]] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=f"{where}.* not valid UTF-8"):
+        load_checkpoint(path)
+
+
 def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "augmenter-last.ckpt"
     save_checkpoint(path, "seed = 1\n", {"a": np.zeros(3), "b": np.ones((2, 2))},

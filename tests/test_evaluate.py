@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seqrec import evaluate
 from seqrec.data import ItemSequence, Vocabulary, leave_one_out_split
 from seqrec.encoder import EncoderParams, ModelDims
 from seqrec.evaluate import (
@@ -211,24 +212,26 @@ def make_split(n_users=40, n_items=130, seq_len=8, seed=0):
     return leave_one_out_split(seqs), make_vocab(n_items)
 
 
-def test_perfect_scorer_gives_sum_nine():
+def test_perfect_scorer_gives_sum_nine(monkeypatch):
     split, vocab = make_split()
-    def oracle(contexts, cands):
+    def oracle(contexts, cands, enc, rec):
         scores = np.zeros(cands.shape)
         scores[:, 0] = 1.0  # the target occupies column 0
         return scores
-    report = evaluate_model(split, vocab, None, None, scorer=oracle, seed=1)
+    monkeypatch.setattr(evaluate, "score_candidates", oracle)
+    report = evaluate_model(split, vocab, None, None, seed=1)
     for k in K_VALUES:
         assert report.hr[k] == report.mrr[k] == report.ndcg[k] == 1.0
     assert abs(report.total - 9.0) < 1e-12
 
 
-def test_random_scorer_hit_rate_near_expectation():
+def test_random_scorer_hit_rate_near_expectation(monkeypatch):
     split, vocab = make_split(n_users=1000, n_items=200, seq_len=6, seed=5)
-    def scorer(contexts, cands):
+    def scorer(contexts, cands, enc, rec):
         rng = np.random.default_rng(abs(hash(cands.tobytes())) % 2**32)
         return rng.standard_normal(cands.shape)
-    report = evaluate_model(split, vocab, None, None, scorer=scorer, seed=2)
+    monkeypatch.setattr(evaluate, "score_candidates", scorer)
+    report = evaluate_model(split, vocab, None, None, seed=2)
     assert abs(report.hr[10] - 0.10) <= 0.03
 
 
@@ -247,22 +250,23 @@ def test_report_deterministic_and_order_independent():
     assert a.total == c.total
 
 
-def test_valid_and_test_splits_use_different_targets():
+def test_valid_and_test_splits_use_different_targets(monkeypatch):
     split, vocab = make_split(n_users=12)
     hits = []
-    def remember(contexts, cands):
+    def remember(contexts, cands, enc, rec):
         hits.append((len(contexts[0]), cands.shape))
         scores = np.zeros(cands.shape)
         scores[:, 0] = 1.0
         return scores
-    evaluate_model(split, vocab, None, None, scorer=remember, which="valid", seed=0)
+    monkeypatch.setattr(evaluate, "score_candidates", remember)
+    evaluate_model(split, vocab, None, None, which="valid", seed=0)
     valid_ctx_len = hits[0][0]
     hits.clear()
-    evaluate_model(split, vocab, None, None, scorer=remember, which="test", seed=0)
+    evaluate_model(split, vocab, None, None, which="test", seed=0)
     assert hits[0][0] == valid_ctx_len + 1  # test history includes the valid item
 
 
-def test_pool_too_small_users_are_counted():
+def test_pool_too_small_users_are_counted(monkeypatch):
     # 120 items, users touch 30 distinct -> pool 90 < 99
     rng = np.random.default_rng(9)
     seqs = [
@@ -271,11 +275,12 @@ def test_pool_too_small_users_are_counted():
     ]
     split = leave_one_out_split(seqs)
     vocab = make_vocab(120)
-    def oracle(contexts, cands):
+    def oracle(contexts, cands, enc, rec):
         scores = np.zeros(cands.shape)
         scores[:, 0] = 1.0
         return scores
-    report = evaluate_model(split, vocab, None, None, scorer=oracle, seed=0)
+    monkeypatch.setattr(evaluate, "score_candidates", oracle)
+    report = evaluate_model(split, vocab, None, None, seed=0)
     assert report.n_skipped == 5
     assert report.n_users == 0
 

@@ -220,7 +220,7 @@ TRAIN_LENGTHS = (33, 2, 9, 75, 3, 17, 5, 40)
 
 def one_padded_pass(rows, enc, rec, train=False, stream=None):
     """The oracle for recommender._class_forward: every row in one padded pass."""
-    ids = pad_batch([str(i) for i in range(len(rows))], rows).ids
+    ids = pad_batch(rows)
     return recommender.full_forward(ids, enc, rec, train=train, stream=stream)
 
 

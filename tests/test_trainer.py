@@ -24,6 +24,7 @@ from seqrec.trainer import (
     dims_from_config,
     generation_op_proportions,
     joint_loss,
+    make_optimizer,
     model_arrays,
     model_from_arrays,
     train_augmenter,
@@ -292,7 +293,9 @@ def test_augmenter_training_reduces_loss(tiny_data):
     # the walks are cyclic, so ops become predictable beyond 3-way chance
     assert result.history[-1]["val_op_accuracy"] > 1 / 3
     assert result.best_epoch >= 0
-    assert set(result.best_arrays) == set(result.model.named_params(("enc", "aug")))
+    params, _ = make_optimizer(result.model, cfg, "augmenter")
+    names = {name for name, _ in params.items()}
+    assert names == set(result.model.named_params(("enc", "aug")))
 
 
 def test_augmenter_training_deterministic(tiny_data):
@@ -422,6 +425,16 @@ def test_generation_op_proportions_are_the_augmenters_ops(tiny_data, trained_mod
     for batch_size in (256, 7):
         props = generation_op_proportions(seqs, trained_model, batch_size=batch_size)
         assert props == (73 / 332, 9 / 332, 250 / 332)
+
+
+def test_op_proportions_clip_like_generation(trained_model):
+    # an input that fills the window is clipped to leave the sentinel a slot,
+    # as generate_augmented_batch clips it
+    cap = trained_model.dims.max_aug_len
+    seq = [(7 + j) % 120 + 1 for j in range(cap)]
+    props = generation_op_proportions([seq], trained_model)
+    assert props == generation_op_proportions([seq[-(cap - 1):]], trained_model)
+    assert abs(sum(props) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
