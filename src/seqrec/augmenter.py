@@ -15,6 +15,11 @@ all-keep record is exactly len(seq) * ln 3 under uniform logits.
 Generation reads the model's ops and decoded runs as a CorruptionRecord
 and rebuilds each sequence with augops.restore_sequence, the same rule
 that undoes a corruption.
+
+The restoration loss trains when it is given a SeedStream: the encoder's
+and the generator's passes then draw their dropout masks from it, in
+class order. Generation and the held-out diagnostics take no stream and
+draw none.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .encoder import (
     BlockParams,
     EncoderParams,
     ModelDims,
+    _dropout,
     encode_batch,
     transformer_stack,
 )
@@ -94,7 +100,6 @@ def generator_forward(
     teacher_ids: np.ndarray,
     enc: EncoderParams,
     aug: AugmenterParams,
-    train: bool = False,
     stream: SeedStream | None = None,
     last_only: bool = False,
     steps: np.ndarray | None = None,
@@ -118,15 +123,11 @@ def generator_forward(
         parts.append(ag.embedding_lookup(enc.item_emb, teacher_ids))
     h = ag.concat(parts, axis=1) if len(parts) > 1 else parts[0]
     pos = ag.embedding_lookup(aug.gen_pos, np.arange(m + 1, dtype=np.int64))
-    h = h + pos
-    if train and dims.dropout > 0:
-        if stream is None:
-            raise ValueError("training forward needs a SeedStream for dropout")
-        h = ag.dropout(h, dims.dropout, train=True, rng=stream.next_rng())
+    h = _dropout(h + pos, dims, stream)
     # Padding beyond a run's true length sits to the right; causal masking
     # keeps it out of every valid step, so a plain causal mask suffices.
     fake_ids = np.ones((r, m + 1), dtype=np.int64)
-    h = transformer_stack(h, aug.gen_blocks, dims, fake_ids, train=train, stream=stream,
+    h = transformer_stack(h, aug.gen_blocks, dims, fake_ids, stream=stream,
                           last_only=last_only)
     if steps is not None:
         h = ag.embedding_lookup(h.reshape(r * (m + 1), e), steps)
@@ -156,7 +157,6 @@ class AugLossStats:
 def _encode_classes(
     seqs: list[list[int]],
     enc: EncoderParams,
-    train: bool = False,
     stream: SeedStream | None = None,
 ) -> list[tuple[np.ndarray, Tensor]]:
     """Encode each sequence plus its MASK sentinel, one pass per length class.
@@ -172,7 +172,7 @@ def _encode_classes(
     classes = []
     for rows in length_classes([len(s) for s in seqs]):
         ids = pad_batch([seqs[i] + [mask_id] for i in rows])
-        classes.append((rows, encode_batch(ids, enc, train=train, stream=stream)))
+        classes.append((rows, encode_batch(ids, enc, stream=stream)))
     return classes
 
 
@@ -252,7 +252,6 @@ def _restoration_forward(
     records: list[CorruptionRecord],
     enc: EncoderParams,
     aug: AugmenterParams,
-    train: bool = False,
     stream: SeedStream | None = None,
 ) -> tuple[_Head, _Head, AugLossStats]:
     """Encode the damaged sequences, then score operations and teacher-forced runs.
@@ -272,8 +271,7 @@ def _restoration_forward(
     states, op_targets, op_masks = [], [], []
     runs: list[tuple[int, list[int]]] = []
     base = 0  # flat index of the class's first cell in the concatenation
-    for rows, h in _encode_classes([r.s_mod for r in records], enc, train=train,
-                                   stream=stream):
+    for rows, h in _encode_classes([r.s_mod for r in records], enc, stream=stream):
         n_c, w_c = h.shape[:2]
         targets_c, mask_c, runs_c = _assemble_records([records[i] for i in rows], w_c)
         states.append(h.reshape(n_c * w_c, dims.embed_dim))
@@ -289,7 +287,7 @@ def _restoration_forward(
         anchor_idx, teacher, steps, group_targets = _run_matrices([runs[j] for j in rows],
                                                                   _stop_class(dims))
         logits.append(generator_forward(ag.embedding_lookup(h_flat, anchor_idx), teacher,
-                                        enc, aug, train=train, stream=stream, steps=steps))
+                                        enc, aug, stream=stream, steps=steps))
         targets.append(group_targets)
     gen_targets = np.concatenate(targets)
     gen = _head(ag.concat(logits, axis=0), gen_targets, np.ones(len(gen_targets)))
@@ -303,7 +301,6 @@ def augmenter_loss(
     records: list[CorruptionRecord],
     enc: EncoderParams,
     aug: AugmenterParams,
-    train: bool = False,
     stream: SeedStream | None = None,
 ) -> tuple[Tensor, AugLossStats]:
     """Batch-mean restoration NLL: operation labels + teacher-forced runs.
@@ -311,7 +308,7 @@ def augmenter_loss(
     Every record contributes one end-of-sequence run (its deleted tail, or
     just STOP), so the generator also learns when nothing belongs at the end.
     """
-    op, gen, stats = _restoration_forward(records, enc, aug, train=train, stream=stream)
+    op, gen, stats = _restoration_forward(records, enc, aug, stream=stream)
     return (op.nll_sum + gen.nll_sum) * (1.0 / stats.n_records), stats
 
 

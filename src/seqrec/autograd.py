@@ -389,14 +389,12 @@ def layer_norm(x: Tensor, eps: float = 1e-8) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout; identity when train is false or rate is 0."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout with a mask drawn from rng; identity when rate is 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in train mode needs an rng")
     keep = (rng.random(x.shape) >= rate).astype(x.data.dtype)
     scale = 1.0 / (1.0 - rate)
     out = Tensor(x.data * keep * scale)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .augops import AugConfig
+from .encoder import ModelDims
 from .errors import ConfigError
 from .evaluate import K_VALUES
 
@@ -61,21 +63,26 @@ class RunConfig:
             raise ConfigError(f"p_keep+p_delete+p_insert must be 1, got {total}")
         if self.max_insert < 1 or self.max_insert > 5:
             raise ConfigError(f"max_insert must be in 1..5, got {self.max_insert}")
+        try:  # the contrast ratios and the head split, checked before any training
+            AugConfig(self.gamma, self.eta, self.beta_r)
+            ModelDims(0, embed_dim=self.embed_dim, n_heads=self.n_heads)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
-def _parse_value(name: str, raw: str):
-    field = _FIELDS[name]
+def _parse_value(name: str, raw: str, line_no: int):
+    kind = _FIELDS[name].type
     raw = raw.strip()
-    if field.type in ("int",):
-        return int(raw)
-    if field.type in ("float",):
-        return float(raw)
-    if field.type in ("str",):
+    if kind == "str":
         return raw
-    raise ConfigError(f"cannot parse config key {name!r}")
+    try:
+        return {"int": int, "float": float}[kind](raw)
+    except ValueError:
+        raise ConfigError(f"config line {line_no}: {name} must be {kind}, "
+                          f"got {raw!r}") from None
 
 
 def _check_retired(key: str, raw: str, line_no: int) -> None:
@@ -118,7 +125,7 @@ def parse_config_lines(lines, base: RunConfig | None = None) -> RunConfig:
             # the retired testaug mode trained exactly as full; augmenting
             # at test time is `evaluate --testaug`
             raw = "full"
-        setattr(cfg, key, _parse_value(key, raw))
+        setattr(cfg, key, _parse_value(key, raw, line_no))
     cfg.validate()
     return cfg
 

@@ -5,6 +5,11 @@ real tokens only, and attention gives PAD keys exactly zero weight, so the
 hidden states of real positions do not depend on how much padding a batch
 adds (up to BLAS kernel rounding at the last ulp). Attention is causal:
 position t sees positions <= t.
+
+A forward trains exactly when it is given a SeedStream: each dropout site
+then draws its mask from the stream's next generator, in a fixed order.
+Without a stream, or at dropout 0, no mask is drawn and dropout is the
+identity.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ class ModelDims:
     max_insert: int = 5     # longest generated insertion run
 
     def __post_init__(self):
-        if self.embed_dim % self.n_heads != 0:
+        if self.n_heads < 1 or self.embed_dim % self.n_heads != 0:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}"
             )
@@ -121,10 +126,19 @@ def attention_mask(ids: np.ndarray) -> np.ndarray:
     return np.where(allowed, 0.0, NEG_INF)
 
 
+def _dropout(h: Tensor, dims: ModelDims, stream: SeedStream | None) -> Tensor:
+    """Dropout at rate dims.dropout with a mask from the stream's next generator.
+
+    Without a stream, or at rate 0, h itself: no generator is drawn.
+    """
+    if stream is None or dims.dropout == 0:
+        return h
+    return ag.dropout(h, dims.dropout, stream.next_rng())
+
+
 def embed_sequence(
     ids: np.ndarray,
     enc: EncoderParams,
-    train: bool = False,
     stream: SeedStream | None = None,
 ) -> Tensor:
     """Initial hidden states: item embedding + position embedding (+ dropout)."""
@@ -140,11 +154,7 @@ def embed_sequence(
         )
     h = ag.embedding_lookup(enc.item_emb, ids)
     h = h + ag.embedding_lookup(enc.pos_emb, position_indices(ids))
-    if train and dims.dropout > 0:
-        if stream is None:
-            raise ValueError("training forward needs a SeedStream for dropout")
-        h = ag.dropout(h, dims.dropout, train=True, rng=stream.next_rng())
-    return h
+    return _dropout(h, dims, stream)
 
 
 def transformer_stack(
@@ -152,7 +162,6 @@ def transformer_stack(
     blocks: list[BlockParams],
     dims: ModelDims,
     ids: np.ndarray,
-    train: bool = False,
     stream: SeedStream | None = None,
     last_only: bool = False,
 ) -> Tensor:
@@ -169,13 +178,6 @@ def transformer_stack(
     e, heads, dh = dims.embed_dim, dims.n_heads, dims.head_dim
     mask = attention_mask(ids)
     scale = 1.0 / np.sqrt(dh)
-    if train and dims.dropout > 0 and stream is None:
-        raise ValueError("training forward needs a SeedStream for dropout")
-
-    def drop(x):
-        if train and dims.dropout > 0:
-            return ag.dropout(x, dims.dropout, train=True, rng=stream.next_rng())
-        return x
 
     def split_heads(x, rows):
         return ag.transpose(x.reshape(n, rows, heads, dh), (0, 2, 1, 3))
@@ -190,12 +192,12 @@ def transformer_stack(
             mask = mask[:, :, -1:, :]
         q = split_heads(ag.matmul(h, blk.Wq), rows)
         scores = ag.matmul(q, ag.transpose_last(k)) * scale + ag.constant(mask)
-        attn = drop(ag.softmax(scores))
+        attn = _dropout(ag.softmax(scores), dims, stream)
         ctx = ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)).reshape(n, rows, e)
-        h = h + drop(ag.matmul(ctx, blk.Wo))
+        h = h + _dropout(ag.matmul(ctx, blk.Wo), dims, stream)
         h = ag.layer_norm(h) * blk.ln1_g + blk.ln1_b
         f = ag.relu(ag.matmul(h, blk.W1) + blk.b1)
-        f = drop(ag.matmul(f, blk.W2) + blk.b2)
+        f = _dropout(ag.matmul(f, blk.W2) + blk.b2, dims, stream)
         h = ag.layer_norm(h + f) * blk.ln2_g + blk.ln2_b
     return h.reshape(n, e) if last_only else h
 
@@ -203,12 +205,11 @@ def transformer_stack(
 def encode_batch(
     ids: np.ndarray,
     enc: EncoderParams,
-    train: bool = False,
     stream: SeedStream | None = None,
 ) -> Tensor:
     """Full encoder forward: embeddings then the block stack."""
-    h = embed_sequence(ids, enc, train=train, stream=stream)
-    return transformer_stack(h, enc.blocks, enc.dims, ids, train=train, stream=stream)
+    h = embed_sequence(ids, enc, stream=stream)
+    return transformer_stack(h, enc.blocks, enc.dims, ids, stream=stream)
 
 
 def take_last_position(h: Tensor) -> Tensor:

@@ -6,6 +6,8 @@ prediction conditions on every real item. Sequence representations for the
 contrastive losses come from the same stack's last-position states. Every
 caller reads only that position, so the stack's last block computes it alone,
 and every caller runs one pass per length class of its rows (_class_forward).
+A pass trains, drawing its dropout masks, exactly when it is given a
+SeedStream; scoring takes none.
 """
 
 from __future__ import annotations
@@ -45,20 +47,17 @@ def full_forward(
     ids: np.ndarray,
     enc: EncoderParams,
     rec: RecommenderParams,
-    train: bool = False,
     stream: SeedStream | None = None,
 ) -> Tensor:
     """Encoder then recommender stack; (N, e) states at the final position."""
-    h = encode_batch(ids, enc, train=train, stream=stream)
-    return transformer_stack(h, rec.blocks, rec.dims, ids, train=train, stream=stream,
-                             last_only=True)
+    h = encode_batch(ids, enc, stream=stream)
+    return transformer_stack(h, rec.blocks, rec.dims, ids, stream=stream, last_only=True)
 
 
 def _class_forward(
     rows: list[list[int]],
     enc: EncoderParams,
     rec: RecommenderParams,
-    train: bool = False,
     stream: SeedStream | None = None,
 ) -> Tensor:
     """(N, e) final-position states of `rows`, in input order.
@@ -69,8 +68,7 @@ def _class_forward(
     gather puts the classes' states back in input order.
     """
     classes = length_classes([len(r) - 1 for r in rows])
-    states = [full_forward(pad_batch([rows[i] for i in idx]), enc, rec, train=train,
-                           stream=stream)
+    states = [full_forward(pad_batch([rows[i] for i in idx]), enc, rec, stream=stream)
               for idx in classes]
     if len(states) == 1:
         return states[0]
@@ -83,7 +81,6 @@ def sequence_reprs(
     seqs: list[list[int]],
     enc: EncoderParams,
     rec: RecommenderParams,
-    train: bool = False,
     stream: SeedStream | None = None,
 ) -> Tensor:
     """(N, e) sequence summaries from the full stack, for similarity scores:
@@ -92,7 +89,7 @@ def sequence_reprs(
     if any(len(s) < 1 for s in seqs):
         raise ValueError("cannot represent an empty sequence")
     clipped = [s[-enc.dims.max_aug_len:] for s in seqs]
-    return _class_forward(clipped, enc, rec, train=train, stream=stream)
+    return _class_forward(clipped, enc, rec, stream=stream)
 
 
 def item_logits(h_last: Tensor, enc: EncoderParams) -> Tensor:
@@ -108,7 +105,6 @@ def rec_loss(
     seqs: list[list[int]],
     enc: EncoderParams,
     rec: RecommenderParams,
-    train: bool = False,
     stream: SeedStream | None = None,
 ) -> Tensor:
     """Batch-mean NLL of each row's true last item at the masked slot.
@@ -122,7 +118,7 @@ def rec_loss(
         raise ValueError("recommendation rows need >= 2 items (context + target)")
     rows = [s[:-1] + [dims.mask_id] for s in clipped]
     targets = np.array([s[-1] - 1 for s in clipped], dtype=np.int64)
-    h = _class_forward(rows, enc, rec, train=train, stream=stream)
+    h = _class_forward(rows, enc, rec, stream=stream)
     return ag.cross_entropy(item_logits(h, enc), targets).mean()
 
 

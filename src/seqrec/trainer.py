@@ -9,7 +9,10 @@ augmenter is frozen except in cotrain mode.
 
 This module owns the run policy: which modes need a pretrained augmenter,
 which components each phase trains, how the corruption generator is
-configured from a RunConfig, and whether a model can run a mode.
+configured from a RunConfig, and whether a model can run a mode. Both
+phases run one epoch loop (_run_epochs): batch order, one dropout
+SeedStream per batch (the forward trains because it is given one), the
+Adam step, loss averages, validation, early stopping and the log line.
 
 All randomness is keyed by (seed, phase, epoch, batch, row), so a run can
 be resumed from a checkpoint and continue exactly as the unbroken run.
@@ -206,6 +209,66 @@ def validation_aug_loss(split: SplitDataset, model: RecModel, ccfg: CorruptionCo
     return mean, detail
 
 
+# Per phase: the tag of its batch-order and dropout keys, and the history
+# field that picks the best epoch, with its sign (1 maximises, -1 minimises).
+_PHASES = {"augmenter": ("aug", "val_loss", -1), "recommender": ("rec", "val_sum", 1)}
+
+
+def _run_epochs(phase: str, split: SplitDataset, cfg: RunConfig, model: RecModel,
+                opt: AdamState | None, start_epoch: int, batch_loss, validate,
+                on_epoch=None, log=None) -> TrainResult:
+    """The epoch loop of both phases, up to cfg.epochs_<phase>.
+
+    Batch b of an epoch steps on batch_loss(batch, epoch, b, stream) -> (loss,
+    parts), or is skipped on None; the row averages the parts over the stepped
+    batches and adds validate()'s fields. An epoch improves when its metric
+    beats every earlier one's (a phase-1 val_loss of inf never does); the run
+    stops after cfg.patience epochs without one.
+    """
+    tag, metric, sign = _PHASES[phase]
+    params, new_opt = make_optimizer(model, cfg, phase)
+    result = TrainResult(model, opt or new_opt)
+    best = -float("inf")
+    patience_left = cfg.patience
+    for epoch in range(start_epoch, getattr(cfg, f"epochs_{phase}")):
+        t0 = time.time()
+        sums: dict[str, float] = {}
+        n_batches = 0
+        batches = make_batches(split, cfg.batch_size,
+                               seed=derive_seed(cfg.seed, f"{tag}-order", epoch),
+                               min_prefix_len=2)
+        for b_idx, batch in enumerate(batches):
+            stream = SeedStream(cfg.seed, f"{tag}-dropout", epoch, b_idx)
+            stepped = batch_loss(batch, epoch, b_idx, stream)
+            if stepped is None:
+                continue
+            loss, parts = stepped
+            _step(loss, params, result.opt, (cfg.seed, phase, epoch, b_idx))
+            for key, val in parts.items():
+                sums[key] = sums.get(key, 0.0) + val
+            n_batches += 1
+        row = {"epoch": epoch, **{k: v / n_batches for k, v in sums.items()}, **validate()}
+        row["seconds"] = time.time() - t0
+        result.history.append(row)
+        improved = sign * row[metric] > best
+        if improved:
+            best = sign * row[metric]
+            result.best_epoch = epoch
+            result.best_metric = row[metric]
+            patience_left = cfg.patience
+        else:
+            patience_left -= 1
+        if log:
+            fields = " ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
+                              for k, v in row.items() if k not in ("epoch", "seconds"))
+            log(f"{phase} epoch {epoch}: {fields} ({row['seconds']:.1f}s)")
+        if on_epoch:
+            on_epoch(epoch, result.model, result.opt, row, improved)
+        if patience_left <= 0:
+            break
+    return result
+
+
 def train_augmenter(
     split: SplitDataset,
     vocab: Vocabulary,
@@ -226,56 +289,22 @@ def train_augmenter(
         model = build_model(dims, cfg.seed, with_aug=True, with_rec=False)
     _check_prefix_lengths(split, model.dims.max_len)
     ccfg = corruption_config(cfg, vocab.n_items)
-    params, new_opt = make_optimizer(model, cfg, "augmenter")
-    opt = opt or new_opt
-    result = TrainResult(model=model, opt=opt)
-    max_mod_len = dims.max_aug_len - 1
-    patience_left = cfg.patience
-    best = float("inf")
-    for epoch in range(start_epoch, cfg.epochs_augmenter):
-        t0 = time.time()
-        epoch_loss, n_batches = 0.0, 0
-        batches = make_batches(split, cfg.batch_size,
-                               seed=derive_seed(cfg.seed, "aug-order", epoch),
-                               min_prefix_len=2)
-        for b_idx, batch in enumerate(batches):
-            records = _corrupt_batch(batch.seqs, batch.user_ids, ccfg, cfg.seed,
-                                     epoch, max_mod_len)
-            if not records:
-                continue
-            stream = SeedStream(cfg.seed, "aug-dropout", epoch, b_idx)
-            loss, stats = augmenter_loss(records, model.enc, model.aug,
-                                         train=True, stream=stream)
-            _step(loss, params, opt, (cfg.seed, "augmenter", epoch, b_idx))
-            epoch_loss += stats.loss
-            n_batches += 1
+
+    def batch_loss(batch, epoch, b_idx, stream):
+        records = _corrupt_batch(batch.seqs, batch.user_ids, ccfg, cfg.seed, epoch,
+                                 dims.max_aug_len - 1)
+        if not records:
+            return None
+        loss, stats = augmenter_loss(records, model.enc, model.aug, stream=stream)
+        return loss, {"train_loss": stats.loss}
+
+    def validate():
         val_loss, val_acc = validation_aug_loss(split, model, ccfg, cfg.seed, cfg.batch_size)
-        row = {
-            "epoch": epoch,
-            "train_loss": epoch_loss / max(n_batches, 1),
-            "val_loss": val_loss,
-            "val_op_accuracy": val_acc["op_accuracy"],
-            "val_ins_top1": val_acc["ins_top1"],
-            "seconds": time.time() - t0,
-        }
-        result.history.append(row)
-        improved = val_loss < best
-        if improved:
-            best = val_loss
-            result.best_epoch = epoch
-            result.best_metric = val_loss
-            patience_left = cfg.patience
-        else:
-            patience_left -= 1
-        if log:
-            log(f"augmenter epoch {epoch}: train {row['train_loss']:.4f} "
-                f"val {val_loss:.4f} op_acc {val_acc['op_accuracy']:.3f} "
-                f"ins_top1 {val_acc['ins_top1']:.3f} ({row['seconds']:.1f}s)")
-        if on_epoch:
-            on_epoch(epoch, model, opt, row, improved)
-        if patience_left <= 0:
-            break
-    return result
+        return {"val_loss": val_loss, "val_op_accuracy": val_acc["op_accuracy"],
+                "val_ins_top1": val_acc["ins_top1"]}
+
+    return _run_epochs("augmenter", split, cfg, model, opt, start_epoch, batch_loss,
+                       validate, on_epoch, log)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +350,12 @@ def joint_loss(
     cfg: RunConfig,
     epoch,
     batch_idx,
-    train: bool = True,
     stream: SeedStream | None = None,
 ):
     """L = L_rec + alpha*L_cl + beta*L_tri (+ restoration loss in cotrain).
 
-    The terms and views follow cfg.mode.
+    The terms and views follow cfg.mode. With a stream the forward trains:
+    every stack draws its dropout masks from it, in call order.
     """
     mode = cfg.mode
     if mode not in MODES:
@@ -334,14 +363,14 @@ def joint_loss(
     alpha = cfg.alpha
     beta = 0.0 if mode == "wo_tri" else cfg.beta
     parts: dict[str, float] = {}
-    total = rec_loss(seqs, model.enc, model.rec, train=train, stream=stream)
+    total = rec_loss(seqs, model.enc, model.rec, stream=stream)
     parts["rec"] = total.item()
     if alpha != 0.0 or beta != 0.0:
         aug_cfg = AugConfig(cfg.gamma, cfg.eta, cfg.beta_r)
         view1, view2 = make_contrast_views(seqs, user_ids, model, mode, aug_cfg,
                                            cfg.seed, epoch, batch_idx)
-        r1 = sequence_reprs(view1, model.enc, model.rec, train=train, stream=stream)
-        r2 = sequence_reprs(view2, model.enc, model.rec, train=train, stream=stream)
+        r1 = sequence_reprs(view1, model.enc, model.rec, stream=stream)
+        r2 = sequence_reprs(view2, model.enc, model.rec, stream=stream)
         # a trailing remainder batch of one user has no in-batch negatives;
         # the triplet term still applies
         if alpha != 0.0 and len(seqs) >= 2:
@@ -349,7 +378,7 @@ def joint_loss(
             parts["cl"] = l_cl.item()
             total = total + alpha * l_cl
         if beta != 0.0:
-            r_raw = sequence_reprs(seqs, model.enc, model.rec, train=train, stream=stream)
+            r_raw = sequence_reprs(seqs, model.enc, model.rec, stream=stream)
             l_tri = triplet_loss(r_raw, r1, r2)
             parts["tri"] = l_tri.item()
             total = total + beta * l_tri
@@ -358,8 +387,7 @@ def joint_loss(
         records = _corrupt_batch(seqs, user_ids, ccfg, cfg.seed, f"co-{epoch}",
                                  model.dims.max_aug_len - 1)
         if records:
-            l_aug, stats = augmenter_loss(records, model.enc, model.aug,
-                                          train=train, stream=stream)
+            l_aug, stats = augmenter_loss(records, model.enc, model.aug, stream=stream)
             parts["aug"] = stats.loss
             total = total + l_aug
     parts["total"] = total.item()
@@ -405,52 +433,20 @@ def train_recommender(
                           f"checkpoint (--augmenter CKPT)")
     if cfg.mode == "cotrain":
         _check_prefix_lengths(split, model.dims.max_len)
-    params, new_opt = make_optimizer(model, cfg, "recommender")
-    opt = opt or new_opt
-    result = TrainResult(model=model, opt=opt)
-    patience_left = cfg.patience
-    best = -float("inf")
-    for epoch in range(start_epoch, cfg.epochs_recommender):
-        t0 = time.time()
-        sums: dict[str, float] = {}
-        n_batches = 0
-        batches = make_batches(split, cfg.batch_size,
-                               seed=derive_seed(cfg.seed, "rec-order", epoch),
-                               min_prefix_len=2)
-        for b_idx, batch in enumerate(batches):
-            stream = SeedStream(cfg.seed, "rec-dropout", epoch, b_idx)
-            loss, parts = joint_loss(batch.seqs, batch.user_ids, model, cfg, epoch, b_idx,
-                                     train=True, stream=stream)
-            _step(loss, params, opt, (cfg.seed, "recommender", epoch, b_idx))
-            for key, val in parts.items():
-                sums[key] = sums.get(key, 0.0) + val
-            n_batches += 1
+
+    def batch_loss(batch, epoch, b_idx, stream):
+        loss, parts = joint_loss(batch.seqs, batch.user_ids, model, cfg, epoch, b_idx,
+                                 stream=stream)
+        return loss, {f"loss_{key}": val for key, val in parts.items()}
+
+    def validate():
         report = evaluate_model(split, vocab, model.enc, model.rec, which="valid",
                                 seed=cfg.seed, n_negatives=cfg.n_negatives,
                                 batch_size=cfg.batch_size)
-        row = {"epoch": epoch, "val_sum": report.total,
-               "val_skipped": report.n_skipped,
-               "seconds": time.time() - t0}
-        for key, val in sums.items():
-            row[f"loss_{key}"] = val / max(n_batches, 1)
-        result.history.append(row)
-        improved = report.total > best
-        if improved:
-            best = report.total
-            result.best_epoch = epoch
-            result.best_metric = report.total
-            patience_left = cfg.patience
-        else:
-            patience_left -= 1
-        if log:
-            loss_bits = " ".join(f"{k}={v / max(n_batches, 1):.4f}" for k, v in sums.items())
-            log(f"recommender epoch {epoch}: {loss_bits} val_sum {report.total:.4f} "
-                f"({row['seconds']:.1f}s)")
-        if on_epoch:
-            on_epoch(epoch, model, opt, row, improved)
-        if patience_left <= 0:
-            break
-    return result
+        return {"val_sum": report.total, "val_skipped": report.n_skipped}
+
+    return _run_epochs("recommender", split, cfg, model, opt, start_epoch, batch_loss,
+                       validate, on_epoch, log)
 
 
 def model_arrays(model: RecModel) -> dict[str, np.ndarray]:

@@ -341,11 +341,34 @@ def test_grouped_encoder_matches_one_padded_pass(monkeypatch):
     _assert_matches_one_padded_pass(ENCODER_CLASS_RECORDS, enc, aug)
 
 
+class CountingStream(SeedStream):
+    """A SeedStream that counts its next_rng() calls."""
+
+    def __init__(self, *parts):
+        super().__init__(*parts)
+        self.draws = 0
+
+    def next_rng(self):
+        self.draws += 1
+        return super().next_rng()
+
+
+def test_restoration_dropout_draw_count_is_pinned():
+    # five encoder passes and three generator passes, each drawing one mask
+    # for its input and three in its block; one extra draw would shift every
+    # later mask
+    enc, aug = fresh_params(19)
+    stream = CountingStream(7, "aug-batch")
+    augmenter_loss(ENCODER_CLASS_RECORDS, enc, aug, stream=stream)
+    ag.clear_tape()
+    assert stream.draws == 32
+
+
 def test_restoration_dropout_is_deterministic():
     # one SeedStream key gives the same encoder and generator masks each time
     enc, aug = fresh_params(19)
     params = {**enc.named_params(), **aug.named_params()}
-    runs = [_value_and_grads(augmenter_loss(ENCODER_CLASS_RECORDS, enc, aug, train=True,
+    runs = [_value_and_grads(augmenter_loss(ENCODER_CLASS_RECORDS, enc, aug,
                                             stream=SeedStream(7, "aug-batch"))[0], params)
             for _ in range(2)]
     (loss_a, grads_a), (loss_b, grads_b) = runs

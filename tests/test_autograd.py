@@ -70,16 +70,16 @@ def test_matmul_shape_mismatch():
         ag.matmul(ag.constant(np.zeros((2, 3))), ag.constant(np.zeros((2, 3))))
 
 
-def test_dropout_eval_is_identity():
+def test_dropout_at_rate_zero_is_identity():
     x = ag.constant(np.arange(12.0).reshape(3, 4))
-    out = ag.dropout(x, 0.5, train=False)
+    out = ag.dropout(x, 0.0, np.random.default_rng(5))
     assert out is x
 
 
 def test_dropout_train_scales_survivors():
     x = ag.constant(np.ones((200, 50)))
     rate = 0.5
-    out = ag.dropout(x, rate, train=True, rng=np.random.default_rng(5)).data
+    out = ag.dropout(x, rate, rng=np.random.default_rng(5)).data
     zeros = (out == 0.0).mean()
     survivors = out[out != 0.0]
     np.testing.assert_allclose(survivors, 1.0 / (1.0 - rate))
@@ -88,15 +88,15 @@ def test_dropout_train_scales_survivors():
 
 def test_dropout_deterministic_per_seed():
     x = ag.constant(np.ones((10, 10)))
-    a = ag.dropout(x, 0.3, train=True, rng=np.random.default_rng(9)).data
-    b = ag.dropout(x, 0.3, train=True, rng=np.random.default_rng(9)).data
+    a = ag.dropout(x, 0.3, rng=np.random.default_rng(9)).data
+    b = ag.dropout(x, 0.3, rng=np.random.default_rng(9)).data
     np.testing.assert_array_equal(a, b)
 
 
 def test_dropout_rejects_bad_rate():
     x = ag.constant(np.ones(3))
     with pytest.raises(ValueError):
-        ag.dropout(x, 1.0, train=True, rng=np.random.default_rng(0))
+        ag.dropout(x, 1.0, rng=np.random.default_rng(0))
 
 
 def test_layer_norm_row_moments():
@@ -193,7 +193,7 @@ def test_forward_backward_bitwise_deterministic():
         w = ag.xavier_init((6, 6), seed=3)
         x = ag.constant(np.linspace(-1, 1, 6).reshape(1, 6))
         h = ag.relu(ag.matmul(x, w))
-        h = ag.dropout(h, 0.4, train=True, rng=np.random.default_rng(77))
+        h = ag.dropout(h, 0.4, rng=np.random.default_rng(77))
         loss = ag.softmax(h).sum() + ag.cross_entropy(h, np.array([2])).mean()
         ag.backward(loss)
         return loss.item(), w.grad.copy()
@@ -232,7 +232,7 @@ OP_CASES = {
     "transpose": lambda p, c: ag.matmul(p["m1"], ag.transpose_last(p["m1"])).sum(),
     "reshape": lambda p, c: (p["a"].reshape(24) * c["wflat"]).sum(),
     "mean": lambda p, c: p["a"].mean(),
-    "dropout": lambda p, c: ag.dropout(p["a"], 0.3, train=True,
+    "dropout": lambda p, c: ag.dropout(p["a"], 0.3,
                                        rng=np.random.default_rng(123)).sum(),
 }
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqrec import trainer
 from seqrec.augmenter import generate_augmented
 from seqrec.checkpoint import load_checkpoint, save_checkpoint
 from seqrec.cli import _load_model_ckpt, main
@@ -82,6 +83,24 @@ def test_train_augmenter_writes_checkpoints(workspace):
     assert (out / "augmenter-best.ckpt").exists()
     assert (out / "augmenter-last.ckpt").exists()
     assert "augmenter epoch 0" in (out / "train-log.txt").read_text()
+
+
+def test_infinite_val_loss_never_makes_a_best_checkpoint(workspace, tmp_path, monkeypatch):
+    # with no record to validate, phase 1's val_loss is inf: no epoch is best
+    root, cfg, data = workspace
+    monkeypatch.setattr(trainer, "validation_aug_loss",
+                        lambda *args, **kwargs: (float("inf"), {"op_accuracy": 0.0,
+                                                                "ins_top1": 0.0}))
+    two = tmp_path / "two.cfg"
+    two.write_text(cfg.read_text() + "epochs_augmenter = 2\n")
+    out = tmp_path / "inf-run"
+    rc = main(["train-augmenter", "--data", str(data), "--config", str(two),
+               "--out", str(out)])
+    assert rc == 0
+    assert sorted(p.name for p in out.glob("*.ckpt")) == ["augmenter-last.ckpt"]
+    log = (out / "train-log.txt").read_text()
+    assert "augmenter epoch 1: " in log and "val_loss=inf" in log
+    assert "best augmenter epoch -1" in log
 
 
 def test_augment_writes_sequence_file(workspace):
@@ -326,6 +345,20 @@ def test_sweep_emits_grid_table(workspace, tmp_path):
     lines = (out / "sweep.txt").read_text().splitlines()
     assert len(lines) == 5  # header + 4 cells
     assert "alpha" in lines[0] and "sum" in lines[0]
+
+
+def test_sweep_refuses_a_bad_contrast_ratio_before_training(workspace, tmp_path, capsys):
+    # gamma is read only by the phase-2 random views; the config is refused
+    # at load, not after a whole phase 1
+    _, cfg, data = workspace
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.read_text() + "gamma = 0\nepochs_augmenter = 20\n")
+    rc = main(["sweep", "--data", str(data), "--config", str(bad),
+               "--out", str(tmp_path / "sweep"), "--mode", "full", "--grid", "alpha=0.1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error: gamma must be in (0,1), got 0.0" in captured.err
+    assert "training shared augmenter" not in captured.out
 
 
 def test_sweep_probs_grid_reports_operation_column(workspace, tmp_path):

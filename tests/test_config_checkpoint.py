@@ -1,5 +1,6 @@
 """Config file parsing and the binary checkpoint round trip."""
 
+import re
 import zlib
 from pathlib import Path
 
@@ -101,6 +102,27 @@ def test_bad_mode_rejected():
 def test_probability_sum_validated():
     with pytest.raises(ConfigError):
         parse_config_lines(["p_keep = 0.9"])
+
+
+@pytest.mark.parametrize("line, message", [
+    ("gamma = 0", "gamma must be in (0,1), got 0.0"),
+    ("eta = 1.5", "eta must be in (0,1], got 1.5"),
+    ("n_heads = 3", "embed_dim 64 not divisible by n_heads 3"),
+    ("n_heads = 0", "embed_dim 64 not divisible by n_heads 0"),
+])
+def test_contrast_ratios_and_heads_refused_at_load(line, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_lines([line])
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["lr = abc"], "config line 1: lr must be float, got 'abc'"),
+    (["seed = 3", "", "batch_size = 2.5"], "config line 3: batch_size must be int, got '2.5'"),
+    (["mode = base", "seed = x7  # comment"], "config line 2: seed must be int, got 'x7'"),
+])
+def test_malformed_value_names_its_line_and_key(lines, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_lines(lines)
 
 
 def test_round_trip_through_lines():

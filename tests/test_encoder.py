@@ -60,16 +60,16 @@ def test_embed_rejects_out_of_range_id(enc):
 
 def test_eval_forward_is_deterministic(enc):
     ids = np.array([[2, 5, 9, 1]])
-    a = encode_batch(ids, enc, train=False).data
-    b = encode_batch(ids, enc, train=False).data
+    a = encode_batch(ids, enc).data
+    b = encode_batch(ids, enc).data
     np.testing.assert_array_equal(a, b)
 
 
 def test_train_dropout_keyed_by_stream(enc):
     ids = np.array([[2, 5, 9, 1]])
-    a = encode_batch(ids, enc, train=True, stream=SeedStream(1, "x")).data
-    b = encode_batch(ids, enc, train=True, stream=SeedStream(1, "x")).data
-    c = encode_batch(ids, enc, train=True, stream=SeedStream(2, "x")).data
+    a = encode_batch(ids, enc, stream=SeedStream(1, "x")).data
+    b = encode_batch(ids, enc, stream=SeedStream(1, "x")).data
+    c = encode_batch(ids, enc, stream=SeedStream(2, "x")).data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 

@@ -218,10 +218,10 @@ def test_score_candidates_rejects_ids_outside_the_catalog(parts):
 TRAIN_LENGTHS = (33, 2, 9, 75, 3, 17, 5, 40)
 
 
-def one_padded_pass(rows, enc, rec, train=False, stream=None):
+def one_padded_pass(rows, enc, rec, stream=None):
     """The oracle for recommender._class_forward: every row in one padded pass."""
     ids = pad_batch(rows)
-    return recommender.full_forward(ids, enc, rec, train=train, stream=stream)
+    return recommender.full_forward(ids, enc, rec, stream=stream)
 
 
 def train_rows():
@@ -253,11 +253,11 @@ def test_grouped_stacks_match_one_padded_pass(parts, monkeypatch, stack):
     params = {**enc.named_params(), **rec.named_params()}
     seqs = train_rows()
     if stack == "rec_loss":
-        make_loss = lambda: rec_loss(seqs, enc, rec, train=True)
+        make_loss = lambda: rec_loss(seqs, enc, rec)
     else:  # a loss that reads every row's representation unevenly
         weights = ag.constant(np.arange(len(seqs) * DIMS.embed_dim, dtype=float)
                               .reshape(len(seqs), DIMS.embed_dim) / 100)
-        make_loss = lambda: (sequence_reprs(seqs, enc, rec, train=True) * weights).sum()
+        make_loss = lambda: (sequence_reprs(seqs, enc, rec) * weights).sum()
     grouped, g_grouped = loss_and_grads(make_loss, params)
     monkeypatch.setattr(recommender, "_class_forward", one_padded_pass)
     padded, g_padded = loss_and_grads(make_loss, params)
@@ -280,6 +280,6 @@ def test_grouped_reprs_follow_the_input_order(parts):
 @pytest.mark.parametrize("stack", ["rec_loss", "sequence_reprs"])
 def test_training_stacks_run_one_forward_per_length_class(parts, forward_ids, stack):
     enc, rec = parts
-    getattr(recommender, stack)(train_rows(), enc, rec, train=True)
+    getattr(recommender, stack)(train_rows(), enc, rec)
     # classes of 2, 3, 5, 9, 17 and 33-60 slots (the 75-item row is clipped)
     assert [ids.shape[1] for ids in forward_ids] == [2, 3, 5, 9, 17, 60]

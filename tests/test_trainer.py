@@ -1,7 +1,9 @@
 """Training phases: joint-loss algebra, ablation modes, resume equivalence."""
 
+import re
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from seqrec.trainer import (
     validation_aug_loss,
 )
 
+from test_augmenter import CountingStream
 from test_data import make_vocab
 from test_recommender import assert_close_relative, loss_and_grads, one_padded_pass
 
@@ -94,7 +97,7 @@ def test_zero_weights_reduce_to_rec_loss(tiny_data, tiny_model):
     split, _ = tiny_data
     seqs, users = batch_from(split)
     cfg = tiny_cfg(alpha=0.0, beta=0.0)
-    total, parts = joint_loss(seqs, users, tiny_model, cfg, 0, 0, train=False)
+    total, parts = joint_loss(seqs, users, tiny_model, cfg, 0, 0)
     assert parts["total"] == parts["rec"]
     assert "cl" not in parts and "tri" not in parts
     ag.clear_tape()
@@ -104,7 +107,7 @@ def test_joint_loss_is_linear_recombination(tiny_data, tiny_model):
     split, _ = tiny_data
     seqs, users = batch_from(split)
     cfg = tiny_cfg(alpha=0.3, beta=0.02)
-    total, parts = joint_loss(seqs, users, tiny_model, cfg, 0, 0, train=False)
+    total, parts = joint_loss(seqs, users, tiny_model, cfg, 0, 0)
     recombined = parts["rec"] + 0.3 * parts["cl"] + 0.02 * parts["tri"]
     assert abs(parts["total"] - recombined) < 1e-12
     ag.clear_tape()
@@ -113,8 +116,7 @@ def test_joint_loss_is_linear_recombination(tiny_data, tiny_model):
 def test_wo_tri_drops_triplet_term(tiny_data, tiny_model):
     split, _ = tiny_data
     seqs, users = batch_from(split)
-    total, parts = joint_loss(seqs, users, tiny_model, tiny_cfg(mode="wo_tri"), 0, 0,
-                              train=False)
+    total, parts = joint_loss(seqs, users, tiny_model, tiny_cfg(mode="wo_tri"), 0, 0)
     assert "tri" not in parts and "cl" in parts
     ag.clear_tape()
 
@@ -130,7 +132,7 @@ def test_joint_gradient_is_sum_of_term_gradients(tiny_data, tiny_model):
         cfg = tiny_cfg(alpha=a, beta=b)
         params = model.named_params(("enc", "rec"))
         zero_grads(params)
-        total, _ = joint_loss(seqs, users, model, cfg, 0, 0, train=False)
+        total, _ = joint_loss(seqs, users, model, cfg, 0, 0)
         ag.backward(total)
         out = {n: (params[n].grad.copy() if params[n].grad is not None else 0.0)
                for n in names}
@@ -164,8 +166,7 @@ def test_joint_backward_gives_each_param_its_own_gradient(tiny_data, trained_mod
         grads = []
         for _ in range(2):  # the second pass adds into the first pass's buffers
             stream = SeedStream(cfg.seed, "rec-dropout", 0, 0)
-            loss, _ = joint_loss(seqs, users, trained_model, cfg, 0, 0,
-                                 train=True, stream=stream)
+            loss, _ = joint_loss(seqs, users, trained_model, cfg, 0, 0, stream=stream)
             ag.backward(loss)
             got = {n: p.grad for n, p in store.items() if p.grad is not None}
             for (m, g), (n, h) in combinations(got.items(), 2):
@@ -204,7 +205,7 @@ def test_grouped_joint_loss_matches_one_padded_pass(tiny_data, trained_model,
     seqs, users = mixed_length_batch(split)
     cfg = tiny_cfg()
     params = trained_model.named_params(("enc", "rec"))
-    run = lambda: joint_loss(seqs, users, trained_model, cfg, 0, 0, train=False)[0]
+    run = lambda: joint_loss(seqs, users, trained_model, cfg, 0, 0)[0]
     grouped, g_grouped = loss_and_grads(run, params)
     monkeypatch.setattr(recommender, "_class_forward", one_padded_pass)
     padded, g_padded = loss_and_grads(run, params)
@@ -224,8 +225,7 @@ def test_grouped_joint_dropout_is_deterministic(tiny_data, trained_model):
 
     def run():
         stream = SeedStream(cfg.seed, "rec-dropout", 0, 0)
-        return joint_loss(seqs, users, trained_model, cfg, 0, 0, train=True,
-                          stream=stream)[0]
+        return joint_loss(seqs, users, trained_model, cfg, 0, 0, stream=stream)[0]
 
     first, g_first = loss_and_grads(run, params)
     second, g_second = loss_and_grads(run, params)
@@ -235,13 +235,41 @@ def test_grouped_joint_dropout_is_deterministic(tiny_data, trained_model):
         np.testing.assert_array_equal(g_first[name], g_second[name], err_msg=name)
 
 
+def test_joint_dropout_draw_count_is_pinned(tiny_data, trained_model):
+    # every length-class pass of rec_loss and the three contrast stacks draws
+    # its masks from the batch's stream; one extra draw would shift every
+    # later mask
+    split, _ = tiny_data
+    seqs, users = mixed_length_batch(split)
+    stream = CountingStream(11, "rec-dropout", 0, 0)
+    joint_loss(seqs, users, trained_model, tiny_cfg(), 0, 0, stream=stream)
+    ag.clear_tape()
+    assert stream.draws == 133
+
+
+def test_forward_without_a_stream_draws_no_dropout(tiny_data, trained_model, monkeypatch):
+    # cotrain runs every kind of forward: the recommender's stacks, the
+    # learned view's generation and the restoration loss
+    split, _ = tiny_data
+    seqs, users = mixed_length_batch(split)
+    assert trained_model.dims.dropout > 0
+
+    def no_dropout(*args, **kwargs):
+        raise AssertionError("a forward without a stream drew a dropout mask")
+
+    monkeypatch.setattr(ag, "dropout", no_dropout)
+    _, parts = joint_loss(seqs, users, trained_model, tiny_cfg(mode="cotrain"), 0, 0)
+    ag.clear_tape()
+    assert {"rec", "cl", "tri", "aug"} <= set(parts)
+
+
 def test_base_mode_leaves_augmenter_untouched(tiny_data, tiny_model):
     split, _ = tiny_data
     seqs, users = batch_from(split)
     model = tiny_model
     aug_store = ParamStore(model.named_params(("aug",)))
     zero_grads(aug_store)
-    total, _ = joint_loss(seqs, users, model, tiny_cfg(mode="base"), 0, 0, train=False)
+    total, _ = joint_loss(seqs, users, model, tiny_cfg(mode="base"), 0, 0)
     ag.backward(total)
     for name, p in aug_store.items():
         assert p.grad is None, f"augmenter param {name} got a gradient in base mode"
@@ -252,8 +280,7 @@ def test_cotrain_adds_restoration_term(tiny_data, tiny_model):
     split, _ = tiny_data
     seqs, users = batch_from(split)
     model = tiny_model
-    total, parts = joint_loss(seqs, users, model, tiny_cfg(mode="cotrain"), 0, 0,
-                              train=False)
+    total, parts = joint_loss(seqs, users, model, tiny_cfg(mode="cotrain"), 0, 0)
     assert "aug" in parts
     ag.backward(total)
     aug_store = ParamStore(model.named_params(("aug",)))
@@ -273,8 +300,7 @@ def test_unknown_mode_rejected(tiny_data, tiny_model):
 def test_singleton_remainder_batch_skips_in_batch_term(tiny_data, tiny_model):
     split, _ = tiny_data
     seqs, users = batch_from(split, n=1)
-    total, parts = joint_loss(seqs, users, tiny_model, tiny_cfg(), 0, 0,
-                              train=False)
+    total, parts = joint_loss(seqs, users, tiny_model, tiny_cfg(), 0, 0)
     assert "cl" not in parts and "tri" in parts
     assert np.isfinite(parts["total"])
     ag.clear_tape()
@@ -310,6 +336,71 @@ def test_augmenter_training_deterministic(tiny_data):
     assert strip_timing(a.history) == strip_timing(b.history)
     for name, arr in model_arrays(a.model).items():
         np.testing.assert_array_equal(arr, model_arrays(b.model)[name])
+
+
+# Both phases on tiny_data at dropout 0.2, phase 2 in full mode from the
+# phase-1 model. A shifted dropout draw, batch order or loss average moves
+# these figures far beyond the tolerance, which only absorbs BLAS rounding.
+PINNED_HISTORY = {
+    "augmenter": [
+        {"epoch": 0, "train_loss": 30.544084891277166, "val_loss": 25.41642323046184,
+         "val_op_accuracy": 0.3673469387755102, "val_ins_top1": 0.0},
+        {"epoch": 1, "train_loss": 24.715500472307916, "val_loss": 23.180762075749,
+         "val_op_accuracy": 0.37142857142857144, "val_ins_top1": 0.0},
+    ],
+    "recommender": [
+        {"epoch": 0, "loss_rec": 4.919098662778321, "loss_cl": 5.909489383977718,
+         "loss_tri": 2.6061842616394313, "loss_total": 5.52307852248429,
+         "val_sum": 0.4516824427586394, "val_skipped": 0},
+        {"epoch": 1, "loss_rec": 4.807969816766363, "loss_cl": 4.082024931450724,
+         "loss_tri": 1.636026655565864, "loss_total": 5.2243524431892645,
+         "val_sum": 0.3951177574478311, "val_skipped": 0},
+    ],
+}
+
+
+def test_both_phases_keep_their_history_and_log_line(tiny_data):
+    split, vocab = tiny_data
+    lines = []
+    phase1 = train_augmenter(split, vocab, tiny_cfg(epochs_augmenter=2, dropout=0.2),
+                             log=lines.append)
+    phase2 = train_recommender(split, vocab, tiny_cfg(dropout=0.2), pretrained=phase1.model,
+                               log=lines.append)
+    for result, want in zip((phase1, phase2), PINNED_HISTORY.values()):
+        got = [{k: v for k, v in row.items() if k != "seconds"} for row in result.history]
+        assert got == [pytest.approx(row, rel=1e-9) for row in want]
+        assert all(row["seconds"] > 0 for row in result.history)
+    assert (phase1.best_epoch, phase2.best_epoch) == (1, 0)
+    assert len(lines) == 4
+    assert re.fullmatch(r"augmenter epoch 0: train_loss=30\.5441 val_loss=25\.4164 "
+                        r"val_op_accuracy=0\.3673 val_ins_top1=0\.0000 \(\d+\.\ds\)", lines[0])
+    assert re.fullmatch(r"recommender epoch 1: loss_rec=4\.8080 loss_cl=4\.0820 "
+                        r"loss_tri=1\.6360 loss_total=5\.2244 val_sum=0\.3951 "
+                        r"val_skipped=0 \(\d+\.\ds\)", lines[3])
+
+
+@pytest.mark.parametrize("train, validation, scores", [
+    (train_augmenter, "validation_aug_loss",  # val_loss rises after epoch 0
+     lambda n: (float(n), {"op_accuracy": 0.5, "ins_top1": 0.5})),
+    (train_recommender, "evaluate_model",  # val_sum falls after epoch 0
+     lambda n: SimpleNamespace(total=1.0 / n, n_skipped=0)),
+])
+def test_patience_stops_a_run_that_stops_improving(tiny_data, monkeypatch, train,
+                                                   validation, scores):
+    split, vocab = tiny_data
+    calls, improved = [], []
+
+    def getting_worse(*args, **kwargs):
+        calls.append(None)
+        return scores(len(calls))
+
+    monkeypatch.setattr(trainer, validation, getting_worse)
+    cfg = tiny_cfg(mode="base", epochs_augmenter=5, epochs_recommender=5, patience=1)
+    result = train(split, vocab, cfg,
+                   on_epoch=lambda epoch, model, opt, row, better: improved.append(better))
+    assert [row["epoch"] for row in result.history] == [0, 1]
+    assert improved == [True, False]
+    assert (result.best_epoch, result.best_metric) == (0, 1.0)
 
 
 def test_recommender_needs_augmenter_for_full_mode(tiny_data):
