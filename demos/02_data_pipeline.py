@@ -37,10 +37,10 @@ u = split.users[0]
 print(f"\nuser {u.user_id}: train prefix {u.train}")
 print(f"  validation target {u.valid_target}, test target {u.test_target}")
 
-cands = sample_negatives(
+negatives = sample_negatives(
     next(s for s in sequences if s.user_id == u.user_id), vocab, count=99, seed=1
 )
-overlap = set(cands.negatives) & set(u.full())
+overlap = set(negatives) & set(u.full())
 print(f"  99 negatives sampled, overlap with history: {len(overlap)} (must be 0)")
 
 batch = next(make_batches(split, batch_size=4, seed=0))

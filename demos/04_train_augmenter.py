@@ -9,7 +9,7 @@ teacher-forced insertion top-1 climb past 0.8.
 Run: python3 demos/04_train_augmenter.py
 """
 
-from seqrec.augmenter import generate_augmented
+from seqrec.augmenter import generate_augmented_batch
 from seqrec.config import RunConfig
 from seqrec.data import Vocabulary, build_sequences, five_core_filter, leave_one_out_split
 from seqrec.synthgen import SynthSpec, generate
@@ -32,7 +32,7 @@ result = train_augmenter(split, vocab, cfg, log=print)
 model = result.model
 walk = [(40 + j) % 120 + 1 for j in range(10)]
 damaged = [walk[0], walk[1], 7, walk[2], walk[5], walk[6], walk[7]]  # noise + gap
-out = generate_augmented(damaged, model.enc, model.aug)
+out = generate_augmented_batch([damaged], model.enc, model.aug)[0]
 print("\nclean walk:   ", walk)
 print("damaged input:", damaged)
 print("augmented:    ", out)

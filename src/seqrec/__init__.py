@@ -10,7 +10,6 @@ from . import autograd
 from .augmenter import (
     AugmenterParams,
     augmenter_loss,
-    generate_augmented,
     generate_augmented_batch,
 )
 from .augops import (

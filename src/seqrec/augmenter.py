@@ -463,5 +463,5 @@ def generate_augmented(
     aug: AugmenterParams,
     rng: np.random.Generator | None = None,
 ) -> list[int]:
-    """Single-sequence convenience wrapper over generate_augmented_batch."""
+    """One sequence through generate_augmented_batch (bench/make_fixture.py's decode check)."""
     return generate_augmented_batch([items], enc, aug, rng=rng)[0]

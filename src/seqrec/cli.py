@@ -353,7 +353,7 @@ def cmd_synth(args) -> int:
         min_len=args.min_len,
         max_len=args.max_len,
         noise_rate=args.noise,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed if args.seed is not None else SynthSpec.seed,
     )
     interactions, truth = generate(spec)
     write_interactions(args.out_file, interactions)
@@ -441,14 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic interaction log")
     p.add_argument("--out-file", required=True)
     p.add_argument("--truth", help="sidecar file for noised positions")
-    p.add_argument("--items", type=int, default=120)
-    p.add_argument("--users", type=int, default=2000)
-    p.add_argument("--structure", choices=("ring", "block"), default="ring")
-    p.add_argument("--blocks", type=int, default=12)
-    p.add_argument("--in-block-prob", type=float, default=0.9)
-    p.add_argument("--min-len", type=int, default=8)
-    p.add_argument("--max-len", type=int, default=18)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--items", type=int, default=SynthSpec.n_items)
+    p.add_argument("--users", type=int, default=SynthSpec.n_users)
+    p.add_argument("--structure", choices=("ring", "block"), default=SynthSpec.structure)
+    p.add_argument("--blocks", type=int, default=SynthSpec.n_blocks)
+    p.add_argument("--in-block-prob", type=float, default=SynthSpec.in_block_prob)
+    p.add_argument("--min-len", type=int, default=SynthSpec.min_len)
+    p.add_argument("--max-len", type=int, default=SynthSpec.max_len)
+    p.add_argument("--noise", type=float, default=SynthSpec.noise_rate)
     common(p, config=False)
     p.set_defaults(func=cmd_synth)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .augops import AugConfig
@@ -11,6 +12,14 @@ from .errors import ConfigError
 from .evaluate import K_VALUES
 
 MODES = ("full", "base", "wo_tri", "duoaug", "cotrain")
+
+# lower bounds checked when a config loads; batch_size >= 2 leaves every
+# in-batch contrast a negative pair, max_aug_len >= 2 a context and a slot
+_AT_LEAST = {
+    "embed_dim": 1, "n_layers": 1, "max_aug_len": 2, "batch_size": 2,
+    "epochs_augmenter": 0, "epochs_recommender": 0, "patience": 1,
+    "alpha": 0, "beta": 0, "n_negatives": 1,
+}
 
 
 @dataclass
@@ -56,8 +65,12 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        for key, low in _AT_LEAST.items():
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= low):
+                raise ConfigError(f"{key} must be finite and >= {low}, got {value}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         total = self.p_keep + self.p_delete + self.p_insert
         if abs(total - 1.0) > 1e-12:
             raise ConfigError(f"p_keep+p_delete+p_insert must be 1, got {total}")
@@ -98,14 +111,13 @@ def _check_retired(key: str, raw: str, line_no: int) -> None:
                           f"got {raw.strip()!r}")
 
 
-def parse_config_lines(lines, base: RunConfig | None = None) -> RunConfig:
+def parse_config_lines(lines) -> RunConfig:
     """Apply `key = value` lines over defaults; unknown keys are an error.
 
     Lines starting with '#' (and inline '# ...' suffixes) are comments.
     Keys starting with '_' are checkpoint metadata and are ignored here.
     """
-    values = dataclasses.asdict(base) if base else {}
-    cfg = RunConfig(**values) if values else RunConfig()
+    cfg = RunConfig()
     for line_no, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -130,9 +142,9 @@ def parse_config_lines(lines, base: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_lines(fh.read().splitlines(), base=base)
+        return parse_config_lines(fh.read().splitlines())
 
 
 def config_to_lines(cfg: RunConfig, meta: dict | None = None) -> list[str]:

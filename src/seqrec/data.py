@@ -82,15 +82,6 @@ class SplitDataset:
 
 
 @dataclass
-class EvalCandidates:
-    target: int
-    negatives: list[int]
-
-    def all_ids(self) -> list[int]:
-        return [self.target] + self.negatives
-
-
-@dataclass
 class SequenceBatch:
     """One batch of per-user train prefixes."""
 
@@ -187,19 +178,12 @@ def sample_negatives(
     vocab: Vocabulary,
     count: int = 99,
     seed: int = 0,
-    target: int | None = None,
-) -> EvalCandidates:
+) -> list[int]:
     """Draw `count` distinct uninteracted items, keyed by (seed, user_id).
 
-    Negatives avoid every item the user ever interacted with. The ranked
-    target defaults to the sequence's last item; pass `target` to rank a
-    different held-out item (it must belong to the sequence).
+    Negatives avoid every item the user ever interacted with, so the draw
+    does not depend on which of the user's items is ranked against them.
     """
-    interacted = set(seq.items)
-    if target is None:
-        target = seq.items[-1]
-    elif target not in interacted:
-        raise ValueError(f"target {target} is not part of the user's sequence")
     ids = np.asarray(seq.items, dtype=np.int64)
     free = np.ones(vocab.n_items + 1, dtype=bool)
     free[0] = False
@@ -210,9 +194,7 @@ def sample_negatives(
             f"user {seq.user_id}: only {len(pool)} uninteracted items, need {count}"
         )
     rng = rng_for(seed, seq.user_id, "negatives")
-    chosen = rng.choice(len(pool), size=count, replace=False)
-    negatives = pool[chosen].tolist()
-    return EvalCandidates(target=target, negatives=negatives)
+    return pool[rng.choice(len(pool), size=count, replace=False)].tolist()
 
 
 def pad_batch(seqs: list[list[int]]) -> np.ndarray:

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (
-    ItemSequence,
-    SplitDataset,
-    Vocabulary,
-    sample_negatives,
-)
+from .data import ItemSequence, SplitDataset, Vocabulary, sample_negatives
 from .encoder import EncoderParams
 from .errors import PoolTooSmallError
 from .recommender import RecommenderParams, score_candidates
@@ -48,6 +43,21 @@ class MetricReport:
     ndcg: dict[int, float] = field(default_factory=dict)
     n_users: int = 0
     n_skipped: int = 0
+
+    @classmethod
+    def from_ranks(cls, ranks: list[int], n_skipped: int = 0) -> "MetricReport":
+        """Means over users of HR/MRR/NDCG at each K, from 1-based target ranks.
+
+        math.fsum sums each column exactly before its one division, so the
+        report does not depend on user order; no ranks give 0.0 throughout.
+        """
+        report = cls(n_users=len(ranks), n_skipped=n_skipped)
+        for k in K_VALUES:
+            per_user = np.array([user_metrics(r, k) for r in ranks]).reshape(-1, 3)
+            report.hr[k], report.mrr[k], report.ndcg[k] = (
+                math.fsum(col) / len(ranks) if ranks else 0.0 for col in per_user.T
+            )
+        return report
 
     @property
     def total(self) -> float:
@@ -153,71 +163,42 @@ def evaluate_model(
 ) -> MetricReport:
     """Rank each user's held-out item against sampled negatives.
 
-    which='valid' scores the validation item given the train prefix;
-    which='test' scores the test item given prefix + validation item.
-    `noisy` damages the (test) histories first; `transform_context` maps
-    each scoring chunk's list of non-empty histories to the list that is
-    scored (used by augment-at-test evaluation). The target is always in
-    candidate column 0. Users whose negative pool is too small are skipped
-    and counted.
+    Each user's scored sequence is its history followed by the target:
+    train prefix + validation item for which='valid', the whole split
+    sequence for which='test'. `noisy` damages these sequences, which
+    keeps their final item, the target. The context is the sequence minus
+    its target, and the target is candidate column 0 before the negatives,
+    which avoid the user's whole split sequence. `transform_context` maps
+    each scoring chunk's list of contexts to the list that is scored (used
+    by augment-at-test evaluation). Users whose negative pool is too small
+    are skipped and counted.
     """
     if which not in ("valid", "test"):
         raise ValueError(f"split must be 'valid' or 'test', got {which!r}")
     neg_seed = derive_seed(seed, which, "negatives")
+    scored = [ItemSequence(u.user_id, u.full()[:-1] if which == "valid" else u.full())
+              for u in split.users]
+    if noisy is not None:
+        scored = simulate_noisy_testset(scored, noisy, vocab)
 
     contexts: list[list[int]] = []
     cand_rows: list[list[int]] = []
-    targets: list[int] = []
-    skipped = 0
-    full_seqs = {u.user_id: ItemSequence(u.user_id, u.full()) for u in split.users}
-    histories: dict[str, list[int]] = {}
-    for u in split.users:
-        histories[u.user_id] = list(u.train) if which == "valid" else list(u.train) + [u.valid_target]
-    if noisy is not None:
-        noisy_in = [
-            ItemSequence(u.user_id, histories[u.user_id] + [0]) for u in split.users
-        ]
-        # the sim keeps the final slot; feed target placeholder, then drop it
-        noised = simulate_noisy_testset(noisy_in, noisy, vocab)
-        for seq in noised:
-            histories[seq.user_id] = seq.items[:-1]
-
-    for u in split.users:
-        target = u.valid_target if which == "valid" else u.test_target
+    for u, seq in zip(split.users, scored):
         try:
-            cands = sample_negatives(full_seqs[u.user_id], vocab, count=n_negatives,
-                                     seed=neg_seed, target=target)
+            negatives = sample_negatives(ItemSequence(u.user_id, u.full()), vocab,
+                                         count=n_negatives, seed=neg_seed)
         except PoolTooSmallError:
-            skipped += 1
             continue
-        history = histories[u.user_id]
-        if not history:
-            history = [u.train[-1]] if u.train else [u.valid_target]
-        contexts.append(history)
-        cand_rows.append(cands.all_ids())
-        targets.append(target)
+        contexts.append(seq.items[:-1])
+        cand_rows.append([seq.items[-1]] + negatives)
 
-    per_user: dict[tuple[str, int], list[float]] = {
-        (m, k): [] for m in ("hr", "mrr", "ndcg") for k in K_VALUES
-    }
+    ranks: list[int] = []
     for start in range(0, len(contexts), batch_size):
         chunk = slice(start, start + batch_size)
         ctxs = contexts[chunk]
         if transform_context is not None:
             ctxs = transform_context(ctxs)
-        scores = score_candidates(ctxs, np.asarray(cand_rows[chunk]), enc, rec)
-        for row, cand, target in zip(scores, cand_rows[chunk], targets[chunk]):
-            rank = rank_of_target(row, np.asarray(cand), target)
-            for k in K_VALUES:
-                hit, rr, nd = user_metrics(rank, k)
-                per_user[("hr", k)].append(hit)
-                per_user[("mrr", k)].append(rr)
-                per_user[("ndcg", k)].append(nd)
-
-    n_users = len(contexts)
-    report = MetricReport(n_users=n_users, n_skipped=skipped)
-    for k in K_VALUES:
-        report.hr[k] = math.fsum(per_user[("hr", k)]) / n_users if n_users else 0.0
-        report.mrr[k] = math.fsum(per_user[("mrr", k)]) / n_users if n_users else 0.0
-        report.ndcg[k] = math.fsum(per_user[("ndcg", k)]) / n_users if n_users else 0.0
-    return report
+        cands = np.asarray(cand_rows[chunk])
+        scores = score_candidates(ctxs, cands, enc, rec)
+        ranks += [rank_of_target(row, ids, ids[0]) for row, ids in zip(scores, cands)]
+    return MetricReport.from_ranks(ranks, n_skipped=len(split.users) - len(ranks))

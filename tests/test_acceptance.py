@@ -521,9 +521,9 @@ def test_criterion_9_data_pipeline():
 
     checked = 0
     for seq in sequences:
-        cands = sample_negatives(seq, vocab, count=99, seed=13)
-        assert len(set(cands.negatives)) == 99
-        assert not set(cands.negatives) & set(seq.items)
+        negatives = sample_negatives(seq, vocab, count=99, seed=13)
+        assert len(set(negatives)) == 99
+        assert not set(negatives) & set(seq.items)
         checked += 1
     _report(9, f"5-core matches the iterate-until-stable oracle on 100 graphs "
                f"(idempotent); splits partition exactly; negatives disjoint for "

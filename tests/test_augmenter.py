@@ -11,7 +11,6 @@ from seqrec import autograd as ag
 from seqrec.augmenter import (
     AugmenterParams,
     augmenter_loss,
-    generate_augmented,
     generate_augmented_batch,
     generator_forward,
     predict_op_logits,
@@ -427,7 +426,7 @@ def test_generate_all_keep_is_identity(monkeypatch):
                         lambda anchors, *a, **k: [[] for _ in range(anchors.shape[0])])
     aug.op_proj.data[:] = 0.0  # zero logits argmax to keep
     seq = [5, 2, 9, 14]
-    assert generate_augmented(seq, enc, aug) == seq
+    assert generate_augmented_batch([seq], enc, aug)[0] == seq
 
 
 def test_generate_splices_insert_run_reversed(monkeypatch):
@@ -443,7 +442,7 @@ def test_generate_splices_insert_run_reversed(monkeypatch):
         return runs
 
     monkeypatch.setattr(am, "_decode_runs", fake_decode)
-    out = generate_augmented(seq, enc, aug)
+    out = generate_augmented_batch([seq], enc, aug)[0]
     assert out == [3, 7, 5, 2, 9]
 
 
@@ -475,7 +474,7 @@ def test_generate_oracle_restores_corruption(monkeypatch):
 
         monkeypatch.setattr(am, "predict_op_logits", fake_logits)
         monkeypatch.setattr(am, "_decode_runs", fake_decode)
-        assert generate_augmented(record.s_mod, enc, aug) == seq
+        assert generate_augmented_batch([record.s_mod], enc, aug)[0] == seq
 
 
 def test_generate_never_empty_and_bounded():
@@ -487,7 +486,7 @@ def test_generate_never_empty_and_bounded():
     seqs += [[1 + k % DIMS.n_items for k in range(n)]
              for n in (DIMS.max_aug_len, DIMS.max_aug_len + 5)]
     for seq in seqs:
-        out = generate_augmented(seq, enc, aug)
+        out = generate_augmented_batch([seq], enc, aug)[0]
         assert 1 <= len(out) <= DIMS.max_aug_len
         assert all(1 <= x <= DIMS.n_items for x in out)
 
@@ -495,8 +494,8 @@ def test_generate_never_empty_and_bounded():
 def test_generate_stochastic_bounded_and_seeded():
     enc, aug = fresh_params(19)
     seq = [1 + (k % DIMS.n_items) for k in range(29)]
-    a = generate_augmented(seq, enc, aug, rng=np.random.default_rng(5))
-    b = generate_augmented(seq, enc, aug, rng=np.random.default_rng(5))
+    a = generate_augmented_batch([seq], enc, aug, rng=np.random.default_rng(5))[0]
+    b = generate_augmented_batch([seq], enc, aug, rng=np.random.default_rng(5))[0]
     assert a == b
     assert 1 <= len(a) <= DIMS.max_aug_len
 
@@ -510,7 +509,7 @@ def test_generate_batch_matches_single():
     for (enc, aug), seqs in ((fresh_params(20), [[1, 2, 3], [7, 8], [9, 10, 11, 12]]),
                              ((pinned.enc, pinned.aug), mixed)):
         batch_out = generate_augmented_batch(seqs, enc, aug)
-        assert batch_out == [generate_augmented(s, enc, aug) for s in seqs]
+        assert batch_out == [generate_augmented_batch([s], enc, aug)[0] for s in seqs]
     assert sum(len(out) > len(s) for out, s in zip(batch_out, mixed)) >= 3
 
 

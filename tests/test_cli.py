@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seqrec import trainer
-from seqrec.augmenter import generate_augmented
+from seqrec.augmenter import generate_augmented_batch
 from seqrec.checkpoint import load_checkpoint, save_checkpoint
 from seqrec.cli import _load_model_ckpt, main
 from seqrec.config import config_to_lines, parse_config_lines, read_meta
@@ -179,7 +179,7 @@ def test_batched_augmentation_matches_one_sequence_at_a_time(workspace, tmp_path
     assert len({len(s.items) for s in sequences[:cfg.batch_size]}) > 1
 
     def one_at_a_time(histories):
-        return [generate_augmented(h, model.enc, model.aug) for h in histories]
+        return [generate_augmented_batch([h], model.enc, model.aug)[0] for h in histories]
 
     out_file = tmp_path / "augmented.txt"
     rc = main(["augment", "--data", str(data), "--checkpoint", str(ckpt),

@@ -115,6 +115,29 @@ def test_contrast_ratios_and_heads_refused_at_load(line, message):
         parse_config_lines([line])
 
 
+@pytest.mark.parametrize("line, message", [
+    ("alpha = nan", "alpha must be finite and >= 0, got nan"),
+    ("lr = inf", "lr must be finite and > 0, got inf"),
+    ("lr = 0", "lr must be finite and > 0, got 0.0"),
+    ("beta = -1", "beta must be finite and >= 0, got -1.0"),
+    ("embed_dim = 0", "embed_dim must be finite and >= 1, got 0"),
+    ("n_layers = 0", "n_layers must be finite and >= 1, got 0"),
+    ("epochs_augmenter = -3", "epochs_augmenter must be finite and >= 0, got -3"),
+    ("n_negatives = 0", "n_negatives must be finite and >= 1, got 0"),
+    ("max_aug_len = 1", "max_aug_len must be finite and >= 2, got 1"),
+])
+def test_out_of_range_values_refused_at_load(line, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_lines([line])
+
+
+def test_patience_below_one_refused_at_load():
+    # patience = 0 would stop every run after its first epoch, improving or not
+    with pytest.raises(ConfigError, match=re.escape("patience must be finite and >= 1, got 0")):
+        parse_config_lines(["patience = 0"])
+    assert parse_config_lines(["patience = 1"]).patience == 1
+
+
 @pytest.mark.parametrize("lines, message", [
     (["lr = abc"], "config line 1: lr must be float, got 'abc'"),
     (["seed = 3", "", "batch_size = 2.5"], "config line 3: batch_size must be int, got '2.5'"),

@@ -198,11 +198,10 @@ def test_split_partitions_exactly():
 def test_negatives_disjoint_from_history():
     vocab = make_vocab(120)
     seq = ItemSequence("u1", list(range(1, 11)))
-    cands = sample_negatives(seq, vocab, count=99, seed=5)
-    assert len(cands.negatives) == 99
-    assert len(set(cands.negatives)) == 99
-    assert not set(cands.negatives) & set(seq.items)
-    assert cands.target == seq.items[-1]
+    negatives = sample_negatives(seq, vocab, count=99, seed=5)
+    assert len(negatives) == 99
+    assert len(set(negatives)) == 99
+    assert not set(negatives) & set(seq.items)
 
 
 def test_negatives_pool_too_small():
@@ -218,18 +217,8 @@ def test_negatives_deterministic_per_seed():
     a = sample_negatives(seq, vocab, seed=5)
     b = sample_negatives(seq, vocab, seed=5)
     c = sample_negatives(seq, vocab, seed=6)
-    assert a.negatives == b.negatives
-    assert a.negatives != c.negatives
-
-
-def test_negatives_with_explicit_target():
-    vocab = make_vocab(150)
-    seq = ItemSequence("u1", list(range(1, 11)))
-    cands = sample_negatives(seq, vocab, seed=5, target=4)
-    assert cands.target == 4
-    assert 4 not in cands.negatives
-    with pytest.raises(ValueError):
-        sample_negatives(seq, vocab, seed=5, target=140)
+    assert a == b
+    assert a != c
 
 
 def test_negatives_match_the_scanned_pool():
@@ -239,19 +228,18 @@ def test_negatives_match_the_scanned_pool():
 
     vocab = make_vocab(130)
     users = [
-        (ItemSequence("u1", [5, 17, 3, 17, 99]), None),
-        (ItemSequence("u2", list(range(1, 31)) + [130]), None),  # pool of exactly 99
-        (ItemSequence("u3", [120, 7, 64, 2, 88, 41]), 64),  # target not last
-        (ItemSequence("u4", [1]), None),
+        ItemSequence("u1", [5, 17, 3, 17, 99]),
+        ItemSequence("u2", list(range(1, 31)) + [130]),  # pool of exactly 99
+        ItemSequence("u3", [120, 7, 64, 2, 88, 41]),
+        ItemSequence("u4", [1]),
     ]
-    for seq, target in users:
-        cands = sample_negatives(seq, vocab, count=99, seed=8, target=target)
+    for seq in users:
+        negatives = sample_negatives(seq, vocab, count=99, seed=8)
         pool = [i for i in range(1, vocab.n_items + 1) if i not in set(seq.items)]
         chosen = rng_for(8, seq.user_id, "negatives").choice(len(pool), size=99,
                                                              replace=False)
-        assert cands.negatives == [pool[i] for i in chosen]
-        assert all(type(i) is int for i in cands.negatives)
-        assert cands.target == (seq.items[-1] if target is None else target)
+        assert negatives == [pool[i] for i in chosen]
+        assert all(type(i) is int for i in negatives)
     # one more interacted item leaves 98: the boundary sits at count
     with pytest.raises(PoolTooSmallError, match="only 98 uninteracted items"):
         sample_negatives(ItemSequence("u2", list(range(1, 32)) + [130]), vocab,

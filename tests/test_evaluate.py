@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from seqrec import evaluate
-from seqrec.data import ItemSequence, Vocabulary, leave_one_out_split
+from seqrec.data import (
+    ItemSequence,
+    SplitDataset,
+    SplitSequence,
+    Vocabulary,
+    leave_one_out_split,
+    sample_negatives,
+)
 from seqrec.encoder import EncoderParams, ModelDims
 from seqrec.evaluate import (
     K_VALUES,
@@ -19,6 +26,7 @@ from seqrec.evaluate import (
     user_metrics,
 )
 from seqrec.recommender import RecommenderParams
+from seqrec.seeding import derive_seed
 
 
 def make_vocab(n_items):
@@ -264,6 +272,64 @@ def test_valid_and_test_splits_use_different_targets(monkeypatch):
     hits.clear()
     evaluate_model(split, vocab, None, None, which="test", seed=0)
     assert hits[0][0] == valid_ctx_len + 1  # test history includes the valid item
+
+
+def recording_scorer(rows):
+    """A scorer that ranks column 0 first and records each (context, candidates) row."""
+    def score(contexts, cands, enc, rec):
+        rows.extend(zip(contexts, cands.tolist()))
+        scores = np.zeros(cands.shape)
+        scores[:, 0] = 1.0
+        return scores
+    return score
+
+
+@pytest.mark.parametrize("which", ["valid", "test"])
+def test_noisy_rows_score_the_damaged_history_against_undamaged_negatives(monkeypatch,
+                                                                          which):
+    split, vocab = make_split(n_users=30, seq_len=9, seed=3)
+    rows = []
+    monkeypatch.setattr(evaluate, "score_candidates", recording_scorer(rows))
+    noisy = NoisySimConfig(seed=4)
+    report = evaluate_model(split, vocab, None, None, which=which, seed=6, batch_size=7,
+                            noisy=noisy)
+    assert report.n_users == len(split.users) == len(rows)
+    moved = 0
+    for u, (context, cands) in zip(split.users, rows):
+        history = u.train if which == "valid" else u.train + [u.valid_target]
+        target = u.valid_target if which == "valid" else u.test_target
+        damaged = simulate_noisy_testset([ItemSequence(u.user_id, history + [target])],
+                                         noisy, vocab)[0]
+        assert context == damaged.items[:-1]
+        moved += context != history
+        assert cands[0] == target
+        full = ItemSequence(u.user_id, u.full())
+        assert cands[1:] == sample_negatives(full, vocab, count=99,
+                                             seed=derive_seed(6, which, "negatives"))
+    assert moved > len(rows) // 2  # the checks above ran on damaged contexts
+
+
+def test_empty_train_prefix_is_scored_without_its_target(monkeypatch):
+    split = SplitDataset([SplitSequence("u0", [], 5, 6), SplitSequence("u1", [3], 7, 8)])
+    rows = []
+    monkeypatch.setattr(evaluate, "score_candidates", recording_scorer(rows))
+    report = evaluate_model(split, make_vocab(130), None, None, which="valid", seed=0)
+    assert report.n_users == 2
+    assert [(context, cands[0]) for context, cands in rows] == [([], 5), ([3], 7)]
+
+
+def test_report_from_ranks_averages_user_metrics():
+    ranks = [1, 2, 7, 30]
+    report = MetricReport.from_ranks(ranks, n_skipped=3)
+    assert (report.n_users, report.n_skipped) == (4, 3)
+    for k in K_VALUES:
+        per_user = [user_metrics(r, k) for r in ranks]
+        assert report.hr[k] == math.fsum(m[0] for m in per_user) / 4
+        assert report.mrr[k] == math.fsum(m[1] for m in per_user) / 4
+        assert report.ndcg[k] == math.fsum(m[2] for m in per_user) / 4
+    assert report.hr[5] == 0.5 and report.hr[10] == 0.75
+    empty = MetricReport.from_ranks([], n_skipped=2)
+    assert empty.total == 0.0 and (empty.n_users, empty.n_skipped) == (0, 2)
 
 
 def test_pool_too_small_users_are_counted(monkeypatch):
