@@ -51,12 +51,13 @@ class CorruptionConfig:
     n_items: int = 0  # inserted noise is drawn uniformly from 1..n_items
 
     def __post_init__(self):
+        for key in ("p_keep", "p_delete", "p_insert"):
+            p = getattr(self, key)
+            if not 0.0 <= p <= 1.0:  # NaN fails this test too
+                raise ValueError(f"{key} must be in [0,1], got {p}")
         total = self.p_keep + self.p_delete + self.p_insert
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1, got {total}")
-        for p in (self.p_keep, self.p_delete, self.p_insert):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability out of [0,1]: {p}")
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"p_keep+p_delete+p_insert must be 1, got {total}")
         if self.n_items < 1:
             raise ValueError("n_items must be set (>=1) for noise insertion")
 

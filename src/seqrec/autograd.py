@@ -19,6 +19,11 @@ second.
 Shapes follow numpy broadcasting on the elementwise ops; reductions that
 broadcasting introduces are summed back out in the backward rules. All
 softmax/log paths are max-shifted so finite inputs never produce NaN/Inf.
+
+matmul against a 2-d right operand (a weight or a transposed item table)
+is one 2-d GEMM over the flattened leading axes of the left operand, in
+the forward and in both gradients; only stacked products (attention)
+take numpy's batched matmul.
 """
 
 from __future__ import annotations
@@ -239,20 +244,34 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product on the last two axes; leading axes broadcast."""
+    """Matrix product on the last two axes; leading axes broadcast.
+
+    A 2-d right operand (a weight, or a transposed item table) is one 2-d
+    GEMM: the leading axes of a are flattened into rows, for the forward,
+    the input gradient and the weight gradient alike. Any other b takes
+    numpy's stacked matmul.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    if b.ndim == 2:
+        k, m = b.shape
+        lead = a.shape[:-1]
+        a2 = a.data.reshape(-1, k)
+        out = Tensor((a2 @ b.data).reshape(*lead, m))
+
+        def bw(g):
+            g2 = g.reshape(-1, m)
+            _accum(a, (g2 @ b.data.T).reshape(*lead, k))
+            _accum(b, a2.T @ g2)
+
+        return _record(out, (a, b), bw)
     out = Tensor(np.matmul(a.data, b.data))
 
     def bw(g):
         _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        if b.ndim == 2:  # a weight: one GEMM over all leading axes of a
-            k, m = b.shape
-            _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, m))
-        else:
-            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return _record(out, (a, b), bw)
 

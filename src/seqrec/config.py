@@ -6,7 +6,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .augops import AugConfig
+from .augops import AugConfig, CorruptionConfig
 from .encoder import ModelDims
 from .errors import ConfigError
 from .evaluate import K_VALUES
@@ -16,7 +16,7 @@ MODES = ("full", "base", "wo_tri", "duoaug", "cotrain")
 # lower bounds checked when a config loads; batch_size >= 2 leaves every
 # in-batch contrast a negative pair, max_aug_len >= 2 a context and a slot
 _AT_LEAST = {
-    "embed_dim": 1, "n_layers": 1, "max_aug_len": 2, "batch_size": 2,
+    "embed_dim": 1, "n_layers": 1, "max_len": 1, "max_aug_len": 2, "batch_size": 2,
     "epochs_augmenter": 0, "epochs_recommender": 0, "patience": 1,
     "alpha": 0, "beta": 0, "n_negatives": 1,
 }
@@ -71,12 +71,10 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite and >= {low}, got {value}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        total = self.p_keep + self.p_delete + self.p_insert
-        if abs(total - 1.0) > 1e-12:
-            raise ConfigError(f"p_keep+p_delete+p_insert must be 1, got {total}")
         if self.max_insert < 1 or self.max_insert > 5:
             raise ConfigError(f"max_insert must be in 1..5, got {self.max_insert}")
-        try:  # the contrast ratios and the head split, checked before any training
+        try:  # the corruption and contrast ratios and the head split, before any training
+            CorruptionConfig(self.p_keep, self.p_delete, self.p_insert, n_items=1)
             AugConfig(self.gamma, self.eta, self.beta_r)
             ModelDims(0, embed_dim=self.embed_dim, n_heads=self.n_heads)
         except ValueError as err:

@@ -136,6 +136,8 @@ def build_sequences(
 
     Equal timestamps keep their input file order (stable sort).
     """
+    if max_len < 1:  # items[-0:] would keep the whole history
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
     per_user: dict[str, list[tuple[int, int]]] = {}
     for order, x in enumerate(interactions):
         per_user.setdefault(x.user_id, []).append((x.timestamp, order))

@@ -182,6 +182,8 @@ def test_corrupt_config_validates_probabilities():
         CorruptionConfig(0.5, 0.5, 0.5, n_items=10)
     with pytest.raises(ValueError):
         CorruptionConfig(n_items=0)
+    with pytest.raises(ValueError, match="p_keep must be in"):
+        CorruptionConfig(float("nan"), 0.5, 0.1, n_items=10)
 
 
 def test_restoration_round_trip_random():

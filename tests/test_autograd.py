@@ -221,6 +221,11 @@ OP_CASES = {
     "matmul": lambda p, c: ag.matmul(p["m1"], p["m2"]).sum(),
     "matmul_batched": lambda p, c: ag.matmul(p["t3"], p["m2"]).sum(),
     "matmul_4d": lambda p, c: ag.softplus(ag.matmul(p["t4"], p["m2"])).sum(),
+    "matmul_t1": lambda p, c: ag.softplus(ag.matmul(p["t1"], p["m2"])).sum(),
+    "matmul_noncontiguous": lambda p, c: ag.softplus(
+        ag.matmul(ag.transpose(p["t3"], (1, 0, 2)), p["m2"])).sum(),
+    "matmul_transposed_weight": lambda p, c: ag.softplus(
+        ag.matmul(p["t3"], ag.transpose_last(p["table"]))).sum(),
     "softmax": lambda p, c: (ag.softmax(p["a"]) * c["w"]).sum(),
     "relu": lambda p, c: ag.relu(p["a"]).sum(),
     "softplus": lambda p, c: ag.softplus(p["a"]).sum(),
@@ -266,6 +271,7 @@ def test_primitive_gradients_match_finite_differences(name):
         }
         # its own generator, so the draws of the other cases stay as they were
         params["t4"] = _rand(np.random.default_rng(2000 + trial), 2, 3, 4, 5)
+        params["t1"] = _rand(np.random.default_rng(3000 + trial), 4, 1, 5)
         used = {k: v for k, v in params.items()}
         worst = max(worst, max_rel_error(lambda: build_case(used, consts), used, rng))
     assert worst <= 1e-4, f"{name}: worst rel err {worst:.3e}"
@@ -285,3 +291,21 @@ def test_matmul_gradient_tight_tolerance():
             ),
         )
     assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("lead", [(6, 1), (6, 4), (3, 2, 4)], ids=["N1k", "NTk", "NhTk"])
+def test_weight_matmul_matches_numpy_reference(lead):
+    # forward and both gradients of a @ W against np.matmul, with a
+    # non-uniform upstream gradient so a transposed rule cannot pass
+    rng = np.random.default_rng(17)
+    k, m = 5, 3
+    a = ag.param(rng.standard_normal((*lead, k)))
+    w = ag.param(rng.standard_normal((k, m)))
+    up = rng.standard_normal((*lead, m))
+    out = ag.matmul(a, w)
+    ag.backward((out * ag.constant(up)).sum())
+    np.testing.assert_allclose(out.data, np.matmul(a.data, w.data), rtol=1e-12)
+    np.testing.assert_allclose(a.grad, np.matmul(up, w.data.T), rtol=1e-12)
+    want_w = np.matmul(np.swapaxes(a.data, -1, -2), up).reshape(-1, k, m).sum(axis=0)
+    np.testing.assert_allclose(w.grad, want_w, rtol=1e-12)
+    assert a.grad.shape == a.shape and w.grad.shape == w.shape

@@ -104,6 +104,18 @@ def test_probability_sum_validated():
         parse_config_lines(["p_keep = 0.9"])
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["p_keep = nan"], "p_keep must be in [0,1], got nan"),
+    (["p_delete = nan", "p_keep = 0.9"], "p_delete must be in [0,1], got nan"),
+    (["p_keep = 0.6", "p_insert = -0.1"], "p_insert must be in [0,1], got -0.1"),
+    (["p_keep = 1.2", "p_delete = -0.3"], "p_keep must be in [0,1], got 1.2"),
+])
+def test_corruption_probabilities_refused_at_load(lines, message):
+    # a NaN sum compares False against any tolerance, and a negative p can sum to 1
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_lines(lines)
+
+
 @pytest.mark.parametrize("line, message", [
     ("gamma = 0", "gamma must be in (0,1), got 0.0"),
     ("eta = 1.5", "eta must be in (0,1], got 1.5"),
@@ -125,6 +137,7 @@ def test_contrast_ratios_and_heads_refused_at_load(line, message):
     ("epochs_augmenter = -3", "epochs_augmenter must be finite and >= 0, got -3"),
     ("n_negatives = 0", "n_negatives must be finite and >= 1, got 0"),
     ("max_aug_len = 1", "max_aug_len must be finite and >= 2, got 1"),
+    ("max_len = 0", "max_len must be finite and >= 1, got 0"),
 ])
 def test_out_of_range_values_refused_at_load(line, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

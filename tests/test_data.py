@@ -1,5 +1,7 @@
 """Data pipeline: parsing, 5-core filtering, splits, negatives, batching."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,16 @@ def test_build_sequences_keeps_most_recent_50():
     assert len(seq.items) == 50
     assert seq.items[0] == vocab.token_to_id["i3"]
     assert seq.items[-1] == vocab.token_to_id["i52"]
+
+
+def test_build_sequences_refuses_max_len_below_one():
+    # items[-0:] is the whole list, so max_len = 0 would clip nothing
+    vocab = make_vocab(6)
+    inter = [Interaction("u1", f"i{k}", k) for k in range(6)]
+    with pytest.raises(ConfigError, match=re.escape("max_len must be >= 1, got 0")):
+        build_sequences(inter, vocab, max_len=0)
+    (seq,) = build_sequences(inter, vocab, max_len=1)
+    assert seq.items == [vocab.token_to_id["i5"]]
 
 
 def test_build_sequences_stable_on_timestamp_ties():
