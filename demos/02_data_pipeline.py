@@ -15,6 +15,7 @@ from seqrec.data import (
     pad_batch,
     sample_negatives,
 )
+from seqrec.seeding import rng_for
 from seqrec.synthgen import SynthSpec, generate
 
 # a small ring-structured world: item k is always followed by item k+1
@@ -37,14 +38,15 @@ u = split.users[0]
 print(f"\nuser {u.user_id}: train prefix {u.train}")
 print(f"  validation target {u.valid_target}, test target {u.test_target}")
 
-negatives = sample_negatives(
-    next(s for s in sequences if s.user_id == u.user_id), vocab, count=99, seed=1
-)
+# evaluation keys one generator per (seed, split, "negatives", user)
+negatives = sample_negatives(next(s for s in sequences if s.user_id == u.user_id), vocab,
+                             99, rng_for(1, "test", "negatives", u.user_id))
 overlap = set(negatives) & set(u.full())
 print(f"  99 negatives sampled, overlap with history: {len(overlap)} (must be 0)")
 
-batch = next(make_batches(split, batch_size=4, seed=0))
-ids = pad_batch(batch.seqs)
+# training keys the batch order by (seed, phase, epoch)
+batch = next(make_batches(split, 4, rng_for(0, "rec-order", 0)))
+ids = pad_batch(batch)
 print(f"\nfirst batch: ids matrix {ids.shape}, left-padded rows:")
 for row in ids[:2]:
     print("  ", row)

@@ -15,20 +15,24 @@ from seqrec.augops import (
     reorder_augment,
     restore_sequence,
 )
+from seqrec.seeding import rng_for
 
 MASK = 121
 seq = list(range(1, 13))
 print("raw sequence:  ", seq)
 
-print("mask (gamma=.5):", mask_augment(seq, 0.5, seed=1, mask_id=MASK))
-print("crop (eta=.6):  ", crop_augment(seq, 0.6, seed=1))
-print("reorder (.5):   ", reorder_augment(seq, 0.5, seed=1))
-print("random choice:  ", random_augment(seq, AugConfig(), seed=3, mask_id=MASK))
+# every random function draws from the generator it is given; rng_for derives
+# one from a key, so the same key replays the same draws
+rng = rng_for(1, "demo")
+print("mask (gamma=.5):", mask_augment(seq, 0.5, rng, MASK))
+print("crop (eta=.6):  ", crop_augment(seq, 0.6, rng))
+print("reorder (.5):   ", reorder_augment(seq, 0.5, rng))
+print("random choice:  ", random_augment(seq, AugConfig(), rng, MASK))
 
 # --- corruption for self-supervised restoration ------------------------------
 
 cfg = CorruptionConfig(p_keep=0.4, p_delete=0.5, p_insert=0.1, n_items=120)
-record = corrupt_sequence(seq, cfg, seed=11)
+record = corrupt_sequence(seq, cfg, rng_for(11))
 print("\ndamaged:", record.s_mod)
 print("labels: ", [OP_NAMES[o] for o in record.ops])
 for pos, run in sorted(record.ins_targets.items()):

@@ -5,7 +5,10 @@ corrupt_sequence() produces the self-supervised training signal: a damaged
 copy of a sequence together with the per-position restoration labels
 (keep / delete / insert) and insertion targets needed to rebuild the
 original exactly. restore_sequence() replays a record; for every record,
-restore_sequence(corrupt_sequence(s, cfg)) == s.
+restore_sequence(corrupt_sequence(s, cfg, rng)) == s.
+
+Every random function draws from the np.random.Generator it is given, in a
+fixed order, so the caller's key decides the draw.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .seeding import rng_for
 
 # Restoration operation labels, in logit order.
 OP_KEEP = 0
@@ -86,11 +87,11 @@ def _window(length: int, ratio: float) -> int:
     return max(1, int(np.floor(ratio * length)))
 
 
-def mask_augment(items: list[int], gamma: float, seed: int, mask_id: int) -> list[int]:
+def mask_augment(items: list[int], gamma: float, rng: np.random.Generator,
+                 mask_id: int) -> list[int]:
     """Replace max(1, floor(gamma*len)) random positions by the mask token."""
     if not items:
         raise ValueError("cannot augment an empty sequence")
-    rng = rng_for(seed, "mask-augment")
     count = _window(len(items), gamma)
     positions = rng.choice(len(items), size=count, replace=False)
     out = list(items)
@@ -99,21 +100,19 @@ def mask_augment(items: list[int], gamma: float, seed: int, mask_id: int) -> lis
     return out
 
 
-def crop_augment(items: list[int], eta: float, seed: int) -> list[int]:
+def crop_augment(items: list[int], eta: float, rng: np.random.Generator) -> list[int]:
     """Keep one contiguous window of max(1, floor(eta*len)) items."""
     if not items:
         raise ValueError("cannot augment an empty sequence")
-    rng = rng_for(seed, "crop-augment")
     width = _window(len(items), eta)
     start = int(rng.integers(0, len(items) - width + 1))
     return list(items[start:start + width])
 
 
-def reorder_augment(items: list[int], beta_r: float, seed: int) -> list[int]:
+def reorder_augment(items: list[int], beta_r: float, rng: np.random.Generator) -> list[int]:
     """Shuffle one contiguous window of max(1, floor(beta_r*len)) items."""
     if not items:
         raise ValueError("cannot augment an empty sequence")
-    rng = rng_for(seed, "reorder-augment")
     width = _window(len(items), beta_r)
     start = int(rng.integers(0, len(items) - width + 1))
     out = list(items)
@@ -123,17 +122,19 @@ def reorder_augment(items: list[int], beta_r: float, seed: int) -> list[int]:
     return out
 
 
-def random_augment(items: list[int], cfg: AugConfig, seed: int, mask_id: int) -> list[int]:
-    """Apply one of mask/crop/reorder, chosen uniformly by the seed."""
-    choice = int(rng_for(seed, "augment-choice").integers(0, 3))
+def random_augment(items: list[int], cfg: AugConfig, rng: np.random.Generator,
+                   mask_id: int) -> list[int]:
+    """Apply one of mask/crop/reorder, chosen uniformly by one draw from rng."""
+    choice = int(rng.integers(0, 3))
     if choice == 0:
-        return mask_augment(items, cfg.gamma, seed, mask_id)
+        return mask_augment(items, cfg.gamma, rng, mask_id)
     if choice == 1:
-        return crop_augment(items, cfg.eta, seed)
-    return reorder_augment(items, cfg.beta_r, seed)
+        return crop_augment(items, cfg.eta, rng)
+    return reorder_augment(items, cfg.beta_r, rng)
 
 
-def corrupt_sequence(items: list[int], cfg: CorruptionConfig, seed: int) -> CorruptionRecord:
+def corrupt_sequence(items: list[int], cfg: CorruptionConfig,
+                     rng: np.random.Generator) -> CorruptionRecord:
     """Randomly damage a sequence, recording how to undo the damage.
 
     Per original item: keep it, delete it, or insert a short run of random
@@ -145,7 +146,6 @@ def corrupt_sequence(items: list[int], cfg: CorruptionConfig, seed: int) -> Corr
     """
     if len(items) < 2:
         raise ValueError(f"corruption needs >=2 items, got {len(items)}")
-    rng = rng_for(seed, "corrupt")
     probs = [cfg.p_keep, cfg.p_delete, cfg.p_insert]
     draws = rng.choice(3, size=len(items), p=probs).tolist()
     if all(d == OP_DELETE for d in draws):

@@ -457,16 +457,14 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return _record(out, (logits,), bw)
 
 
-def xavier_init(shape, seed) -> Tensor:
-    """Uniform(-a, a) parameter tensor with a = sqrt(6 / (fan_in + fan_out)).
+def xavier_init(shape, rng: np.random.Generator) -> Tensor:
+    """Uniform(-a, a) parameter tensor drawn from rng, a = sqrt(6 / (fan_in + fan_out)).
 
-    fan_in/fan_out are the first/last dims (equal for 1-d shapes). Accepts
-    an int seed or an existing Generator; an int gives a reproducible draw.
+    fan_in/fan_out are the first/last dims (equal for 1-d shapes).
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) < 1 or any(s < 1 for s in shape):
         raise ShapeError(f"xavier_init needs positive dims, got {shape}")
     fan_in, fan_out = shape[0], shape[-1]
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)

@@ -33,6 +33,7 @@ from .data import (
 from .errors import ConfigError, ParseError
 from .evaluate import NoisySimConfig, evaluate_model, simulate_noisy_testset
 from .optim import AdamState
+from .seeding import rng_for
 from .synthgen import SynthSpec, generate, write_interactions, write_truth
 from .trainer import (
     MODES_NEEDING_AUGMENTER,
@@ -157,7 +158,7 @@ def cmd_corrupt(args) -> int:
     for seq in sequences:
         if len(seq.items) < 2:
             continue
-        record = corrupt_sequence(seq.items, ccfg, seed=cfg.seed)
+        record = corrupt_sequence(seq.items, ccfg, rng_for(cfg.seed, "corrupt", seq.user_id))
         print(f"user {seq.user_id}")
         print(f"  original: {' '.join(map(str, seq.items))}")
         print(f"  modified: {' '.join(map(str, record.s_mod))}")

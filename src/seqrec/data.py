@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError, PoolTooSmallError
-from .seeding import rng_for
 
 log = logging.getLogger(__name__)
 
@@ -79,14 +78,6 @@ class SplitDataset:
 
     def __len__(self) -> int:
         return len(self.users)
-
-
-@dataclass
-class SequenceBatch:
-    """One batch of per-user train prefixes."""
-
-    user_ids: list[str]
-    seqs: list[list[int]]
 
 
 def parse_interactions(path) -> list[Interaction]:
@@ -178,10 +169,10 @@ def leave_one_out_split(sequences: list[ItemSequence]) -> SplitDataset:
 def sample_negatives(
     seq: ItemSequence,
     vocab: Vocabulary,
-    count: int = 99,
-    seed: int = 0,
+    count: int,
+    rng: np.random.Generator,
 ) -> list[int]:
-    """Draw `count` distinct uninteracted items, keyed by (seed, user_id).
+    """Draw `count` distinct uninteracted items from rng.
 
     Negatives avoid every item the user ever interacted with, so the draw
     does not depend on which of the user's items is ranked against them.
@@ -195,7 +186,6 @@ def sample_negatives(
         raise PoolTooSmallError(
             f"user {seq.user_id}: only {len(pool)} uninteracted items, need {count}"
         )
-    rng = rng_for(seed, seq.user_id, "negatives")
     return pool[rng.choice(len(pool), size=count, replace=False)].tolist()
 
 
@@ -223,19 +213,18 @@ def length_classes(lengths) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
 
 
-def make_batches(split: SplitDataset, batch_size: int, seed: int, min_prefix_len: int = 1):
-    """Yield shuffled SequenceBatch objects over the train prefixes.
+def make_batches(split: SplitDataset, batch_size: int, rng: np.random.Generator):
+    """Yield batches (lists of train prefixes) in an order shuffled by rng.
 
     batch_size must be >= 2 (in-batch contrast needs at least one negative
-    pair). Users whose prefix is shorter than min_prefix_len are skipped.
+    pair). Prefixes shorter than 2 items are skipped: corruption needs two.
     """
     if batch_size < 2:
         raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
-    eligible = [u for u in split.users if len(u.train) >= min_prefix_len]
-    order = rng_for(seed, "batch-order").permutation(len(eligible))
+    eligible = [u for u in split.users if len(u.train) >= 2]
+    order = rng.permutation(len(eligible))
     for start in range(0, len(eligible), batch_size):
-        chunk = [eligible[i] for i in order[start:start + batch_size]]
-        yield SequenceBatch([u.user_id for u in chunk], [list(u.train) for u in chunk])
+        yield [list(eligible[i].train) for i in order[start:start + batch_size]]
 
 
 # ---------------------------------------------------------------------------

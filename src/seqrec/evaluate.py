@@ -2,8 +2,9 @@
 
 Each user's held-out target is ranked against 99 sampled uninteracted
 items; HR/MRR/NDCG at K in {5, 10, 20} are averaged over users with
-order-independent summation (math.fsum), so a report depends only on the
-(config, seed) pair, not on batch or user ordering.
+order-independent summation (math.fsum). Each user's negatives come from
+a generator keyed by (seed, split, "negatives", user), so a report depends
+only on the (config, seed) pair, not on batch or user ordering.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .data import ItemSequence, SplitDataset, Vocabulary, sample_negatives
 from .encoder import EncoderParams
 from .errors import PoolTooSmallError
 from .recommender import RecommenderParams, score_candidates
-from .seeding import derive_seed, rng_for
+from .seeding import rng_for
 
 K_VALUES = (5, 10, 20)
 
@@ -175,7 +176,6 @@ def evaluate_model(
     """
     if which not in ("valid", "test"):
         raise ValueError(f"split must be 'valid' or 'test', got {which!r}")
-    neg_seed = derive_seed(seed, which, "negatives")
     scored = [ItemSequence(u.user_id, u.full()[:-1] if which == "valid" else u.full())
               for u in split.users]
     if noisy is not None:
@@ -184,9 +184,10 @@ def evaluate_model(
     contexts: list[list[int]] = []
     cand_rows: list[list[int]] = []
     for u, seq in zip(split.users, scored):
+        rng = rng_for(seed, which, "negatives", u.user_id)
         try:
             negatives = sample_negatives(ItemSequence(u.user_id, u.full()), vocab,
-                                         count=n_negatives, seed=neg_seed)
+                                         n_negatives, rng)
         except PoolTooSmallError:
             continue
         contexts.append(seq.items[:-1])

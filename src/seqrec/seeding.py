@@ -1,8 +1,11 @@
 """Deterministic RNG derivation.
 
-Every source of randomness in the package is keyed by a tuple of integers
-and strings (seed, phase, epoch, batch, ...) rather than by mutable global
-state, so any computation can be replayed bit-for-bit from its key alone.
+Every source of randomness in the package is a generator derived by
+rng_for() from a key tuple of integers and strings, never from mutable
+global state, so any computation can be replayed bit-for-bit from its key
+alone. The code that owns a unit of replay derives its one generator
+(a training batch, a validation pass, an evaluated user, a synthetic user)
+and the functions it calls draw from the generator they are given.
 Strings are folded in through blake2b; Python's built-in hash() is salted
 per process and must not be used here.
 """
@@ -33,13 +36,6 @@ def seed_key(*parts) -> tuple[int, ...]:
 def rng_for(*parts) -> np.random.Generator:
     """Fresh generator deterministically derived from the given parts."""
     return np.random.default_rng(seed_key(*parts))
-
-
-def derive_seed(*parts) -> int:
-    """Collapse mixed parts into one stable non-negative int seed."""
-    payload = b"\x00".join(str(_fold(p)).encode() for p in parts)
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "little") >> 1
 
 
 class SeedStream:

@@ -10,12 +10,16 @@ augmenter is frozen except in cotrain mode.
 This module owns the run policy: which modes need a pretrained augmenter,
 which components each phase trains, how the corruption generator is
 configured from a RunConfig, and whether a model can run a mode. Both
-phases run one epoch loop (_run_epochs): batch order, one dropout
-SeedStream per batch (the forward trains because it is given one), the
-Adam step, loss averages, validation, early stopping and the log line.
+phases run one epoch loop (_run_epochs): batch order, one generator and
+one dropout SeedStream per batch (the forward trains because it is given a
+stream), the Adam step, loss averages, validation, early stopping and the
+log line.
 
-All randomness is keyed by (seed, phase, epoch, batch, row), so a run can
-be resumed from a checkpoint and continue exactly as the unbroken run.
+The batch is the unit of replay. Its corruptions, random views and sampled
+generations all draw, in a fixed order, from one generator keyed by (seed,
+phase, epoch, batch), and its dropout masks from a stream under the same
+key, so a run can be resumed from a checkpoint and continue exactly as the
+unbroken run. Validation corrupts from one generator keyed by the seed.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .errors import ConfigError, NonFiniteError
 from .evaluate import evaluate_model
 from .optim import AdamState, ParamStore, adam_step
 from .recommender import RecommenderParams, rec_loss, sequence_reprs
-from .seeding import SeedStream, derive_seed, rng_for
+from .seeding import SeedStream, rng_for
 
 
 @dataclass
@@ -155,14 +159,10 @@ def _chunks(seq, size):
 # ---------------------------------------------------------------------------
 
 
-def _corrupt_batch(seqs, user_ids, ccfg, base_seed, tag, max_mod_len):
-    """Fresh corruption records for one batch; over-long damage is skipped."""
-    records = []
-    for user, seq in zip(user_ids, seqs):
-        rec = corrupt_sequence(seq, ccfg, seed=derive_seed(base_seed, "corrupt", tag, user))
-        if len(rec.s_mod) <= max_mod_len:
-            records.append(rec)
-    return records
+def _corrupt_batch(seqs, ccfg, rng, max_mod_len):
+    """Corruption records drawn from rng in row order; over-long damage is skipped."""
+    records = [corrupt_sequence(seq, ccfg, rng) for seq in seqs]
+    return [rec for rec in records if len(rec.s_mod) <= max_mod_len]
 
 
 def _check_prefix_lengths(split: SplitDataset, max_len: int) -> None:
@@ -182,16 +182,18 @@ def validation_aug_loss(split: SplitDataset, model: RecModel, ccfg: CorruptionCo
                         seed: int, batch_size: int) -> tuple[float, dict[str, float]]:
     """Restoration loss + accuracies on a fixed corruption of the prefixes.
 
-    One no-grad pass per chunk. Hits and their denominators are summed over
-    chunks, so the accuracies do not depend on batch_size.
+    The prefixes of 2+ items are corrupted in split order from one generator
+    keyed (seed, "valid-corrupt"), so the records do not depend on
+    batch_size. One no-grad pass per chunk. Hits and their denominators are
+    summed over chunks, so the accuracies do not depend on batch_size either.
     """
-    eligible = [u for u in split.users if len(u.train) >= 2]
+    prefixes = [u.train for u in split.users if len(u.train) >= 2]
+    rng = rng_for(seed, "valid-corrupt")
     max_mod_len = model.dims.max_aug_len - 1
     total, count = 0.0, 0
     op_hits = op_total = ins_hits = ins_total = 0
-    for chunk in _chunks(eligible, batch_size):
-        records = _corrupt_batch([u.train for u in chunk], [u.user_id for u in chunk],
-                                 ccfg, seed, "valid", max_mod_len)
+    for chunk in _chunks(prefixes, batch_size):
+        records = _corrupt_batch(chunk, ccfg, rng, max_mod_len)
         if not records:
             continue
         stats = restoration_accuracy(records, model.enc, model.aug)
@@ -209,7 +211,7 @@ def validation_aug_loss(split: SplitDataset, model: RecModel, ccfg: CorruptionCo
     return mean, detail
 
 
-# Per phase: the tag of its batch-order and dropout keys, and the history
+# Per phase: the tag of its batch-order, batch and dropout keys, and the history
 # field that picks the best epoch, with its sign (1 maximises, -1 minimises).
 _PHASES = {"augmenter": ("aug", "val_loss", -1), "recommender": ("rec", "val_sum", 1)}
 
@@ -219,11 +221,12 @@ def _run_epochs(phase: str, split: SplitDataset, cfg: RunConfig, model: RecModel
                 on_epoch=None, log=None) -> TrainResult:
     """The epoch loop of both phases, up to cfg.epochs_<phase>.
 
-    Batch b of an epoch steps on batch_loss(batch, epoch, b, stream) -> (loss,
-    parts), or is skipped on None; the row averages the parts over the stepped
-    batches and adds validate()'s fields. An epoch improves when its metric
-    beats every earlier one's (a phase-1 val_loss of inf never does); the run
-    stops after cfg.patience epochs without one.
+    Batch b of an epoch steps on batch_loss(seqs, rng, stream) -> (loss, parts),
+    or is skipped on None; rng and stream are keyed by (seed, tag, epoch, b).
+    The row averages the parts over the stepped batches and adds validate()'s
+    fields. An epoch improves when its metric beats every earlier one's (a
+    phase-1 val_loss of inf never does); the run stops after cfg.patience
+    epochs without one.
     """
     tag, metric, sign = _PHASES[phase]
     params, new_opt = make_optimizer(model, cfg, phase)
@@ -234,12 +237,11 @@ def _run_epochs(phase: str, split: SplitDataset, cfg: RunConfig, model: RecModel
         t0 = time.time()
         sums: dict[str, float] = {}
         n_batches = 0
-        batches = make_batches(split, cfg.batch_size,
-                               seed=derive_seed(cfg.seed, f"{tag}-order", epoch),
-                               min_prefix_len=2)
-        for b_idx, batch in enumerate(batches):
+        batches = make_batches(split, cfg.batch_size, rng_for(cfg.seed, f"{tag}-order", epoch))
+        for b_idx, seqs in enumerate(batches):
+            rng = rng_for(cfg.seed, f"{tag}-batch", epoch, b_idx)
             stream = SeedStream(cfg.seed, f"{tag}-dropout", epoch, b_idx)
-            stepped = batch_loss(batch, epoch, b_idx, stream)
+            stepped = batch_loss(seqs, rng, stream)
             if stepped is None:
                 continue
             loss, parts = stepped
@@ -290,9 +292,8 @@ def train_augmenter(
     _check_prefix_lengths(split, model.dims.max_len)
     ccfg = corruption_config(cfg, vocab.n_items)
 
-    def batch_loss(batch, epoch, b_idx, stream):
-        records = _corrupt_batch(batch.seqs, batch.user_ids, ccfg, cfg.seed, epoch,
-                                 dims.max_aug_len - 1)
+    def batch_loss(seqs, rng, stream):
+        records = _corrupt_batch(seqs, ccfg, rng, dims.max_aug_len - 1)
         if not records:
             return None
         loss, stats = augmenter_loss(records, model.enc, model.aug, stream=stream)
@@ -313,49 +314,37 @@ def train_augmenter(
 
 def make_contrast_views(
     seqs: list[list[int]],
-    user_ids: list[str],
     model: RecModel,
     mode: str,
     aug_cfg: AugConfig,
-    seed: int,
-    epoch,
-    batch_idx,
+    rng: np.random.Generator,
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Build the two augmented views of each sequence for one batch."""
-    mask_id = model.dims.mask_id
-
-    def random_views(tag):
-        return [
-            random_augment(s, aug_cfg, derive_seed(seed, tag, epoch, u), mask_id)
-            for u, s in zip(user_ids, seqs)
-        ]
+    """Build the two augmented views of each sequence for one batch, drawing from rng."""
+    def random_view():
+        return [random_augment(s, aug_cfg, rng, model.dims.mask_id) for s in seqs]
 
     if mode == "base":
-        return random_views("view1"), random_views("view2")
+        return random_view(), random_view()
     if mode == "duoaug":
-        one = generate_augmented_batch(seqs, model.enc, model.aug,
-                                       rng=rng_for(seed, "duo1", epoch, batch_idx))
-        two = generate_augmented_batch(seqs, model.enc, model.aug,
-                                       rng=rng_for(seed, "duo2", epoch, batch_idx))
-        return one, two
+        return (generate_augmented_batch(seqs, model.enc, model.aug, rng=rng),
+                generate_augmented_batch(seqs, model.enc, model.aug, rng=rng))
     # full / wo_tri / cotrain: learned view + random view
     one = generate_augmented_batch(seqs, model.enc, model.aug)
-    return one, random_views("view2")
+    return one, random_view()
 
 
 def joint_loss(
     seqs: list[list[int]],
-    user_ids: list[str],
     model: RecModel,
     cfg: RunConfig,
-    epoch,
-    batch_idx,
+    rng: np.random.Generator,
     stream: SeedStream | None = None,
 ):
     """L = L_rec + alpha*L_cl + beta*L_tri (+ restoration loss in cotrain).
 
-    The terms and views follow cfg.mode. With a stream the forward trains:
-    every stack draws its dropout masks from it, in call order.
+    The terms and views follow cfg.mode. The views, then cotrain's
+    corruptions, draw from rng. With a stream the forward trains: every
+    stack draws its dropout masks from it, in call order.
     """
     mode = cfg.mode
     if mode not in MODES:
@@ -367,8 +356,7 @@ def joint_loss(
     parts["rec"] = total.item()
     if alpha != 0.0 or beta != 0.0:
         aug_cfg = AugConfig(cfg.gamma, cfg.eta, cfg.beta_r)
-        view1, view2 = make_contrast_views(seqs, user_ids, model, mode, aug_cfg,
-                                           cfg.seed, epoch, batch_idx)
+        view1, view2 = make_contrast_views(seqs, model, mode, aug_cfg, rng)
         r1 = sequence_reprs(view1, model.enc, model.rec, stream=stream)
         r2 = sequence_reprs(view2, model.enc, model.rec, stream=stream)
         # a trailing remainder batch of one user has no in-batch negatives;
@@ -384,8 +372,7 @@ def joint_loss(
             total = total + beta * l_tri
     if mode == "cotrain":
         ccfg = corruption_config(cfg, model.dims.n_items)
-        records = _corrupt_batch(seqs, user_ids, ccfg, cfg.seed, f"co-{epoch}",
-                                 model.dims.max_aug_len - 1)
+        records = _corrupt_batch(seqs, ccfg, rng, model.dims.max_aug_len - 1)
         if records:
             l_aug, stats = augmenter_loss(records, model.enc, model.aug, stream=stream)
             parts["aug"] = stats.loss
@@ -434,9 +421,8 @@ def train_recommender(
     if cfg.mode == "cotrain":
         _check_prefix_lengths(split, model.dims.max_len)
 
-    def batch_loss(batch, epoch, b_idx, stream):
-        loss, parts = joint_loss(batch.seqs, batch.user_ids, model, cfg, epoch, b_idx,
-                                 stream=stream)
+    def batch_loss(seqs, rng, stream):
+        loss, parts = joint_loss(seqs, model, cfg, rng, stream=stream)
         return loss, {f"loss_{key}": val for key, val in parts.items()}
 
     def validate():

@@ -48,6 +48,7 @@ from seqrec.evaluate import (
 )
 from seqrec.optim import AdamState, ParamStore
 from seqrec.recommender import rec_loss, sequence_reprs
+from seqrec.seeding import rng_for
 from seqrec.synthgen import SynthSpec, generate
 from seqrec.trainer import (
     build_model,
@@ -90,12 +91,12 @@ def test_criterion_1_gradient_suite():
                 for _ in range(3)]
         # contrast views are data: freeze them before differentiating
         acfg = AugConfig()
-        view1 = [random_augment(s, acfg, seed=trial * 7 + i, mask_id=dims.mask_id)
+        view1 = [random_augment(s, acfg, rng_for(trial * 7 + i), dims.mask_id)
                  for i, s in enumerate(seqs)]
-        view2 = [random_augment(s, acfg, seed=trial * 7 + 100 + i, mask_id=dims.mask_id)
+        view2 = [random_augment(s, acfg, rng_for(trial * 7 + 100 + i), dims.mask_id)
                  for i, s in enumerate(seqs)]
         ccfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=20)
-        records = [corrupt_sequence(s, ccfg, seed=trial * 11 + i)
+        records = [corrupt_sequence(s, ccfg, rng_for(trial * 11 + i))
                    for i, s in enumerate(seqs)]
         enc_rec = {**enc.named_params(), **rec.named_params()}
         enc_aug = {**enc.named_params(), **aug.named_params()}
@@ -243,7 +244,7 @@ def test_criterion_4_restoration_round_trip():
     positions = 0
     for trial in range(1000):
         seq = list(rng.integers(1, 201, size=int(rng.integers(2, 40))))
-        record = corrupt_sequence(seq, ccfg, seed=trial)
+        record = corrupt_sequence(seq, ccfg, rng_for(trial))
         assert replay(record) == seq
         for d in record.draws:
             draws[d] += 1
@@ -320,7 +321,7 @@ def test_criterion_5_augmenter_learning():
     heldout = []
     for i, u in enumerate(split.users[:500]):
         if len(u.train) >= 2:
-            heldout.append(corrupt_sequence(u.train, ccfg, seed=900_000 + i))
+            heldout.append(corrupt_sequence(u.train, ccfg, rng_for(900_000 + i)))
 
     # information-sufficiency calibration: the brute-force bigram oracle
     # must itself clear the frozen floors, otherwise the task is unfair
@@ -521,7 +522,7 @@ def test_criterion_9_data_pipeline():
 
     checked = 0
     for seq in sequences:
-        negatives = sample_negatives(seq, vocab, count=99, seed=13)
+        negatives = sample_negatives(seq, vocab, 99, rng_for(13, seq.user_id))
         assert len(set(negatives)) == 99
         assert not set(negatives) & set(seq.items)
         checked += 1

@@ -27,7 +27,7 @@ from seqrec.augops import (
 from seqrec.cli import _load_model_ckpt
 from seqrec.data import pad_batch
 from seqrec.encoder import EncoderParams, ModelDims, encode_batch
-from seqrec.seeding import SeedStream
+from seqrec.seeding import SeedStream, rng_for
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "ring120-full.ckpt"
 DIMS = ModelDims(n_items=20, embed_dim=16, n_layers=1, n_heads=1, dropout=0.5,
@@ -148,7 +148,7 @@ def test_loss_finite_and_positive_on_random_records():
     ccfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=DIMS.n_items)
     rng = np.random.default_rng(3)
     records = [
-        corrupt_sequence(list(rng.integers(1, DIMS.n_items + 1, size=8)), ccfg, seed=k)
+        corrupt_sequence(list(rng.integers(1, DIMS.n_items + 1, size=8)), ccfg, rng_for(k))
         for k in range(6)
     ]
     loss, stats = augmenter_loss(records, enc, aug)
@@ -200,7 +200,7 @@ def test_loss_gradients_match_finite_differences():
     ccfg = CorruptionConfig(0.4, 0.4, 0.2, n_items=DIMS.n_items)
     rng = np.random.default_rng(4)
     records = [
-        corrupt_sequence(list(rng.integers(1, DIMS.n_items + 1, size=6)), ccfg, seed=k)
+        corrupt_sequence(list(rng.integers(1, DIMS.n_items + 1, size=6)), ccfg, rng_for(k))
         for k in range(3)
     ]
     params = {}
@@ -217,7 +217,7 @@ def test_loss_gradients_match_finite_differences():
 def test_restoration_accuracy_bounds():
     enc, aug = fresh_params(14)
     ccfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=DIMS.n_items)
-    records = [corrupt_sequence(list(range(1, 10)), ccfg, seed=k) for k in range(4)]
+    records = [corrupt_sequence(list(range(1, 10)), ccfg, rng_for(k)) for k in range(4)]
     acc = restoration_accuracy(records, enc, aug)
     assert 0 <= acc.op_hits <= acc.n_op_positions
     assert 0 <= acc.ins_hits <= acc.n_ins_items < acc.n_ins_targets
@@ -226,7 +226,7 @@ def test_restoration_accuracy_bounds():
 def test_restoration_accuracy_reports_the_loss_sums():
     enc, aug = fresh_params(15)
     ccfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=DIMS.n_items)
-    records = [corrupt_sequence(list(range(1, 3 + k)), ccfg, seed=k) for k in range(6)]
+    records = [corrupt_sequence(list(range(1, 3 + k)), ccfg, rng_for(k)) for k in range(6)]
     _, stats = augmenter_loss(records, enc, aug)
     ag.clear_tape()
     acc = restoration_accuracy(records, enc, aug)
@@ -453,7 +453,7 @@ def test_generate_oracle_restores_corruption(monkeypatch):
     rng = np.random.default_rng(9)
     for trial in range(40):
         seq = list(rng.integers(1, DIMS.n_items + 1, size=int(rng.integers(2, 12))))
-        record = corrupt_sequence(seq, ccfg, seed=trial)
+        record = corrupt_sequence(seq, ccfg, rng_for(trial))
         if len(record.s_mod) > DIMS.max_aug_len - 1:
             continue
         w = len(record.s_mod) + 1

@@ -18,6 +18,7 @@ from seqrec.augops import (
     reorder_augment,
     restore_sequence,
 )
+from seqrec.seeding import rng_for
 
 MASK = 999
 
@@ -43,25 +44,26 @@ def replay_record(record):
 
 def test_mask_count_and_length():
     seq = list(range(1, 11))
-    out = mask_augment(seq, 0.5, seed=1, mask_id=MASK)
+    out = mask_augment(seq, 0.5, rng_for(1), MASK)
     assert len(out) == 10
     assert out.count(MASK) == 5
 
 
 def test_mask_single_item_bumps_floor():
-    out = mask_augment([7], 0.5, seed=1, mask_id=MASK)
+    out = mask_augment([7], 0.5, rng_for(1), MASK)
     assert out == [MASK]
 
 
 def test_mask_deterministic():
     seq = list(range(1, 21))
-    assert mask_augment(seq, 0.3, 5, MASK) == mask_augment(seq, 0.3, 5, MASK)
-    assert mask_augment(seq, 0.3, 5, MASK) != mask_augment(seq, 0.3, 6, MASK)
+    draw = lambda key: mask_augment(seq, 0.3, rng_for(key), MASK)
+    assert draw(5) == draw(5)
+    assert draw(5) != draw(6)
 
 
 def test_crop_is_contiguous_window():
     seq = list(range(1, 11))
-    out = crop_augment(seq, 0.6, seed=2)
+    out = crop_augment(seq, 0.6, rng_for(2))
     assert len(out) == 6
     start = seq.index(out[0])
     assert out == seq[start:start + 6]
@@ -69,23 +71,23 @@ def test_crop_is_contiguous_window():
 
 def test_crop_full_ratio_is_identity():
     seq = list(range(1, 8))
-    assert crop_augment(seq, 1.0, seed=3) == seq
+    assert crop_augment(seq, 1.0, rng_for(3)) == seq
 
 
 def test_crop_single_item():
-    assert crop_augment([42], 0.5, seed=4) == [42]
+    assert crop_augment([42], 0.5, rng_for(4)) == [42]
 
 
 def test_reorder_window_one_unchanged():
     seq = [1, 2, 3]
-    assert reorder_augment(seq, 0.3, seed=5) == seq  # floor(0.9) -> window 1
+    assert reorder_augment(seq, 0.3, rng_for(5)) == seq  # floor(0.9) -> window 1
 
 
 def test_reorder_preserves_multiset_and_flanks():
     rng = np.random.default_rng(0)
     for trial in range(50):
         seq = list(rng.integers(1, 100, size=10))
-        out = reorder_augment(seq, 0.5, seed=trial)
+        out = reorder_augment(seq, 0.5, rng_for(trial))
         assert sorted(out) == sorted(seq)
         assert len(out) == len(seq)
         # outside one length-5 window everything matches
@@ -95,7 +97,7 @@ def test_reorder_preserves_multiset_and_flanks():
 
 
 def test_reorder_two_items_roughly_uniform():
-    flips = sum(reorder_augment([1, 2], 1.0, seed=s) == [2, 1] for s in range(1000))
+    flips = sum(reorder_augment([1, 2], 1.0, rng_for(s)) == [2, 1] for s in range(1000))
     # chi-square against a fair coin, 1 dof: reject only below p=0.01
     chi2 = (flips - 500) ** 2 / 500 + (500 - flips) ** 2 / 500
     assert chi2 < 6.63, f"flip count {flips} too skewed"
@@ -106,7 +108,7 @@ def test_random_augment_choice_frequencies():
     seq = list(range(1, 11))
     counts = Counter()
     for s in range(3000):
-        out = random_augment(seq, cfg, seed=s, mask_id=MASK)
+        out = random_augment(seq, cfg, rng_for(s), MASK)
         if MASK in out:
             counts["mask"] += 1
         elif len(out) < len(seq):
@@ -120,14 +122,15 @@ def test_random_augment_choice_frequencies():
 def test_random_augment_single_item_always_valid():
     cfg = AugConfig()
     for s in range(30):
-        out = random_augment([5], cfg, seed=s, mask_id=MASK)
+        out = random_augment([5], cfg, rng_for(s), MASK)
         assert out in ([5], [MASK])
 
 
 def test_random_augment_deterministic():
     cfg = AugConfig()
     seq = list(range(1, 16))
-    assert random_augment(seq, cfg, 7, MASK) == random_augment(seq, cfg, 7, MASK)
+    draw = lambda key: random_augment(seq, cfg, rng_for(key), MASK)
+    assert draw(7) == draw(7)
 
 
 def test_aug_config_validates_ranges():
@@ -145,7 +148,7 @@ def test_aug_config_validates_ranges():
 def test_corrupt_keep_only_is_identity():
     cfg = CorruptionConfig(1.0, 0.0, 0.0, n_items=50)
     seq = [3, 1, 4, 1, 5]
-    rec = corrupt_sequence(seq, cfg, seed=0)
+    rec = corrupt_sequence(seq, cfg, rng_for(0))
     assert rec.s_mod == seq
     assert rec.ops == [OP_KEEP] * 5
     assert rec.ins_targets == {}
@@ -155,7 +158,7 @@ def test_corrupt_keep_only_is_identity():
 def test_corrupt_delete_only_keeps_one_survivor():
     cfg = CorruptionConfig(0.0, 1.0, 0.0, n_items=50)
     seq = [10, 20, 30]
-    rec = corrupt_sequence(seq, cfg, seed=1)
+    rec = corrupt_sequence(seq, cfg, rng_for(1))
     assert len(rec.s_mod) == 1
     assert rec.s_mod[0] in seq
     assert replay_record(rec) == seq
@@ -164,7 +167,7 @@ def test_corrupt_delete_only_keeps_one_survivor():
 def test_corrupt_insert_labels_are_delete():
     cfg = CorruptionConfig(0.0, 0.0, 1.0, max_insert_run=3, n_items=50)
     seq = [10, 20]
-    rec = corrupt_sequence(seq, cfg, seed=2)
+    rec = corrupt_sequence(seq, cfg, rng_for(2))
     # every original survives; everything else is labelled delete
     survivors = [p for p, op in enumerate(rec.ops) if op != OP_DELETE]
     assert [rec.s_mod[p] for p in survivors] == seq
@@ -174,7 +177,7 @@ def test_corrupt_insert_labels_are_delete():
 def test_corrupt_rejects_single_item():
     cfg = CorruptionConfig(n_items=50)
     with pytest.raises(ValueError):
-        corrupt_sequence([1], cfg, seed=0)
+        corrupt_sequence([1], cfg, rng_for(0))
 
 
 def test_corrupt_config_validates_probabilities():
@@ -192,7 +195,7 @@ def test_restoration_round_trip_random():
     for trial in range(1000):
         length = int(rng.integers(2, 30))
         seq = list(rng.integers(1, 81, size=length))
-        rec = corrupt_sequence(seq, cfg, seed=trial)
+        rec = corrupt_sequence(seq, cfg, rng_for(trial))
         assert replay_record(rec) == seq
         assert restore_sequence(rec) == seq  # library replay agrees
 
@@ -206,7 +209,7 @@ def test_corrupt_draw_frequencies_match_probabilities():
     while total < 10_000:
         length = int(rng.integers(5, 25))
         seq = list(rng.integers(1, 81, size=length))
-        rec = corrupt_sequence(seq, cfg, seed=seed)
+        rec = corrupt_sequence(seq, cfg, rng_for(seed))
         for d in rec.draws:
             counts[d] += 1
         total += length
@@ -219,8 +222,8 @@ def test_corrupt_draw_frequencies_match_probabilities():
 def test_corrupt_deterministic_per_seed():
     cfg = CorruptionConfig(n_items=40)
     seq = list(range(1, 15))
-    a = corrupt_sequence(seq, cfg, seed=9)
-    b = corrupt_sequence(seq, cfg, seed=9)
+    a = corrupt_sequence(seq, cfg, rng_for(9))
+    b = corrupt_sequence(seq, cfg, rng_for(9))
     assert a.s_mod == b.s_mod and a.ops == b.ops
     assert a.ins_targets == b.ins_targets and a.tail_targets == b.tail_targets
 
@@ -230,7 +233,7 @@ def test_corrupt_insert_targets_are_reverse_ordered():
     cfg = CorruptionConfig(0.0, 1.0, 0.0, n_items=50)
     for seed in range(50):
         seq = [11, 22, 33, 44]
-        rec = corrupt_sequence(seq, cfg, seed=seed)
+        rec = corrupt_sequence(seq, cfg, rng_for(seed))
         survivor = rec.s_mod[0]
         pos_in_seq = seq.index(survivor)
         before = seq[:pos_in_seq]

@@ -74,6 +74,20 @@ def test_corrupt_prints_records(workspace, capsys):
     assert "modified:" in out and "ops:" in out
 
 
+def test_corrupt_draws_each_user_apart(workspace, capsys):
+    # one key per user: users of equal length do not share one corruption
+    _, cfg, data = workspace
+    rc = main(["corrupt", "--data", str(data), "--config", str(cfg), "--limit", "1000"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    ops_by_length = {}
+    for original, ops in zip([l for l in lines if l.startswith("  original:")],
+                             [l for l in lines if l.startswith("  ops:")]):
+        ops_by_length.setdefault(len(original.split()), set()).add(ops)
+    assert len(ops_by_length) > 1
+    assert all(len(ops) > 1 for ops in ops_by_length.values()), ops_by_length.keys()
+
+
 def test_train_augmenter_writes_checkpoints(workspace):
     root, cfg, data = workspace
     out = root / "aug-run"

@@ -23,6 +23,7 @@ from seqrec.data import (
     write_vocabulary,
 )
 from seqrec.errors import ConfigError, ParseError, PoolTooSmallError
+from seqrec.seeding import rng_for
 
 
 def make_vocab(n_items):
@@ -210,7 +211,7 @@ def test_split_partitions_exactly():
 def test_negatives_disjoint_from_history():
     vocab = make_vocab(120)
     seq = ItemSequence("u1", list(range(1, 11)))
-    negatives = sample_negatives(seq, vocab, count=99, seed=5)
+    negatives = sample_negatives(seq, vocab, 99, rng_for(5))
     assert len(negatives) == 99
     assert len(set(negatives)) == 99
     assert not set(negatives) & set(seq.items)
@@ -220,24 +221,22 @@ def test_negatives_pool_too_small():
     vocab = make_vocab(105)
     seq = ItemSequence("u1", list(range(1, 11)))
     with pytest.raises(PoolTooSmallError):
-        sample_negatives(seq, vocab, count=99, seed=5)
+        sample_negatives(seq, vocab, 99, rng_for(5))
 
 
 def test_negatives_deterministic_per_seed():
     vocab = make_vocab(150)
     seq = ItemSequence("u1", list(range(1, 11)))
-    a = sample_negatives(seq, vocab, seed=5)
-    b = sample_negatives(seq, vocab, seed=5)
-    c = sample_negatives(seq, vocab, seed=6)
+    a = sample_negatives(seq, vocab, 99, rng_for(5))
+    b = sample_negatives(seq, vocab, 99, rng_for(5))
+    c = sample_negatives(seq, vocab, 99, rng_for(6))
     assert a == b
     assert a != c
 
 
 def test_negatives_match_the_scanned_pool():
-    # the keyed draw indexes the ascending pool of uninteracted ids; rebuild
-    # that pool by scanning the catalog and replay the draw
-    from seqrec.seeding import rng_for
-
+    # the draw indexes the ascending pool of uninteracted ids; rebuild that
+    # pool by scanning the catalog and replay the draw from the same key
     vocab = make_vocab(130)
     users = [
         ItemSequence("u1", [5, 17, 3, 17, 99]),
@@ -246,16 +245,15 @@ def test_negatives_match_the_scanned_pool():
         ItemSequence("u4", [1]),
     ]
     for seq in users:
-        negatives = sample_negatives(seq, vocab, count=99, seed=8)
+        negatives = sample_negatives(seq, vocab, 99, rng_for(8, seq.user_id))
         pool = [i for i in range(1, vocab.n_items + 1) if i not in set(seq.items)]
-        chosen = rng_for(8, seq.user_id, "negatives").choice(len(pool), size=99,
-                                                             replace=False)
+        chosen = rng_for(8, seq.user_id).choice(len(pool), size=99, replace=False)
         assert negatives == [pool[i] for i in chosen]
         assert all(type(i) is int for i in negatives)
     # one more interacted item leaves 98: the boundary sits at count
     with pytest.raises(PoolTooSmallError, match="only 98 uninteracted items"):
-        sample_negatives(ItemSequence("u2", list(range(1, 32)) + [130]), vocab,
-                         count=99, seed=8)
+        sample_negatives(ItemSequence("u2", list(range(1, 32)) + [130]), vocab, 99,
+                         rng_for(8, "u2"))
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +288,29 @@ def test_pad_never_right_of_real_item():
 
 def test_make_batches_rejects_tiny_batch():
     with pytest.raises(ConfigError):
-        list(make_batches(make_split([3, 3]), batch_size=1, seed=0))
+        list(make_batches(make_split([3, 3]), 1, rng_for(0)))
 
 
 def test_make_batches_last_batch_smaller():
-    batches = list(make_batches(make_split([3] * 5), batch_size=2, seed=0))
-    assert [len(b.seqs) for b in batches] == [2, 2, 1]
+    batches = list(make_batches(make_split([3] * 5), 2, rng_for(0)))
+    assert [len(b) for b in batches] == [2, 2, 1]
 
 
 def test_make_batches_oversized_batch_yields_one():
-    batches = list(make_batches(make_split([3] * 5), batch_size=50, seed=0))
-    assert [len(b.seqs) for b in batches] == [5]
+    batches = list(make_batches(make_split([3] * 5), 50, rng_for(0)))
+    assert [len(b) for b in batches] == [5]
+
+
+def test_make_batches_skips_prefixes_shorter_than_two():
+    batches = list(make_batches(make_split([0, 1, 2, 3]), 50, rng_for(0)))
+    assert [sorted(b) for b in batches] == [[[1, 2], [1, 2, 3]]]
 
 
 def test_make_batches_deterministic():
     split = make_split([3, 4, 5, 6, 7, 8])
-    a = [b.user_ids for b in make_batches(split, 2, seed=9)]
-    b = [b.user_ids for b in make_batches(split, 2, seed=9)]
-    c = [b.user_ids for b in make_batches(split, 2, seed=10)]
+    a = list(make_batches(split, 2, rng_for(9)))
+    b = list(make_batches(split, 2, rng_for(9)))
+    c = list(make_batches(split, 2, rng_for(10)))
     assert a == b
     assert a != c
 

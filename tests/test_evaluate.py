@@ -26,7 +26,7 @@ from seqrec.evaluate import (
     user_metrics,
 )
 from seqrec.recommender import RecommenderParams
-from seqrec.seeding import derive_seed
+from seqrec.seeding import rng_for
 
 
 def make_vocab(n_items):
@@ -304,8 +304,8 @@ def test_noisy_rows_score_the_damaged_history_against_undamaged_negatives(monkey
         moved += context != history
         assert cands[0] == target
         full = ItemSequence(u.user_id, u.full())
-        assert cands[1:] == sample_negatives(full, vocab, count=99,
-                                             seed=derive_seed(6, which, "negatives"))
+        assert cands[1:] == sample_negatives(full, vocab, 99,
+                                             rng_for(6, which, "negatives", u.user_id))
     assert moved > len(rows) // 2  # the checks above ran on damaged contexts
 
 

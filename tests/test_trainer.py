@@ -19,7 +19,7 @@ from seqrec.data import PAD_ID, ItemSequence, leave_one_out_split, length_classe
 from seqrec.cli import _save_model_ckpt
 from seqrec.errors import ConfigError, NonFiniteError
 from seqrec.optim import AdamState, ParamStore
-from seqrec.seeding import SeedStream
+from seqrec.seeding import SeedStream, rng_for
 from seqrec.trainer import (
     _corrupt_batch,
     build_model,
@@ -84,8 +84,7 @@ def trained_model():
 
 
 def batch_from(split, n=8):
-    users = split.users[:n]
-    return [u.train for u in users], [u.user_id for u in users]
+    return [u.train for u in split.users[:n]]
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +94,9 @@ def batch_from(split, n=8):
 
 def test_zero_weights_reduce_to_rec_loss(tiny_data, tiny_model):
     split, _ = tiny_data
-    seqs, users = batch_from(split)
+    seqs = batch_from(split)
     cfg = tiny_cfg(alpha=0.0, beta=0.0)
-    total, parts = joint_loss(seqs, users, tiny_model, cfg, 0, 0)
+    total, parts = joint_loss(seqs, tiny_model, cfg, rng_for(0))
     assert parts["total"] == parts["rec"]
     assert "cl" not in parts and "tri" not in parts
     ag.clear_tape()
@@ -105,9 +104,9 @@ def test_zero_weights_reduce_to_rec_loss(tiny_data, tiny_model):
 
 def test_joint_loss_is_linear_recombination(tiny_data, tiny_model):
     split, _ = tiny_data
-    seqs, users = batch_from(split)
+    seqs = batch_from(split)
     cfg = tiny_cfg(alpha=0.3, beta=0.02)
-    total, parts = joint_loss(seqs, users, tiny_model, cfg, 0, 0)
+    total, parts = joint_loss(seqs, tiny_model, cfg, rng_for(0))
     recombined = parts["rec"] + 0.3 * parts["cl"] + 0.02 * parts["tri"]
     assert abs(parts["total"] - recombined) < 1e-12
     ag.clear_tape()
@@ -115,15 +114,15 @@ def test_joint_loss_is_linear_recombination(tiny_data, tiny_model):
 
 def test_wo_tri_drops_triplet_term(tiny_data, tiny_model):
     split, _ = tiny_data
-    seqs, users = batch_from(split)
-    total, parts = joint_loss(seqs, users, tiny_model, tiny_cfg(mode="wo_tri"), 0, 0)
+    seqs = batch_from(split)
+    total, parts = joint_loss(seqs, tiny_model, tiny_cfg(mode="wo_tri"), rng_for(0))
     assert "tri" not in parts and "cl" in parts
     ag.clear_tape()
 
 
 def test_joint_gradient_is_sum_of_term_gradients(tiny_data, tiny_model):
     split, _ = tiny_data
-    seqs, users = batch_from(split, n=6)
+    seqs = batch_from(split, n=6)
     model = tiny_model
     alpha, beta = 0.25, 0.04
     names = list(model.named_params(("enc", "rec")))
@@ -132,7 +131,7 @@ def test_joint_gradient_is_sum_of_term_gradients(tiny_data, tiny_model):
         cfg = tiny_cfg(alpha=a, beta=b)
         params = model.named_params(("enc", "rec"))
         zero_grads(params)
-        total, _ = joint_loss(seqs, users, model, cfg, 0, 0)
+        total, _ = joint_loss(seqs, model, cfg, rng_for(0))
         ag.backward(total)
         out = {n: (params[n].grad.copy() if params[n].grad is not None else 0.0)
                for n in names}
@@ -157,7 +156,7 @@ def test_joint_gradient_is_sum_of_term_gradients(tiny_data, tiny_model):
 def test_joint_backward_gives_each_param_its_own_gradient(tiny_data, trained_model,
                                                           monkeypatch):
     split, _ = tiny_data
-    seqs, users = batch_from(split)
+    seqs = batch_from(split)
     cfg = tiny_cfg()
     store = ParamStore(trained_model.named_params())
 
@@ -166,7 +165,7 @@ def test_joint_backward_gives_each_param_its_own_gradient(tiny_data, trained_mod
         grads = []
         for _ in range(2):  # the second pass adds into the first pass's buffers
             stream = SeedStream(cfg.seed, "rec-dropout", 0, 0)
-            loss, _ = joint_loss(seqs, users, trained_model, cfg, 0, 0, stream=stream)
+            loss, _ = joint_loss(seqs, trained_model, cfg, rng_for(0), stream=stream)
             ag.backward(loss)
             got = {n: p.grad for n, p in store.items() if p.grad is not None}
             for (m, g), (n, h) in combinations(got.items(), 2):
@@ -194,18 +193,18 @@ def test_joint_backward_gives_each_param_its_own_gradient(tiny_data, trained_mod
 
 def mixed_length_batch(split):
     """Train prefixes plus rows of 2, 12 and 70 items (the last one clipped)."""
-    seqs, users = batch_from(split, n=6)
+    seqs = batch_from(split, n=6)
     extra = [[(7 * k + j) % 120 + 1 for j in range(n)] for k, n in enumerate((2, 12, 70))]
-    return seqs + extra, users + ["x0", "x1", "x2"]
+    return seqs + extra
 
 
 def test_grouped_joint_loss_matches_one_padded_pass(tiny_data, trained_model,
                                                     monkeypatch):
     split, _ = tiny_data
-    seqs, users = mixed_length_batch(split)
+    seqs = mixed_length_batch(split)
     cfg = tiny_cfg()
     params = trained_model.named_params(("enc", "rec"))
-    run = lambda: joint_loss(seqs, users, trained_model, cfg, 0, 0)[0]
+    run = lambda: joint_loss(seqs, trained_model, cfg, rng_for(0))[0]
     grouped, g_grouped = loss_and_grads(run, params)
     monkeypatch.setattr(recommender, "_class_forward", one_padded_pass)
     padded, g_padded = loss_and_grads(run, params)
@@ -219,13 +218,13 @@ def test_grouped_joint_dropout_is_deterministic(tiny_data, trained_model):
     # each length class draws its dropout masks from the batch's stream in
     # class order, so one key gives one loss and one gradient, bit for bit
     split, _ = tiny_data
-    seqs, users = mixed_length_batch(split)
+    seqs = mixed_length_batch(split)
     cfg = tiny_cfg()
     params = trained_model.named_params()
 
     def run():
         stream = SeedStream(cfg.seed, "rec-dropout", 0, 0)
-        return joint_loss(seqs, users, trained_model, cfg, 0, 0, stream=stream)[0]
+        return joint_loss(seqs, trained_model, cfg, rng_for(0), stream=stream)[0]
 
     first, g_first = loss_and_grads(run, params)
     second, g_second = loss_and_grads(run, params)
@@ -240,9 +239,9 @@ def test_joint_dropout_draw_count_is_pinned(tiny_data, trained_model):
     # its masks from the batch's stream; one extra draw would shift every
     # later mask
     split, _ = tiny_data
-    seqs, users = mixed_length_batch(split)
+    seqs = mixed_length_batch(split)
     stream = CountingStream(11, "rec-dropout", 0, 0)
-    joint_loss(seqs, users, trained_model, tiny_cfg(), 0, 0, stream=stream)
+    joint_loss(seqs, trained_model, tiny_cfg(), rng_for(0), stream=stream)
     ag.clear_tape()
     assert stream.draws == 133
 
@@ -251,25 +250,25 @@ def test_forward_without_a_stream_draws_no_dropout(tiny_data, trained_model, mon
     # cotrain runs every kind of forward: the recommender's stacks, the
     # learned view's generation and the restoration loss
     split, _ = tiny_data
-    seqs, users = mixed_length_batch(split)
+    seqs = mixed_length_batch(split)
     assert trained_model.dims.dropout > 0
 
     def no_dropout(*args, **kwargs):
         raise AssertionError("a forward without a stream drew a dropout mask")
 
     monkeypatch.setattr(ag, "dropout", no_dropout)
-    _, parts = joint_loss(seqs, users, trained_model, tiny_cfg(mode="cotrain"), 0, 0)
+    _, parts = joint_loss(seqs, trained_model, tiny_cfg(mode="cotrain"), rng_for(0))
     ag.clear_tape()
     assert {"rec", "cl", "tri", "aug"} <= set(parts)
 
 
 def test_base_mode_leaves_augmenter_untouched(tiny_data, tiny_model):
     split, _ = tiny_data
-    seqs, users = batch_from(split)
+    seqs = batch_from(split)
     model = tiny_model
     aug_store = ParamStore(model.named_params(("aug",)))
     zero_grads(aug_store)
-    total, _ = joint_loss(seqs, users, model, tiny_cfg(mode="base"), 0, 0)
+    total, _ = joint_loss(seqs, model, tiny_cfg(mode="base"), rng_for(0))
     ag.backward(total)
     for name, p in aug_store.items():
         assert p.grad is None, f"augmenter param {name} got a gradient in base mode"
@@ -278,9 +277,9 @@ def test_base_mode_leaves_augmenter_untouched(tiny_data, tiny_model):
 
 def test_cotrain_adds_restoration_term(tiny_data, tiny_model):
     split, _ = tiny_data
-    seqs, users = batch_from(split)
+    seqs = batch_from(split)
     model = tiny_model
-    total, parts = joint_loss(seqs, users, model, tiny_cfg(mode="cotrain"), 0, 0)
+    total, parts = joint_loss(seqs, model, tiny_cfg(mode="cotrain"), rng_for(0))
     assert "aug" in parts
     ag.backward(total)
     aug_store = ParamStore(model.named_params(("aug",)))
@@ -290,17 +289,17 @@ def test_cotrain_adds_restoration_term(tiny_data, tiny_model):
 
 def test_unknown_mode_rejected(tiny_data, tiny_model):
     split, _ = tiny_data
-    seqs, users = batch_from(split)
+    seqs = batch_from(split)
     cfg = tiny_cfg()
     cfg.mode = "fancy"  # RunConfig validates on construction only
     with pytest.raises(ConfigError):
-        joint_loss(seqs, users, tiny_model, cfg, 0, 0)
+        joint_loss(seqs, tiny_model, cfg, rng_for(0))
 
 
 def test_singleton_remainder_batch_skips_in_batch_term(tiny_data, tiny_model):
     split, _ = tiny_data
-    seqs, users = batch_from(split, n=1)
-    total, parts = joint_loss(seqs, users, tiny_model, tiny_cfg(), 0, 0)
+    seqs = batch_from(split, n=1)
+    total, parts = joint_loss(seqs, tiny_model, tiny_cfg(), rng_for(0))
     assert "cl" not in parts and "tri" in parts
     assert np.isfinite(parts["total"])
     ag.clear_tape()
@@ -343,18 +342,18 @@ def test_augmenter_training_deterministic(tiny_data):
 # these figures far beyond the tolerance, which only absorbs BLAS rounding.
 PINNED_HISTORY = {
     "augmenter": [
-        {"epoch": 0, "train_loss": 30.544084891277166, "val_loss": 25.41642323046184,
-         "val_op_accuracy": 0.3673469387755102, "val_ins_top1": 0.0},
-        {"epoch": 1, "train_loss": 24.715500472307916, "val_loss": 23.180762075749,
-         "val_op_accuracy": 0.37142857142857144, "val_ins_top1": 0.0},
+        {"epoch": 0, "train_loss": 32.132430815622286, "val_loss": 24.310974905385237,
+         "val_op_accuracy": 0.3993055555555556, "val_ins_top1": 0.0},
+        {"epoch": 1, "train_loss": 25.199893148270263, "val_loss": 22.204072911146714,
+         "val_op_accuracy": 0.4131944444444444, "val_ins_top1": 0.0},
     ],
     "recommender": [
-        {"epoch": 0, "loss_rec": 4.919098662778321, "loss_cl": 5.909489383977718,
-         "loss_tri": 2.6061842616394313, "loss_total": 5.52307852248429,
-         "val_sum": 0.4516824427586394, "val_skipped": 0},
-        {"epoch": 1, "loss_rec": 4.807969816766363, "loss_cl": 4.082024931450724,
-         "loss_tri": 1.636026655565864, "loss_total": 5.2243524431892645,
-         "val_sum": 0.3951177574478311, "val_skipped": 0},
+        {"epoch": 0, "loss_rec": 4.8947264270647395, "loss_cl": 5.1276735571312955,
+         "loss_tri": 2.2835699130008327, "loss_total": 5.418911632342874,
+         "val_sum": 0.4447409544188988, "val_skipped": 0},
+        {"epoch": 1, "loss_rec": 4.789804050651359, "loss_cl": 3.9685511072192186,
+         "loss_tri": 1.5176440350303937, "loss_total": 5.194247381548434,
+         "val_sum": 0.49891836863273165, "val_skipped": 0},
     ],
 }
 
@@ -370,12 +369,12 @@ def test_both_phases_keep_their_history_and_log_line(tiny_data):
         got = [{k: v for k, v in row.items() if k != "seconds"} for row in result.history]
         assert got == [pytest.approx(row, rel=1e-9) for row in want]
         assert all(row["seconds"] > 0 for row in result.history)
-    assert (phase1.best_epoch, phase2.best_epoch) == (1, 0)
+    assert (phase1.best_epoch, phase2.best_epoch) == (1, 1)
     assert len(lines) == 4
-    assert re.fullmatch(r"augmenter epoch 0: train_loss=30\.5441 val_loss=25\.4164 "
-                        r"val_op_accuracy=0\.3673 val_ins_top1=0\.0000 \(\d+\.\ds\)", lines[0])
-    assert re.fullmatch(r"recommender epoch 1: loss_rec=4\.8080 loss_cl=4\.0820 "
-                        r"loss_tri=1\.6360 loss_total=5\.2244 val_sum=0\.3951 "
+    assert re.fullmatch(r"augmenter epoch 0: train_loss=32\.1324 val_loss=24\.3110 "
+                        r"val_op_accuracy=0\.3993 val_ins_top1=0\.0000 \(\d+\.\ds\)", lines[0])
+    assert re.fullmatch(r"recommender epoch 1: loss_rec=4\.7898 loss_cl=3\.9686 "
+                        r"loss_tri=1\.5176 loss_total=5\.1942 val_sum=0\.4989 "
                         r"val_skipped=0 \(\d+\.\ds\)", lines[3])
 
 
@@ -566,9 +565,9 @@ def test_validation_encodes_each_record_once_per_length_class(tiny_data, tiny_mo
 
 def test_validation_pools_hits_not_ratios(tiny_data, trained_model):
     split, _ = tiny_data
-    users = [u for u in split.users if len(u.train) >= 2]
-    records = _corrupt_batch([u.train for u in users], [u.user_id for u in users], CCFG,
-                             3, "valid", trained_model.dims.max_aug_len - 1)
+    prefixes = [u.train for u in split.users if len(u.train) >= 2]
+    records = _corrupt_batch(prefixes, CCFG, rng_for(3, "valid-corrupt"),
+                             trained_model.dims.max_aug_len - 1)
     whole = restoration_accuracy(records, trained_model.enc, trained_model.aug)
     assert 0 < whole.ins_hits < whole.n_ins_items  # a figure that weighting can move
     for batch_size in (7, 16, 64):
