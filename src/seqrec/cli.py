@@ -36,7 +36,6 @@ from .optim import AdamState
 from .seeding import rng_for
 from .synthgen import SynthSpec, generate, write_interactions, write_truth
 from .trainer import (
-    MODES_NEEDING_AUGMENTER,
     RecModel,
     corruption_config,
     dims_from_config,
@@ -81,11 +80,12 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 
 def _read_config(args, stored: RunConfig | None = None) -> RunConfig:
-    """--config, else a checkpoint's stored config, else defaults; then the flags."""
+    """--config, else a copy of a checkpoint's stored config, else defaults;
+    then the flags."""
     if getattr(args, "config", None):
         cfg = load_config(args.config)
     else:
-        cfg = stored or RunConfig()
+        cfg = dataclasses.replace(stored) if stored else RunConfig()
     return _apply_overrides(cfg, args)
 
 
@@ -106,7 +106,7 @@ def _load_model_ckpt(path):
     if "n_items" not in meta:
         raise ConfigError("checkpoint config lacks the _n_items record")
     dims = dims_from_config(cfg, int(meta["n_items"]))
-    model = model_from_arrays(dims, params, seed=cfg.seed)
+    model = model_from_arrays(dims, params)
     return cfg, meta, model, opt_step, opt_arrays
 
 
@@ -206,6 +206,12 @@ def _start_training(args, phase: str):
         start_epoch = int(meta.get("epoch", -1)) + 1
     cfg = _read_config(args, stored)
     if model is not None:
+        # the checkpoint's Adam state covers only what its run trained
+        if (phase == "recommender" and cfg.policy.trains_augmenter
+                and not stored.policy.trains_augmenter):
+            raise ConfigError(f"{args.resume} is from a {stored.mode!r}-mode run, which did "
+                              f"not train the augmenter; it cannot resume in "
+                              f"{cfg.mode!r} mode, which does")
         _, opt = make_optimizer(model, cfg, phase, opt_step, opt_arrays)
     sequences, vocab = _load_processed(_data_dir(args, cfg))
     out_dir = Path(cfg.out_dir)
@@ -301,7 +307,7 @@ def cmd_sweep(args) -> int:
     for key, values in grids:
         cells = [dict(cell, **{key: v}) for cell in cells for v in values]
 
-    needs_phase1 = cfg.mode in MODES_NEEDING_AUGMENTER
+    needs_phase1 = cfg.policy.needs_phase1_augmenter
     pretrained = None
     if needs_phase1 and not sweep_probs:
         print("training shared augmenter for the sweep...")

@@ -11,7 +11,41 @@ from .encoder import ModelDims
 from .errors import ConfigError
 from .evaluate import K_VALUES
 
-MODES = ("full", "base", "wo_tri", "duoaug", "cotrain")
+
+@dataclass(frozen=True)
+class ModePolicy:
+    """What a phase-2 run contrasts and trains.
+
+    views: the source of each contrast view, in draw order: "greedy" (the
+    augmenter's argmax output), "sampled" (its output sampled from the batch
+    generator) or "random" (a random mask/crop/reorder). triplet: whether
+    the triplet term applies. trains_augmenter: whether phase 2 also trains
+    the augmenter, on the restoration loss.
+    """
+
+    views: tuple[str, str]
+    triplet: bool
+    trains_augmenter: bool
+
+    @property
+    def needs_augmenter(self) -> bool:
+        return self.trains_augmenter or self.views != ("random", "random")
+
+    @property
+    def needs_phase1_augmenter(self) -> bool:
+        return self.needs_augmenter and not self.trains_augmenter
+
+
+# The training modes, in --mode order: the paper's model, then its ablations
+# (random views as in CL4SRec, no triplet term, two sampled views, all three
+# components trained together).
+MODES = {
+    "full": ModePolicy(("greedy", "random"), triplet=True, trains_augmenter=False),
+    "base": ModePolicy(("random", "random"), triplet=True, trains_augmenter=False),
+    "wo_tri": ModePolicy(("greedy", "random"), triplet=False, trains_augmenter=False),
+    "duoaug": ModePolicy(("sampled", "sampled"), triplet=True, trains_augmenter=False),
+    "cotrain": ModePolicy(("greedy", "random"), triplet=True, trains_augmenter=True),
+}
 
 # lower bounds checked when a config loads; batch_size >= 2 leaves every
 # in-batch contrast a negative pair, max_aug_len >= 2 a context and a slot
@@ -60,9 +94,17 @@ class RunConfig:
     def __post_init__(self):
         self.validate()
 
+    @property
+    def policy(self) -> ModePolicy:
+        """What this run's mode contrasts and trains (MODES)."""
+        try:
+            return MODES[self.mode]
+        except KeyError:
+            raise ConfigError(f"mode must be one of {tuple(MODES)}, "
+                              f"got {self.mode!r}") from None
+
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        self.policy  # refuses an unknown mode
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
         for key, low in _AT_LEAST.items():

@@ -101,6 +101,12 @@ def item_logits(h_last: Tensor, enc: EncoderParams) -> Tensor:
     return ag.matmul(h_last, ag.transpose_last(rows))
 
 
+def _next_item_rows(contexts, dims: ModelDims) -> list[list[int]]:
+    """Each context's max_aug_len - 1 most recent items, then the MASK slot
+    whose state scores the next item."""
+    return [list(c[-(dims.max_aug_len - 1):]) + [dims.mask_id] for c in contexts]
+
+
 def rec_loss(
     seqs: list[list[int]],
     enc: EncoderParams,
@@ -109,15 +115,13 @@ def rec_loss(
 ) -> Tensor:
     """Batch-mean NLL of each row's true last item at the masked slot.
 
-    Each row is clipped to the model's window and its last item swapped
-    for MASK; rows need >= 1 context item before it (length >= 2).
+    Each row's items before its last are the context (_next_item_rows);
+    rows need >= 1 context item (length >= 2).
     """
-    dims = enc.dims
-    clipped = [s[-dims.max_aug_len:] for s in seqs]
-    if any(len(s) < 2 for s in clipped):
+    if any(len(s) < 2 for s in seqs):
         raise ValueError("recommendation rows need >= 2 items (context + target)")
-    rows = [s[:-1] + [dims.mask_id] for s in clipped]
-    targets = np.array([s[-1] - 1 for s in clipped], dtype=np.int64)
+    rows = _next_item_rows([s[:-1] for s in seqs], enc.dims)
+    targets = np.array([s[-1] - 1 for s in seqs], dtype=np.int64)
     h = _class_forward(rows, enc, rec, stream=stream)
     return ag.cross_entropy(item_logits(h, enc), targets).mean()
 
@@ -131,16 +135,16 @@ def score_candidates(
     """Scores of per-user candidate items given per-user histories.
 
     contexts: N histories; candidate_ids: (N, C) item ids in 1..n_items.
-    Returns (N, C) raw scores (monotone in probability). Histories are
-    clipped to the model's window and given a trailing MASK slot, and run
-    one forward pass per length class as the training stacks do.
+    Returns (N, C) raw scores (monotone in probability). Histories become
+    rows as in training (_next_item_rows) and run one forward pass per
+    length class as the training stacks do.
     """
     dims = enc.dims
     cands = np.asarray(candidate_ids, dtype=np.int64)
     if cands.size and (cands.min() < 1 or cands.max() > dims.n_items):
         raise ValueError(f"candidate ids must lie in 1..{dims.n_items}, "
                          f"got {cands.min()}..{cands.max()}")
-    rows = [list(c[-(dims.max_aug_len - 1):]) + [dims.mask_id] for c in contexts]
+    rows = _next_item_rows(contexts, dims)
     with ag.no_grad():
         logits = item_logits(_class_forward(rows, enc, rec), enc).data
     return np.take_along_axis(logits, cands - 1, axis=1)

@@ -4,16 +4,16 @@ Phase 1 teaches the augmenter to restore randomly corrupted sequences
 (encoder + augmenter trained on the restoration loss). Phase 2 trains the
 recommender on the joint objective: next-item loss plus weighted in-batch
 and triplet contrastive terms over (raw, learned-augmented,
-random-augmented) views. The encoder keeps training in phase 2; the
-augmenter is frozen except in cotrain mode.
+random-augmented) views. The encoder keeps training in phase 2; what
+each mode contrasts, and whether it also trains the augmenter, is its row
+of config.MODES.
 
-This module owns the run policy: which modes need a pretrained augmenter,
-which components each phase trains, how the corruption generator is
-configured from a RunConfig, and whether a model can run a mode. Both
-phases run one epoch loop (_run_epochs): batch order, one generator and
-one dropout SeedStream per batch (the forward trains because it is given a
-stream), the Adam step, loss averages, validation, early stopping and the
-log line.
+This module turns that row into a run: the components each phase trains,
+the corruption generator configured from a RunConfig, and the check that
+a model can run a mode. Both phases run one epoch loop (_run_epochs):
+batch order, one generator and one dropout SeedStream per batch (the
+forward trains because it is given a stream), the Adam step, loss
+averages, validation, early stopping and the log line.
 
 The batch is the unit of replay. Its corruptions, random views and sampled
 generations all draw, in a fixed order, from one generator keyed by (seed,
@@ -39,7 +39,7 @@ from .augmenter import (
     restoration_accuracy,
 )
 from .augops import AugConfig, CorruptionConfig, corrupt_sequence, random_augment
-from .config import MODES, RunConfig
+from .config import RunConfig
 from .contrastive import batch_contrastive_loss, triplet_loss
 from .data import SplitDataset, Vocabulary, make_batches
 from .encoder import EncoderParams, ModelDims
@@ -93,23 +93,18 @@ def build_model(dims: ModelDims, seed: int, with_aug: bool = True,
     )
 
 
-# Modes whose contrast views come from a phase-1 augmenter. cotrain trains
-# its augmenter in phase 2 (fresh unless one is given); base never runs one.
-MODES_NEEDING_AUGMENTER = ("full", "wo_tri", "duoaug")
-
-
 def make_optimizer(model: RecModel, cfg: RunConfig, phase: str, step: int = 0,
                    arrays: dict[str, np.ndarray] | None = None):
     """(params, Adam state) over the components a phase trains.
 
     Phase 1 ("augmenter") trains encoder + augmenter; phase 2 ("recommender")
-    trains encoder + recommender, plus the augmenter in cotrain. `arrays` and
-    `step` restore a checkpoint's optimizer state.
+    trains encoder + recommender, plus the augmenter where the mode trains
+    it. `arrays` and `step` restore a checkpoint's optimizer state.
     """
     if phase == "augmenter":
         parts = ("enc", "aug")
     else:
-        parts = ("enc", "rec", "aug") if cfg.mode == "cotrain" else ("enc", "rec")
+        parts = ("enc", "rec", "aug") if cfg.policy.trains_augmenter else ("enc", "rec")
     params = ParamStore(model.named_params(parts))
     opt = AdamState(params, lr=cfg.lr)
     if arrays is not None:
@@ -118,7 +113,8 @@ def make_optimizer(model: RecModel, cfg: RunConfig, phase: str, step: int = 0,
 
 
 def corruption_config(cfg: RunConfig, n_items: int) -> CorruptionConfig:
-    """The corruption generator phase 1 (and cotrain) trains restoration on."""
+    """The corruption generator that restoration trains on, in phase 1 and in
+    a phase 2 that trains the augmenter."""
     return CorruptionConfig(cfg.p_keep, cfg.p_delete, cfg.p_insert,
                             max_insert_run=cfg.max_insert, n_items=n_items)
 
@@ -315,22 +311,20 @@ def train_augmenter(
 def make_contrast_views(
     seqs: list[list[int]],
     model: RecModel,
-    mode: str,
+    sources: tuple[str, str],
     aug_cfg: AugConfig,
     rng: np.random.Generator,
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Build the two augmented views of each sequence for one batch, drawing from rng."""
-    def random_view():
-        return [random_augment(s, aug_cfg, rng, model.dims.mask_id) for s in seqs]
-
-    if mode == "base":
-        return random_view(), random_view()
-    if mode == "duoaug":
-        return (generate_augmented_batch(seqs, model.enc, model.aug, rng=rng),
-                generate_augmented_batch(seqs, model.enc, model.aug, rng=rng))
-    # full / wo_tri / cotrain: learned view + random view
-    one = generate_augmented_batch(seqs, model.enc, model.aug)
-    return one, random_view()
+    """The two augmented views of each sequence for one batch, one per source
+    (config.ModePolicy.views), in order; sampled and random views draw from rng."""
+    views = []
+    for source in sources:
+        if source == "random":
+            views.append([random_augment(s, aug_cfg, rng, model.dims.mask_id) for s in seqs])
+        else:
+            views.append(generate_augmented_batch(seqs, model.enc, model.aug,
+                                                  rng=rng if source == "sampled" else None))
+    return views[0], views[1]
 
 
 def joint_loss(
@@ -340,23 +334,21 @@ def joint_loss(
     rng: np.random.Generator,
     stream: SeedStream | None = None,
 ):
-    """L = L_rec + alpha*L_cl + beta*L_tri (+ restoration loss in cotrain).
+    """L = L_rec + alpha*L_cl + beta*L_tri (+ the restoration loss where the
+    mode trains the augmenter).
 
-    The terms and views follow cfg.mode. The views, then cotrain's
-    corruptions, draw from rng. With a stream the forward trains: every
-    stack draws its dropout masks from it, in call order.
+    The terms and views follow cfg.mode's policy. The views, then the
+    restoration loss's corruptions, draw from rng. With a stream the forward
+    trains: every stack draws its dropout masks from it, in call order.
     """
-    mode = cfg.mode
-    if mode not in MODES:
-        raise ConfigError(f"unknown training mode {mode!r}")
     alpha = cfg.alpha
-    beta = 0.0 if mode == "wo_tri" else cfg.beta
+    beta = cfg.beta if cfg.policy.triplet else 0.0
     parts: dict[str, float] = {}
     total = rec_loss(seqs, model.enc, model.rec, stream=stream)
     parts["rec"] = total.item()
     if alpha != 0.0 or beta != 0.0:
         aug_cfg = AugConfig(cfg.gamma, cfg.eta, cfg.beta_r)
-        view1, view2 = make_contrast_views(seqs, model, mode, aug_cfg, rng)
+        view1, view2 = make_contrast_views(seqs, model, cfg.policy.views, aug_cfg, rng)
         r1 = sequence_reprs(view1, model.enc, model.rec, stream=stream)
         r2 = sequence_reprs(view2, model.enc, model.rec, stream=stream)
         # a trailing remainder batch of one user has no in-batch negatives;
@@ -370,7 +362,7 @@ def joint_loss(
             l_tri = triplet_loss(r_raw, r1, r2)
             parts["tri"] = l_tri.item()
             total = total + beta * l_tri
-    if mode == "cotrain":
+    if cfg.policy.trains_augmenter:
         ccfg = corruption_config(cfg, model.dims.n_items)
         records = _corrupt_batch(seqs, ccfg, rng, model.dims.max_aug_len - 1)
         if records:
@@ -396,11 +388,11 @@ def train_recommender(
 
     Modes that contrast against a learned view need `pretrained` (phase-1
     encoder + augmenter), or a resumed `model` that holds an augmenter; the
-    encoder continues training while the augmenter stays frozen. cotrain
-    trains encoder, augmenter, and recommender together from whatever state
-    is given (or fresh). `pretrained` must have the dims cfg gives, since
-    checkpoints store cfg. Validation tracks the summed metrics on the
-    validation split.
+    encoder continues training while the augmenter stays frozen. A mode
+    that trains the augmenter trains encoder, augmenter, and recommender
+    together from whatever state is given (or fresh). `pretrained` must
+    have the dims cfg gives, since checkpoints store cfg. Validation tracks
+    the summed metrics on the validation split.
     """
     if model is None:
         dims = dims_from_config(cfg, vocab.n_items)
@@ -413,12 +405,12 @@ def train_recommender(
             model = RecModel(dims=dims, enc=pretrained.enc, aug=pretrained.aug,
                              rec=RecommenderParams(dims, cfg.seed))
         else:
-            model = build_model(dims, cfg.seed, with_aug=cfg.mode == "cotrain",
+            model = build_model(dims, cfg.seed, with_aug=cfg.policy.trains_augmenter,
                                 with_rec=True)
-    if cfg.mode != "base" and model.aug is None:
+    if cfg.policy.needs_augmenter and model.aug is None:
         raise ConfigError(f"mode {cfg.mode!r} needs an augmenter: pass a phase-1 "
                           f"checkpoint (--augmenter CKPT)")
-    if cfg.mode == "cotrain":
+    if cfg.policy.trains_augmenter:
         _check_prefix_lengths(split, model.dims.max_len)
 
     def batch_loss(seqs, rng, stream):
@@ -440,11 +432,10 @@ def model_arrays(model: RecModel) -> dict[str, np.ndarray]:
     return ParamStore(model.named_params()).copy_values()
 
 
-def model_from_arrays(dims: ModelDims, arrays: dict[str, np.ndarray],
-                      seed: int = 0) -> RecModel:
+def model_from_arrays(dims: ModelDims, arrays: dict[str, np.ndarray]) -> RecModel:
     """Rebuild a model from checkpoint arrays; components inferred by prefix."""
     prefixes = {name.split(".", 1)[0] for name in arrays}
-    model = build_model(dims, seed, with_aug="aug" in prefixes,
+    model = build_model(dims, 0, with_aug="aug" in prefixes,
                         with_rec="rec" in prefixes)
     store = ParamStore(model.named_params())
     store.load_values(arrays)

@@ -468,7 +468,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     )
     _, arrays, opt_step, opt_arrays = load_checkpoint(path)
     dims = dims_from_config(cfg, vocab.n_items)
-    resumed_model = model_from_arrays(dims, arrays, seed=cfg.seed)
+    resumed_model = model_from_arrays(dims, arrays)
     params = ParamStore(resumed_model.named_params(("enc", "rec")))
     opt = AdamState(params, lr=cfg.lr)
     opt.load_state_arrays(opt_arrays, opt_step)

@@ -8,7 +8,7 @@ import pytest
 from seqrec import trainer
 from seqrec.augmenter import generate_augmented_batch
 from seqrec.checkpoint import load_checkpoint, save_checkpoint
-from seqrec.cli import _load_model_ckpt, main
+from seqrec.cli import _load_model_ckpt, _save_model_ckpt, main
 from seqrec.config import config_to_lines, parse_config_lines, read_meta
 from seqrec.data import leave_one_out_split, read_sequences, read_vocabulary
 from seqrec.evaluate import NoisySimConfig, evaluate_model
@@ -44,6 +44,28 @@ def workspace(tmp_path_factory):
     rc = main(["preprocess", "--input", str(log), "--out", str(data)])
     assert rc == 0
     return root, cfg, data
+
+
+@pytest.fixture(scope="module")
+def phase1_run(workspace):
+    """Out dir of a phase-1 run on the workspace data, trained once per module."""
+    root, cfg, data = workspace
+    out = root / "aug-run"
+    rc = main(["train-augmenter", "--data", str(data), "--config", str(cfg),
+               "--out", str(out)])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def base_run(workspace):
+    """Out dir of a base-mode phase-2 run on the workspace data, trained once."""
+    root, cfg, data = workspace
+    out = root / "rec-run"
+    rc = main(["train-recommender", "--data", str(data), "--config", str(cfg),
+               "--out", str(out), "--mode", "base"])
+    assert rc == 0
+    return out
 
 
 def test_preprocess_outputs(workspace):
@@ -88,15 +110,10 @@ def test_corrupt_draws_each_user_apart(workspace, capsys):
     assert all(len(ops) > 1 for ops in ops_by_length.values()), ops_by_length.keys()
 
 
-def test_train_augmenter_writes_checkpoints(workspace):
-    root, cfg, data = workspace
-    out = root / "aug-run"
-    rc = main(["train-augmenter", "--data", str(data), "--config", str(cfg),
-               "--out", str(out)])
-    assert rc == 0
-    assert (out / "augmenter-best.ckpt").exists()
-    assert (out / "augmenter-last.ckpt").exists()
-    assert "augmenter epoch 0" in (out / "train-log.txt").read_text()
+def test_train_augmenter_writes_checkpoints(phase1_run):
+    assert (phase1_run / "augmenter-best.ckpt").exists()
+    assert (phase1_run / "augmenter-last.ckpt").exists()
+    assert "augmenter epoch 0" in (phase1_run / "train-log.txt").read_text()
 
 
 def test_infinite_val_loss_never_makes_a_best_checkpoint(workspace, tmp_path, monkeypatch):
@@ -117,9 +134,9 @@ def test_infinite_val_loss_never_makes_a_best_checkpoint(workspace, tmp_path, mo
     assert "best augmenter epoch -1" in log
 
 
-def test_augment_writes_sequence_file(workspace):
+def test_augment_writes_sequence_file(workspace, phase1_run):
     root, cfg, data = workspace
-    ckpt = root / "aug-run" / "augmenter-best.ckpt"
+    ckpt = phase1_run / "augmenter-best.ckpt"
     out_file = root / "augmented.txt"
     rc = main(["augment", "--data", str(data), "--checkpoint", str(ckpt),
                "--out-file", str(out_file)])
@@ -129,12 +146,9 @@ def test_augment_writes_sequence_file(workspace):
     assert all(1 <= len(s.items) <= 60 for s in seqs)
 
 
-def test_train_recommender_and_evaluate(workspace):
+def test_train_recommender_and_evaluate(workspace, base_run):
     root, cfg, data = workspace
-    out = root / "rec-run"
-    rc = main(["train-recommender", "--data", str(data), "--config", str(cfg),
-               "--out", str(out), "--mode", "base"])
-    assert rc == 0
+    out = base_run
     ckpt = out / "recommender-best.ckpt"
     assert ckpt.exists()
 
@@ -151,9 +165,9 @@ def test_train_recommender_and_evaluate(workspace):
     assert (root / "rec-run-2" / "report-test.kv").read_text() == kv
 
 
-def test_evaluate_noisy_flag(workspace):
+def test_evaluate_noisy_flag(workspace, base_run):
     root, _, data = workspace
-    ckpt = root / "rec-run" / "recommender-best.ckpt"
+    ckpt = base_run / "recommender-best.ckpt"
     out = root / "noisy-eval"
     rc = main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt),
                "--split", "test", "--noisy", "--out", str(out)])
@@ -168,12 +182,12 @@ def test_full_mode_requires_augmenter_checkpoint(workspace):
     assert rc == 1
 
 
-def test_full_mode_with_augmenter_checkpoint(workspace):
+def test_full_mode_with_augmenter_checkpoint(workspace, phase1_run):
     root, cfg, data = workspace
     out = root / "full-run"
     rc = main(["train-recommender", "--data", str(data), "--config", str(cfg),
                "--out", str(out), "--mode", "full",
-               "--augmenter", str(root / "aug-run" / "augmenter-best.ckpt")])
+               "--augmenter", str(phase1_run / "augmenter-best.ckpt")])
     assert rc == 0
     assert (out / "recommender-best.ckpt").exists()
 
@@ -305,6 +319,24 @@ def test_resume_alone_continues_from_the_stored_config(workspace, tmp_path, comm
         np.testing.assert_array_equal(opt_a[name], opt_b[name], err_msg=name)
 
 
+def test_resume_refuses_a_mode_that_trains_the_augmenter_the_run_did_not(workspace, tmp_path,
+                                                                           capsys):
+    # the pinned full-mode model, re-saved after epoch 0 with the Adam state
+    # of its mode, which covers no augmenter parameter
+    _, _, data = workspace
+    cfg, _, model, _, _ = _load_model_ckpt(FIXTURE)
+    _, opt = trainer.make_optimizer(model, cfg, "recommender")
+    ckpt = tmp_path / "full.ckpt"
+    _save_model_ckpt(ckpt, cfg, model, "recommender", 0, opt)
+    out = tmp_path / "cotrain"
+    rc = main(["train-recommender", "--data", str(data), "--resume", str(ckpt),
+               "--mode", "cotrain", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'full'-mode run" in err and "in 'cotrain' mode" in err
+    assert not (out / "train-log.txt").exists()  # no epoch ran
+
+
 def test_augmenter_with_other_dims_is_refused_before_training(workspace, tmp_path, capsys):
     # the 16-dim run config against the 64-dim pinned fixture
     _, cfg, data = workspace
@@ -414,10 +446,9 @@ def test_unknown_config_key_fails_cleanly(workspace, tmp_path, capsys):
 
 
 def test_corrupted_checkpoint_fails_cleanly(workspace, tmp_path, capsys):
-    root, _, data = workspace
-    ckpt = root / "rec-run" / "recommender-best.ckpt"
+    _, _, data = workspace
     broken = tmp_path / "broken.ckpt"
-    raw = bytearray(ckpt.read_bytes())
+    raw = bytearray(FIXTURE.read_bytes())
     raw[0] ^= 0xFF
     broken.write_bytes(bytes(raw))
     rc = main(["evaluate", "--data", str(data), "--checkpoint", str(broken),

@@ -9,7 +9,9 @@ import pytest
 
 from seqrec import checkpoint as ckpt
 from seqrec.checkpoint import load_checkpoint, save_checkpoint
+from seqrec.cli import build_parser
 from seqrec.config import (
+    MODES,
     RunConfig,
     config_to_lines,
     load_config,
@@ -92,6 +94,20 @@ def test_stored_testaug_mode_loads_as_full():
     assert parse_config_lines(["mode = testaug"]).mode == "full"
     with pytest.raises(ConfigError):
         RunConfig(mode="testaug")
+
+
+def test_mode_table_gives_the_modes_and_which_need_an_augmenter():
+    modes = ("full", "base", "wo_tri", "duoaug", "cotrain")
+    assert tuple(MODES) == modes
+    assert [m for m, p in MODES.items() if p.needs_augmenter] == [
+        "full", "wo_tri", "duoaug", "cotrain"]
+    assert [m for m, p in MODES.items() if p.needs_phase1_augmenter] == [
+        "full", "wo_tri", "duoaug"]
+    for command in ("train-recommender", "sweep"):
+        for mode in modes:
+            assert build_parser().parse_args([command, "--mode", mode]).mode == mode
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--mode", "testaug"])
 
 
 def test_bad_mode_rejected():

@@ -12,9 +12,9 @@ from seqrec import augmenter as am
 from seqrec import autograd as ag
 from seqrec import recommender, trainer
 from seqrec.augmenter import restoration_accuracy
-from seqrec.augops import CorruptionConfig
+from seqrec.augops import AugConfig, CorruptionConfig, random_augment
 from seqrec.checkpoint import load_checkpoint
-from seqrec.config import RunConfig, parse_config_lines, read_meta
+from seqrec.config import MODES, RunConfig, parse_config_lines, read_meta
 from seqrec.data import PAD_ID, ItemSequence, leave_one_out_split, length_classes
 from seqrec.cli import _save_model_ckpt
 from seqrec.errors import ConfigError, NonFiniteError
@@ -109,14 +109,6 @@ def test_joint_loss_is_linear_recombination(tiny_data, tiny_model):
     total, parts = joint_loss(seqs, tiny_model, cfg, rng_for(0))
     recombined = parts["rec"] + 0.3 * parts["cl"] + 0.02 * parts["tri"]
     assert abs(parts["total"] - recombined) < 1e-12
-    ag.clear_tape()
-
-
-def test_wo_tri_drops_triplet_term(tiny_data, tiny_model):
-    split, _ = tiny_data
-    seqs = batch_from(split)
-    total, parts = joint_loss(seqs, tiny_model, tiny_cfg(mode="wo_tri"), rng_for(0))
-    assert "tri" not in parts and "cl" in parts
     ag.clear_tape()
 
 
@@ -262,31 +254,6 @@ def test_forward_without_a_stream_draws_no_dropout(tiny_data, trained_model, mon
     assert {"rec", "cl", "tri", "aug"} <= set(parts)
 
 
-def test_base_mode_leaves_augmenter_untouched(tiny_data, tiny_model):
-    split, _ = tiny_data
-    seqs = batch_from(split)
-    model = tiny_model
-    aug_store = ParamStore(model.named_params(("aug",)))
-    zero_grads(aug_store)
-    total, _ = joint_loss(seqs, model, tiny_cfg(mode="base"), rng_for(0))
-    ag.backward(total)
-    for name, p in aug_store.items():
-        assert p.grad is None, f"augmenter param {name} got a gradient in base mode"
-    zero_grads(model.named_params())
-
-
-def test_cotrain_adds_restoration_term(tiny_data, tiny_model):
-    split, _ = tiny_data
-    seqs = batch_from(split)
-    model = tiny_model
-    total, parts = joint_loss(seqs, model, tiny_cfg(mode="cotrain"), rng_for(0))
-    assert "aug" in parts
-    ag.backward(total)
-    aug_store = ParamStore(model.named_params(("aug",)))
-    assert any(p.grad is not None for _, p in aug_store.items())
-    zero_grads(model.named_params())
-
-
 def test_unknown_mode_rejected(tiny_data, tiny_model):
     split, _ = tiny_data
     seqs = batch_from(split)
@@ -294,6 +261,61 @@ def test_unknown_mode_rejected(tiny_data, tiny_model):
     cfg.mode = "fancy"  # RunConfig validates on construction only
     with pytest.raises(ConfigError):
         joint_loss(seqs, tiny_model, cfg, rng_for(0))
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_each_mode_pins_its_views_terms_and_trained_parts(tiny_data, trained_model,
+                                                           monkeypatch, mode):
+    # the pinned model's augmenter inserts and deletes, so its greedy and
+    # sampled outputs and the random views all differ
+    split, _ = tiny_data
+    seqs = batch_from(split)
+    model = trained_model
+    cfg = tiny_cfg(mode=mode)
+    views = []
+    make_views = trainer.make_contrast_views
+
+    def recording(*args):
+        got = make_views(*args)
+        views.extend(got)
+        return got
+
+    monkeypatch.setattr(trainer, "make_contrast_views", recording)
+    zero_grads(model.named_params())
+    total, parts = joint_loss(seqs, model, cfg, rng_for(0))
+    ag.backward(total)
+    trained = {c for c in ("enc", "aug", "rec")
+               if any(p.grad is not None for p in model.named_params((c,)).values())}
+    zero_grads(model.named_params())
+
+    want_parts = {"rec", "cl", "total"}
+    if mode != "wo_tri":
+        want_parts.add("tri")
+    if mode == "cotrain":
+        want_parts.add("aug")
+    assert set(parts) == want_parts
+    assert ("tri" in parts) == MODES[mode].triplet
+    assert trained == ({"enc", "aug", "rec"} if mode == "cotrain" else {"enc", "rec"})
+
+    # the views, drawn in order from the batch generator
+    rng = rng_for(0)
+    aug_cfg = AugConfig(cfg.gamma, cfg.eta, cfg.beta_r)
+    greedy = am.generate_augmented_batch(seqs, model.enc, model.aug)
+
+    def random_view():
+        return [random_augment(s, aug_cfg, rng, model.dims.mask_id) for s in seqs]
+
+    def sampled_view():
+        return am.generate_augmented_batch(seqs, model.enc, model.aug, rng=rng)
+
+    if mode == "base":
+        want = [random_view(), random_view()]
+    elif mode == "duoaug":
+        want = [sampled_view(), sampled_view()]
+    else:
+        want = [greedy, random_view()]
+    assert views == want
+    assert want[0] != want[1] and (mode != "duoaug" or greedy not in want)
 
 
 def test_singleton_remainder_batch_skips_in_batch_term(tiny_data, tiny_model):
@@ -486,7 +508,7 @@ def test_resume_matches_unbroken_run(tiny_data):
     # snapshot params + optimizer, rebuild fresh objects, continue epoch 2
     arrays = model_arrays(partial.model)
     dims = dims_from_config(cfg, vocab.n_items)
-    resumed_model = model_from_arrays(dims, arrays, seed=cfg.seed)
+    resumed_model = model_from_arrays(dims, arrays)
     params = ParamStore(resumed_model.named_params(("enc", "rec")))
     opt = AdamState(params, lr=cfg.lr)
     opt.load_state_arrays(partial.opt.state_arrays(), partial.opt.step_count)
