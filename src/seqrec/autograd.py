@@ -16,6 +16,15 @@ without a copy; later ones are added into it in place. add() is the one
 rule that could give the same array to two parents, so it copies for the
 second.
 
+An op writes in place only into an array it allocated in the same call,
+forward or backward: never into its inputs' data, nor into the incoming
+gradient g. Within that rule the block ops build each result in the one
+array they create: matmul adds its bias into the GEMM output, layer_norm
+centres, scales and applies its affine in two buffers (the normalised
+copy it keeps for backward, and the output), softmax and cross_entropy
+exponentiate and normalise their shifted copy, and dropout keeps a
+boolean mask and scales its masked copy.
+
 Shapes follow numpy broadcasting on the elementwise ops; reductions that
 broadcasting introduces are summed back out in the backward rules. All
 softmax/log paths are max-shifted so finite inputs never produce NaN/Inf.
@@ -243,30 +252,39 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product on the last two axes; leading axes broadcast.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product on the last two axes, plus an optional bias row; leading axes broadcast.
 
     A 2-d right operand (a weight, or a transposed item table) is one 2-d
     GEMM: the leading axes of a are flattened into rows, for the forward,
-    the input gradient and the weight gradient alike. Any other b takes
-    numpy's stacked matmul.
+    the input gradient and the weight gradient alike. The bias, of shape
+    (b.shape[1],), is added in place into that GEMM's output. Any other b
+    takes numpy's stacked matmul and no bias.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    if bias is not None and (b.ndim != 2 or bias.shape != b.shape[-1:]):
+        raise ShapeError(f"matmul: a bias of shape {bias.shape} needs a 2-d right operand "
+                         f"with as many columns, got {b.shape}")
     if b.ndim == 2:
         k, m = b.shape
         lead = a.shape[:-1]
         a2 = a.data.reshape(-1, k)
-        out = Tensor((a2 @ b.data).reshape(*lead, m))
+        y = a2 @ b.data
+        if bias is not None:
+            y += bias.data
+        out = Tensor(y.reshape(*lead, m))
 
         def bw(g):
             g2 = g.reshape(-1, m)
             _accum(a, (g2 @ b.data.T).reshape(*lead, k))
             _accum(b, a2.T @ g2)
+            if bias is not None:
+                _accum(bias, _unbroadcast(g, bias.shape))
 
-        return _record(out, (a, b), bw)
+        return _record(out, (a, b) if bias is None else (a, b, bias), bw)
     out = Tensor(np.matmul(a.data, b.data))
 
     def bw(g):
@@ -380,32 +398,48 @@ def softplus(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis, max-shifted for stability."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def bw(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - inner))
+        gx = g - inner
+        gx *= y
+        _accum(x, gx)
 
     return _record(out, (x,), bw)
 
 
-def layer_norm(x: Tensor, eps: float = 1e-8) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (no affine)."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance, then scale by gain and add bias."""
+    e = x.shape[-1]
+    if gain.shape != (e,) or bias.shape != (e,):
+        raise ShapeError(f"layer_norm: gain {gain.shape} and bias {bias.shape} "
+                         f"must both be ({e},) for input {x.shape}")
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / e  # np.var, bit for bit
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat)
+    xhat *= inv
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y)
 
     def bw(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (g - gm - xhat * gx))
+        if gain.requires_grad:
+            _accum(gain, _unbroadcast(g * xhat, gain.shape))
+        if x.requires_grad:
+            gh = g * gain.data
+            gm = gh.mean(axis=-1, keepdims=True)
+            gx = (gh * xhat).mean(axis=-1, keepdims=True)
+            gh -= gm
+            gh -= xhat * gx
+            gh *= inv
+            _accum(x, gh)
+        _accum(bias, _unbroadcast(g, bias.shape))  # last: bias may take g itself
 
-    return _record(out, (x,), bw)
+    return _record(out, (x, gain, bias), bw)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -414,12 +448,16 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype)
+    keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
-    out = Tensor(x.data * keep * scale)
+    y = x.data * keep
+    y *= scale
+    out = Tensor(y)
 
     def bw(g):
-        _accum(x, g * keep * scale)
+        gx = g * keep
+        gx *= scale
+        _accum(x, gx)
 
     return _record(out, (x,), bw)
 
@@ -441,9 +479,8 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ValueError(
             f"target id out of range [0, {n_classes}): min={targets.min()}, max={targets.max()}"
         )
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - lse
+    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     out = Tensor(-picked)
 

@@ -32,11 +32,10 @@ from .data import (
 )
 from .errors import ConfigError, ParseError
 from .evaluate import NoisySimConfig, evaluate_model, simulate_noisy_testset
-from .optim import AdamState
 from .seeding import rng_for
 from .synthgen import SynthSpec, generate, write_interactions, write_truth
 from .trainer import (
-    RecModel,
+    TrainResult,
     corruption_config,
     dims_from_config,
     generation_op_proportions,
@@ -89,12 +88,14 @@ def _read_config(args, stored: RunConfig | None = None) -> RunConfig:
     return _apply_overrides(cfg, args)
 
 
-def _save_model_ckpt(path, cfg: RunConfig, model: RecModel, phase: str, epoch: int,
-                     opt: AdamState) -> None:
-    meta = {"n_items": model.dims.n_items, "phase": phase, "epoch": epoch}
+def _save_model_ckpt(path, cfg: RunConfig, phase: str, epoch: int, run: TrainResult) -> None:
+    """The run's parameters, Adam state and early-stopping state after `epoch`."""
+    meta = {"n_items": run.model.dims.n_items, "phase": phase, "epoch": epoch,
+            "best_epoch": run.best_epoch, "best_metric": repr(run.best_metric),
+            "patience_left": run.patience_left}
     text = "\n".join(config_to_lines(cfg, meta)) + "\n"
-    save_checkpoint(path, text, model_arrays(model),
-                    opt_step=opt.step_count, opt_arrays=opt.state_arrays())
+    save_checkpoint(path, text, model_arrays(run.model),
+                    opt_step=run.opt.step_count, opt_arrays=run.opt.state_arrays())
 
 
 def _load_model_ckpt(path):
@@ -189,6 +190,10 @@ def cmd_augment(args) -> int:
     return 0
 
 
+# the meta lines a checkpoint needs for a run to continue from it exactly
+_RESUME_META = ("epoch", "best_epoch", "best_metric", "patience_left")
+
+
 def _start_training(args, phase: str):
     """Config, data and resume state shared by train-augmenter and train-recommender.
 
@@ -196,14 +201,21 @@ def _start_training(args, phase: str):
     --config still wins), so the data directory and out dir resolve from it.
     Returns (cfg, split, vocab, keyword arguments for the phase's trainer).
     """
-    stored = model = opt = None
+    stored = model = opt = early_stop = None
     start_epoch = 0
     if args.resume:
         stored, meta, model, opt_step, opt_arrays = _load_model_ckpt(args.resume)
         if meta.get("phase") != phase:
             raise ConfigError(f"{args.resume} is a {meta.get('phase')!r} checkpoint, "
                               f"not a {phase!r} one")
-        start_epoch = int(meta.get("epoch", -1)) + 1
+        if opt_step is None or any(k not in meta for k in _RESUME_META):
+            raise ConfigError(f"{args.resume} holds no optimizer or early-stopping state, "
+                              f"so no run can continue from it exactly; pass it to "
+                              f"train-recommender --augmenter to start a new run from "
+                              f"its parameters")
+        start_epoch = int(meta["epoch"]) + 1
+        early_stop = (int(meta["best_epoch"]), float(meta["best_metric"]),
+                      int(meta["patience_left"]))
     cfg = _read_config(args, stored)
     if model is not None:
         # the checkpoint's Adam state covers only what its run trained
@@ -217,12 +229,13 @@ def _start_training(args, phase: str):
     out_dir = Path(cfg.out_dir)
     log = _train_logger(out_dir)
 
-    def on_epoch(epoch, model, opt, row, improved):
+    def on_epoch(result, improved):
+        epoch = result.history[-1]["epoch"]
         for kind in ("last", "best") if improved else ("last",):
-            _save_model_ckpt(out_dir / f"{phase}-{kind}.ckpt", cfg, model, phase, epoch,
-                             opt=opt)
+            _save_model_ckpt(out_dir / f"{phase}-{kind}.ckpt", cfg, phase, epoch, result)
 
-    run = dict(model=model, opt=opt, start_epoch=start_epoch, on_epoch=on_epoch, log=log)
+    run = dict(model=model, opt=opt, start_epoch=start_epoch, early_stop=early_stop,
+               on_epoch=on_epoch, log=log)
     return cfg, leave_one_out_split(sequences), vocab, run
 
 

@@ -195,10 +195,10 @@ def transformer_stack(
         attn = _dropout(ag.softmax(scores), dims, stream)
         ctx = ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)).reshape(n, rows, e)
         h = h + _dropout(ag.matmul(ctx, blk.Wo), dims, stream)
-        h = ag.layer_norm(h) * blk.ln1_g + blk.ln1_b
-        f = ag.relu(ag.matmul(h, blk.W1) + blk.b1)
-        f = _dropout(ag.matmul(f, blk.W2) + blk.b2, dims, stream)
-        h = ag.layer_norm(h + f) * blk.ln2_g + blk.ln2_b
+        h = ag.layer_norm(h, blk.ln1_g, blk.ln1_b)
+        f = ag.relu(ag.matmul(h, blk.W1, blk.b1))
+        f = _dropout(ag.matmul(f, blk.W2, blk.b2), dims, stream)
+        h = ag.layer_norm(h + f, blk.ln2_g, blk.ln2_b)
     return h.reshape(n, e) if last_only else h
 
 

@@ -121,11 +121,16 @@ def corruption_config(cfg: RunConfig, n_items: int) -> CorruptionConfig:
 
 @dataclass
 class TrainResult:
+    """A run's model and Adam state, its epoch rows and its early-stopping state:
+    the best epoch (-1 before any improves), its metric, and the epochs without
+    improvement the run still allows."""
+
     model: RecModel
     opt: AdamState
     history: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     best_metric: float = float("nan")
+    patience_left: int = 0
 
 
 def _step(loss, params: ParamStore, opt: AdamState, key: tuple) -> None:
@@ -213,7 +218,7 @@ _PHASES = {"augmenter": ("aug", "val_loss", -1), "recommender": ("rec", "val_sum
 
 
 def _run_epochs(phase: str, split: SplitDataset, cfg: RunConfig, model: RecModel,
-                opt: AdamState | None, start_epoch: int, batch_loss, validate,
+                opt: AdamState | None, start_epoch: int, early_stop, batch_loss, validate,
                 on_epoch=None, log=None) -> TrainResult:
     """The epoch loop of both phases, up to cfg.epochs_<phase>.
 
@@ -222,14 +227,20 @@ def _run_epochs(phase: str, split: SplitDataset, cfg: RunConfig, model: RecModel
     The row averages the parts over the stepped batches and adds validate()'s
     fields. An epoch improves when its metric beats every earlier one's (a
     phase-1 val_loss of inf never does); the run stops after cfg.patience
-    epochs without one.
+    epochs without one. A resumed run passes the early_stop state
+    (best_epoch, best_metric, patience_left) its checkpoint stored, and
+    stops where the unbroken run would. on_epoch(result, improved) runs
+    after each epoch's row is logged.
     """
     tag, metric, sign = _PHASES[phase]
     params, new_opt = make_optimizer(model, cfg, phase)
-    result = TrainResult(model, opt or new_opt)
-    best = -float("inf")
-    patience_left = cfg.patience
+    result = TrainResult(model, opt or new_opt, patience_left=cfg.patience)
+    if early_stop is not None:
+        result.best_epoch, result.best_metric, result.patience_left = early_stop
+    best = sign * result.best_metric if result.best_epoch >= 0 else -float("inf")
     for epoch in range(start_epoch, getattr(cfg, f"epochs_{phase}")):
+        if result.patience_left <= 0:
+            break
         t0 = time.time()
         sums: dict[str, float] = {}
         n_batches = 0
@@ -253,17 +264,15 @@ def _run_epochs(phase: str, split: SplitDataset, cfg: RunConfig, model: RecModel
             best = sign * row[metric]
             result.best_epoch = epoch
             result.best_metric = row[metric]
-            patience_left = cfg.patience
+            result.patience_left = cfg.patience
         else:
-            patience_left -= 1
+            result.patience_left -= 1
         if log:
             fields = " ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
                               for k, v in row.items() if k not in ("epoch", "seconds"))
             log(f"{phase} epoch {epoch}: {fields} ({row['seconds']:.1f}s)")
         if on_epoch:
-            on_epoch(epoch, result.model, result.opt, row, improved)
-        if patience_left <= 0:
-            break
+            on_epoch(result, improved)
     return result
 
 
@@ -274,13 +283,15 @@ def train_augmenter(
     model: RecModel | None = None,
     opt: AdamState | None = None,
     start_epoch: int = 0,
+    early_stop: tuple[int, float, int] | None = None,
     on_epoch=None,
     log=None,
 ) -> TrainResult:
     """Minimize the restoration loss with per-epoch fresh corruptions.
 
     Tracks the best validation restoration loss; pass model/opt/start_epoch
-    to resume a run mid-way with identical behaviour.
+    and the stored early_stop state to resume a run mid-way with identical
+    behaviour.
     """
     dims = dims_from_config(cfg, vocab.n_items)
     if model is None:
@@ -300,8 +311,8 @@ def train_augmenter(
         return {"val_loss": val_loss, "val_op_accuracy": val_acc["op_accuracy"],
                 "val_ins_top1": val_acc["ins_top1"]}
 
-    return _run_epochs("augmenter", split, cfg, model, opt, start_epoch, batch_loss,
-                       validate, on_epoch, log)
+    return _run_epochs("augmenter", split, cfg, model, opt, start_epoch, early_stop,
+                       batch_loss, validate, on_epoch, log)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +392,7 @@ def train_recommender(
     model: RecModel | None = None,
     opt: AdamState | None = None,
     start_epoch: int = 0,
+    early_stop: tuple[int, float, int] | None = None,
     on_epoch=None,
     log=None,
 ) -> TrainResult:
@@ -423,8 +435,8 @@ def train_recommender(
                                 batch_size=cfg.batch_size)
         return {"val_sum": report.total, "val_skipped": report.n_skipped}
 
-    return _run_epochs("recommender", split, cfg, model, opt, start_epoch, batch_loss,
-                       validate, on_epoch, log)
+    return _run_epochs("recommender", split, cfg, model, opt, start_epoch, early_stop,
+                       batch_loss, validate, on_epoch, log)
 
 
 def model_arrays(model: RecModel) -> dict[str, np.ndarray]:

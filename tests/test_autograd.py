@@ -102,9 +102,44 @@ def test_dropout_rejects_bad_rate():
 def test_layer_norm_row_moments():
     rng = np.random.default_rng(1)
     x = ag.constant(rng.standard_normal((9, 33)) * 4 + 2)
-    y = ag.layer_norm(x).data
+    y = ag.layer_norm(x, ag.param(np.ones(33)), ag.param(np.zeros(33))).data
     np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-9)
     np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-6)
+
+
+def test_layer_norm_applies_gain_and_bias():
+    rng = np.random.default_rng(2)
+    x = ag.constant(rng.standard_normal((3, 5)))
+    gain, bias = ag.param(rng.standard_normal(5)), ag.param(rng.standard_normal(5))
+    plain = ag.layer_norm(x, ag.param(np.ones(5)), ag.param(np.zeros(5))).data
+    np.testing.assert_array_equal(ag.layer_norm(x, gain, bias).data,
+                                  plain * gain.data + bias.data)
+
+
+def test_layer_norm_rejects_affine_of_the_wrong_shape():
+    x = ag.constant(np.ones((2, 4)))
+    with pytest.raises(ShapeError):
+        ag.layer_norm(x, ag.param(np.ones(3)), ag.param(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        ag.layer_norm(x, ag.param(np.ones(4)), ag.param(np.zeros((1, 4))))
+
+
+def test_matmul_bias_is_added_to_every_row():
+    rng = np.random.default_rng(3)
+    a = ag.constant(rng.standard_normal((2, 3, 4)))
+    w, bias = ag.param(rng.standard_normal((4, 5))), ag.param(rng.standard_normal(5))
+    np.testing.assert_array_equal(ag.matmul(a, w, bias).data,
+                                  ag.matmul(a, w).data + bias.data)
+
+
+def test_matmul_refuses_a_bias_it_cannot_add():
+    a = ag.constant(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeError):  # stacked right operand
+        ag.matmul(a, ag.constant(np.ones((2, 4, 5))), ag.param(np.zeros(5)))
+    with pytest.raises(ShapeError):  # one entry per output column
+        ag.matmul(a, ag.constant(np.ones((4, 5))), ag.param(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        ag.matmul(a, ag.constant(np.ones((4, 5))), ag.param(np.zeros((1, 5))))
 
 
 def test_backward_dot_square():
@@ -220,6 +255,7 @@ OP_CASES = {
     "mul": lambda p, c: (ag.mul(p["a"], p["b"]) * 0.5).sum(),
     "matmul": lambda p, c: ag.matmul(p["m1"], p["m2"]).sum(),
     "matmul_batched": lambda p, c: ag.matmul(p["t3"], p["m2"]).sum(),
+    "matmul_bias": lambda p, c: ag.softplus(ag.matmul(p["t3"], p["m2"], p["bias"])).sum(),
     "matmul_4d": lambda p, c: ag.softplus(ag.matmul(p["t4"], p["m2"])).sum(),
     "matmul_t1": lambda p, c: ag.softplus(ag.matmul(p["t1"], p["m2"])).sum(),
     "matmul_noncontiguous": lambda p, c: ag.softplus(
@@ -229,11 +265,11 @@ OP_CASES = {
     "softmax": lambda p, c: (ag.softmax(p["a"]) * c["w"]).sum(),
     "relu": lambda p, c: ag.relu(p["a"]).sum(),
     "softplus": lambda p, c: ag.softplus(p["a"]).sum(),
-    "layer_norm": lambda p, c: (ag.layer_norm(p["a"]) * c["w"]).sum(),
+    "layer_norm": lambda p, c: (ag.layer_norm(p["a"], p["gain"], p["beta"]) * c["w"]).sum(),
     "embedding": lambda p, c: (ag.embedding_lookup(p["table"], c["ids"]) * c["w3"]).sum(),
     "cross_entropy": lambda p, c: ag.cross_entropy(p["a"], c["targets"]).mean(),
-    "concat": lambda p, c: (ag.layer_norm(ag.concat([p["v1"].reshape(1, 6), p["v2"].reshape(1, 6)]))
-                            * c["w2"]).sum(),
+    "concat": lambda p, c: (ag.layer_norm(ag.concat([p["v1"].reshape(1, 6), p["v2"].reshape(1, 6)]),
+                                          p["gain"], p["beta"]) * c["w2"]).sum(),
     "transpose": lambda p, c: ag.matmul(p["m1"], ag.transpose_last(p["m1"])).sum(),
     "reshape": lambda p, c: (p["a"].reshape(24) * c["wflat"]).sum(),
     "mean": lambda p, c: p["a"].mean(),
@@ -272,6 +308,9 @@ def test_primitive_gradients_match_finite_differences(name):
         # its own generator, so the draws of the other cases stay as they were
         params["t4"] = _rand(np.random.default_rng(2000 + trial), 2, 3, 4, 5)
         params["t1"] = _rand(np.random.default_rng(3000 + trial), 4, 1, 5)
+        affine = np.random.default_rng(4000 + trial)
+        params["bias"] = _rand(affine, 3)
+        params["gain"], params["beta"] = _rand(affine, 6), _rand(affine, 6)
         used = {k: v for k, v in params.items()}
         worst = max(worst, max_rel_error(lambda: build_case(used, consts), used, rng))
     assert worst <= 1e-4, f"{name}: worst rel err {worst:.3e}"

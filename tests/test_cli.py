@@ -267,11 +267,65 @@ def test_resume_reproduces_unbroken_run(workspace, tmp_path):
                "--resume", str(part1 / "recommender-last.ckpt")])
     assert rc == 0
 
-    _, params_a, _, _ = load_checkpoint(straight / "recommender-last.ckpt")
-    _, params_b, _, _ = load_checkpoint(part2 / "recommender-last.ckpt")
-    assert set(params_a) == set(params_b)
-    for name in params_a:
-        np.testing.assert_array_equal(params_a[name], params_b[name])
+    for kind in ("last", "best"):
+        # the resumed run improves on part 1's best exactly when the unbroken one does
+        broken = part2 if (part2 / f"recommender-{kind}.ckpt").exists() else part1
+        text_a, params_a, step_a, opt_a = load_checkpoint(straight / f"recommender-{kind}.ckpt")
+        text_b, params_b, step_b, opt_b = load_checkpoint(broken / f"recommender-{kind}.ckpt")
+        assert read_meta(text_a.splitlines()) == read_meta(text_b.splitlines())
+        assert step_a == step_b
+        assert set(params_a) == set(params_b) and set(opt_a) == set(opt_b)
+        for name in params_a:
+            np.testing.assert_array_equal(params_a[name], params_b[name], err_msg=name)
+        for name in opt_a:
+            np.testing.assert_array_equal(opt_a[name], opt_b[name], err_msg=name)
+    last_line = [(out / "train-log.txt").read_text().splitlines()[-1]
+                 for out in (straight, part2)]
+    assert last_line[0].startswith("best recommender epoch ")
+    assert last_line[0] == last_line[1]
+
+
+def test_resume_of_a_finished_run_reports_its_best_epoch(base_run, workspace, tmp_path):
+    _, cfg, data = workspace
+    out = tmp_path / "again"
+    rc = main(["train-recommender", "--data", str(data), "--config", str(cfg),
+               "--out", str(out), "--resume", str(base_run / "recommender-last.ckpt")])
+    assert rc == 0
+    best = (base_run / "train-log.txt").read_text().splitlines()[-1]
+    assert best.startswith("best recommender epoch 0 (val sum ")
+    assert (out / "train-log.txt").read_text().splitlines() == [best]  # no epoch ran
+    assert not list(out.glob("*.ckpt"))
+
+
+def test_resume_refuses_a_checkpoint_without_optimizer_state(workspace, tmp_path, capsys):
+    # the pinned fixture holds parameters only: resuming it would restart
+    # Adam at step 0 and early stopping from scratch
+    _, _, data = workspace
+    out = tmp_path / "resumed"
+    rc = main(["train-recommender", "--data", str(data), "--resume", str(FIXTURE),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{FIXTURE} holds no optimizer or early-stopping state" in err
+    assert "--augmenter" in err
+    assert not (out / "train-log.txt").exists()  # no epoch ran
+
+
+@pytest.mark.parametrize("dropped", ["_best_epoch", "_best_metric", "_patience_left"])
+def test_resume_refuses_a_checkpoint_without_early_stopping_state(base_run, workspace,
+                                                                  tmp_path, capsys, dropped):
+    _, _, data = workspace
+    text, params, opt_step, opt_arrays = load_checkpoint(base_run / "recommender-last.ckpt")
+    kept = [line for line in text.splitlines() if not line.startswith(dropped)]
+    ckpt = tmp_path / "old.ckpt"
+    save_checkpoint(ckpt, "\n".join(kept) + "\n", params, opt_step=opt_step,
+                    opt_arrays=opt_arrays)
+    out = tmp_path / "resumed"
+    rc = main(["train-recommender", "--data", str(data), "--resume", str(ckpt),
+               "--out", str(out)])
+    assert rc == 1
+    assert f"{ckpt} holds no optimizer or early-stopping state" in capsys.readouterr().err
+    assert not (out / "train-log.txt").exists()
 
 
 @pytest.mark.parametrize("command, mode", [("train-augmenter", None),
@@ -327,7 +381,8 @@ def test_resume_refuses_a_mode_that_trains_the_augmenter_the_run_did_not(workspa
     cfg, _, model, _, _ = _load_model_ckpt(FIXTURE)
     _, opt = trainer.make_optimizer(model, cfg, "recommender")
     ckpt = tmp_path / "full.ckpt"
-    _save_model_ckpt(ckpt, cfg, model, "recommender", 0, opt)
+    _save_model_ckpt(ckpt, cfg, "recommender", 0,
+                     trainer.TrainResult(model, opt, patience_left=cfg.patience))
     out = tmp_path / "cotrain"
     rc = main(["train-recommender", "--data", str(data), "--resume", str(ckpt),
                "--mode", "cotrain", "--out", str(out)])

@@ -1,5 +1,7 @@
 """Encoder: embedding rules, masking, causality, padding inertness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,128 @@ def test_last_only_matches_the_full_stacks_last_column(n_layers):
     assert _rel_diff(last, full) <= 1e-12
     for name, g in full_grads.items():
         assert _rel_diff(last_grads[name], g) <= 1e-12, name
+
+
+# The block as it was built from one-output ops: a separate add for each FFN
+# bias, an np.var layer norm followed by "* gain + bias", an unshifted-buffer
+# softmax and a float dropout mask. Forward rules and gradients are the
+# previous kernel's, so transformer_stack must match them bit for bit.
+
+
+def _old_softmax(x):
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        ag._accum(x, y * (g - inner))
+
+    return ag._record(ag.Tensor(y), (x,), bw)
+
+
+def _old_layer_norm(x, gain, bias, eps=1e-8):
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+
+    def bw(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gx = (g * xhat).mean(axis=-1, keepdims=True)
+        ag._accum(x, inv * (g - gm - xhat * gx))
+
+    return ag._record(ag.Tensor(xhat), (x,), bw) * gain + bias
+
+
+def _old_dropout(x, rate, stream):
+    keep = (stream.next_rng().random(x.shape) >= rate).astype(np.float64)
+    scale = 1.0 / (1.0 - rate)
+
+    def bw(g):
+        ag._accum(x, g * keep * scale)
+
+    return ag._record(ag.Tensor(x.data * keep * scale), (x,), bw)
+
+
+def _old_stack(ids, enc: EncoderParams, stream, last_only):
+    dims = enc.dims
+    n, t = ids.shape
+    e, heads, dh = dims.embed_dim, dims.n_heads, dims.head_dim
+    h = ag.embedding_lookup(enc.item_emb, ids)
+    h = _old_dropout(h + ag.embedding_lookup(enc.pos_emb, position_indices(ids)),
+                     dims.dropout, stream)
+    mask = attention_mask(ids)
+
+    def split_heads(x, rows):
+        return ag.transpose(x.reshape(n, rows, heads, dh), (0, 2, 1, 3))
+
+    for i, blk in enumerate(enc.blocks):
+        k = split_heads(ag.matmul(h, blk.Wk), t)
+        v = split_heads(ag.matmul(h, blk.Wv), t)
+        rows = t
+        if last_only and i == len(enc.blocks) - 1:
+            rows = 1
+            h = take_last_position(h).reshape(n, 1, e)
+            mask = mask[:, :, -1:, :]
+        q = split_heads(ag.matmul(h, blk.Wq), rows)
+        scores = ag.matmul(q, ag.transpose_last(k)) * (1.0 / np.sqrt(dh)) + ag.constant(mask)
+        attn = _old_dropout(_old_softmax(scores), dims.dropout, stream)
+        ctx = ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)).reshape(n, rows, e)
+        h = h + _old_dropout(ag.matmul(ctx, blk.Wo), dims.dropout, stream)
+        h = _old_layer_norm(h, blk.ln1_g, blk.ln1_b)
+        f = ag.relu(ag.matmul(h, blk.W1) + blk.b1)
+        f = _old_dropout(ag.matmul(f, blk.W2) + blk.b2, dims.dropout, stream)
+        h = _old_layer_norm(h + f, blk.ln2_g, blk.ln2_b)
+    return h.reshape(n, e) if last_only else h
+
+
+@pytest.mark.parametrize("last_only", [False, True], ids=["full", "last_only"])
+def test_stack_matches_the_one_output_op_block_bit_for_bit(last_only):
+    dims = ModelDims(n_items=20, embed_dim=16, n_layers=2, n_heads=2, dropout=0.1)
+    probe = EncoderParams(dims, seed=21)
+    rng = np.random.default_rng(8)
+    for blk in probe.blocks:  # non-trivial affine and biases
+        for name in ("ln1_g", "ln1_b", "b1", "b2", "ln2_g", "ln2_b"):
+            getattr(blk, name).data += rng.standard_normal(getattr(blk, name).shape)
+    ids = rng.integers(1, 21, size=(5, 7))
+    for r in range(5):
+        ids[r, :r + 1] = 0  # left padding of every length, one full row
+    ids[0, 0] = 3
+
+    def run(forward):
+        h = forward(SeedStream(4, "oracle"))
+        ag.backward((h * ag.constant(np.linspace(-1.0, 1.0, h.size).reshape(h.shape))).sum())
+        grads = {}
+        for name, p in probe.named_params().items():
+            grads[name], p.grad = p.grad, None
+        return h.data, grads
+
+    got, got_grads = run(lambda s: transformer_stack(embed_sequence(ids, probe, s),
+                                                     probe.blocks, dims, ids, s,
+                                                     last_only=last_only))
+    want, want_grads = run(lambda s: _old_stack(ids, probe, s, last_only))
+    np.testing.assert_array_equal(got, want)
+    assert set(got_grads) == set(want_grads)
+    for name, g in want_grads.items():
+        assert g is not None, name
+        np.testing.assert_array_equal(got_grads[name], g, err_msg=name)
+
+
+def test_training_forward_holds_at_most_176_mib():
+    # live memory of one training forward of a (256, 40) batch at embed 64,
+    # everything the tape keeps for backward: 202 MiB with one array per
+    # bias add, affine step and float dropout mask, 151 MiB without them
+    dims = ModelDims(n_items=100, embed_dim=64, dropout=0.1)
+    probe = EncoderParams(dims, seed=0)
+    ids = np.random.default_rng(0).integers(1, 101, size=(256, 40))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = encode_batch(ids, probe, stream=SeedStream(0, "memory"))
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        ag.clear_tape()
+    assert out.shape == (256, 40, 64)
+    assert live <= 176 * 2**20, f"training forward holds {live / 2**20:.1f} MiB"

@@ -418,10 +418,41 @@ def test_patience_stops_a_run_that_stops_improving(tiny_data, monkeypatch, train
     monkeypatch.setattr(trainer, validation, getting_worse)
     cfg = tiny_cfg(mode="base", epochs_augmenter=5, epochs_recommender=5, patience=1)
     result = train(split, vocab, cfg,
-                   on_epoch=lambda epoch, model, opt, row, better: improved.append(better))
+                   on_epoch=lambda result, better: improved.append(better))
     assert [row["epoch"] for row in result.history] == [0, 1]
     assert improved == [True, False]
     assert (result.best_epoch, result.best_metric) == (0, 1.0)
+
+
+def test_resumed_run_keeps_the_early_stopping_state(tiny_data, monkeypatch):
+    # val_loss rises after epoch 0 and patience is 2: the unbroken run stops
+    # after epoch 2, and a run resumed after epoch 0 must stop there too
+    split, vocab = tiny_data
+    losses, improved = [], []
+    monkeypatch.setattr(trainer, "validation_aug_loss", lambda *args: (
+        losses.pop(0), {"op_accuracy": 0.5, "ins_top1": 0.5}))
+
+    def on_epoch(result, better):
+        improved.append((result.history[-1]["epoch"], better))
+
+    cfg = tiny_cfg(epochs_augmenter=6, patience=2)
+    losses[:] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    straight = train_augmenter(split, vocab, cfg, on_epoch=on_epoch)
+    assert improved == [(0, True), (1, False), (2, False)]
+
+    improved.clear()
+    losses[:] = [1.0]
+    first = train_augmenter(split, vocab, tiny_cfg(epochs_augmenter=1, patience=2),
+                            on_epoch=on_epoch)
+    assert (first.best_epoch, first.best_metric, first.patience_left) == (0, 1.0, 2)
+    losses[:] = [2.0, 3.0, 4.0, 5.0, 6.0]
+    resumed = train_augmenter(split, vocab, cfg, model=first.model, opt=first.opt,
+                              start_epoch=1, on_epoch=on_epoch,
+                              early_stop=(first.best_epoch, first.best_metric,
+                                          first.patience_left))
+    assert improved == [(0, True), (1, False), (2, False)]
+    assert (resumed.best_epoch, resumed.best_metric, resumed.patience_left) == \
+        (straight.best_epoch, straight.best_metric, straight.patience_left) == (0, 1.0, 0)
 
 
 def test_recommender_needs_augmenter_for_full_mode(tiny_data):
@@ -483,10 +514,11 @@ def test_non_finite_step_stops_before_adam_and_checkpoint(tiny_data, tmp_path, p
     ckpt = tmp_path / f"{phase}-last.ckpt"
     saved = {}
 
-    def on_epoch(epoch, model, opt, row, improved):
-        _save_model_ckpt(ckpt, cfg, model, phase, epoch, opt=opt)
+    def on_epoch(result, improved):
+        epoch = result.history[-1]["epoch"]
+        _save_model_ckpt(ckpt, cfg, phase, epoch, result)
         saved[epoch] = ckpt.read_bytes()
-        model.enc.pos_emb.data[0, 0] = np.nan  # every sequence reads position 0
+        result.model.enc.pos_emb.data[0, 0] = np.nan  # every sequence reads position 0
 
     train = train_augmenter if phase == "augmenter" else train_recommender
     with pytest.raises(NonFiniteError) as err:
