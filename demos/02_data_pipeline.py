@@ -38,11 +38,13 @@ u = split.users[0]
 print(f"\nuser {u.user_id}: train prefix {u.train}")
 print(f"  validation target {u.valid_target}, test target {u.test_target}")
 
-# evaluation keys one generator per (seed, split, "negatives", user)
-negatives = sample_negatives(next(s for s in sequences if s.user_id == u.user_id), vocab,
-                             99, rng_for(1, "test", "negatives", u.user_id))
-overlap = set(negatives) & set(u.full())
+# an evaluation pass keys one generator per (seed, split, "negatives") and
+# draws every user's negatives from it, in sorted user-id order
+negatives, ok = sample_negatives([v.full() for v in split.users], vocab, 99,
+                                 rng_for(1, "test", "negatives"))
+overlap = set(negatives[0].tolist()) & set(u.full())
 print(f"  99 negatives sampled, overlap with history: {len(overlap)} (must be 0)")
+print(f"  users with a pool of 99 negatives: {int(ok.sum())} of {len(ok)}")
 
 # training keys the batch order by (seed, phase, epoch)
 batch = next(make_batches(split, 4, rng_for(0, "rec-order", 0)))

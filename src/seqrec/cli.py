@@ -262,6 +262,8 @@ def _parse_ratio(raw: str) -> tuple[float, float, float]:
 
 
 def cmd_evaluate(args) -> int:
+    if args.noisy_ratio is not None and not args.noisy:
+        raise ConfigError("--noisy-ratio applies only with --noisy")
     cfg, _meta, model, _, _ = _load_model_ckpt(args.checkpoint)
     cfg = _apply_overrides(cfg, args)
     if model.rec is None:
@@ -270,7 +272,9 @@ def cmd_evaluate(args) -> int:
     split = leave_one_out_split(sequences)
     noisy = None
     if args.noisy:
-        noisy = NoisySimConfig(ratio=_parse_ratio(args.noisy_ratio), seed=cfg.seed)
+        ratio = (NoisySimConfig.ratio if args.noisy_ratio is None
+                 else _parse_ratio(args.noisy_ratio))
+        noisy = NoisySimConfig(ratio=ratio, seed=cfg.seed)
     transform = None
     if args.testaug:
         if model.aug is None:
@@ -438,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("valid", "test"), default="test")
     p.add_argument("--noisy", action="store_true", help="damage test histories first")
-    p.add_argument("--noisy-ratio", default="4:3:3")
+    p.add_argument("--noisy-ratio", help="keep:delete:insert ratio for --noisy "
+                   "(default 4:3:3)")
     p.add_argument("--testaug", action="store_true",
                    help="augment each history with the learned augmenter before scoring")
     common(p, config=False, out=True)

@@ -7,12 +7,13 @@ write_sequences/read_sequences for the exact format.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, PoolTooSmallError
+from .errors import ConfigError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -167,26 +168,38 @@ def leave_one_out_split(sequences: list[ItemSequence]) -> SplitDataset:
 
 
 def sample_negatives(
-    seq: ItemSequence,
+    seqs: list[list[int]],
     vocab: Vocabulary,
     count: int,
     rng: np.random.Generator,
-) -> list[int]:
-    """Draw `count` distinct uninteracted items from rng.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw `count` distinct uninteracted items for each sequence of a batch.
 
-    Negatives avoid every item the user ever interacted with, so the draw
-    does not depend on which of the user's items is ranked against them.
+    One rng.random((len(seqs), n_items)) call gives every (row, item) pair
+    a uniform key; a row's negatives are its `count` lowest-keyed items
+    that the sequence never holds, in ascending key order. Negatives thus
+    avoid every item the user ever interacted with, and do not depend on
+    which of its items is ranked against them. Every row uses up its key
+    row, so successive calls on one generator draw as one call on their
+    concatenated batch would. Returns the (len(seqs), count) int64 ids and
+    a boolean mask of the rows whose free pool holds `count` items; the
+    other rows hold PAD.
     """
-    ids = np.asarray(seq.items, dtype=np.int64)
-    free = np.ones(vocab.n_items + 1, dtype=bool)
-    free[0] = False
-    free[ids[(ids >= 1) & (ids <= vocab.n_items)]] = False
-    pool = np.flatnonzero(free)  # uninteracted ids, ascending
-    if len(pool) < count:
-        raise PoolTooSmallError(
-            f"user {seq.user_id}: only {len(pool)} uninteracted items, need {count}"
-        )
-    return pool[rng.choice(len(pool), size=count, replace=False)].tolist()
+    n_items = vocab.n_items
+    keys = rng.random((len(seqs), n_items))
+    lengths = [len(seq) for seq in seqs]
+    rows = np.repeat(np.arange(len(seqs)), lengths)
+    ids = np.fromiter(itertools.chain.from_iterable(seqs), np.int64, sum(lengths))
+    held = (ids >= 1) & (ids <= n_items)
+    keys[rows[held], ids[held] - 1] = np.inf
+    ok = np.isfinite(keys).sum(axis=1) >= count
+    negatives = np.full((len(seqs), count), PAD_ID, dtype=np.int64)
+    if ok.any():
+        keys = keys[ok]
+        lowest = np.argpartition(keys, count - 1, axis=1)[:, :count]
+        order = np.argsort(np.take_along_axis(keys, lowest, axis=1), axis=1, kind="stable")
+        negatives[ok] = np.take_along_axis(lowest, order, axis=1) + 1
+    return negatives, ok
 
 
 def pad_batch(seqs: list[list[int]]) -> np.ndarray:

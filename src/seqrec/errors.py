@@ -15,10 +15,6 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-class PoolTooSmallError(ValueError):
-    """Not enough uninteracted items to draw the requested negatives."""
-
-
 class ConfigError(ValueError):
     """Bad run configuration (unknown key, out-of-range value, bad mode)."""
 

@@ -2,13 +2,17 @@
 
 Each user's held-out target is ranked against 99 sampled uninteracted
 items; HR/MRR/NDCG at K in {5, 10, 20} are averaged over users with
-order-independent summation (math.fsum). Each user's negatives come from
-a generator keyed by (seed, split, "negatives", user), so a report depends
-only on the (config, seed) pair, not on batch or user ordering.
+order-independent summation (math.fsum). An evaluation pass keys one
+generator (seed, split, "negatives") and draws every user's negatives
+from it with users in sorted user-id order; the --noisy simulation keys
+one generator (seed, "noisy-sim") the same way. A report therefore
+depends only on the (config, seed) pair and the set of users in the
+split, not on user order or batch size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +20,7 @@ import numpy as np
 
 from .data import ItemSequence, SplitDataset, Vocabulary, sample_negatives
 from .encoder import EncoderParams
-from .errors import PoolTooSmallError
+from .errors import ConfigError
 from .recommender import RecommenderParams, score_candidates
 from .seeding import rng_for
 
@@ -30,10 +34,13 @@ class NoisySimConfig:
     ratio: tuple[float, float, float] = (4.0, 3.0, 3.0)
     seed: int = 0
 
+    def __post_init__(self):
+        if not all(math.isfinite(r) and r >= 0 for r in self.ratio) or sum(self.ratio) <= 0:
+            raise ConfigError("--noisy-ratio/--ratio parts must be finite and >= 0 with a "
+                              f"positive sum, got {self.ratio}")
+
     def probabilities(self) -> tuple[float, float, float]:
         total = sum(self.ratio)
-        if total <= 0 or any(r < 0 for r in self.ratio):
-            raise ValueError(f"ratio parts must be positive, got {self.ratio}")
         return tuple(r / total for r in self.ratio)
 
 
@@ -92,17 +99,17 @@ class MetricReport:
         return "\n".join(rows)
 
 
-def rank_of_target(scores: np.ndarray, candidate_ids: np.ndarray, target_id: int) -> int:
-    """1-based rank of the target by descending score, ties by ascending id."""
+def rank_of_target(scores: np.ndarray, candidate_ids: np.ndarray) -> np.ndarray:
+    """1-based rank of each row's column-0 candidate, by descending score.
+
+    scores and candidate_ids are (N, C); ties go to the smaller id.
+    """
     scores = np.asarray(scores, dtype=float)
     candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
-    matches = np.flatnonzero(candidate_ids == target_id)
-    if matches.size == 0:
-        raise ValueError(f"target {target_id} not among the candidates")
-    pos = int(matches[0])
-    better = (scores > scores[pos]).sum()
-    tied_before = ((scores == scores[pos]) & (candidate_ids < target_id)).sum()
-    return int(better + tied_before + 1)
+    target = scores[:, :1]
+    better = (scores > target).sum(axis=1)
+    tied_before = ((scores == target) & (candidate_ids < candidate_ids[:, :1])).sum(axis=1)
+    return better + tied_before + 1
 
 
 def user_metrics(rank: int, k: int) -> tuple[float, float, float]:
@@ -121,25 +128,32 @@ def simulate_noisy_testset(
 ) -> list[ItemSequence]:
     """Damage every item but the last: keep/delete/insert-before by ratio.
 
-    Insertions draw a uniform random item. If damage removes the whole
-    context, the penultimate item is kept so the history is never empty.
+    One generator keyed (cfg.seed, "noisy-sim") draws every op, one
+    choice() over all damageable positions with users in sorted user-id
+    order, then every inserted item, one uniform integers() call. If
+    damage removes the whole context, the penultimate item is kept so the
+    history is never empty. Returns the sequences in input order.
     """
-    p_keep, p_delete, p_insert = cfg.probabilities()
-    out = []
-    for seq in sequences:
-        rng = rng_for(cfg.seed, seq.user_id, "noisy-sim")
-        draws = rng.choice(3, size=max(len(seq) - 1, 0), p=[p_keep, p_delete, p_insert])
-        noised: list[int] = []
-        for item, d in zip(seq.items[:-1], draws):
-            if d == 1:
-                continue
-            if d == 2:
-                noised.append(int(rng.integers(1, vocab.n_items + 1)))
-            noised.append(item)
+    rng = rng_for(cfg.seed, "noisy-sim")
+    order = sorted(range(len(sequences)), key=lambda i: sequences[i].user_id)
+    contexts = [sequences[i].items[:-1] for i in order]
+    items = np.fromiter(itertools.chain.from_iterable(contexts), np.int64)
+    ops = rng.choice(3, size=len(items), p=cfg.probabilities())
+    insert = ops == 2
+    inserted = np.zeros_like(items)
+    inserted[insert] = rng.integers(1, vocab.n_items + 1, size=int(insert.sum()))
+    # each position emits (inserted item, its own item), masked by its op
+    emitted = np.stack([insert, ops != 1], axis=1)
+    tokens = np.stack([inserted, items], axis=1)[emitted]
+    emitted_before = np.concatenate([[0], np.cumsum(emitted.sum(axis=1))])
+    bounds = emitted_before[np.cumsum([0] + [len(c) for c in contexts])]
+    out: list[ItemSequence | None] = [None] * len(sequences)
+    for i, start, end in zip(order, bounds[:-1], bounds[1:]):
+        seq = sequences[i]
+        noised = tokens[start:end].tolist()
         if not noised and len(seq) >= 2:
             noised = [seq.items[-2]]
-        noised.append(seq.items[-1])
-        out.append(ItemSequence(seq.user_id, noised))
+        out[i] = ItemSequence(seq.user_id, noised + [seq.items[-1]])
     return out
 
 
@@ -169,37 +183,34 @@ def evaluate_model(
     sequence for which='test'. `noisy` damages these sequences, which
     keeps their final item, the target. The context is the sequence minus
     its target, and the target is candidate column 0 before the negatives,
-    which avoid the user's whole split sequence. `transform_context` maps
-    each scoring chunk's list of contexts to the list that is scored (used
-    by augment-at-test evaluation). Users whose negative pool is too small
-    are skipped and counted.
+    which avoid the user's whole split sequence. Users are taken in sorted
+    user-id order, in chunks of `batch_size`; each chunk draws its
+    negatives from the pass's one generator, and its scores are ranked in
+    one array pass. `transform_context` maps each scoring chunk's list of
+    contexts to the list that is scored (used by augment-at-test
+    evaluation). Users whose negative pool is too small are skipped and
+    counted.
     """
     if which not in ("valid", "test"):
         raise ValueError(f"split must be 'valid' or 'test', got {which!r}")
+    users = sorted(split.users, key=lambda u: u.user_id)
     scored = [ItemSequence(u.user_id, u.full()[:-1] if which == "valid" else u.full())
-              for u in split.users]
+              for u in users]
     if noisy is not None:
         scored = simulate_noisy_testset(scored, noisy, vocab)
 
-    contexts: list[list[int]] = []
-    cand_rows: list[list[int]] = []
-    for u, seq in zip(split.users, scored):
-        rng = rng_for(seed, which, "negatives", u.user_id)
-        try:
-            negatives = sample_negatives(ItemSequence(u.user_id, u.full()), vocab,
-                                         n_negatives, rng)
-        except PoolTooSmallError:
-            continue
-        contexts.append(seq.items[:-1])
-        cand_rows.append([seq.items[-1]] + negatives)
-
+    rng = rng_for(seed, which, "negatives")
     ranks: list[int] = []
-    for start in range(0, len(contexts), batch_size):
+    for start in range(0, len(users), batch_size):
         chunk = slice(start, start + batch_size)
-        ctxs = contexts[chunk]
+        negatives, ok = sample_negatives([u.full() for u in users[chunk]], vocab,
+                                         n_negatives, rng)
+        kept = [seq.items for seq, keep in zip(scored[chunk], ok) if keep]
+        if not kept:
+            continue
+        ctxs = [items[:-1] for items in kept]
         if transform_context is not None:
             ctxs = transform_context(ctxs)
-        cands = np.asarray(cand_rows[chunk])
-        scores = score_candidates(ctxs, cands, enc, rec)
-        ranks += [rank_of_target(row, ids, ids[0]) for row, ids in zip(scores, cands)]
-    return MetricReport.from_ranks(ranks, n_skipped=len(split.users) - len(ranks))
+        cands = np.column_stack([[items[-1] for items in kept], negatives[ok]])
+        ranks += rank_of_target(score_candidates(ctxs, cands, enc, rec), cands).tolist()
+    return MetricReport.from_ranks(ranks, n_skipped=len(users) - len(ranks))

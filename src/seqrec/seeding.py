@@ -4,8 +4,9 @@ Every source of randomness in the package is a generator derived by
 rng_for() from a key tuple of integers and strings, never from mutable
 global state, so any computation can be replayed bit-for-bit from its key
 alone. The code that owns a unit of replay derives its one generator
-(a training batch, a validation pass, an evaluated user, a synthetic user)
-and the functions it calls draw from the generator they are given.
+(a training batch, a validation or evaluation pass, a noisy simulation, a
+synthetic user) and the functions it calls draw from the generator they
+are given.
 Strings are folded in through blake2b; Python's built-in hash() is salted
 per process and must not be used here.
 """

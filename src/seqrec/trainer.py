@@ -241,7 +241,7 @@ def _run_epochs(phase: str, split: SplitDataset, cfg: RunConfig, model: RecModel
     for epoch in range(start_epoch, getattr(cfg, f"epochs_{phase}")):
         if result.patience_left <= 0:
             break
-        t0 = time.time()
+        t0 = time.perf_counter()
         sums: dict[str, float] = {}
         n_batches = 0
         batches = make_batches(split, cfg.batch_size, rng_for(cfg.seed, f"{tag}-order", epoch))
@@ -257,7 +257,7 @@ def _run_epochs(phase: str, split: SplitDataset, cfg: RunConfig, model: RecModel
                 sums[key] = sums.get(key, 0.0) + val
             n_batches += 1
         row = {"epoch": epoch, **{k: v / n_batches for k, v in sums.items()}, **validate()}
-        row["seconds"] = time.time() - t0
+        row["seconds"] = time.perf_counter() - t0
         result.history.append(row)
         improved = sign * row[metric] > best
         if improved:

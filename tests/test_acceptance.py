@@ -192,15 +192,23 @@ def test_criterion_2_loss_oracles():
 
 def test_criterion_3_metric_oracle():
     rng = np.random.default_rng(17)
-    checked = 0
+    score_rows, id_rows, ref_ranks = [], [], []
     for trial in range(1000):
         ids = rng.choice(100_000, size=100, replace=False) + 1
         scores = np.round(rng.standard_normal(100), 2)  # coarse grid forces ties
-        target = int(ids[rng.integers(0, 100)])
+        pos = int(rng.integers(0, 100))
+        target = int(ids[pos])
         # naive reference: explicit sort, then the formulas from scratch
         order = sorted(range(100), key=lambda i: (-scores[i], ids[i]))
-        ref_rank = [ids[i] for i in order].index(target) + 1
-        rank = rank_of_target(scores, ids, target)
+        ref_ranks.append([ids[i] for i in order].index(target) + 1)
+        # the ranked target sits in column 0; swapping it there keeps the sort
+        swap = np.arange(100)
+        swap[[0, pos]] = swap[[pos, 0]]
+        score_rows.append(scores[swap])
+        id_rows.append(ids[swap])
+    ranks = rank_of_target(np.stack(score_rows), np.stack(id_rows))
+    checked = 0
+    for rank, ref_rank in zip(ranks.tolist(), ref_ranks):
         assert rank == ref_rank
         prev = None
         for k in K_VALUES:
@@ -521,10 +529,12 @@ def test_criterion_9_data_pipeline():
         assert u.train + [u.valid_target, u.test_target] == by_user[u.user_id]
 
     checked = 0
-    for seq in sequences:
-        negatives = sample_negatives(seq, vocab, 99, rng_for(13, seq.user_id))
-        assert len(set(negatives)) == 99
-        assert not set(negatives) & set(seq.items)
+    negatives, ok = sample_negatives([seq.items for seq in sequences], vocab, 99,
+                                     rng_for(13, "negatives"))
+    assert ok.all()
+    for seq, row in zip(sequences, negatives.tolist()):
+        assert len(set(row)) == 99
+        assert not set(row) & set(seq.items)
         checked += 1
     _report(9, f"5-core matches the iterate-until-stable oracle on 100 graphs "
                f"(idempotent); splits partition exactly; negatives disjoint for "

@@ -172,7 +172,27 @@ def test_evaluate_noisy_flag(workspace, base_run):
     rc = main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt),
                "--split", "test", "--noisy", "--out", str(out)])
     assert rc == 0
-    assert (out / "report-test-noisy.kv").exists()
+    kv = (out / "report-test-noisy.kv").read_text()
+    explicit = root / "noisy-eval-433"
+    rc = main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt), "--split", "test",
+               "--noisy", "--noisy-ratio", "4:3:3", "--out", str(explicit)])
+    assert rc == 0
+    assert (explicit / "report-test-noisy.kv").read_text() == kv
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--noisy-ratio", "1:1:1"], "--noisy-ratio applies only with --noisy"),
+    (["--noisy", "--noisy-ratio", "nan:1:1"], "--noisy-ratio/--ratio parts must be finite"),
+    (["--noisy", "--noisy-ratio", "inf:1:1"], "--noisy-ratio/--ratio parts must be finite"),
+])
+def test_evaluate_refuses_a_bad_noisy_ratio(workspace, base_run, tmp_path, capsys, flags,
+                                           message):
+    _, _, data = workspace
+    rc = main(["evaluate", "--data", str(data), "--checkpoint",
+               str(base_run / "recommender-best.ckpt"), "--out", str(tmp_path), *flags])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_full_mode_requires_augmenter_checkpoint(workspace):
@@ -244,6 +264,9 @@ def test_simulate_noise_writes_file(workspace):
     assert len(noised) == len(originals)
     for a, b in zip(originals, noised):
         assert a.items[-1] == b.items[-1]
+    rc = main(["simulate-noise", "--data", str(data), "--out-file", str(root / "bad.txt"),
+               "--ratio", "1:-1:1"])
+    assert rc == 1 and not (root / "bad.txt").exists()
 
 
 def test_resume_reproduces_unbroken_run(workspace, tmp_path):

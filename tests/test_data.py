@@ -22,7 +22,7 @@ from seqrec.data import (
     write_sequences,
     write_vocabulary,
 )
-from seqrec.errors import ConfigError, ParseError, PoolTooSmallError
+from seqrec.errors import ConfigError, ParseError
 from seqrec.seeding import rng_for
 
 
@@ -210,50 +210,63 @@ def test_split_partitions_exactly():
 
 def test_negatives_disjoint_from_history():
     vocab = make_vocab(120)
-    seq = ItemSequence("u1", list(range(1, 11)))
-    negatives = sample_negatives(seq, vocab, 99, rng_for(5))
-    assert len(negatives) == 99
-    assert len(set(negatives)) == 99
-    assert not set(negatives) & set(seq.items)
+    seqs = [list(range(1, 11)), [5, 5, 120, 7], list(range(100, 121))]
+    negatives, ok = sample_negatives(seqs, vocab, 99, rng_for(5))
+    assert negatives.shape == (3, 99) and negatives.dtype == np.int64
+    assert ok.all()
+    for seq, row in zip(seqs, negatives.tolist()):
+        assert len(set(row)) == 99
+        assert not set(row) & set(seq)
+        assert all(1 <= i <= 120 for i in row)
 
 
 def test_negatives_pool_too_small():
     vocab = make_vocab(105)
-    seq = ItemSequence("u1", list(range(1, 11)))
-    with pytest.raises(PoolTooSmallError):
-        sample_negatives(seq, vocab, 99, rng_for(5))
+    negatives, ok = sample_negatives([list(range(1, 11)), [1]], vocab, 99, rng_for(5))
+    assert ok.tolist() == [False, True]
+    assert (negatives[0] == 0).all()  # a skipped row holds PAD
+    # a catalog smaller than count skips every row without error
+    negatives, ok = sample_negatives([[1], []], make_vocab(50), 99, rng_for(5))
+    assert negatives.shape == (2, 99) and not ok.any()
 
 
 def test_negatives_deterministic_per_seed():
     vocab = make_vocab(150)
-    seq = ItemSequence("u1", list(range(1, 11)))
-    a = sample_negatives(seq, vocab, 99, rng_for(5))
-    b = sample_negatives(seq, vocab, 99, rng_for(5))
-    c = sample_negatives(seq, vocab, 99, rng_for(6))
-    assert a == b
-    assert a != c
+    seqs = [list(range(1, 11))]
+    a, _ = sample_negatives(seqs, vocab, 99, rng_for(5))
+    b, _ = sample_negatives(seqs, vocab, 99, rng_for(5))
+    c, _ = sample_negatives(seqs, vocab, 99, rng_for(6))
+    assert (a == b).all()
+    assert (a != c).any()
 
 
 def test_negatives_match_the_scanned_pool():
-    # the draw indexes the ascending pool of uninteracted ids; rebuild that
-    # pool by scanning the catalog and replay the draw from the same key
+    # a row's negatives are its `count` lowest-keyed uninteracted ids under
+    # one uniform key per (row, item); rebuild each pool by scanning the
+    # catalog and replay the keys from the same generator
     vocab = make_vocab(130)
-    users = [
-        ItemSequence("u1", [5, 17, 3, 17, 99]),
-        ItemSequence("u2", list(range(1, 31)) + [130]),  # pool of exactly 99
-        ItemSequence("u3", [120, 7, 64, 2, 88, 41]),
-        ItemSequence("u4", [1]),
+    seqs = [
+        [5, 17, 3, 17, 99],
+        list(range(1, 31)) + [130],  # pool of exactly 99
+        list(range(1, 32)) + [130],  # one more interacted item leaves 98
+        [120, 7, 64, 2, 88, 41],
+        [1],
     ]
-    for seq in users:
-        negatives = sample_negatives(seq, vocab, 99, rng_for(8, seq.user_id))
-        pool = [i for i in range(1, vocab.n_items + 1) if i not in set(seq.items)]
-        chosen = rng_for(8, seq.user_id).choice(len(pool), size=99, replace=False)
-        assert negatives == [pool[i] for i in chosen]
-        assert all(type(i) is int for i in negatives)
-    # one more interacted item leaves 98: the boundary sits at count
-    with pytest.raises(PoolTooSmallError, match="only 98 uninteracted items"):
-        sample_negatives(ItemSequence("u2", list(range(1, 32)) + [130]), vocab, 99,
-                         rng_for(8, "u2"))
+    negatives, ok = sample_negatives(seqs, vocab, 99, rng_for(8))
+    keys = rng_for(8).random((len(seqs), vocab.n_items))
+    assert ok.tolist() == [True, True, False, True, True]  # the boundary sits at count
+    for seq, row, row_keys, row_ok in zip(seqs, negatives.tolist(), keys, ok):
+        pool = [i for i in range(1, vocab.n_items + 1) if i not in set(seq)]
+        if row_ok:
+            assert row == sorted(pool, key=lambda i: row_keys[i - 1])[:99]
+    # a pool-too-small row still uses up its key row: the rows after it, and
+    # a split of the batch over two calls on one generator, draw the same
+    rng = rng_for(8)
+    head, _ = sample_negatives(seqs[:3], vocab, 99, rng)
+    tail, _ = sample_negatives(seqs[3:], vocab, 99, rng)
+    assert (np.vstack([head, tail]) == negatives).all()
+    alone, _ = sample_negatives(seqs[:2] + [[1]] + seqs[3:], vocab, 99, rng_for(8))
+    assert (np.delete(alone, 2, axis=0) == np.delete(negatives, 2, axis=0)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from seqrec.data import (
     sample_negatives,
 )
 from seqrec.encoder import EncoderParams, ModelDims
+from seqrec.errors import ConfigError
 from seqrec.evaluate import (
     K_VALUES,
     MetricReport,
@@ -45,43 +46,44 @@ def naive_rank(scores, ids, target):
 # ---------------------------------------------------------------------------
 
 
+def target_first(scores, ids, target):
+    """The row with the target moved to column 0 (a swap keeps the sort oracle)."""
+    pos = int(np.flatnonzero(ids == target)[0])
+    perm = np.arange(len(ids))
+    perm[[0, pos]] = perm[[pos, 0]]
+    return scores[perm], ids[perm]
+
+
 def test_highest_score_ranks_first():
-    scores = np.array([0.1, 0.9, 0.3])
-    ids = np.array([5, 7, 9])
-    assert rank_of_target(scores, ids, 7) == 1
+    assert rank_of_target(np.array([[0.9, 0.1, 0.3]]), np.array([[7, 5, 9]])).tolist() == [1]
 
 
 def test_all_tied_smallest_id_first():
-    scores = np.zeros(4)
-    ids = np.array([12, 3, 44, 9])
-    assert rank_of_target(scores, ids, 3) == 1
-    assert rank_of_target(scores, ids, 9) == 2
-    assert rank_of_target(scores, ids, 44) == 4
+    ids = np.array([[3, 12, 44, 9], [9, 12, 3, 44], [44, 12, 3, 9]])
+    assert rank_of_target(np.zeros((3, 4)), ids).tolist() == [1, 2, 4]
 
 
 def test_rank_matches_full_sort_oracle():
     rng = np.random.default_rng(0)
+    rows, expected = [], []
     for trial in range(300):
         n = 100
         ids = rng.choice(10_000, size=n, replace=False) + 1
         scores = np.round(rng.standard_normal(n), 2)  # rounding forces ties
         target = int(ids[rng.integers(0, n)])
-        assert rank_of_target(scores, ids, target) == naive_rank(scores, ids, target)
+        rows.append(target_first(scores, ids, target))
+        expected.append(naive_rank(scores, ids, target))
+    scores, ids = (np.stack(part) for part in zip(*rows))
+    assert rank_of_target(scores, ids).tolist() == expected
 
 
 def test_rank_invariant_under_monotone_transform():
     rng = np.random.default_rng(1)
     ids = np.arange(1, 101)
     scores = rng.standard_normal(100)
-    for target in ids[:20]:
-        r1 = rank_of_target(scores, ids, int(target))
-        r2 = rank_of_target(np.exp(scores), ids, int(target))
-        assert r1 == r2
-
-
-def test_missing_target_rejected():
-    with pytest.raises(ValueError):
-        rank_of_target(np.zeros(3), np.array([1, 2, 3]), 9)
+    rows = [target_first(scores, ids, target) for target in ids[:20]]
+    scores, ids = (np.stack(part) for part in zip(*rows))
+    assert (rank_of_target(scores, ids) == rank_of_target(np.exp(scores), ids)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +130,12 @@ def test_metrics_match_naive_reference_on_random_scores():
         scores = np.round(rng.standard_normal(100), 1)
         target = int(ids[rng.integers(0, 100)])
         rank = naive_rank(scores, ids, target)
+        got = int(rank_of_target(*(row[None] for row in target_first(scores, ids, target)))[0])
         for k in K_VALUES:
             hit = 1.0 if rank <= k else 0.0
             rr = 1.0 / rank if rank <= k else 0.0
             nd = 1.0 / math.log2(rank + 1) if rank <= k else 0.0
-            assert user_metrics(rank_of_target(scores, ids, target), k) == (hit, rr, nd)
+            assert user_metrics(got, k) == (hit, rr, nd)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +198,27 @@ def test_noise_frequencies_match_ratio():
     assert abs(keep_frac - 0.4) <= 0.02
 
 
+def test_noisy_damage_unchanged_under_user_permutation():
+    vocab = make_vocab(50)
+    rng = np.random.default_rng(6)
+    seqs = [ItemSequence(f"u{k}", list(rng.integers(1, 51, size=rng.integers(1, 12))))
+            for k in range(60)]
+    cfg = NoisySimConfig(seed=3)
+    out = simulate_noisy_testset(seqs, cfg, vocab)
+    perm = rng.permutation(len(seqs))
+    permuted = simulate_noisy_testset([seqs[i] for i in perm], cfg, vocab)
+    assert permuted == [out[i] for i in perm]
+    assert [s.user_id for s in out] == [s.user_id for s in seqs]  # input order kept
+    assert sum(a != b for a, b in zip(seqs, out)) > len(seqs) // 2
+
+
+@pytest.mark.parametrize("ratio", [(float("nan"), 1, 1), (float("inf"), 1, 1), (1, -1, 1),
+                                   (0, 0, 0)])
+def test_noisy_config_refuses_bad_ratio(ratio):
+    with pytest.raises(ConfigError, match="--noisy-ratio/--ratio"):
+        NoisySimConfig(ratio=ratio)
+
+
 def test_dist_reference_values():
     assert abs(dist(3.6540, 3.7740) * 100 - (-3.17)) <= 0.01
     assert abs(dist(5.3365, 5.5523) * 100 - (-3.88)) <= 0.01
@@ -252,10 +276,25 @@ def test_report_deterministic_and_order_independent():
     b = evaluate_model(split, vocab, enc, rec, seed=7)
     assert a.to_kv_lines() == b.to_kv_lines()
     # permuted user order: same users, same negatives, identical report
-    permuted = type(split)(users=list(reversed(split.users)))
+    perm = np.random.default_rng(8).permutation(len(split.users))
+    permuted = SplitDataset([split.users[i] for i in perm])
     c = evaluate_model(permuted, vocab, enc, rec, seed=7)
-    assert a.to_kv_lines()[:-2] == c.to_kv_lines()[:-2]  # same metrics/users
-    assert a.total == c.total
+    assert a.to_kv_lines() == c.to_kv_lines()
+    noisy = NoisySimConfig(seed=2)
+    assert (evaluate_model(split, vocab, enc, rec, seed=7, noisy=noisy).to_kv_lines()
+            == evaluate_model(permuted, vocab, enc, rec, seed=7, noisy=noisy).to_kv_lines())
+
+
+@pytest.mark.parametrize("noisy", [None, NoisySimConfig(seed=2)])
+def test_report_independent_of_batch_size(noisy):
+    split, vocab = make_split(n_users=30)
+    dims = ModelDims(n_items=130, embed_dim=16, n_layers=1, n_heads=1, dropout=0.0)
+    enc = EncoderParams(dims, seed=0)
+    rec = RecommenderParams(dims, seed=1)
+    small, large = (evaluate_model(split, vocab, enc, rec, seed=7, batch_size=b, noisy=noisy)
+                    for b in (7, 256))
+    assert small.to_kv_lines() == large.to_kv_lines()
+    assert small.n_users == 30
 
 
 def test_valid_and_test_splits_use_different_targets(monkeypatch):
@@ -294,19 +333,50 @@ def test_noisy_rows_score_the_damaged_history_against_undamaged_negatives(monkey
     report = evaluate_model(split, vocab, None, None, which=which, seed=6, batch_size=7,
                             noisy=noisy)
     assert report.n_users == len(split.users) == len(rows)
+    # one call of each batch form over all users, in sorted user-id order,
+    # replays the pass's chunked draws
+    users = sorted(split.users, key=lambda u: u.user_id)
+    histories = [u.train if which == "valid" else u.train + [u.valid_target] for u in users]
+    targets = [u.valid_target if which == "valid" else u.test_target for u in users]
+    damaged = simulate_noisy_testset(
+        [ItemSequence(u.user_id, h + [t]) for u, h, t in zip(users, histories, targets)],
+        noisy, vocab)
+    negatives, ok = sample_negatives([u.full() for u in users], vocab, 99,
+                                     rng_for(6, which, "negatives"))
+    assert ok.all()
     moved = 0
-    for u, (context, cands) in zip(split.users, rows):
-        history = u.train if which == "valid" else u.train + [u.valid_target]
-        target = u.valid_target if which == "valid" else u.test_target
-        damaged = simulate_noisy_testset([ItemSequence(u.user_id, history + [target])],
-                                         noisy, vocab)[0]
-        assert context == damaged.items[:-1]
+    for u, history, target, noised, negs, (context, cands) in zip(
+            users, histories, targets, damaged, negatives, rows):
+        assert context == noised.items[:-1]
         moved += context != history
         assert cands[0] == target
-        full = ItemSequence(u.user_id, u.full())
-        assert cands[1:] == sample_negatives(full, vocab, 99,
-                                             rng_for(6, which, "negatives", u.user_id))
+        assert cands[1:] == negs.tolist()
+        assert len(set(cands[1:])) == 99 and not set(cands[1:]) & set(u.full())
     assert moved > len(rows) // 2  # the checks above ran on damaged contexts
+
+
+def test_pool_too_small_user_leaves_other_users_negatives_unchanged(monkeypatch):
+    split, vocab = make_split(n_users=20, seq_len=8, seed=4)
+    rows = []
+    monkeypatch.setattr(evaluate, "score_candidates", recording_scorer(rows))
+    evaluate_model(split, vocab, None, None, seed=3, batch_size=7)
+    baseline, rows[:] = list(rows), []
+    # u13 sorts mid-chunk; 35 distinct items leave it a pool of 95 < 99
+    small = SplitSequence("u13", list(range(1, 34)), 34, 35)
+    users = [small if u.user_id == "u13" else u for u in split.users]
+    report = evaluate_model(SplitDataset(users), vocab, None, None, seed=3, batch_size=7)
+    assert (report.n_users, report.n_skipped) == (19, 1)
+    order = sorted(u.user_id for u in split.users)
+    assert rows == [row for uid, row in zip(order, baseline) if uid != "u13"]
+
+
+def test_catalog_smaller_than_negatives_skips_everyone(monkeypatch):
+    split, vocab = make_split(n_users=10, n_items=50)
+    rows = []
+    monkeypatch.setattr(evaluate, "score_candidates", recording_scorer(rows))
+    report = evaluate_model(split, vocab, None, None, seed=0, n_negatives=99)
+    assert (report.n_users, report.n_skipped, rows) == (0, 10, [])
+    assert report.total == 0.0
 
 
 def test_empty_train_prefix_is_scored_without_its_target(monkeypatch):
