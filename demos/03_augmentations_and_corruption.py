@@ -31,15 +31,18 @@ print("random choice:  ", random_augment(seq, AugConfig(), rng, MASK))
 
 # --- corruption for self-supervised restoration ------------------------------
 
+# corrupt_sequence damages a whole batch with three draws: every op choice,
+# every insert's run length, every inserted item
 cfg = CorruptionConfig(p_keep=0.4, p_delete=0.5, p_insert=0.1, n_items=120)
-record = corrupt_sequence(seq, cfg, rng_for(11))
-print("\ndamaged:", record.s_mod)
-print("labels: ", [OP_NAMES[o] for o in record.ops])
-for pos, run in sorted(record.ins_targets.items()):
-    print(f"  before position {pos} restore {run[::-1]} (stored reverse-first: {run})")
-if record.tail_targets:
-    print(f"  tail restore {record.tail_targets[::-1]}")
-
-rebuilt = restore_sequence(record)
-print("replayed:", rebuilt)
-print("round trip exact:", rebuilt == seq)
+batch = [seq, seq[:5], [42]]
+records = corrupt_sequence(batch, cfg, rng_for(11))
+for row, record in zip(batch, records):
+    print("\ndamaged:", record.s_mod)
+    print("labels: ", [OP_NAMES[o] for o in record.ops])
+    for pos, run in sorted(record.ins_targets.items()):
+        print(f"  before position {pos} restore {run[::-1]} (stored reverse-first: {run})")
+    if record.tail_targets:
+        print(f"  tail restore {record.tail_targets[::-1]}")
+    rebuilt = restore_sequence(record)
+    print("replayed:", rebuilt)
+    print("round trip exact:", rebuilt == row)

@@ -1,11 +1,12 @@
 """Random sequence augmentations and the corruption generator.
 
 The three classic augmentations (mask/crop/reorder) produce contrast views.
-corrupt_sequence() produces the self-supervised training signal: a damaged
-copy of a sequence together with the per-position restoration labels
-(keep / delete / insert) and insertion targets needed to rebuild the
-original exactly. restore_sequence() replays a record; for every record,
-restore_sequence(corrupt_sequence(s, cfg, rng)) == s.
+corrupt_sequence() is the one keep/delete/insert damage rule. It damages a
+batch of sequences and records, per damaged sequence, the per-position
+restoration labels (keep / delete / insert) and insertion targets needed
+to rebuild the original exactly: the self-supervised training signal, and
+(with single-item inserts) the noisy test set of evaluate. restore_sequence()
+replays a record; for every row s of a batch, restore_sequence(record) == s.
 
 Every random function draws from the np.random.Generator it is given, in a
 fixed order, so the caller's key decides the draw.
@@ -72,15 +73,12 @@ class CorruptionRecord:
     stored in reverse-generation order (most-recent-deleted first).
     tail_targets holds items deleted from the very end of the sequence,
     also reverse-ordered; they are re-attached after the last position.
-    draws records the corruption choice made for each ORIGINAL position
-    (for frequency diagnostics; not used by restoration).
     """
 
     s_mod: list[int]
     ops: list[int]
     ins_targets: dict[int, list[int]] = field(default_factory=dict)
     tail_targets: list[int] = field(default_factory=list)
-    draws: list[int] = field(default_factory=list)
 
 
 def _window(length: int, ratio: float) -> int:
@@ -133,50 +131,57 @@ def random_augment(items: list[int], cfg: AugConfig, rng: np.random.Generator,
     return reorder_augment(items, cfg.beta_r, rng)
 
 
-def corrupt_sequence(items: list[int], cfg: CorruptionConfig,
-                     rng: np.random.Generator) -> CorruptionRecord:
-    """Randomly damage a sequence, recording how to undo the damage.
+def corrupt_sequence(seqs: list[list[int]], cfg: CorruptionConfig,
+                     rng: np.random.Generator) -> list[CorruptionRecord]:
+    """Randomly damage each row of a batch, recording how to undo the damage.
 
-    Per original item: keep it, delete it, or insert a short run of random
-    items before it. Restoration labels are written from the repairer's
+    Per original item: keep it, delete it, or insert a run of random items
+    before it. Three draws cover the batch, rows in order: one choice() for
+    every item, one integers() call for every insert's run length, one for
+    every inserted item. Restoration labels are written from the repairer's
     point of view: inserted noise must be deleted; a surviving item whose
     predecessors were deleted carries an insert label with the deleted run
-    as target. If every item would be deleted, one survivor is forced so
-    the damaged sequence is never empty.
+    as target. If every item of a row is deleted, its last item survives,
+    so a damaged sequence is never empty. Rows need at least one item.
     """
-    if len(items) < 2:
-        raise ValueError(f"corruption needs >=2 items, got {len(items)}")
-    probs = [cfg.p_keep, cfg.p_delete, cfg.p_insert]
-    draws = rng.choice(3, size=len(items), p=probs).tolist()
-    if all(d == OP_DELETE for d in draws):
-        draws[int(rng.integers(0, len(items)))] = OP_KEEP
+    lengths = [len(items) for items in seqs]
+    if 0 in lengths:
+        raise ValueError(f"corruption needs >=1 item per row, row {lengths.index(0)} is empty")
+    choices = rng.choice(3, size=sum(lengths), p=[cfg.p_keep, cfg.p_delete, cfg.p_insert])
+    run_lens = rng.integers(1, cfg.max_insert_run + 1, size=int((choices == OP_INSERT).sum()))
+    noise = iter(rng.integers(1, cfg.n_items + 1, size=int(run_lens.sum())).tolist())
+    runs = iter(run_lens.tolist())
+    choices = choices.tolist()
 
-    s_mod: list[int] = []
-    ops: list[int] = []
-    ins_targets: dict[int, list[int]] = {}
-    pending: list[int] = []  # deleted originals awaiting a surviving anchor
-    for item, draw in zip(items, draws):
-        if draw == OP_DELETE:
-            pending.append(item)
-            continue
-        if draw == OP_INSERT:
-            run_len = int(rng.integers(1, cfg.max_insert_run + 1))
-            noise = rng.integers(1, cfg.n_items + 1, size=run_len)
-            for x in noise:
-                ops.append(OP_DELETE)
-                s_mod.append(int(x))
-        if pending:
-            ops.append(OP_INSERT)
-            ins_targets[len(s_mod)] = list(reversed(pending))
-            pending = []
-        else:
-            ops.append(OP_KEEP)
-        s_mod.append(item)
-    tail_targets = list(reversed(pending))
-    return CorruptionRecord(
-        s_mod=s_mod, ops=ops, ins_targets=ins_targets,
-        tail_targets=tail_targets, draws=draws,
-    )
+    records = []
+    start = 0
+    for items in seqs:
+        draws = choices[start:start + len(items)]
+        start += len(items)
+        if all(d == OP_DELETE for d in draws):
+            draws[-1] = OP_KEEP
+        s_mod: list[int] = []
+        ops: list[int] = []
+        ins_targets: dict[int, list[int]] = {}
+        pending: list[int] = []  # deleted originals awaiting a surviving anchor
+        for item, draw in zip(items, draws):
+            if draw == OP_DELETE:
+                pending.append(item)
+                continue
+            if draw == OP_INSERT:
+                for _ in range(next(runs)):
+                    ops.append(OP_DELETE)
+                    s_mod.append(next(noise))
+            if pending:
+                ops.append(OP_INSERT)
+                ins_targets[len(s_mod)] = list(reversed(pending))
+                pending = []
+            else:
+                ops.append(OP_KEEP)
+            s_mod.append(item)
+        records.append(CorruptionRecord(s_mod=s_mod, ops=ops, ins_targets=ins_targets,
+                                        tail_targets=list(reversed(pending))))
+    return records
 
 
 def restore_sequence(record: CorruptionRecord) -> list[int]:

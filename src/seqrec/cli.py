@@ -154,12 +154,11 @@ def cmd_preprocess(args) -> int:
 def cmd_corrupt(args) -> int:
     cfg = _read_config(args)
     sequences, vocab = _load_processed(_data_dir(args, cfg))
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
     ccfg = corruption_config(cfg, vocab.n_items)
-    shown = 0
-    for seq in sequences:
-        if len(seq.items) < 2:
-            continue
-        record = corrupt_sequence(seq.items, ccfg, rng_for(cfg.seed, "corrupt", seq.user_id))
+    for seq in sequences[:args.limit]:
+        [record] = corrupt_sequence([seq.items], ccfg, rng_for(cfg.seed, "corrupt", seq.user_id))
         print(f"user {seq.user_id}")
         print(f"  original: {' '.join(map(str, seq.items))}")
         print(f"  modified: {' '.join(map(str, record.s_mod))}")
@@ -169,9 +168,6 @@ def cmd_corrupt(args) -> int:
             print(f"  insert@{pos}: {run}  (reverse order)")
         if record.tail_targets:
             print(f"  tail:     {' '.join(map(str, record.tail_targets))}  (reverse order)")
-        shown += 1
-        if shown >= args.limit:
-            break
     return 0
 
 

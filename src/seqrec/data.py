@@ -1,6 +1,7 @@
 """Interaction-log ingestion, filtering, splits, negatives, and batching.
 
-Dense id layout: PAD = 0, items occupy 1..n_items, MASK = n_items + 1.
+Dense id layout: PAD = 0, items occupy 1..n_items; the model adds MASK =
+n_items + 1 (encoder.ModelDims.mask_id).
 Sequence files are UTF-8 text with a version header line; see
 write_sequences/read_sequences for the exact format.
 """
@@ -39,10 +40,6 @@ class Vocabulary:
     @property
     def n_items(self) -> int:
         return len(self.id_to_token) - 1
-
-    @property
-    def mask_id(self) -> int:
-        return self.n_items + 1
 
     @classmethod
     def from_interactions(cls, interactions: list[Interaction]) -> "Vocabulary":
@@ -230,7 +227,8 @@ def make_batches(split: SplitDataset, batch_size: int, rng: np.random.Generator)
     """Yield batches (lists of train prefixes) in an order shuffled by rng.
 
     batch_size must be >= 2 (in-batch contrast needs at least one negative
-    pair). Prefixes shorter than 2 items are skipped: corruption needs two.
+    pair). Prefixes shorter than 2 items are skipped: rec_loss predicts a
+    prefix's last item from the items before it, so it needs two.
     """
     if batch_size < 2:
         raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
@@ -269,6 +267,8 @@ def read_sequences(path) -> list[ItemSequence]:
                 items = [int(tok) for tok in rest.split()]
             except ValueError:
                 raise ParseError(f"non-integer item id: {rest!r}", line_no) from None
+            if not items:
+                raise ParseError(f"user {user.strip()!r} has no items", line_no)
             out.append(ItemSequence(user.strip(), items))
     return out
 

@@ -25,6 +25,7 @@ from .errors import ShapeError
 from .seeding import SeedStream, rng_for
 
 NEG_INF = -1e30  # additive mask value; finite so all-masked rows stay NaN-free
+FFN_MULT = 4     # FFN inner width, in multiples of embed_dim
 
 
 @dataclass
@@ -36,7 +37,6 @@ class ModelDims:
     n_layers: int = 1
     n_heads: int = 1
     dropout: float = 0.5
-    ffn_mult: int = 4
     max_len: int = 50       # raw sequence cap (most recent kept)
     max_aug_len: int = 60   # augmented/corrupted sequence cap
     max_insert: int = 5     # longest generated insertion run
@@ -65,7 +65,7 @@ class BlockParams:
 
     def __init__(self, dims: ModelDims, seed_parts: tuple):
         e = dims.embed_dim
-        inner = dims.ffn_mult * e
+        inner = FFN_MULT * e
 
         def xav(name, shape):
             return ag.xavier_init(shape, rng_for(*seed_parts, name))

@@ -4,20 +4,21 @@ Each user's held-out target is ranked against 99 sampled uninteracted
 items; HR/MRR/NDCG at K in {5, 10, 20} are averaged over users with
 order-independent summation (math.fsum). An evaluation pass keys one
 generator (seed, split, "negatives") and draws every user's negatives
-from it with users in sorted user-id order; the --noisy simulation keys
-one generator (seed, "noisy-sim") the same way. A report therefore
-depends only on the (config, seed) pair and the set of users in the
-split, not on user order or batch size.
+from it with users in sorted user-id order. The --noisy simulation damages
+the contexts with augops.corrupt_sequence, the damage rule restoration
+trains on, from one generator (seed, "noisy-sim") keyed the same way. A
+report therefore depends only on the (config, seed) pair and the set of
+users in the split, not on user order or batch size.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .augops import CorruptionConfig, corrupt_sequence
 from .data import ItemSequence, SplitDataset, Vocabulary, sample_negatives
 from .encoder import EncoderParams
 from .errors import ConfigError
@@ -128,32 +129,21 @@ def simulate_noisy_testset(
 ) -> list[ItemSequence]:
     """Damage every item but the last: keep/delete/insert-before by ratio.
 
-    One generator keyed (cfg.seed, "noisy-sim") draws every op, one
-    choice() over all damageable positions with users in sorted user-id
-    order, then every inserted item, one uniform integers() call. If
-    damage removes the whole context, the penultimate item is kept so the
-    history is never empty. Returns the sequences in input order.
+    The contexts (every item but the last) of the sequences of 2+ items, in
+    sorted user-id order, are one corrupt_sequence batch with single-item
+    inserts, drawn from one generator keyed (cfg.seed, "noisy-sim"); each
+    damaged context gets its final item back. A context damaged down to
+    nothing keeps its last item, so the history is never empty. Returns
+    the sequences in input order.
     """
-    rng = rng_for(cfg.seed, "noisy-sim")
-    order = sorted(range(len(sequences)), key=lambda i: sequences[i].user_id)
-    contexts = [sequences[i].items[:-1] for i in order]
-    items = np.fromiter(itertools.chain.from_iterable(contexts), np.int64)
-    ops = rng.choice(3, size=len(items), p=cfg.probabilities())
-    insert = ops == 2
-    inserted = np.zeros_like(items)
-    inserted[insert] = rng.integers(1, vocab.n_items + 1, size=int(insert.sum()))
-    # each position emits (inserted item, its own item), masked by its op
-    emitted = np.stack([insert, ops != 1], axis=1)
-    tokens = np.stack([inserted, items], axis=1)[emitted]
-    emitted_before = np.concatenate([[0], np.cumsum(emitted.sum(axis=1))])
-    bounds = emitted_before[np.cumsum([0] + [len(c) for c in contexts])]
-    out: list[ItemSequence | None] = [None] * len(sequences)
-    for i, start, end in zip(order, bounds[:-1], bounds[1:]):
-        seq = sequences[i]
-        noised = tokens[start:end].tolist()
-        if not noised and len(seq) >= 2:
-            noised = [seq.items[-2]]
-        out[i] = ItemSequence(seq.user_id, noised + [seq.items[-1]])
+    ccfg = CorruptionConfig(*cfg.probabilities(), max_insert_run=1, n_items=vocab.n_items)
+    order = sorted((i for i, seq in enumerate(sequences) if len(seq) >= 2),
+                   key=lambda i: sequences[i].user_id)
+    records = corrupt_sequence([sequences[i].items[:-1] for i in order], ccfg,
+                               rng_for(cfg.seed, "noisy-sim"))
+    out = list(sequences)
+    for i, record in zip(order, records):
+        out[i] = ItemSequence(sequences[i].user_id, record.s_mod + sequences[i].items[-1:])
     return out
 
 

@@ -15,11 +15,12 @@ batch order, one generator and one dropout SeedStream per batch (the
 forward trains because it is given a stream), the Adam step, loss
 averages, validation, early stopping and the log line.
 
-The batch is the unit of replay. Its corruptions, random views and sampled
-generations all draw, in a fixed order, from one generator keyed by (seed,
-phase, epoch, batch), and its dropout masks from a stream under the same
-key, so a run can be resumed from a checkpoint and continue exactly as the
-unbroken run. Validation corrupts from one generator keyed by the seed.
+The batch is the unit of replay. Its corruption (one corrupt_sequence call
+over the batch), random views and sampled generations all draw, in a fixed
+order, from one generator keyed by (seed, phase, epoch, batch), and its
+dropout masks from a stream under the same key, so a run can be resumed
+from a checkpoint and continue exactly as the unbroken run. Validation
+corrupts every prefix in one call, from one generator keyed by the seed.
 """
 
 from __future__ import annotations
@@ -161,9 +162,8 @@ def _chunks(seq, size):
 
 
 def _corrupt_batch(seqs, ccfg, rng, max_mod_len):
-    """Corruption records drawn from rng in row order; over-long damage is skipped."""
-    records = [corrupt_sequence(seq, ccfg, rng) for seq in seqs]
-    return [rec for rec in records if len(rec.s_mod) <= max_mod_len]
+    """One corruption batch drawn from rng; over-long damage is skipped."""
+    return [rec for rec in corrupt_sequence(seqs, ccfg, rng) if len(rec.s_mod) <= max_mod_len]
 
 
 def _check_prefix_lengths(split: SplitDataset, max_len: int) -> None:
@@ -183,21 +183,20 @@ def validation_aug_loss(split: SplitDataset, model: RecModel, ccfg: CorruptionCo
                         seed: int, batch_size: int) -> tuple[float, dict[str, float]]:
     """Restoration loss + accuracies on a fixed corruption of the prefixes.
 
-    The prefixes of 2+ items are corrupted in split order from one generator
-    keyed (seed, "valid-corrupt"), so the records do not depend on
-    batch_size. One no-grad pass per chunk. Hits and their denominators are
-    summed over chunks, so the accuracies do not depend on batch_size either.
+    The prefixes of 2+ items (those training batches hold) are corrupted
+    once, as one batch in split order from one generator keyed (seed,
+    "valid-corrupt"), and the records are then scored in chunks of
+    batch_size, one no-grad pass per chunk; so the records do not depend on
+    batch_size. Hits and their denominators are summed over chunks, so the
+    accuracies do not depend on batch_size either.
     """
     prefixes = [u.train for u in split.users if len(u.train) >= 2]
-    rng = rng_for(seed, "valid-corrupt")
-    max_mod_len = model.dims.max_aug_len - 1
+    records = _corrupt_batch(prefixes, ccfg, rng_for(seed, "valid-corrupt"),
+                             model.dims.max_aug_len - 1)
     total, count = 0.0, 0
     op_hits = op_total = ins_hits = ins_total = 0
-    for chunk in _chunks(prefixes, batch_size):
-        records = _corrupt_batch(chunk, ccfg, rng, max_mod_len)
-        if not records:
-            continue
-        stats = restoration_accuracy(records, model.enc, model.aug)
+    for chunk in _chunks(records, batch_size):
+        stats = restoration_accuracy(chunk, model.enc, model.aug)
         total += stats.op_nll_sum + stats.ins_nll_sum
         count += stats.n_records
         op_hits += stats.op_hits

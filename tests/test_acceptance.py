@@ -96,8 +96,7 @@ def test_criterion_1_gradient_suite():
         view2 = [random_augment(s, acfg, rng_for(trial * 7 + 100 + i), dims.mask_id)
                  for i, s in enumerate(seqs)]
         ccfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=20)
-        records = [corrupt_sequence(s, ccfg, rng_for(trial * 11 + i))
-                   for i, s in enumerate(seqs)]
+        records = corrupt_sequence(seqs, ccfg, rng_for(trial * 11))
         enc_rec = {**enc.named_params(), **rec.named_params()}
         enc_aug = {**enc.named_params(), **aug.named_params()}
         everything = {**enc.named_params(), **aug.named_params(), **rec.named_params()}
@@ -248,16 +247,23 @@ def test_criterion_4_restoration_round_trip():
         out.extend(rec.tail_targets[::-1])
         return out
 
+    def choice_counts(rec):
+        """keep/delete/insert counts of the original positions, read off the record:
+        a survivor after inserted noise chose insert, deleted items are targets."""
+        survivors = sum(op != OP_DELETE for op in rec.ops)
+        inserted = sum(prev == OP_DELETE and op != OP_DELETE
+                       for prev, op in zip([OP_KEEP] + rec.ops, rec.ops))
+        deleted = sum(map(len, rec.ins_targets.values())) + len(rec.tail_targets)
+        return np.array([survivors - inserted, deleted, inserted])
+
     draws = np.zeros(3)
     positions = 0
-    for trial in range(1000):
-        seq = list(rng.integers(1, 201, size=int(rng.integers(2, 40))))
-        record = corrupt_sequence(seq, ccfg, rng_for(trial))
+    seqs = [list(rng.integers(1, 201, size=int(rng.integers(2, 40)))) for _ in range(1000)]
+    for seq, record in zip(seqs, corrupt_sequence(seqs, ccfg, rng_for(0))):
         assert replay(record) == seq
-        for d in record.draws:
-            draws[d] += 1
+        draws += choice_counts(record)
         positions += len(seq)
-    assert positions >= 10_000
+    assert positions >= 10_000 and draws.sum() == positions
     freqs = draws / draws.sum()
     for got, want in zip(freqs, (0.4, 0.5, 0.1)):
         assert abs(got - want) <= 0.02, freqs
@@ -326,10 +332,8 @@ def test_criterion_5_augmenter_learning():
     ccfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=vocab.n_items)
 
     # held-out corruption records (seed tag never used during training)
-    heldout = []
-    for i, u in enumerate(split.users[:500]):
-        if len(u.train) >= 2:
-            heldout.append(corrupt_sequence(u.train, ccfg, rng_for(900_000 + i)))
+    heldout = corrupt_sequence([u.train for u in split.users[:500] if len(u.train) >= 2],
+                               ccfg, rng_for(900_000))
 
     # information-sufficiency calibration: the brute-force bigram oracle
     # must itself clear the frozen floors, otherwise the task is unfair

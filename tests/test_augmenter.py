@@ -147,10 +147,8 @@ def test_loss_finite_and_positive_on_random_records():
     enc, aug = fresh_params(11)
     ccfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=DIMS.n_items)
     rng = np.random.default_rng(3)
-    records = [
-        corrupt_sequence(list(rng.integers(1, DIMS.n_items + 1, size=8)), ccfg, rng_for(k))
-        for k in range(6)
-    ]
+    records = corrupt_sequence(
+        [list(rng.integers(1, DIMS.n_items + 1, size=8)) for _ in range(6)], ccfg, rng_for(0))
     loss, stats = augmenter_loss(records, enc, aug)
     assert np.isfinite(loss.item())
     assert loss.item() > 0
@@ -199,10 +197,8 @@ def test_loss_gradients_match_finite_differences():
     enc, aug = fresh_params(13)
     ccfg = CorruptionConfig(0.4, 0.4, 0.2, n_items=DIMS.n_items)
     rng = np.random.default_rng(4)
-    records = [
-        corrupt_sequence(list(rng.integers(1, DIMS.n_items + 1, size=6)), ccfg, rng_for(k))
-        for k in range(3)
-    ]
+    records = corrupt_sequence(
+        [list(rng.integers(1, DIMS.n_items + 1, size=6)) for _ in range(3)], ccfg, rng_for(0))
     params = {}
     params.update(enc.named_params())
     params.update(aug.named_params())
@@ -217,7 +213,7 @@ def test_loss_gradients_match_finite_differences():
 def test_restoration_accuracy_bounds():
     enc, aug = fresh_params(14)
     ccfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=DIMS.n_items)
-    records = [corrupt_sequence(list(range(1, 10)), ccfg, rng_for(k)) for k in range(4)]
+    records = corrupt_sequence([list(range(1, 10))] * 4, ccfg, rng_for(0))
     acc = restoration_accuracy(records, enc, aug)
     assert 0 <= acc.op_hits <= acc.n_op_positions
     assert 0 <= acc.ins_hits <= acc.n_ins_items < acc.n_ins_targets
@@ -226,7 +222,7 @@ def test_restoration_accuracy_bounds():
 def test_restoration_accuracy_reports_the_loss_sums():
     enc, aug = fresh_params(15)
     ccfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=DIMS.n_items)
-    records = [corrupt_sequence(list(range(1, 3 + k)), ccfg, rng_for(k)) for k in range(6)]
+    records = corrupt_sequence([list(range(1, 3 + k)) for k in range(6)], ccfg, rng_for(0))
     _, stats = augmenter_loss(records, enc, aug)
     ag.clear_tape()
     acc = restoration_accuracy(records, enc, aug)
@@ -451,9 +447,9 @@ def test_generate_oracle_restores_corruption(monkeypatch):
     enc, aug = fresh_params(17)
     ccfg = CorruptionConfig(0.3, 0.5, 0.2, n_items=DIMS.n_items)
     rng = np.random.default_rng(9)
-    for trial in range(40):
-        seq = list(rng.integers(1, DIMS.n_items + 1, size=int(rng.integers(2, 12))))
-        record = corrupt_sequence(seq, ccfg, rng_for(trial))
+    seqs = [list(rng.integers(1, DIMS.n_items + 1, size=int(rng.integers(2, 12))))
+            for _ in range(40)]
+    for seq, record in zip(seqs, corrupt_sequence(seqs, ccfg, rng_for(0))):
         if len(record.s_mod) > DIMS.max_aug_len - 1:
             continue
         w = len(record.s_mod) + 1

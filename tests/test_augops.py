@@ -37,6 +37,26 @@ def replay_record(record):
     return rebuilt
 
 
+def choices_of(record):
+    """Each original position's keep/delete/insert choice, read off a record.
+
+    A survivor that follows inserted noise (labelled delete) chose insert,
+    any other survivor keep; an insert label's targets and the tail were
+    deleted.
+    """
+    choices = []
+    after_noise = False
+    for pos, op in enumerate(record.ops):
+        if op == OP_DELETE:
+            after_noise = True
+            continue
+        if op == OP_INSERT:
+            choices += [OP_DELETE] * len(record.ins_targets[pos])
+        choices.append(OP_INSERT if after_noise else OP_KEEP)
+        after_noise = False
+    return choices + [OP_DELETE] * len(record.tail_targets)
+
+
 # ---------------------------------------------------------------------------
 # mask / crop / reorder
 # ---------------------------------------------------------------------------
@@ -147,37 +167,38 @@ def test_aug_config_validates_ranges():
 
 def test_corrupt_keep_only_is_identity():
     cfg = CorruptionConfig(1.0, 0.0, 0.0, n_items=50)
-    seq = [3, 1, 4, 1, 5]
-    rec = corrupt_sequence(seq, cfg, rng_for(0))
-    assert rec.s_mod == seq
-    assert rec.ops == [OP_KEEP] * 5
-    assert rec.ins_targets == {}
-    assert rec.tail_targets == []
+    seqs = [[3, 1, 4, 1, 5], [9]]
+    for seq, rec in zip(seqs, corrupt_sequence(seqs, cfg, rng_for(0))):
+        assert rec.s_mod == seq
+        assert rec.ops == [OP_KEEP] * len(seq)
+        assert rec.ins_targets == {}
+        assert rec.tail_targets == []
 
 
 def test_corrupt_delete_only_keeps_one_survivor():
+    # an all-delete row keeps its last item, which anchors the deleted run
     cfg = CorruptionConfig(0.0, 1.0, 0.0, n_items=50)
-    seq = [10, 20, 30]
-    rec = corrupt_sequence(seq, cfg, rng_for(1))
-    assert len(rec.s_mod) == 1
-    assert rec.s_mod[0] in seq
-    assert replay_record(rec) == seq
+    long_row, single = corrupt_sequence([[10, 20, 30], [7]], cfg, rng_for(1))
+    assert (long_row.s_mod, long_row.ops) == ([30], [OP_INSERT])
+    assert long_row.ins_targets == {0: [20, 10]} and long_row.tail_targets == []
+    assert (single.s_mod, single.ops) == ([7], [OP_KEEP])
+    assert replay_record(long_row) == [10, 20, 30]
 
 
 def test_corrupt_insert_labels_are_delete():
     cfg = CorruptionConfig(0.0, 0.0, 1.0, max_insert_run=3, n_items=50)
-    seq = [10, 20]
-    rec = corrupt_sequence(seq, cfg, rng_for(2))
-    # every original survives; everything else is labelled delete
-    survivors = [p for p, op in enumerate(rec.ops) if op != OP_DELETE]
-    assert [rec.s_mod[p] for p in survivors] == seq
-    assert replay_record(rec) == seq
+    seqs = [[10, 20], [30]]
+    for seq, rec in zip(seqs, corrupt_sequence(seqs, cfg, rng_for(2))):
+        # every original survives; everything else is labelled delete
+        survivors = [p for p, op in enumerate(rec.ops) if op != OP_DELETE]
+        assert [rec.s_mod[p] for p in survivors] == seq
+        assert replay_record(rec) == seq
 
 
-def test_corrupt_rejects_single_item():
+def test_corrupt_rejects_empty_row():
     cfg = CorruptionConfig(n_items=50)
-    with pytest.raises(ValueError):
-        corrupt_sequence([1], cfg, rng_for(0))
+    with pytest.raises(ValueError, match="row 1 is empty"):
+        corrupt_sequence([[1, 2], [], [3]], cfg, rng_for(0))
 
 
 def test_corrupt_config_validates_probabilities():
@@ -192,28 +213,53 @@ def test_corrupt_config_validates_probabilities():
 def test_restoration_round_trip_random():
     cfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=80)
     rng = np.random.default_rng(100)
-    for trial in range(1000):
-        length = int(rng.integers(2, 30))
-        seq = list(rng.integers(1, 81, size=length))
-        rec = corrupt_sequence(seq, cfg, rng_for(trial))
-        assert replay_record(rec) == seq
-        assert restore_sequence(rec) == seq  # library replay agrees
+    for trial in range(200):
+        seqs = [list(rng.integers(1, 81, size=int(rng.integers(1, 30))))
+                for _ in range(int(rng.integers(1, 12)))]
+        seqs.append([int(rng.integers(1, 81))])  # every batch holds a 1-item row
+        records = corrupt_sequence(seqs, cfg, rng_for(trial))
+        assert len(records) == len(seqs)
+        for seq, rec in zip(seqs, records):
+            assert replay_record(rec) == seq
+            assert restore_sequence(rec) == seq  # library replay agrees
+
+
+def test_corrupt_draws_three_calls_per_batch():
+    # replaying the three batch draws on a twin generator rebuilds every
+    # row's choices (bar all-delete survivors) and every inserted item, and
+    # leaves both generators at the same state
+    cfg = CorruptionConfig(0.3, 0.5, 0.2, max_insert_run=3, n_items=40)
+    rng = np.random.default_rng(8)
+    seqs = [list(rng.integers(1, 41, size=int(rng.integers(1, 6)))) for _ in range(300)]
+    drawn, twin = rng_for(4), rng_for(4)
+    records = corrupt_sequence(seqs, cfg, drawn)
+    choices = twin.choice(3, size=sum(map(len, seqs)), p=[0.3, 0.5, 0.2])
+    run_lens = twin.integers(1, 4, size=int((choices == OP_INSERT).sum()))
+    noise = twin.integers(1, 41, size=int(run_lens.sum()))
+    got = [choices_of(rec) for rec in records]
+    survivors = 0
+    for row, want in zip(got, np.split(choices, np.cumsum(list(map(len, seqs)))[:-1])):
+        if (want == OP_DELETE).all():
+            survivors += 1
+            want = np.append(want[:-1], OP_KEEP)
+        assert row == want.tolist()
+    assert survivors > 0
+    inserted = [x for rec in records for x, op in zip(rec.s_mod, rec.ops) if op == OP_DELETE]
+    assert inserted == noise.tolist()
+    assert drawn.random() == twin.random()
 
 
 def test_corrupt_draw_frequencies_match_probabilities():
     cfg = CorruptionConfig(0.4, 0.5, 0.1, n_items=80)
     rng = np.random.default_rng(5)
+    seqs = []
+    while sum(map(len, seqs)) < 10_000:
+        seqs.append(list(rng.integers(1, 81, size=int(rng.integers(5, 25)))))
     counts = np.zeros(3)
-    total = 0
-    seed = 0
-    while total < 10_000:
-        length = int(rng.integers(5, 25))
-        seq = list(rng.integers(1, 81, size=length))
-        rec = corrupt_sequence(seq, cfg, rng_for(seed))
-        for d in rec.draws:
-            counts[d] += 1
-        total += length
-        seed += 1
+    for seq, rec in zip(seqs, corrupt_sequence(seqs, cfg, rng_for(0))):
+        choices = choices_of(rec)
+        assert len(choices) == len(seq)
+        counts += np.bincount(choices, minlength=3)
     freq = counts / counts.sum()
     for got, want in zip(freq, (0.4, 0.5, 0.1)):
         assert abs(got - want) <= 0.02, freq
@@ -221,23 +267,17 @@ def test_corrupt_draw_frequencies_match_probabilities():
 
 def test_corrupt_deterministic_per_seed():
     cfg = CorruptionConfig(n_items=40)
-    seq = list(range(1, 15))
-    a = corrupt_sequence(seq, cfg, rng_for(9))
-    b = corrupt_sequence(seq, cfg, rng_for(9))
-    assert a.s_mod == b.s_mod and a.ops == b.ops
-    assert a.ins_targets == b.ins_targets and a.tail_targets == b.tail_targets
+    seqs = [list(range(1, 15)), list(range(3, 9))]
+    assert corrupt_sequence(seqs, cfg, rng_for(9)) == corrupt_sequence(seqs, cfg, rng_for(9))
 
 
 def test_corrupt_insert_targets_are_reverse_ordered():
-    # force deletes around a known survivor: [a, b, c] with b kept
-    cfg = CorruptionConfig(0.0, 1.0, 0.0, n_items=50)
-    for seed in range(50):
-        seq = [11, 22, 33, 44]
-        rec = corrupt_sequence(seq, cfg, rng_for(seed))
-        survivor = rec.s_mod[0]
-        pos_in_seq = seq.index(survivor)
-        before = seq[:pos_in_seq]
-        after = seq[pos_in_seq + 1:]
-        if before:
-            assert rec.ins_targets[0] == before[::-1]
-        assert rec.tail_targets == after[::-1]
+    # distinct items: each deleted run sits between two survivors, or after
+    # the last one, and is stored most-recent-first
+    cfg = CorruptionConfig(0.5, 0.5, 0.0, n_items=50)
+    seq = [11, 22, 33, 44, 55]
+    for rec in corrupt_sequence([seq] * 50, cfg, rng_for(3)):
+        at = [seq.index(x) for x in rec.s_mod]
+        for pos, (prev, here) in enumerate(zip([-1] + at, at)):
+            assert rec.ins_targets.get(pos, []) == seq[prev + 1:here][::-1]
+        assert rec.tail_targets == seq[at[-1] + 1:][::-1]

@@ -96,6 +96,14 @@ def test_corrupt_prints_records(workspace, capsys):
     assert "modified:" in out and "ops:" in out
 
 
+def test_corrupt_shows_at_most_limit_users(workspace, capsys):
+    _, cfg, data = workspace
+    rc = main(["corrupt", "--data", str(data), "--config", str(cfg), "--limit", "0"])
+    assert rc == 0 and capsys.readouterr().out == ""
+    rc = main(["corrupt", "--data", str(data), "--config", str(cfg), "--limit", "-1"])
+    assert rc == 1 and "--limit must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_corrupt_draws_each_user_apart(workspace, capsys):
     # one key per user: users of equal length do not share one corruption
     _, cfg, data = workspace
@@ -267,6 +275,41 @@ def test_simulate_noise_writes_file(workspace):
     rc = main(["simulate-noise", "--data", str(data), "--out-file", str(root / "bad.txt"),
                "--ratio", "1:-1:1"])
     assert rc == 1 and not (root / "bad.txt").exists()
+
+
+PINNED_NOISE = {  # simulate-noise output of SMALL_SEQUENCES, pinned: reports depend on it
+    ("4:3:3", "5"): "u5: 14 3 6 17 4 1 4 9 10 12 1\nu1: 8\nu3: 20 11 6 13 15 7 19 4 5 13\n"
+                    "u4: 10 14\nu2: 2 16 1 18 18 2 9\nu6: 11 5 5 7 6 12 12 8 17 4 2 1\n",
+    ("1:3:1", "2"): "u5: 14 3 7 12 1\nu1: 8\nu3: 9 20 4 7 13\nu4: 10 14\nu2: 12 16 9\n"
+                    "u6: 5 6 11 12 4 17 11 3 17 2 1\n",
+}
+SMALL_SEQUENCES = ("u5: 3 17 4 4 9 12 1\nu1: 8\nu3: 2 20 11 6 15 7 19 5 13\nu4: 10 14\n"
+                   "u2: 16 18 3 1 2 9\nu6: 5 5 6 20 11 12 4 8 17 3 2 1\n")
+
+
+@pytest.mark.parametrize("ratio, seed", list(PINNED_NOISE))
+def test_simulate_noise_output_is_pinned(tmp_path, ratio, seed):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "vocab.txt").write_text("#seqrec-vocab-v1\n"
+                                    + "".join(f"i{k:02d}\t{k}\n" for k in range(1, 21)))
+    (data / "sequences.txt").write_text("#seqrec-v1\n" + SMALL_SEQUENCES)
+    out_file = tmp_path / "noised.txt"
+    rc = main(["simulate-noise", "--data", str(data), "--out-file", str(out_file),
+               "--ratio", ratio, "--seed", seed])
+    assert rc == 0
+    assert out_file.read_text() == "#seqrec-v1\n" + PINNED_NOISE[ratio, seed]
+
+
+def test_simulate_noise_refuses_a_sequence_without_items(workspace, tmp_path, capsys):
+    _, _, data = workspace
+    bad = tmp_path / "data"
+    bad.mkdir()
+    (bad / "vocab.txt").write_text((data / "vocab.txt").read_text())
+    (bad / "sequences.txt").write_text("#seqrec-v1\nu1: 1 2 3\nu2:\n")
+    rc = main(["simulate-noise", "--data", str(bad), "--out-file", str(tmp_path / "n.txt")])
+    assert rc == 1
+    assert "line 3: user 'u2' has no items" in capsys.readouterr().err
 
 
 def test_resume_reproduces_unbroken_run(workspace, tmp_path):

@@ -355,7 +355,6 @@ def test_vocab_file_round_trip(tmp_path):
     loaded = read_vocabulary(path)
     assert loaded.token_to_id == vocab.token_to_id
     assert loaded.n_items == 7
-    assert loaded.mask_id == 8
 
 
 @pytest.mark.parametrize("lines, message, line_no", [
@@ -378,7 +377,8 @@ def test_vocab_file_rejects_malformed_ids(tmp_path, lines, message, line_no):
     (["u1: 3 4 5", "u2 6 7"], "missing ':' separator", 3),
     (["u1: 3 x 5"], "non-integer item id", 2),
     (["u1: 3 4", "", "u2: 4 2.5"], "non-integer item id", 4),
-], ids=["missing-colon", "non-integer", "non-integer-after-blank"])
+    (["u1: 1 2 3", "u2:"], "user 'u2' has no items", 3),
+], ids=["missing-colon", "non-integer", "non-integer-after-blank", "no-items"])
 def test_sequence_file_rejects_malformed_lines(tmp_path, lines, message, line_no):
     path = tmp_path / "sequences.txt"
     path.write_text("\n".join(["#seqrec-v1", *lines]) + "\n")

@@ -364,18 +364,18 @@ def test_augmenter_training_deterministic(tiny_data):
 # these figures far beyond the tolerance, which only absorbs BLAS rounding.
 PINNED_HISTORY = {
     "augmenter": [
-        {"epoch": 0, "train_loss": 32.132430815622286, "val_loss": 24.310974905385237,
-         "val_op_accuracy": 0.3993055555555556, "val_ins_top1": 0.0},
-        {"epoch": 1, "train_loss": 25.199893148270263, "val_loss": 22.204072911146714,
-         "val_op_accuracy": 0.4131944444444444, "val_ins_top1": 0.0},
+        {"epoch": 0, "train_loss": 31.115387006946882, "val_loss": 24.77376489924912,
+         "val_op_accuracy": 0.42402826855123676, "val_ins_top1": 0.0},
+        {"epoch": 1, "train_loss": 25.84989463500569, "val_loss": 22.517658906176504,
+         "val_op_accuracy": 0.4381625441696113, "val_ins_top1": 0.0},
     ],
     "recommender": [
-        {"epoch": 0, "loss_rec": 4.8947264270647395, "loss_cl": 5.1276735571312955,
-         "loss_tri": 2.2835699130008327, "loss_total": 5.418911632342874,
-         "val_sum": 0.5188356347318699, "val_skipped": 0},
-        {"epoch": 1, "loss_rec": 4.789804050651359, "loss_cl": 3.9685511072192186,
-         "loss_tri": 1.5176440350303937, "loss_total": 5.194247381548434,
-         "val_sum": 0.537318426740968, "val_skipped": 0},
+        {"epoch": 0, "loss_rec": 4.89298515858291, "loss_cl": 5.064054247131423,
+         "loss_tri": 2.4224730459927706, "loss_total": 5.4115029485260155,
+         "val_sum": 0.4232572140481918, "val_skipped": 0},
+        {"epoch": 1, "loss_rec": 4.792976868737947, "loss_cl": 4.395671861528342,
+         "loss_tri": 1.6445102699293495, "loss_total": 5.2407666062404274,
+         "val_sum": 0.4892214712720847, "val_skipped": 0},
     ],
 }
 
@@ -393,10 +393,10 @@ def test_both_phases_keep_their_history_and_log_line(tiny_data):
         assert all(row["seconds"] > 0 for row in result.history)
     assert (phase1.best_epoch, phase2.best_epoch) == (1, 1)
     assert len(lines) == 4
-    assert re.fullmatch(r"augmenter epoch 0: train_loss=32\.1324 val_loss=24\.3110 "
-                        r"val_op_accuracy=0\.3993 val_ins_top1=0\.0000 \(\d+\.\ds\)", lines[0])
-    assert re.fullmatch(r"recommender epoch 1: loss_rec=4\.7898 loss_cl=3\.9686 "
-                        r"loss_tri=1\.5176 loss_total=5\.1942 val_sum=0\.5373 "
+    assert re.fullmatch(r"augmenter epoch 0: train_loss=31\.1154 val_loss=24\.7738 "
+                        r"val_op_accuracy=0\.4240 val_ins_top1=0\.0000 \(\d+\.\ds\)", lines[0])
+    assert re.fullmatch(r"recommender epoch 1: loss_rec=4\.7930 loss_cl=4\.3957 "
+                        r"loss_tri=1\.6445 loss_total=5\.2408 val_sum=0\.4892 "
                         r"val_skipped=0 \(\d+\.\ds\)", lines[3])
 
 
