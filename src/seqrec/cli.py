@@ -32,6 +32,7 @@ from .data import (
 )
 from .errors import ConfigError, ParseError
 from .evaluate import NoisySimConfig, evaluate_model, simulate_noisy_testset
+from .optim import AdamState
 from .seeding import rng_for
 from .synthgen import SynthSpec, generate, write_interactions, write_truth
 from .trainer import (
@@ -39,7 +40,6 @@ from .trainer import (
     corruption_config,
     dims_from_config,
     generation_op_proportions,
-    make_optimizer,
     model_arrays,
     model_from_arrays,
     train_augmenter,
@@ -88,9 +88,9 @@ def _read_config(args, stored: RunConfig | None = None) -> RunConfig:
     return _apply_overrides(cfg, args)
 
 
-def _save_model_ckpt(path, cfg: RunConfig, phase: str, epoch: int, run: TrainResult) -> None:
-    """The run's parameters, Adam state and early-stopping state after `epoch`."""
-    meta = {"n_items": run.model.dims.n_items, "phase": phase, "epoch": epoch,
+def _save_model_ckpt(path, cfg: RunConfig, phase: str, run: TrainResult) -> None:
+    """The run's resumable state after its last finished epoch."""
+    meta = {"n_items": run.model.dims.n_items, "phase": phase, "epoch": run.epoch,
             "best_epoch": run.best_epoch, "best_metric": repr(run.best_metric),
             "patience_left": run.patience_left}
     text = "\n".join(config_to_lines(cfg, meta)) + "\n"
@@ -190,15 +190,15 @@ def cmd_augment(args) -> int:
 _RESUME_META = ("epoch", "best_epoch", "best_metric", "patience_left")
 
 
-def _start_training(args, phase: str):
-    """Config, data and resume state shared by train-augmenter and train-recommender.
+def _train(args, phase: str, train, metric: str, **options) -> None:
+    """train-augmenter and train-recommender: config, data and resume state,
+    then the phase's trainer, which writes the checkpoints and the log.
 
     With --resume the checkpoint's stored config is read first (an explicit
-    --config still wins), so the data directory and out dir resolve from it.
-    Returns (cfg, split, vocab, keyword arguments for the phase's trainer).
+    --config still wins), so the data directory and out dir resolve from it;
+    the trainer's refusal of the resumed state names the checkpoint.
     """
-    stored = model = opt = early_stop = None
-    start_epoch = 0
+    stored = resume = None
     if args.resume:
         stored, meta, model, opt_step, opt_arrays = _load_model_ckpt(args.resume)
         if meta.get("phase") != phase:
@@ -209,44 +209,38 @@ def _start_training(args, phase: str):
                               f"so no run can continue from it exactly; pass it to "
                               f"train-recommender --augmenter to start a new run from "
                               f"its parameters")
-        start_epoch = int(meta["epoch"]) + 1
-        early_stop = (int(meta["best_epoch"]), float(meta["best_metric"]),
-                      int(meta["patience_left"]))
     cfg = _read_config(args, stored)
-    if model is not None:
-        # the checkpoint's Adam state covers only what its run trained
-        if (phase == "recommender" and cfg.policy.trains_augmenter
-                and not stored.policy.trains_augmenter):
-            raise ConfigError(f"{args.resume} is from a {stored.mode!r}-mode run, which did "
-                              f"not train the augmenter; it cannot resume in "
-                              f"{cfg.mode!r} mode, which does")
-        _, opt = make_optimizer(model, cfg, phase, opt_step, opt_arrays)
+    if args.resume:
+        resume = TrainResult(model, AdamState.from_state_arrays(opt_arrays, opt_step, cfg.lr),
+                             epoch=int(meta["epoch"]), best_epoch=int(meta["best_epoch"]),
+                             best_metric=float(meta["best_metric"]),
+                             patience_left=int(meta["patience_left"]))
     sequences, vocab = _load_processed(_data_dir(args, cfg))
     out_dir = Path(cfg.out_dir)
     log = _train_logger(out_dir)
 
     def on_epoch(result, improved):
-        epoch = result.history[-1]["epoch"]
         for kind in ("last", "best") if improved else ("last",):
-            _save_model_ckpt(out_dir / f"{phase}-{kind}.ckpt", cfg, phase, epoch, result)
+            _save_model_ckpt(out_dir / f"{phase}-{kind}.ckpt", cfg, phase, result)
 
-    run = dict(model=model, opt=opt, start_epoch=start_epoch, early_stop=early_stop,
-               on_epoch=on_epoch, log=log)
-    return cfg, leave_one_out_split(sequences), vocab, run
+    try:
+        result = train(leave_one_out_split(sequences), vocab, cfg, resume=resume,
+                       on_epoch=on_epoch, log=log, **options)
+    except ConfigError as err:
+        if not args.resume:
+            raise
+        raise ConfigError(f"{args.resume}: {err}") from None
+    log(f"best {phase} epoch {result.best_epoch} ({metric} {result.best_metric:.4f})")
 
 
 def cmd_train_augmenter(args) -> int:
-    cfg, split, vocab, run = _start_training(args, "augmenter")
-    result = train_augmenter(split, vocab, cfg, **run)
-    run["log"](f"best augmenter epoch {result.best_epoch} (val loss {result.best_metric:.4f})")
+    _train(args, "augmenter", train_augmenter, "val loss")
     return 0
 
 
 def cmd_train_recommender(args) -> int:
-    cfg, split, vocab, run = _start_training(args, "recommender")
     pretrained = _load_model_ckpt(args.augmenter)[2] if args.augmenter else None
-    result = train_recommender(split, vocab, cfg, pretrained=pretrained, **run)
-    run["log"](f"best recommender epoch {result.best_epoch} (val sum {result.best_metric:.4f})")
+    _train(args, "recommender", train_recommender, "val sum", pretrained=pretrained)
     return 0
 
 
@@ -347,8 +341,8 @@ def cmd_sweep(args) -> int:
         row = dict(cell)
         row["sum"] = f"{report.total:.4f}"
         if sweep_probs and phase2.model.aug is not None:
-            props = generation_op_proportions([u.train for u in split.users if len(u.train) >= 2],
-                                              phase2.model, batch_size=cell_cfg.batch_size)
+            props = generation_op_proportions(split.trainable_prefixes(), phase2.model,
+                                              batch_size=cell_cfg.batch_size)
             row["operation"] = "[" + ", ".join(f"{100 * p:.0f}%" for p in props) + "]"
         rows.append(row)
         print(" | ".join(f"{k}={v}" for k, v in row.items()))

@@ -173,10 +173,6 @@ def parse_config_lines(lines) -> RunConfig:
             continue
         if key not in _FIELDS:
             raise ConfigError(f"config line {line_no}: unknown key {key!r}")
-        if key == "mode" and raw.strip() == "testaug":
-            # the retired testaug mode trained exactly as full; augmenting
-            # at test time is `evaluate --testaug`
-            raw = "full"
         setattr(cfg, key, _parse_value(key, raw, line_no))
     cfg.validate()
     return cfg

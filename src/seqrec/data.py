@@ -77,6 +77,11 @@ class SplitDataset:
     def __len__(self) -> int:
         return len(self.users)
 
+    def trainable_prefixes(self) -> list[list[int]]:
+        """The train prefixes of 2+ items, in split order: rec_loss predicts a
+        prefix's last item from the items before it, so it needs two."""
+        return [u.train for u in self.users if len(u.train) >= 2]
+
 
 def parse_interactions(path) -> list[Interaction]:
     """Read whitespace-separated `user item timestamp` triples."""
@@ -227,15 +232,14 @@ def make_batches(split: SplitDataset, batch_size: int, rng: np.random.Generator)
     """Yield batches (lists of train prefixes) in an order shuffled by rng.
 
     batch_size must be >= 2 (in-batch contrast needs at least one negative
-    pair). Prefixes shorter than 2 items are skipped: rec_loss predicts a
-    prefix's last item from the items before it, so it needs two.
+    pair). Only split.trainable_prefixes() are batched.
     """
     if batch_size < 2:
         raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
-    eligible = [u for u in split.users if len(u.train) >= 2]
-    order = rng.permutation(len(eligible))
-    for start in range(0, len(eligible), batch_size):
-        yield [list(eligible[i].train) for i in order[start:start + batch_size]]
+    prefixes = split.trainable_prefixes()
+    order = rng.permutation(len(prefixes))
+    for start in range(0, len(prefixes), batch_size):
+        yield [list(prefixes[i]) for i in order[start:start + batch_size]]
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,16 @@ class AdamState:
             out[f"v.{name}"] = self.v[name]
         return out
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
-        for name in self.m:
-            self.m[name] = arrays[f"m.{name}"].astype(self.m[name].dtype, copy=True)
-            self.v[name] = arrays[f"v.{name}"].astype(self.v[name].dtype, copy=True)
-        self.step_count = int(step_count)
+    @classmethod
+    def from_state_arrays(cls, arrays: dict[str, np.ndarray], step_count: int,
+                          lr: float) -> "AdamState":
+        """A saved state (state_arrays() and step_count): moments for the names it holds."""
+        state = cls(ParamStore({}), lr)
+        for key, arr in arrays.items():
+            moment, name = key.split(".", 1)
+            getattr(state, moment)[name] = arr.copy()
+        state.step_count = int(step_count)
+        return state
 
 
 def adam_step(params: ParamStore, state: AdamState) -> None:

@@ -9,11 +9,12 @@ each mode contrasts, and whether it also trains the augmenter, is its row
 of config.MODES.
 
 This module turns that row into a run: the components each phase trains,
-the corruption generator configured from a RunConfig, and the check that
-a model can run a mode. Both phases run one epoch loop (_run_epochs):
-batch order, one generator and one dropout SeedStream per batch (the
-forward trains because it is given a stream), the Adam step, loss
-averages, validation, early stopping and the log line.
+the corruption generator configured from a RunConfig, and the checks of
+the model and Adam state a run starts from (_start). A run's resumable
+state is one TrainResult, which `resume` continues. Both phases run one
+epoch loop (_run_epochs): batch order, one generator and one dropout
+SeedStream per batch (the forward trains because it is given a stream),
+the Adam step, loss averages, validation, early stopping and the log line.
 
 The batch is the unit of replay. Its corruption (one corrupt_sequence call
 over the batch), random views and sampled generations all draw, in a fixed
@@ -94,25 +95,6 @@ def build_model(dims: ModelDims, seed: int, with_aug: bool = True,
     )
 
 
-def make_optimizer(model: RecModel, cfg: RunConfig, phase: str, step: int = 0,
-                   arrays: dict[str, np.ndarray] | None = None):
-    """(params, Adam state) over the components a phase trains.
-
-    Phase 1 ("augmenter") trains encoder + augmenter; phase 2 ("recommender")
-    trains encoder + recommender, plus the augmenter where the mode trains
-    it. `arrays` and `step` restore a checkpoint's optimizer state.
-    """
-    if phase == "augmenter":
-        parts = ("enc", "aug")
-    else:
-        parts = ("enc", "rec", "aug") if cfg.policy.trains_augmenter else ("enc", "rec")
-    params = ParamStore(model.named_params(parts))
-    opt = AdamState(params, lr=cfg.lr)
-    if arrays is not None:
-        opt.load_state_arrays(arrays, step)
-    return params, opt
-
-
 def corruption_config(cfg: RunConfig, n_items: int) -> CorruptionConfig:
     """The corruption generator that restoration trains on, in phase 1 and in
     a phase 2 that trains the augmenter."""
@@ -122,13 +104,14 @@ def corruption_config(cfg: RunConfig, n_items: int) -> CorruptionConfig:
 
 @dataclass
 class TrainResult:
-    """A run's model and Adam state, its epoch rows and its early-stopping state:
-    the best epoch (-1 before any improves), its metric, and the epochs without
-    improvement the run still allows."""
+    """A run's resumable state and epoch rows: model, Adam state, the last
+    finished epoch (-1 before any), the best epoch (-1 before any improves),
+    its metric, and the epochs without improvement the run still allows."""
 
     model: RecModel
     opt: AdamState
     history: list[dict] = field(default_factory=list)
+    epoch: int = -1
     best_epoch: int = -1
     best_metric: float = float("nan")
     patience_left: int = 0
@@ -183,15 +166,14 @@ def validation_aug_loss(split: SplitDataset, model: RecModel, ccfg: CorruptionCo
                         seed: int, batch_size: int) -> tuple[float, dict[str, float]]:
     """Restoration loss + accuracies on a fixed corruption of the prefixes.
 
-    The prefixes of 2+ items (those training batches hold) are corrupted
+    The trainable prefixes (those training batches hold) are corrupted
     once, as one batch in split order from one generator keyed (seed,
     "valid-corrupt"), and the records are then scored in chunks of
     batch_size, one no-grad pass per chunk; so the records do not depend on
     batch_size. Hits and their denominators are summed over chunks, so the
     accuracies do not depend on batch_size either.
     """
-    prefixes = [u.train for u in split.users if len(u.train) >= 2]
-    records = _corrupt_batch(prefixes, ccfg, rng_for(seed, "valid-corrupt"),
+    records = _corrupt_batch(split.trainable_prefixes(), ccfg, rng_for(seed, "valid-corrupt"),
                              model.dims.max_aug_len - 1)
     total, count = 0.0, 0
     op_hits = op_total = ins_hits = ins_total = 0
@@ -216,28 +198,51 @@ def validation_aug_loss(split: SplitDataset, model: RecModel, ccfg: CorruptionCo
 _PHASES = {"augmenter": ("aug", "val_loss", -1), "recommender": ("rec", "val_sum", 1)}
 
 
-def _run_epochs(phase: str, split: SplitDataset, cfg: RunConfig, model: RecModel,
-                opt: AdamState | None, start_epoch: int, early_stop, batch_loss, validate,
-                on_epoch=None, log=None) -> TrainResult:
-    """The epoch loop of both phases, up to cfg.epochs_<phase>.
+def _start(phase: str, cfg: RunConfig, n_items: int, model: RecModel,
+           resume: TrainResult | None) -> tuple[TrainResult, ParamStore]:
+    """The run's starting state and the parameters its phase trains.
 
-    Batch b of an epoch steps on batch_loss(seqs, rng, stream) -> (loss, parts),
-    or is skipped on None; rng and stream are keyed by (seed, tag, epoch, b).
-    The row averages the parts over the stepped batches and adds validate()'s
-    fields. An epoch improves when its metric beats every earlier one's (a
-    phase-1 val_loss of inf never does); the run stops after cfg.patience
-    epochs without one. A resumed run passes the early_stop state
-    (best_epoch, best_metric, patience_left) its checkpoint stored, and
-    stops where the unbroken run would. on_epoch(result, improved) runs
-    after each epoch's row is logged.
+    The starting model (fresh, on a phase-1 model, or resume.model) must have
+    cfg's dims, since checkpoints store cfg, and a resumed Adam state must
+    hold moments for every parameter the run trains. Phase 1 trains encoder +
+    augmenter; phase 2 encoder + recommender, + augmenter where the mode says.
+    """
+    source = "resumed" if resume is not None else "phase-1"  # a fresh model has cfg's dims
+    have, want = asdict(model.dims), asdict(dims_from_config(cfg, n_items))
+    differ = [f"{k} {have[k]} vs {v}" for k, v in want.items() if have[k] != v]
+    if differ:
+        raise ConfigError(f"the {source} model does not match the run config "
+                          f"({source} vs config): {'; '.join(differ)}")
+    if phase == "augmenter":
+        parts = ("enc", "aug")
+    else:
+        parts = ("enc", "rec", "aug") if cfg.policy.trains_augmenter else ("enc", "rec")
+    params = ParamStore(model.named_params(parts))
+    if resume is None:
+        return TrainResult(model, AdamState(params, lr=cfg.lr), patience_left=cfg.patience), params
+    missing = [name for name, _ in params.items() if name not in resume.opt.m]
+    if missing:
+        raise ConfigError(f"the resumed Adam state holds no moments for parameter "
+                          f"{missing[0]!r}, which a {phase} run in mode {cfg.mode!r} trains")
+    return resume, params
+
+
+def _run_epochs(phase: str, split: SplitDataset, cfg: RunConfig, result: TrainResult,
+                params: ParamStore, batch_loss, validate, on_epoch=None,
+                log=None) -> TrainResult:
+    """The epoch loop of both phases, from result.epoch + 1 up to cfg.epochs_<phase>.
+
+    Batch b of an epoch steps params on batch_loss(seqs, rng, stream) ->
+    (loss, parts), or is skipped on None; rng and stream are keyed by (seed,
+    tag, epoch, b). The row averages the parts over the stepped batches and
+    adds validate()'s fields. An epoch improves when its metric beats every
+    earlier one's (a phase-1 val_loss of inf never does); the run stops
+    after cfg.patience epochs without one, resumed or not. on_epoch(result,
+    improved) runs after each epoch's row is logged.
     """
     tag, metric, sign = _PHASES[phase]
-    params, new_opt = make_optimizer(model, cfg, phase)
-    result = TrainResult(model, opt or new_opt, patience_left=cfg.patience)
-    if early_stop is not None:
-        result.best_epoch, result.best_metric, result.patience_left = early_stop
     best = sign * result.best_metric if result.best_epoch >= 0 else -float("inf")
-    for epoch in range(start_epoch, getattr(cfg, f"epochs_{phase}")):
+    for epoch in range(result.epoch + 1, getattr(cfg, f"epochs_{phase}")):
         if result.patience_left <= 0:
             break
         t0 = time.perf_counter()
@@ -258,6 +263,7 @@ def _run_epochs(phase: str, split: SplitDataset, cfg: RunConfig, model: RecModel
         row = {"epoch": epoch, **{k: v / n_batches for k, v in sums.items()}, **validate()}
         row["seconds"] = time.perf_counter() - t0
         result.history.append(row)
+        result.epoch = epoch
         improved = sign * row[metric] > best
         if improved:
             best = sign * row[metric]
@@ -279,27 +285,24 @@ def train_augmenter(
     split: SplitDataset,
     vocab: Vocabulary,
     cfg: RunConfig,
-    model: RecModel | None = None,
-    opt: AdamState | None = None,
-    start_epoch: int = 0,
-    early_stop: tuple[int, float, int] | None = None,
+    resume: TrainResult | None = None,
     on_epoch=None,
     log=None,
 ) -> TrainResult:
     """Minimize the restoration loss with per-epoch fresh corruptions.
 
-    Tracks the best validation restoration loss; pass model/opt/start_epoch
-    and the stored early_stop state to resume a run mid-way with identical
-    behaviour.
+    Tracks the best validation restoration loss. `resume`, a phase-1
+    TrainResult, continues that run after its last epoch exactly as the
+    unbroken run would.
     """
-    dims = dims_from_config(cfg, vocab.n_items)
-    if model is None:
-        model = build_model(dims, cfg.seed, with_aug=True, with_rec=False)
+    model = resume.model if resume else build_model(dims_from_config(cfg, vocab.n_items),
+                                                    cfg.seed, with_rec=False)
+    result, params = _start("augmenter", cfg, vocab.n_items, model, resume)
     _check_prefix_lengths(split, model.dims.max_len)
     ccfg = corruption_config(cfg, vocab.n_items)
 
     def batch_loss(seqs, rng, stream):
-        records = _corrupt_batch(seqs, ccfg, rng, dims.max_aug_len - 1)
+        records = _corrupt_batch(seqs, ccfg, rng, model.dims.max_aug_len - 1)
         if not records:
             return None
         loss, stats = augmenter_loss(records, model.enc, model.aug, stream=stream)
@@ -310,8 +313,8 @@ def train_augmenter(
         return {"val_loss": val_loss, "val_op_accuracy": val_acc["op_accuracy"],
                 "val_ins_top1": val_acc["ins_top1"]}
 
-    return _run_epochs("augmenter", split, cfg, model, opt, start_epoch, early_stop,
-                       batch_loss, validate, on_epoch, log)
+    return _run_epochs("augmenter", split, cfg, result, params, batch_loss, validate,
+                       on_epoch, log)
 
 
 # ---------------------------------------------------------------------------
@@ -388,39 +391,36 @@ def train_recommender(
     vocab: Vocabulary,
     cfg: RunConfig,
     pretrained: RecModel | None = None,
-    model: RecModel | None = None,
-    opt: AdamState | None = None,
-    start_epoch: int = 0,
-    early_stop: tuple[int, float, int] | None = None,
+    resume: TrainResult | None = None,
     on_epoch=None,
     log=None,
 ) -> TrainResult:
     """Train the recommender (and encoder) on the joint objective.
 
-    Modes that contrast against a learned view need `pretrained` (phase-1
-    encoder + augmenter), or a resumed `model` that holds an augmenter; the
-    encoder continues training while the augmenter stays frozen. A mode
-    that trains the augmenter trains encoder, augmenter, and recommender
-    together from whatever state is given (or fresh). `pretrained` must
-    have the dims cfg gives, since checkpoints store cfg. Validation tracks
-    the summed metrics on the validation split.
+    A run starts fresh, from `pretrained` (phase-1 encoder + augmenter) or
+    continues `resume`, a phase-2 TrainResult, after its last epoch; not
+    both. Modes that contrast against a learned view need a starting model
+    that holds an augmenter; the encoder continues training while the
+    augmenter stays frozen. A mode that trains the augmenter trains
+    encoder, augmenter, and recommender together from whatever state is
+    given (or fresh). Validation tracks the summed metrics on the
+    validation split.
     """
-    if model is None:
-        dims = dims_from_config(cfg, vocab.n_items)
+    if resume is not None:
         if pretrained is not None:
-            have, want = asdict(pretrained.dims), asdict(dims)
-            differ = [f"{k} {have[k]} vs {v}" for k, v in want.items() if have[k] != v]
-            if differ:
-                raise ConfigError("the phase-1 model does not match the run config "
-                                  f"(phase-1 vs config): {'; '.join(differ)}")
-            model = RecModel(dims=dims, enc=pretrained.enc, aug=pretrained.aug,
-                             rec=RecommenderParams(dims, cfg.seed))
-        else:
-            model = build_model(dims, cfg.seed, with_aug=cfg.policy.trains_augmenter,
-                                with_rec=True)
+            raise ConfigError("a run either starts from a phase-1 model (--augmenter) or "
+                              "continues a resumed one (--resume), not both")
+        model = resume.model
+    elif pretrained is not None:
+        model = RecModel(pretrained.dims, pretrained.enc, pretrained.aug,
+                         RecommenderParams(pretrained.dims, cfg.seed))
+    else:
+        model = build_model(dims_from_config(cfg, vocab.n_items), cfg.seed,
+                            with_aug=cfg.policy.trains_augmenter)
+    result, params = _start("recommender", cfg, vocab.n_items, model, resume)
     if cfg.policy.needs_augmenter and model.aug is None:
-        raise ConfigError(f"mode {cfg.mode!r} needs an augmenter: pass a phase-1 "
-                          f"checkpoint (--augmenter CKPT)")
+        raise ConfigError(f"mode {cfg.mode!r} needs an augmenter, which the starting model "
+                          f"lacks: start a new run from a phase-1 checkpoint (--augmenter CKPT)")
     if cfg.policy.trains_augmenter:
         _check_prefix_lengths(split, model.dims.max_len)
 
@@ -434,8 +434,8 @@ def train_recommender(
                                 batch_size=cfg.batch_size)
         return {"val_sum": report.total, "val_skipped": report.n_skipped}
 
-    return _run_epochs("recommender", split, cfg, model, opt, start_epoch, early_stop,
-                       batch_loss, validate, on_epoch, log)
+    return _run_epochs("recommender", split, cfg, result, params, batch_loss, validate,
+                       on_epoch, log)
 
 
 def model_arrays(model: RecModel) -> dict[str, np.ndarray]:

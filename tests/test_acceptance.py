@@ -25,7 +25,7 @@ from seqrec.augops import (
     random_augment,
 )
 from seqrec.checkpoint import load_checkpoint, save_checkpoint
-from seqrec.config import RunConfig, config_to_lines
+from seqrec.config import RunConfig, config_to_lines, read_meta
 from seqrec.contrastive import batch_contrastive_loss, triplet_loss
 from seqrec.data import (
     Interaction,
@@ -46,11 +46,12 @@ from seqrec.evaluate import (
     simulate_noisy_testset,
     user_metrics,
 )
-from seqrec.optim import AdamState, ParamStore
+from seqrec.optim import AdamState
 from seqrec.recommender import rec_loss, sequence_reprs
 from seqrec.seeding import rng_for
 from seqrec.synthgen import SynthSpec, generate
 from seqrec.trainer import (
+    TrainResult,
     build_model,
     dims_from_config,
     model_arrays,
@@ -471,21 +472,25 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
                      seed=9, mode="base")
     partial = train_recommender(split, vocab, cfg2)
     path = tmp_path / "resume.ckpt"
+    meta = {"n_items": vocab.n_items, "epoch": partial.epoch,
+            "best_epoch": partial.best_epoch, "best_metric": repr(partial.best_metric),
+            "patience_left": partial.patience_left}
     save_checkpoint(
         path,
-        "\n".join(config_to_lines(cfg2, meta={"n_items": vocab.n_items, "epoch": 1})),
+        "\n".join(config_to_lines(cfg2, meta=meta)),
         model_arrays(partial.model),
         opt_step=partial.opt.step_count,
         opt_arrays=partial.opt.state_arrays(),
     )
-    _, arrays, opt_step, opt_arrays = load_checkpoint(path)
-    dims = dims_from_config(cfg, vocab.n_items)
-    resumed_model = model_from_arrays(dims, arrays)
-    params = ParamStore(resumed_model.named_params(("enc", "rec")))
-    opt = AdamState(params, lr=cfg.lr)
-    opt.load_state_arrays(opt_arrays, opt_step)
-    resumed = train_recommender(split, vocab, cfg, model=resumed_model, opt=opt,
-                                start_epoch=2)
+    text, arrays, opt_step, opt_arrays = load_checkpoint(path)
+    meta = read_meta(text.splitlines())
+    resume = TrainResult(model_from_arrays(dims_from_config(cfg, vocab.n_items), arrays),
+                         AdamState.from_state_arrays(opt_arrays, opt_step, cfg.lr),
+                         epoch=int(meta["epoch"]), best_epoch=int(meta["best_epoch"]),
+                         best_metric=float(meta["best_metric"]),
+                         patience_left=int(meta["patience_left"]))
+    resumed = train_recommender(split, vocab, cfg, resume=resume)
+    assert resumed.history[0]["epoch"] == 2
 
     gap = abs(straight.history[-1]["loss_total"] - resumed.history[0]["loss_total"])
     assert gap <= 1e-12, f"resume loss gap {gap:.2e}"

@@ -12,6 +12,7 @@ from seqrec.cli import _load_model_ckpt, _save_model_ckpt, main
 from seqrec.config import config_to_lines, parse_config_lines, read_meta
 from seqrec.data import leave_one_out_split, read_sequences, read_vocabulary
 from seqrec.evaluate import NoisySimConfig, evaluate_model
+from seqrec.optim import AdamState, ParamStore
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "ring120-full.ckpt"
 
@@ -445,17 +446,51 @@ def test_resume_refuses_a_mode_that_trains_the_augmenter_the_run_did_not(workspa
     # of its mode, which covers no augmenter parameter
     _, _, data = workspace
     cfg, _, model, _, _ = _load_model_ckpt(FIXTURE)
-    _, opt = trainer.make_optimizer(model, cfg, "recommender")
+    opt = AdamState(ParamStore(model.named_params(("enc", "rec"))), cfg.lr)
     ckpt = tmp_path / "full.ckpt"
-    _save_model_ckpt(ckpt, cfg, "recommender", 0,
-                     trainer.TrainResult(model, opt, patience_left=cfg.patience))
+    _save_model_ckpt(ckpt, cfg, "recommender",
+                     trainer.TrainResult(model, opt, epoch=0, patience_left=cfg.patience))
     out = tmp_path / "cotrain"
     rc = main(["train-recommender", "--data", str(data), "--resume", str(ckpt),
                "--mode", "cotrain", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "'full'-mode run" in err and "in 'cotrain' mode" in err
+    assert f"{ckpt}: the resumed Adam state holds no moments for parameter 'aug." in err
+    assert "in mode 'cotrain' trains" in err
     assert not (out / "train-log.txt").exists()  # no epoch ran
+
+
+def test_resume_with_other_dims_is_refused_before_training(phase1_run, workspace, tmp_path,
+                                                           capsys):
+    # the 16-dim phase-1 run, continued under a config of other embed_dim
+    # and max_aug_len: its checkpoints would store dims the model lacks
+    _, cfg, data = workspace
+    other = tmp_path / "other.cfg"
+    other.write_text(cfg.read_text() + "epochs_augmenter = 2\nembed_dim = 32\n"
+                     "max_aug_len = 30\n")
+    ckpt = phase1_run / "augmenter-last.ckpt"
+    out = tmp_path / "resumed"
+    rc = main(["train-augmenter", "--data", str(data), "--resume", str(ckpt),
+               "--config", str(other), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{ckpt}: the resumed model does not match the run config" in err
+    assert "embed_dim 16 vs 32; max_aug_len 60 vs 30" in err
+    assert not list(out.glob("*.ckpt"))
+    assert not (out / "train-log.txt").exists()  # no epoch ran
+
+
+def test_resume_with_augmenter_is_refused(phase1_run, base_run, workspace, tmp_path, capsys):
+    _, _, data = workspace
+    out = tmp_path / "both"
+    rc = main(["train-recommender", "--data", str(data), "--out", str(out),
+               "--resume", str(base_run / "recommender-last.ckpt"),
+               "--augmenter", str(phase1_run / "augmenter-last.ckpt")])
+    assert rc == 1
+    assert "(--augmenter) or continues a resumed one (--resume), not both" in \
+        capsys.readouterr().err
+    assert not list(out.glob("*.ckpt"))
+    assert not (out / "train-log.txt").exists()
 
 
 def test_augmenter_with_other_dims_is_refused_before_training(workspace, tmp_path, capsys):

@@ -89,9 +89,10 @@ def test_stored_precision_line_loads_only_at_float64():
         parse_config_lines(["precision = float32"])
 
 
-def test_stored_testaug_mode_loads_as_full():
-    # testaug trained exactly as full; test-time augmentation is `evaluate --testaug`
-    assert parse_config_lines(["mode = testaug"]).mode == "full"
+def test_stored_testaug_mode_is_refused():
+    # testaug is no mode; test-time augmentation is `evaluate --testaug`
+    with pytest.raises(ConfigError, match="mode must be one of .* got 'testaug'"):
+        parse_config_lines(["mode = testaug"])
     with pytest.raises(ConfigError):
         RunConfig(mode="testaug")
 

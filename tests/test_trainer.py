@@ -21,12 +21,12 @@ from seqrec.errors import ConfigError, NonFiniteError
 from seqrec.optim import AdamState, ParamStore
 from seqrec.seeding import SeedStream, rng_for
 from seqrec.trainer import (
+    TrainResult,
     _corrupt_batch,
     build_model,
     dims_from_config,
     generation_op_proportions,
     joint_loss,
-    make_optimizer,
     model_arrays,
     model_from_arrays,
     train_augmenter,
@@ -340,9 +340,7 @@ def test_augmenter_training_reduces_loss(tiny_data):
     # the walks are cyclic, so ops become predictable beyond 3-way chance
     assert result.history[-1]["val_op_accuracy"] > 1 / 3
     assert result.best_epoch >= 0
-    params, _ = make_optimizer(result.model, cfg, "augmenter")
-    names = {name for name, _ in params.items()}
-    assert names == set(result.model.named_params(("enc", "aug")))
+    assert set(result.opt.m) == set(result.model.named_params(("enc", "aug")))
 
 
 def test_augmenter_training_deterministic(tiny_data):
@@ -445,11 +443,9 @@ def test_resumed_run_keeps_the_early_stopping_state(tiny_data, monkeypatch):
     first = train_augmenter(split, vocab, tiny_cfg(epochs_augmenter=1, patience=2),
                             on_epoch=on_epoch)
     assert (first.best_epoch, first.best_metric, first.patience_left) == (0, 1.0, 2)
+    assert first.epoch == 0
     losses[:] = [2.0, 3.0, 4.0, 5.0, 6.0]
-    resumed = train_augmenter(split, vocab, cfg, model=first.model, opt=first.opt,
-                              start_epoch=1, on_epoch=on_epoch,
-                              early_stop=(first.best_epoch, first.best_metric,
-                                          first.patience_left))
+    resumed = train_augmenter(split, vocab, cfg, resume=first, on_epoch=on_epoch)
     assert improved == [(0, True), (1, False), (2, False)]
     assert (resumed.best_epoch, resumed.best_metric, resumed.patience_left) == \
         (straight.best_epoch, straight.best_metric, straight.patience_left) == (0, 1.0, 0)
@@ -457,7 +453,7 @@ def test_resumed_run_keeps_the_early_stopping_state(tiny_data, monkeypatch):
 
 def test_recommender_needs_augmenter_for_full_mode(tiny_data):
     split, vocab = tiny_data
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="needs an augmenter, which the starting model lacks"):
         train_recommender(split, vocab, tiny_cfg(mode="full"))
 
 
@@ -515,9 +511,8 @@ def test_non_finite_step_stops_before_adam_and_checkpoint(tiny_data, tmp_path, p
     saved = {}
 
     def on_epoch(result, improved):
-        epoch = result.history[-1]["epoch"]
-        _save_model_ckpt(ckpt, cfg, phase, epoch, result)
-        saved[epoch] = ckpt.read_bytes()
+        _save_model_ckpt(ckpt, cfg, phase, result)
+        saved[result.epoch] = ckpt.read_bytes()
         result.model.enc.pos_emb.data[0, 0] = np.nan  # every sequence reads position 0
 
     train = train_augmenter if phase == "augmenter" else train_recommender
@@ -537,22 +532,54 @@ def test_resume_matches_unbroken_run(tiny_data):
 
     cfg2 = tiny_cfg(mode="base", epochs_recommender=2, dropout=0.2)
     partial = train_recommender(split, vocab, cfg2)
-    # snapshot params + optimizer, rebuild fresh objects, continue epoch 2
-    arrays = model_arrays(partial.model)
+    # snapshot the whole run state into fresh objects, continue after epoch 1
     dims = dims_from_config(cfg, vocab.n_items)
-    resumed_model = model_from_arrays(dims, arrays)
-    params = ParamStore(resumed_model.named_params(("enc", "rec")))
-    opt = AdamState(params, lr=cfg.lr)
-    opt.load_state_arrays(partial.opt.state_arrays(), partial.opt.step_count)
-    resumed = train_recommender(split, vocab, cfg, model=resumed_model, opt=opt,
-                                start_epoch=2)
-    assert resumed.history[0]["epoch"] == 2
+    resume = TrainResult(
+        model_from_arrays(dims, model_arrays(partial.model)),
+        AdamState.from_state_arrays(partial.opt.state_arrays(), partial.opt.step_count,
+                                    cfg.lr),
+        epoch=partial.epoch, best_epoch=partial.best_epoch,
+        best_metric=partial.best_metric, patience_left=partial.patience_left)
+    resumed = train_recommender(split, vocab, cfg, resume=resume)
+    assert resumed is resume and resumed.history[0]["epoch"] == 2 == resumed.epoch
     a = straight.history[-1]
     b = resumed.history[0]
     assert abs(a["loss_total"] - b["loss_total"]) <= 1e-12
     assert abs(a["val_sum"] - b["val_sum"]) <= 1e-12
     for name, arr in model_arrays(straight.model).items():
         np.testing.assert_array_equal(arr, model_arrays(resumed.model)[name])
+    for name, arr in straight.opt.state_arrays().items():
+        np.testing.assert_array_equal(arr, resumed.opt.state_arrays()[name])
+
+
+def _no_batches(*args, **kwargs):
+    raise AssertionError("a batch was built before the starting state was checked")
+
+
+def test_resume_in_a_mode_its_adam_state_does_not_cover_is_refused(tiny_data, monkeypatch):
+    # a base-mode run from the phase-1 model holds the augmenter but trains
+    # it not, so its Adam state has no moments a cotrain run could step
+    split, vocab = tiny_data
+    phase1 = train_augmenter(split, vocab, tiny_cfg(epochs_augmenter=1))
+    base = train_recommender(split, vocab, tiny_cfg(mode="base", epochs_recommender=1),
+                             pretrained=phase1.model)
+    monkeypatch.setattr(trainer, "make_batches", _no_batches)
+    with pytest.raises(ConfigError, match=r"holds no moments for parameter 'aug\.[^']+', "
+                                          r"which a recommender run in mode 'cotrain'"):
+        train_recommender(split, vocab, tiny_cfg(mode="cotrain"), resume=base)
+
+
+def test_resume_of_other_dims_or_with_pretrained_is_refused(tiny_data, monkeypatch):
+    split, vocab = tiny_data
+    first = train_augmenter(split, vocab, tiny_cfg(epochs_augmenter=1))
+    monkeypatch.setattr(trainer, "make_batches", _no_batches)
+    with pytest.raises(ConfigError, match=r"the resumed model does not match the run config "
+                                          r"\(resumed vs config\): embed_dim 16 vs 32; "
+                                          r"max_aug_len 60 vs 30"):
+        train_augmenter(split, vocab, tiny_cfg(embed_dim=32, max_aug_len=30), resume=first)
+    with pytest.raises(ConfigError, match="not both"):
+        train_recommender(split, vocab, tiny_cfg(mode="base"), pretrained=first.model,
+                          resume=first)
 
 
 def test_generation_op_proportions_sum_to_one(tiny_data, tiny_model):
