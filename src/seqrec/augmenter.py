@@ -336,12 +336,20 @@ def restoration_accuracy(
 
 
 def _sample_rows(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One class per row drawn from softmax(logits), rows in C order."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
+    """One class per row drawn from softmax(logits), rows in C order.
+
+    One uniform per row, inverted through the row's cumulative softmax: the
+    first class whose cumulative share exceeds the draw. This is the rule
+    and arithmetic of Generator.choice(n, p=row), so a row picks what a
+    choice call per row would. The last share is exactly 1, so every draw
+    lands on a class, and a class of zero probability is never picked.
+    """
+    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
-    flat = probs.reshape(-1, logits.shape[-1])
-    return np.array([rng.choice(len(p), p=p) for p in flat]).reshape(logits.shape[:-1])
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    u = rng.random(logits.shape[:-1])
+    return (cdf <= u[..., None]).sum(axis=-1)
 
 
 def _decode_runs(
@@ -406,8 +414,8 @@ def _decide_ops(
     ops, sentinel last: the argmax operation, or one drawn from its softmax
     when an rng is given. The encoder runs once per length class
     (_encode_classes). Each class's op logits are copied into the right of
-    an (n, w) grid whose cells left of a row hold zero logits, so sampling
-    still draws over the whole grid in C order.
+    an (n, w) grid; sampling draws over a row's real cells only, rows in
+    order, so padding uses up no draws.
     """
     dims = enc.dims
     n, w = len(seqs), max(len(s) for s in seqs) + 1
@@ -418,7 +426,12 @@ def _decide_ops(
             cols = slice(w - h_class.shape[1], w)
             h[rows, cols] = h_class.data
             op_logits[rows, cols] = predict_op_logits(h_class, aug).data
-    ops = op_logits.argmax(axis=-1) if rng is None else _sample_rows(op_logits, rng)
+    if rng is None:
+        ops = op_logits.argmax(axis=-1)
+    else:
+        real = np.arange(w) >= w - 1 - np.array([len(s) for s in seqs])[:, None]
+        ops = np.zeros((n, w), dtype=np.int64)
+        ops[real] = _sample_rows(op_logits[real], rng)
     cells = [slice(w - 1 - len(s), w) for s in seqs]
     return [h[i, c] for i, c in enumerate(cells)], [ops[i, c] for i, c in enumerate(cells)]
 

@@ -1,19 +1,30 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Tensors are float64 numpy arrays plus gradient bookkeeping. Every operation whose
-inputs require gradients appends its output node to a module-level tape in
+Tensors are float64 numpy arrays plus gradient bookkeeping. Every operation
+whose inputs require gradients records a node on a module-level tape in
 creation order; backward() replays the tape in reverse, which is a valid
 topological order, so each node propagates to its parents exactly once and
 gradients of reused tensors accumulate additively. backward() releases
-each tape node (its gradient, rule and parent links) as soon as the node's
+each tape node (its gradient, rule and sinks) as soon as the node's
 rule has run, so only leaf tensors keep a .grad afterwards.
 
-Gradient buffers have one owner. A backward rule hands each parent an
-array that no other tensor holds: a new array, or a reshape, transpose or
+The tape holds gradient slots, not outputs. A node is data-free: a grad
+slot, the op's backward rule, the output's dtype, and one gradient sink
+per input (the input's own node, the input itself when it is a leaf that
+requires grad, or None for a constant). The rule runs as rule(g, *sinks)
+and saves only the arrays it reads; it never holds a Tensor. So an
+intermediate's data is freed as soon as the forward code drops it, unless
+a rule reads it: matmul keeps each operand only for the other operand's
+gradient, softmax and relu keep their output, embedding_lookup keeps
+only its ids, and add, reshape, transpose, concat and sum keep no array at
+all. A rule computes nothing for a constant input.
+
+Gradient buffers have one owner. A backward rule hands each sink an
+array that no other sink holds: a new array, or a reshape, transpose or
 slice of the incoming gradient, which is never read again once the node's
-own rule has run. The first gradient a tensor receives becomes its .grad
+own rule has run. The first gradient a sink receives becomes its grad
 without a copy; later ones are added into it in place. add() is the one
-rule that could give the same array to two parents, so it copies for the
+rule that could give the same array to two sinks, so it copies for the
 second.
 
 An op writes in place only into an array it allocated in the same call,
@@ -44,21 +55,24 @@ import numpy as np
 from .errors import ShapeError
 
 class Tensor:
-    """A numpy array with an optional gradient and a backward rule."""
+    """A numpy array with an optional gradient; a taped op's output also has a node."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = ()
-        self._bw = None
+        self.grad = None  # a leaf's gradient; a taped output's lives on its node
+        self._node = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     @property
     def ndim(self) -> int:
@@ -131,7 +145,20 @@ def constant(data) -> Tensor:
 # Tape
 # ---------------------------------------------------------------------------
 
-_TAPE: list[Tensor] = []
+
+class _Node:
+    """A taped op: its output's gradient slot, backward rule, dtype and input sinks."""
+
+    __slots__ = ("grad", "rule", "sinks", "dtype")
+
+    def __init__(self, rule, sinks: tuple, dtype):
+        self.grad = None
+        self.rule = rule
+        self.sinks = sinks
+        self.dtype = dtype
+
+
+_TAPE: list[_Node] = []
 _GRAD_ENABLED = True
 
 
@@ -153,31 +180,38 @@ def tape_size() -> int:
 
 def clear_tape() -> None:
     for node in _TAPE:
-        node._parents = ()
-        node._bw = None
+        node.grad = node.rule = None
+        node.sinks = ()
     _TAPE.clear()
 
 
-def _record(out: Tensor, parents: tuple[Tensor, ...], bw) -> Tensor:
+def _sink(t: Tensor):
+    """Where t's gradient goes: its node, t itself if a grad leaf, else None."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
+def _record(out: Tensor, parents: tuple[Tensor, ...], rule) -> Tensor:
+    """Tape out's node if any parent requires grad; rule(g, *sinks) runs in backward."""
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._bw = bw
-        _TAPE.append(out)
+        out._node = _Node(rule, tuple(_sink(p) for p in parents), out.data.dtype)
+        _TAPE.append(out._node)
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad; the first g is taken over, not copied (see module doc)."""
-    if not t.requires_grad:
+def _accum(sink, g: np.ndarray) -> None:
+    """Add g into sink.grad; the first g is taken over, not copied (see module doc)."""
+    if sink is None:
         return
-    if t.grad is None:
-        if type(g) is np.ndarray and g.dtype == t.data.dtype:
-            t.grad = g
+    if sink.grad is None:
+        if type(g) is np.ndarray and g.dtype == sink.dtype:
+            sink.grad = g
         else:
-            t.grad = np.array(g, dtype=t.data.dtype)
+            sink.grad = np.array(g, dtype=sink.dtype)
     else:
-        t.grad += g
+        sink.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -190,16 +224,13 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss.grad is None:
-        loss.grad = np.ones_like(loss.data)
-    else:
-        loss.grad += np.ones_like(loss.data)
+    _accum(_sink(loss), np.ones_like(loss.data))
     while _TAPE:
         node = _TAPE.pop()
         if node.grad is not None:
-            node._bw(node.grad)
-        node.grad = node._bw = None
-        node._parents = ()
+            node.rule(node.grad, *node.sinks)
+        node.grad = node.rule = None
+        node.sinks = ()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -226,14 +257,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data + b.data)
     except ValueError as exc:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from exc
+    a_shape, b_shape = a.shape, b.shape
 
-    def bw(g):
-        ga = _unbroadcast(g, a.shape)
-        _accum(a, ga)
-        gb = _unbroadcast(g, b.shape)
-        if gb is ga and a.requires_grad:
-            gb = gb.copy()  # a may own ga now
-        _accum(b, gb)
+    def bw(g, sa, sb):
+        ga = None
+        if sa is not None:
+            ga = _unbroadcast(g, a_shape)
+            _accum(sa, ga)
+        if sb is not None:
+            gb = _unbroadcast(g, b_shape)
+            _accum(sb, gb.copy() if gb is ga else gb)  # sa may own ga now
 
     return _record(out, (a, b), bw)
 
@@ -244,10 +277,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data * b.data)
     except ValueError as exc:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from exc
+    a_shape, b_shape = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
-    def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+    def bw(g, sa, sb):
+        if sa is not None:
+            _accum(sa, _unbroadcast(g * bd, a_shape))
+        if sb is not None:
+            _accum(sb, _unbroadcast(g * ad, b_shape))
 
     return _record(out, (a, b), bw)
 
@@ -268,28 +306,36 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and (b.ndim != 2 or bias.shape != b.shape[-1:]):
         raise ShapeError(f"matmul: a bias of shape {bias.shape} needs a 2-d right operand "
                          f"with as many columns, got {b.shape}")
+    a_shape, b_shape = a.shape, b.shape
     if b.ndim == 2:
-        k, m = b.shape
-        lead = a.shape[:-1]
+        k, m = b_shape
         a2 = a.data.reshape(-1, k)
         y = a2 @ b.data
         if bias is not None:
             y += bias.data
-        out = Tensor(y.reshape(*lead, m))
+        out = Tensor(y.reshape(*a_shape[:-1], m))
+        a2 = a2 if b.requires_grad else None
+        bd = b.data if a.requires_grad else None
 
-        def bw(g):
+        def bw(g, sa, sb, sbias=None):
             g2 = g.reshape(-1, m)
-            _accum(a, (g2 @ b.data.T).reshape(*lead, k))
-            _accum(b, a2.T @ g2)
-            if bias is not None:
-                _accum(bias, _unbroadcast(g, bias.shape))
+            if sa is not None:
+                _accum(sa, (g2 @ bd.T).reshape(a_shape))
+            if sb is not None:
+                _accum(sb, a2.T @ g2)
+            if sbias is not None:
+                _accum(sbias, _unbroadcast(g, (m,)))
 
         return _record(out, (a, b) if bias is None else (a, b, bias), bw)
     out = Tensor(np.matmul(a.data, b.data))
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
-    def bw(g):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+    def bw(g, sa, sb):
+        if sa is not None:
+            _accum(sa, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a_shape))
+        if sb is not None:
+            _accum(sb, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b_shape))
 
     return _record(out, (a, b), bw)
 
@@ -298,8 +344,8 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor(np.transpose(x.data, axes))
     inv = np.argsort(axes)
 
-    def bw(g):
-        _accum(x, np.transpose(g, inv))
+    def bw(g, sx):
+        _accum(sx, np.transpose(g, inv))
 
     return _record(out, (x,), bw)
 
@@ -316,8 +362,8 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(x.data.reshape(shape))
     orig = x.shape
 
-    def bw(g):
-        _accum(x, g.reshape(orig))
+    def bw(g, sx):
+        _accum(sx, g.reshape(orig))
 
     return _record(out, (x,), bw)
 
@@ -325,20 +371,24 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-    def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+    def bw(g, *sinks):
+        for s, lo, hi in zip(sinks, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accum(t, g[tuple(idx)])
+            _accum(s, g[tuple(idx)])
 
     return _record(out, tuple(tensors), bw)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of a (V, e) table; ids may have any shape."""
+    """Gather rows of a (V, e) table; ids may have any shape.
+
+    The backward scatter is one bincount over the flat cell index
+    id * e + column, which adds each cell's rows in id order as np.add.at
+    does, so the table gradient is the same bit for bit.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2:
         raise ShapeError(f"embedding table must be 2-d, got {table.shape}")
@@ -347,27 +397,23 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
             f"id out of range [0, {table.shape[0]}): min={ids.min()}, max={ids.max()}"
         )
     out = Tensor(table.data[ids])
+    v, e = table.shape
 
-    def bw(g):
-        if not table.requires_grad:
-            return
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        _accum(table, gt)
+    def bw(g, st):
+        cells = (ids.reshape(-1, 1) * e + np.arange(e)).ravel()
+        _accum(st, np.bincount(cells, weights=g.ravel(), minlength=v * e).reshape(v, e))
 
     return _record(out, (table,), bw)
 
 
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+    shape = x.shape
 
-    def bw(g):
-        if axis is None:
-            _accum(x, np.broadcast_to(g, x.shape).copy())
-            return
-        if not keepdims:
+    def bw(g, sx):
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.shape).copy())
+        _accum(sx, np.broadcast_to(g, shape).copy())
 
     return _record(out, (x,), bw)
 
@@ -378,20 +424,22 @@ def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
+    y = np.maximum(x.data, 0.0)
+    out = Tensor(y)
 
-    def bw(g):
-        _accum(x, g * (x.data > 0))
+    def bw(g, sx):
+        _accum(sx, g * (y > 0))  # y > 0 exactly where x > 0
 
     return _record(out, (x,), bw)
 
 
 def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow."""
-    out = Tensor(np.log1p(np.exp(-np.abs(x.data))) + np.maximum(x.data, 0.0))
+    xd = x.data
+    out = Tensor(np.log1p(np.exp(-np.abs(xd))) + np.maximum(xd, 0.0))
 
-    def bw(g):
-        _accum(x, g / (1.0 + np.exp(-x.data)))
+    def bw(g, sx):
+        _accum(sx, g / (1.0 + np.exp(-xd)))
 
     return _record(out, (x,), bw)
 
@@ -403,11 +451,11 @@ def softmax(x: Tensor) -> Tensor:
     y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
-    def bw(g):
+    def bw(g, sx):
         inner = (g * y).sum(axis=-1, keepdims=True)
         gx = g - inner
         gx *= y
-        _accum(x, gx)
+        _accum(sx, gx)
 
     return _record(out, (x,), bw)
 
@@ -425,19 +473,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     y = xhat * gain.data
     y += bias.data
     out = Tensor(y)
+    gd = gain.data if x.requires_grad else None
 
-    def bw(g):
-        if gain.requires_grad:
-            _accum(gain, _unbroadcast(g * xhat, gain.shape))
-        if x.requires_grad:
-            gh = g * gain.data
+    def bw(g, sx, sgain, sbias):
+        if sgain is not None:
+            _accum(sgain, _unbroadcast(g * xhat, (e,)))
+        if sx is not None:
+            gh = g * gd
             gm = gh.mean(axis=-1, keepdims=True)
             gx = (gh * xhat).mean(axis=-1, keepdims=True)
             gh -= gm
             gh -= xhat * gx
             gh *= inv
-            _accum(x, gh)
-        _accum(bias, _unbroadcast(g, bias.shape))  # last: bias may take g itself
+            _accum(sx, gh)
+        if sbias is not None:
+            _accum(sbias, _unbroadcast(g, (e,)))  # last: the bias may take g itself
 
     return _record(out, (x, gain, bias), bw)
 
@@ -454,10 +504,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     y *= scale
     out = Tensor(y)
 
-    def bw(g):
+    def bw(g, sx):
         gx = g * keep
         gx *= scale
-        _accum(x, gx)
+        _accum(sx, gx)
 
     return _record(out, (x,), bw)
 
@@ -484,12 +534,12 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     out = Tensor(-picked)
 
-    def bw(g):
+    def bw(g, sl):
         d = np.exp(logp)  # softmax, minus 1 at each target
         at = targets[..., None]
         np.put_along_axis(d, at, np.take_along_axis(d, at, axis=-1) - 1.0, axis=-1)
         d *= g[..., None]
-        _accum(logits, d)
+        _accum(sl, d)
 
     return _record(out, (logits,), bw)
 

@@ -204,8 +204,9 @@ def _start(phase: str, cfg: RunConfig, n_items: int, model: RecModel,
 
     The starting model (fresh, on a phase-1 model, or resume.model) must have
     cfg's dims, since checkpoints store cfg, and a resumed Adam state must
-    hold moments for every parameter the run trains. Phase 1 trains encoder +
-    augmenter; phase 2 encoder + recommender, + augmenter where the mode says.
+    hold moments for every parameter the run trains; it steps at cfg.lr, the
+    lr those checkpoints store. Phase 1 trains encoder + augmenter; phase 2
+    encoder + recommender, + augmenter where the mode says.
     """
     source = "resumed" if resume is not None else "phase-1"  # a fresh model has cfg's dims
     have, want = asdict(model.dims), asdict(dims_from_config(cfg, n_items))
@@ -224,6 +225,7 @@ def _start(phase: str, cfg: RunConfig, n_items: int, model: RecModel,
     if missing:
         raise ConfigError(f"the resumed Adam state holds no moments for parameter "
                           f"{missing[0]!r}, which a {phase} run in mode {cfg.mode!r} trains")
+    resume.opt.lr = float(cfg.lr)
     return resume, params
 
 

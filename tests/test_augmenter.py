@@ -538,18 +538,52 @@ def test_decide_ops_runs_one_encoder_pass_per_length_class(monkeypatch):
 
 
 def test_stochastic_batch_draws_are_pinned():
-    # the benchmark's trained ring-120 model; the expected output was recorded
-    # before op and run sampling shared one helper, so the draw order is fixed
+    # the benchmark's trained ring-120 model; ops draw over the real cells of
+    # each row, rows in order, then each decode step draws over its active
+    # anchors, so the draw order is fixed
     model = _load_model_ckpt(FIXTURE)[2]
     seqs = [[(start + j) % 120 + 1 for j in range(n)]
             for start, n in ((0, 6), (37, 9), (60, 3), (115, 8))]
     got = generate_augmented_batch(seqs, model.enc, model.aug, rng=np.random.default_rng(5))
     assert got == [
-        [1, 2, 3, 1, 2, 3, 4, 5, 6, 65, 35],
-        [38, 38, 39, 40, 40, 41, 38, 39, 40, 41, 42, 40, 41, 43, 43, 45, 5, 6, 46],
-        [61, 59, 62, 65, 66, 63, 64, 65],
-        [116, 120, 117, 119, 120, 119, 120, 1, 2, 3],
+        [120, 1, 99, 1, 2, 2, 3, 4, 5, 4, 5, 6],
+        [38, 39, 39, 40, 38, 38, 39, 39, 40, 41, 42, 43, 43, 44, 39, 40, 45, 45, 46, 45],
+        [64, 65, 65, 62, 63, 64, 65],
+        [116, 115, 115, 116, 117, 118, 118, 119, 119, 118, 119, 120, 1, 4, 2, 2, 3, 120, 1],
     ]
+
+
+def _one_choice_per_row(logits, rng):
+    """The per-row sampler _sample_rows replaced: one rng.choice per row."""
+    rows = []
+    for row in logits.reshape(-1, logits.shape[-1]):
+        p = np.exp(row - row.max())
+        p /= p.sum()
+        rows.append(rng.choice(len(p), p=p))
+    return np.array(rows).reshape(logits.shape[:-1])
+
+
+def test_sample_rows_picks_what_one_choice_per_row_picks():
+    # peaked, flat and underflowing rows; same picks, same draws used
+    logits = np.random.default_rng(2).standard_normal((4, 50, 7)) * 4
+    logits[0, :, 3] = 800.0  # every other class has probability 0
+    logits[1] = 0.0
+    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+    got = am._sample_rows(logits, got_rng)
+    np.testing.assert_array_equal(got, _one_choice_per_row(logits, want_rng))
+    assert got.shape == (4, 50) and (got[0] == 3).all()
+    assert got_rng.random() == want_rng.random()
+
+
+def test_sampled_ops_draw_over_real_cells_only():
+    # a row's ops take the same draws whatever the batch's width: the
+    # padding cells left of a short row draw nothing
+    model = _load_model_ckpt(FIXTURE)[2]
+    short, wide = [5, 6, 7], list(range(10, 40))
+    ops = lambda seqs: am._decide_ops(seqs, model.enc, model.aug, rng=np.random.default_rng(4))[1]
+    alone, padded = ops([short]), ops([short, wide])
+    assert len(padded[1]) == 31
+    np.testing.assert_array_equal(padded[0], alone[0])
 
 
 def test_greedy_decode_matches_full_row_decoding(monkeypatch):

@@ -2,6 +2,7 @@
 tape semantics, and determinism."""
 
 import tracemalloc
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 
 from gradcheck import max_rel_error
 from seqrec import autograd as ag
+from seqrec.encoder import EncoderParams, ModelDims, embed_sequence, encode_batch, transformer_stack
 from seqrec.errors import ShapeError
+from seqrec.seeding import SeedStream
 
 
 def test_xavier_bound_matches_fan_formula():
@@ -348,3 +351,123 @@ def test_weight_matmul_matches_numpy_reference(lead):
     want_w = np.matmul(np.swapaxes(a.data, -1, -2), up).reshape(-1, k, m).sum(axis=0)
     np.testing.assert_allclose(w.grad, want_w, rtol=1e-12)
     assert a.grad.shape == a.shape and w.grad.shape == w.shape
+
+
+@pytest.mark.parametrize("rows", [1, 122, 602])
+def test_embedding_backward_matches_add_at_bit_for_bit(rows):
+    # 7680 ids, most of them repeated, scattered into a (rows, 64) table
+    rng = np.random.default_rng(rows)
+    table = ag.param(rng.standard_normal((rows, 64)))
+    ids = rng.integers(0, rows, size=(256, 30))
+    up = rng.standard_normal((256, 30, 64))
+    ag.backward((ag.embedding_lookup(table, ids) * ag.constant(up)).sum())
+    want = np.zeros((rows, 64))
+    np.add.at(want, ids.reshape(-1), up.reshape(-1, 64))
+    np.testing.assert_array_equal(table.grad, want)
+
+
+# A training forward of the block stack, for the tape's retention rule.
+TRAIN_DIMS = ModelDims(n_items=30, embed_dim=16, n_layers=2, n_heads=2, dropout=0.1)
+
+
+def _left_padded_ids(rng):
+    ids = rng.integers(1, 31, size=(5, 9))
+    for r in range(4):
+        ids[r, :2 * r] = 0
+    return ids
+
+
+def _holds_tensor(value):
+    if isinstance(value, (list, tuple)):
+        return any(_holds_tensor(v) for v in value)
+    return isinstance(value, ag.Tensor)
+
+
+def test_no_taped_rule_holds_a_tensor():
+    # a rule saves arrays, never a Tensor, so no output outlives the
+    # forward code's last reference through the tape
+    enc = EncoderParams(TRAIN_DIMS, seed=1)
+    rng = np.random.default_rng(2)
+    ids = _left_padded_ids(rng)
+    stream = SeedStream(3, "retention")
+    h = transformer_stack(embed_sequence(ids, enc, stream), enc.blocks, TRAIN_DIMS, ids, stream)
+    last = h.reshape(5 * 9, 16)
+    logits = ag.matmul(ag.concat([last, last * 0.5], axis=1), ag.constant(rng.random((32, 31))))
+    loss = ag.cross_entropy(logits, rng.integers(0, 31, size=45)).mean() + ag.softplus(h).sum()
+    try:
+        assert ag._TAPE[-1] is loss._node
+        ops = {node.rule.__qualname__.split(".")[0] for node in ag._TAPE}
+        assert {"embedding_lookup", "dropout", "matmul", "softmax", "layer_norm", "relu",
+                "add", "mul", "concat", "cross_entropy", "softplus"} <= ops
+        for node in ag._TAPE:
+            cells = [c.cell_contents for c in node.rule.__closure__ or ()]
+            assert not any(_holds_tensor(c) for c in cells), node.rule.__qualname__
+    finally:
+        ag.clear_tape()
+
+
+def test_activations_no_rule_reads_are_freed_before_backward(monkeypatch):
+    # the Wo projection (dropout keeps only its mask) and every add output
+    # (layer_norm, dropout and softmax keep their own arrays) are freed once
+    # the forward drops them; holding them changes no gradient
+    enc = EncoderParams(TRAIN_DIMS, seed=4)
+    ids = _left_padded_ids(np.random.default_rng(5))
+    wo = {id(blk.Wo) for blk in enc.blocks}
+    matmul, add = ag.matmul, ag.add
+    seen = []
+
+    def spy_matmul(a, b, bias=None):
+        out = matmul(a, b, bias)
+        if id(b) in wo:
+            seen.append(out.data)
+        return out
+
+    def spy_add(a, b):
+        out = add(a, b)
+        seen.append(out.data)
+        return out
+
+    monkeypatch.setattr(ag, "matmul", spy_matmul)
+    monkeypatch.setattr(ag, "add", spy_add)
+
+    def run(hold):
+        seen.clear()
+        h = encode_batch(ids, enc, stream=SeedStream(6, "retention"))
+        loss = (h * ag.constant(np.linspace(-1.0, 1.0, h.size).reshape(h.shape))).sum()
+        del h
+        refs = [weakref.ref(a) for a in seen]
+        if not hold:
+            seen.clear()
+        alive = sum(r() is not None for r in refs)
+        ag.backward(loss)
+        grads = {}
+        for name, p in enc.named_params().items():
+            grads[name], p.grad = p.grad, None
+        return len(refs), alive, grads
+
+    n_held, alive_held, want = run(hold=True)
+    n, alive, got = run(hold=False)
+    assert n == n_held == 1 + 2 * 4 and alive_held == n  # embedding add; 3 adds + Wo a block
+    assert alive == 0, f"{alive} of {n} activations outlive the forward"
+    for name, g in want.items():
+        np.testing.assert_array_equal(got[name], g, err_msg=name)
+
+
+def test_training_forward_holds_at_most_100_mib():
+    # live memory of one training forward of a (256, 40) batch at embed 64,
+    # everything the tape keeps for backward: 202 MiB with one array per
+    # bias add, affine step and float dropout mask; 151 MiB while the tape
+    # held every op's output; 74 MiB with rules that save only what they read
+    dims = ModelDims(n_items=100, embed_dim=64, dropout=0.1)
+    probe = EncoderParams(dims, seed=0)
+    ids = np.random.default_rng(0).integers(1, 101, size=(256, 40))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = encode_batch(ids, probe, stream=SeedStream(0, "memory"))
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        ag.clear_tape()
+    assert out.shape == (256, 40, 64)
+    assert live <= 100 * 2**20, f"training forward holds {live / 2**20:.1f} MiB"

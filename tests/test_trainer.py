@@ -168,12 +168,12 @@ def test_joint_backward_gives_each_param_its_own_gradient(tiny_data, trained_mod
 
     owned = two_backward_passes()
 
-    def copying_accum(t, g):
-        if t.requires_grad:
-            if t.grad is None:
-                t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+    def copying_accum(sink, g):
+        if sink is not None:
+            if sink.grad is None:
+                sink.grad = np.array(g, dtype=sink.dtype, copy=True)
             else:
-                t.grad += g
+                sink.grad += g
 
     monkeypatch.setattr(ag, "_accum", copying_accum)
     copied = two_backward_passes()
@@ -550,6 +550,19 @@ def test_resume_matches_unbroken_run(tiny_data):
         np.testing.assert_array_equal(arr, model_arrays(resumed.model)[name])
     for name, arr in straight.opt.state_arrays().items():
         np.testing.assert_array_equal(arr, resumed.opt.state_arrays()[name])
+
+
+def test_resumed_run_steps_at_the_run_configs_lr(tiny_data):
+    # a state built at another lr steps at cfg.lr, the lr its checkpoints store
+    split, vocab = tiny_data
+    cfg = tiny_cfg(mode="base", epochs_recommender=2)
+    straight = train_recommender(split, vocab, cfg)
+    partial = train_recommender(split, vocab, tiny_cfg(mode="base", epochs_recommender=1))
+    partial.opt.lr = 3 * cfg.lr
+    resumed = train_recommender(split, vocab, cfg, resume=partial)
+    assert resumed.epoch == 1 and resumed.opt.lr == cfg.lr
+    for name, arr in model_arrays(straight.model).items():
+        np.testing.assert_array_equal(arr, model_arrays(resumed.model)[name], err_msg=name)
 
 
 def _no_batches(*args, **kwargs):
