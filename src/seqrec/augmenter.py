@@ -12,6 +12,11 @@ of items deleted from the tail (possibly just STOP). Operation supervision
 covers only the real positions, so the per-position operation loss of an
 all-keep record is exactly len(seq) * ln 3 under uniform logits.
 
+The restoration loss is scored per run-length class: each generator pass
+projects only its class's real steps onto the catalog plus STOP, and one
+cross-entropy per class scores them, so no catalog-wide logits outlive
+their class.
+
 Generation reads the model's ops and decoded runs as a CorruptionRecord
 and rebuilds each sequence with augops.restore_sequence, the same rule
 that undoes a corruption.
@@ -25,7 +30,6 @@ draw none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -87,10 +91,7 @@ def generator_output_logits(
     h: Tensor, enc: EncoderParams, aug: AugmenterParams
 ) -> Tensor:
     """Scores over items + STOP via the shared item table plus the STOP row."""
-    dims = enc.dims
-    item_rows = ag.embedding_lookup(
-        enc.item_emb, np.arange(1, dims.n_items + 1, dtype=np.int64)
-    )
+    item_rows = ag.row_slice(enc.item_emb, 1, enc.dims.n_items + 1)
     rows = ag.concat([item_rows, aug.stop_emb], axis=0)  # (n_items+1, e)
     return ag.matmul(h, ag.transpose_last(rows))
 
@@ -225,27 +226,9 @@ class RestorationStats(AugLossStats):
     n_ins_items: int  # n_ins_targets without the STOP steps
 
 
-class _Head(NamedTuple):
-    """One output head of the restoration model over a batch.
-
-    The operation head's rows are the cells of the encoder's padded class
-    grids, flattened, with a mask of the real positions; the generator
-    head's rows are the flat real run steps only, so its mask is all ones.
-    """
-
-    logits: Tensor
-    targets: np.ndarray
-    mask: np.ndarray  # 1 where a target counts
-    nll_sum: Tensor  # masked cross-entropy sum
-
-    def hits(self, steps: np.ndarray) -> int:
-        """Argmax hits over the steps marked 1."""
-        return int(((self.logits.data.argmax(axis=-1) == self.targets) * steps).sum())
-
-
-def _head(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> _Head:
-    nll = ag.cross_entropy(logits, targets) * ag.constant(mask)
-    return _Head(logits, targets, mask, nll.sum())
+def _hits(logits: Tensor, targets: np.ndarray, rows: np.ndarray) -> int:
+    """Argmax hits over the rows marked True."""
+    return int(((logits.data.argmax(axis=-1) == targets) & rows).sum())
 
 
 def _restoration_forward(
@@ -253,17 +236,22 @@ def _restoration_forward(
     enc: EncoderParams,
     aug: AugmenterParams,
     stream: SeedStream | None = None,
-) -> tuple[_Head, _Head, AugLossStats]:
+    count_hits: bool = False,
+) -> tuple[Tensor, AugLossStats, dict[str, int] | None]:
     """Encode the damaged sequences, then score operations and teacher-forced runs.
 
-    Returns the operation head over real positions, the generator head over
-    every run step up to and including STOP, and the batch's AugLossStats.
+    Returns the restoration NLL sum (operations over real positions, plus
+    every run step up to and including STOP), the batch's AugLossStats and,
+    with count_hits, RestorationStats' hit counts (else None).
     The encoder runs once per length class of the damaged sequences
     (_encode_classes), and the operation head and the run anchors read one
     concatenation of the classes' flattened states, so the operation head's
     rows are the classes' grids in class order. The generator runs once per
     length class of runs, so no pass pads a run beyond twice its steps; each
-    pass projects only its real steps, and one cross-entropy scores them all.
+    pass projects only its real steps, and one cross-entropy per class
+    scores them, so a class's catalog-wide logits are dropped as soon as
+    they are scored. The classes' per-step losses are summed in one
+    concatenation, in _run_matrices order.
     """
     if not records:
         raise ValueError("restoration needs a non-empty batch")
@@ -280,21 +268,31 @@ def _restoration_forward(
         runs.extend((base + anchor, run) for anchor, run in runs_c)
         base += n_c * w_c
     h_flat = ag.concat(states, axis=0)
-    op_mask = np.concatenate(op_masks)
-    op = _head(predict_op_logits(h_flat, aug), np.concatenate(op_targets), op_mask)
-    logits, targets = [], []
+    op_targets, op_mask = np.concatenate(op_targets), np.concatenate(op_masks)
+    op_logits = predict_op_logits(h_flat, aug)
+    op_nll = (ag.cross_entropy(op_logits, op_targets) * ag.constant(op_mask)).sum()
+    hits = None
+    if count_hits:
+        hits = {"op_hits": _hits(op_logits, op_targets, op_mask > 0),
+                "ins_hits": 0, "n_ins_items": 0}
+    stop = _stop_class(dims)
+    losses = []
     for rows in length_classes([len(run) for _, run in runs]):
-        anchor_idx, teacher, steps, group_targets = _run_matrices([runs[j] for j in rows],
-                                                                  _stop_class(dims))
-        logits.append(generator_forward(ag.embedding_lookup(h_flat, anchor_idx), teacher,
-                                        enc, aug, stream=stream, steps=steps))
-        targets.append(group_targets)
-    gen_targets = np.concatenate(targets)
-    gen = _head(ag.concat(logits, axis=0), gen_targets, np.ones(len(gen_targets)))
-    stats = AugLossStats(op_nll_sum=op.nll_sum.item(), ins_nll_sum=gen.nll_sum.item(),
+        anchor_idx, teacher, steps, targets = _run_matrices([runs[j] for j in rows], stop)
+        logits = generator_forward(ag.embedding_lookup(h_flat, anchor_idx), teacher,
+                                   enc, aug, stream=stream, steps=steps)
+        losses.append(ag.cross_entropy(logits, targets))
+        if hits is not None:
+            items = targets != stop
+            hits["ins_hits"] += _hits(logits, targets, items)
+            hits["n_ins_items"] += int(items.sum())
+        del logits  # freed before the next class computes its own
+    gen_losses = ag.concat(losses, axis=0)
+    gen_nll = gen_losses.sum()
+    stats = AugLossStats(op_nll_sum=op_nll.item(), ins_nll_sum=gen_nll.item(),
                          n_records=len(records), n_op_positions=int(op_mask.sum()),
-                         n_ins_targets=len(gen_targets))
-    return op, gen, stats
+                         n_ins_targets=gen_losses.size)
+    return op_nll + gen_nll, stats, hits
 
 
 def augmenter_loss(
@@ -308,8 +306,8 @@ def augmenter_loss(
     Every record contributes one end-of-sequence run (its deleted tail, or
     just STOP), so the generator also learns when nothing belongs at the end.
     """
-    op, gen, stats = _restoration_forward(records, enc, aug, stream=stream)
-    return (op.nll_sum + gen.nll_sum) * (1.0 / stats.n_records), stats
+    nll, stats, _ = _restoration_forward(records, enc, aug, stream=stream)
+    return nll * (1.0 / stats.n_records), stats
 
 
 def restoration_accuracy(
@@ -321,13 +319,11 @@ def restoration_accuracy(
 
     The loss numbers are augmenter_loss's; op_hits counts argmax operation
     hits over real positions, ins_hits argmax hits over teacher-forced run
-    items (STOP steps excluded).
+    items (STOP steps excluded), each run class's as it is scored.
     """
     with ag.no_grad():
-        op, gen, stats = _restoration_forward(records, enc, aug)
-    item_steps = gen.mask * (gen.targets != _stop_class(enc.dims))
-    return RestorationStats(**vars(stats), op_hits=op.hits(op.mask),
-                            ins_hits=gen.hits(item_steps), n_ins_items=int(item_steps.sum()))
+        _, stats, hits = _restoration_forward(records, enc, aug, count_hits=True)
+    return RestorationStats(**vars(stats), **hits)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ requires grad, or None for a constant). The rule runs as rule(g, *sinks)
 and saves only the arrays it reads; it never holds a Tensor. So an
 intermediate's data is freed as soon as the forward code drops it, unless
 a rule reads it: matmul keeps each operand only for the other operand's
-gradient, softmax and relu keep their output, embedding_lookup keeps
-only its ids, and add, reshape, transpose, concat and sum keep no array at
-all. A rule computes nothing for a constant input.
+gradient, softmax and relu keep their output, cross_entropy keeps its
+softmax, embedding_lookup keeps only its ids, and add, reshape, transpose,
+concat, row_slice and sum keep no array at all. A rule computes nothing for
+a constant input.
 
 Gradient buffers have one owner. A backward rule hands each sink an
 array that no other sink holds: a new array, or a reshape, transpose or
@@ -27,14 +28,18 @@ without a copy; later ones are added into it in place. add() is the one
 rule that could give the same array to two sinks, so it copies for the
 second.
 
-An op writes in place only into an array it allocated in the same call,
-forward or backward: never into its inputs' data, nor into the incoming
-gradient g. Within that rule the block ops build each result in the one
-array they create: matmul adds its bias into the GEMM output, layer_norm
-centres, scales and applies its affine in two buffers (the normalised
-copy it keeps for backward, and the output), softmax and cross_entropy
-exponentiate and normalise their shifted copy, and dropout keeps a
-boolean mask and scales its masked copy.
+An op writes in place only into an array it allocated itself: never into
+its inputs' data, nor into the incoming gradient g. A backward rule may
+also write into an array its own forward allocated and saved, because a
+node's rule runs once and is released right after. Within that rule the
+block ops build each result in the one array they create: matmul adds its
+bias into the GEMM output, layer_norm centres, scales and applies its
+affine in two buffers (the normalised copy it keeps for backward, and the
+output), softmax exponentiates and normalises its shifted copy, and
+dropout keeps a boolean mask and scales its masked copy. cross_entropy
+holds one catalog-wide buffer: its shifted copy, exponentiated and
+normalised in place into the softmax it saves, which its backward turns
+into the logits' gradient in place.
 
 Shapes follow numpy broadcasting on the elementwise ops; reductions that
 broadcasting introduces are summed back out in the backward rules. All
@@ -406,6 +411,21 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _record(out, (table,), bw)
 
 
+def row_slice(table: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start..stop-1 of a 2-d table, as a view; the gradient fills those rows of zeros."""
+    if table.ndim != 2 or not 0 <= start <= stop <= table.shape[0]:
+        raise ShapeError(f"row_slice: rows [{start}, {stop}) of a table of shape {table.shape}")
+    out = Tensor(table.data[start:stop])
+    shape = table.shape
+
+    def bw(g, st):
+        gt = np.zeros(shape, dtype=g.dtype)
+        gt[start:stop] = g
+        _accum(st, gt)
+
+    return _record(out, (table,), bw)
+
+
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
     shape = x.shape
@@ -518,6 +538,12 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     targets: int scalar or int array matching logits.shape[:-1]. Returns the
     per-example losses (a scalar tensor for a single 1-d logits row); reduce
     with .mean()/.sum() as needed.
+
+    One buffer holds the whole head: the max-shifted copy of the logits is
+    exponentiated and normalised in place into the softmax the rule keeps,
+    and backward turns that softmax into the gradient in place. Only the
+    target column of the log-softmax is formed, so no second catalog-wide
+    array is made, forward or backward.
     """
     targets = np.asarray(targets, dtype=np.int64)
     n_classes = logits.shape[-1]
@@ -529,17 +555,20 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ValueError(
             f"target id out of range [0, {n_classes}): min={targets.min()}, max={targets.max()}"
         )
-    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
-    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    at = targets[..., None]
+    p = logits.data - logits.data.max(axis=-1, keepdims=True)
+    picked = np.take_along_axis(p, at, axis=-1)[..., 0]
+    np.exp(p, out=p)
+    total = p.sum(axis=-1, keepdims=True)
+    picked -= np.log(total[..., 0])  # log_softmax at the target
     out = Tensor(-picked)
+    p /= total  # the softmax, the one array the rule keeps
 
     def bw(g, sl):
-        d = np.exp(logp)  # softmax, minus 1 at each target
-        at = targets[..., None]
-        np.put_along_axis(d, at, np.take_along_axis(d, at, axis=-1) - 1.0, axis=-1)
-        d *= g[..., None]
-        _accum(sl, d)
+        # the rule runs once, so it may spend its own softmax as the gradient
+        np.put_along_axis(p, at, np.take_along_axis(p, at, axis=-1) - 1.0, axis=-1)
+        np.multiply(p, g[..., None], out=p)
+        _accum(sl, p)
 
     return _record(out, (logits,), bw)
 

@@ -94,10 +94,7 @@ def sequence_reprs(
 
 def item_logits(h_last: Tensor, enc: EncoderParams) -> Tensor:
     """(N, e) states -> (N, n_items) scores against real item rows only."""
-    dims = enc.dims
-    rows = ag.embedding_lookup(
-        enc.item_emb, np.arange(1, dims.n_items + 1, dtype=np.int64)
-    )
+    rows = ag.row_slice(enc.item_emb, 1, enc.dims.n_items + 1)
     return ag.matmul(h_last, ag.transpose_last(rows))
 
 

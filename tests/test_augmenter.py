@@ -1,6 +1,8 @@
 """Augmenter: operation head, reverse generator, restoration loss, generation."""
 
 import dataclasses
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -375,27 +377,71 @@ def test_restoration_dropout_is_deterministic():
 
 def test_generator_passes_score_only_real_steps(monkeypatch):
     # each generator pass pads its runs to at most twice the shortest run's
-    # steps, and the generator's cross-entropy sees one row per real step
+    # steps, and is scored by one cross-entropy over its real steps only:
+    # each run's items as classes, then STOP, runs in the pass's row order
     enc, aug = fresh_params(17)
-    passes, ce_rows = [], []
+    passes, ce_targets = [], []
     forward, cross_entropy = am.generator_forward, ag.cross_entropy
 
     def recording_forward(anchors, teacher, *args, **kwargs):
-        passes.append((teacher.shape[1] + 1, int((teacher != 0).sum(axis=1).min()) + 1))
+        passes.append(teacher.copy())
         return forward(anchors, teacher, *args, **kwargs)
 
     def recording_ce(logits, targets):
         if logits.shape[-1] == DIMS.n_items + 1:
-            ce_rows.append(logits.shape[:-1])
+            assert len(ce_targets) == len(passes) - 1, "one cross-entropy per pass"
+            ce_targets.append(np.asarray(targets).tolist())
         return cross_entropy(logits, targets)
 
     monkeypatch.setattr(am, "generator_forward", recording_forward)
     monkeypatch.setattr(ag, "cross_entropy", recording_ce)
     _, stats = augmenter_loss(CLASS_RECORDS, enc, aug)
-    assert ce_rows == [(stats.n_ins_targets,)]
-    assert len(passes) == 5
-    for width, shortest in passes:
-        assert width <= 2 * shortest, passes
+    assert len(passes) == len(ce_targets) == 5
+    for teacher, targets in zip(passes, ce_targets):
+        lengths = (teacher != 0).sum(axis=1)
+        assert teacher.shape[1] + 1 <= 2 * (lengths.min() + 1), teacher.shape
+        assert targets == [cls for row, n in zip(teacher, lengths)
+                           for cls in [*(row[:n] - 1), DIMS.n_items]]
+    assert sum(len(t) for t in ce_targets) == stats.n_ins_targets
+
+
+def test_restoration_head_holds_one_catalog_wide_buffer_per_class(monkeypatch):
+    # at 2,000 items the generator head dominates a training forward: it
+    # peaked at 30 MiB while every class's logits, their concatenation, the
+    # log-softmax and its exp were live together; scored one class at a
+    # time, with one buffer per cross-entropy, it peaks at 15 MiB
+    dims = ModelDims(n_items=2000, embed_dim=16, n_layers=1)
+    enc, aug = fresh_params(20, dims=dims)
+    rng = np.random.default_rng(20)
+    seqs = [rng.integers(1, 2001, size=rng.integers(5, 20)).tolist() for _ in range(128)]
+    records = corrupt_sequence(seqs, CorruptionConfig(0.8, 0.1, 0.1, n_items=2000),
+                               rng_for(20))
+    forward = am.generator_forward
+    logits, alive_at_next_pass = [], []
+
+    def recording_forward(*args, **kwargs):
+        alive_at_next_pass.append(sum(ref() is not None for ref in logits))
+        out = forward(*args, **kwargs)
+        logits.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(am, "generator_forward", recording_forward)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss, _ = augmenter_loss(records, enc, aug, stream=SeedStream(20, "memory"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    try:
+        assert len(logits) > 1
+        assert alive_at_next_pass == [0] * len(logits), "a class's logits outlive its scoring"
+        assert all(ref() is None for ref in logits), "generator logits live into backward"
+        assert peak <= 22 * 2**20, f"restoration forward peaked at {peak / 2**20:.1f} MiB"
+        ag.backward(loss)
+        assert np.isfinite(enc.item_emb.grad).all()
+    finally:
+        ag.clear_tape()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Autodiff kernel: forward values, gradients vs finite differencesrules,
+"""Autodiff kernel: forward values, gradients vs finite differences,
 tape semantics, and determinism."""
 
 import tracemalloc
@@ -271,6 +271,8 @@ OP_CASES = {
     "layer_norm": lambda p, c: (ag.layer_norm(p["a"], p["gain"], p["beta"]) * c["w"]).sum(),
     "embedding": lambda p, c: (ag.embedding_lookup(p["table"], c["ids"]) * c["w3"]).sum(),
     "cross_entropy": lambda p, c: ag.cross_entropy(p["a"], c["targets"]).mean(),
+    "row_slice": lambda p, c: ag.softplus(
+        ag.matmul(p["t3"], ag.transpose_last(ag.row_slice(p["table"], 1, 4)))).sum(),
     "concat": lambda p, c: (ag.layer_norm(ag.concat([p["v1"].reshape(1, 6), p["v2"].reshape(1, 6)]),
                                           p["gain"], p["beta"]) * c["w2"]).sum(),
     "transpose": lambda p, c: ag.matmul(p["m1"], ag.transpose_last(p["m1"])).sum(),
@@ -364,6 +366,51 @@ def test_embedding_backward_matches_add_at_bit_for_bit(rows):
     want = np.zeros((rows, 64))
     np.add.at(want, ids.reshape(-1), up.reshape(-1, 64))
     np.testing.assert_array_equal(table.grad, want)
+
+
+def _log_softmax_nll(x, targets):
+    """-log_softmax(x)[target], forming the whole max-shifted log-softmax."""
+    z = x - x.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+
+
+@pytest.mark.parametrize("shape, scale", [((7, 2001), 3.0), ((5, 1), 1.0), ((6, 40), 1e6)],
+                         ids=["wide", "one_column", "large"])
+def test_cross_entropy_matches_the_log_softmax_oracle(shape, scale):
+    # the one-buffer head: losses bit for bit the full log-softmax's,
+    # gradient g * (softmax - onehot), and the logits left as they were
+    rng = np.random.default_rng(shape[1])
+    logits = ag.param(scale * rng.standard_normal(shape))
+    kept = logits.data.copy()
+    targets = rng.integers(0, shape[1], size=shape[0])
+    g = rng.standard_normal(shape[0])
+    loss = ag.cross_entropy(logits, targets)
+    assert loss.data.tobytes() == _log_softmax_nll(kept, targets).tobytes()
+    ag.backward((loss * ag.constant(g)).sum())
+    soft = np.exp(kept - kept.max(axis=-1, keepdims=True))
+    soft /= soft.sum(axis=-1, keepdims=True)
+    want = g[:, None] * (soft - np.eye(shape[1])[targets])
+    np.testing.assert_allclose(logits.grad, want, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(logits.data, kept)
+
+
+def test_row_slice_matches_the_whole_table_gather():
+    # each row appears once, so the slice's gradient is the gather's bit for bit
+    rng = np.random.default_rng(9)
+    table = ag.param(rng.standard_normal((12, 5)))
+    up = ag.constant(rng.standard_normal((10, 5)))
+    grads = []
+    for take in (lambda: ag.row_slice(table, 1, 11),
+                 lambda: ag.embedding_lookup(table, np.arange(1, 11))):
+        rows = take()
+        np.testing.assert_array_equal(rows.data, table.data[1:11])
+        ag.backward((rows * up).sum())
+        grads.append(table.grad)
+        table.grad = None
+    np.testing.assert_array_equal(*grads)
+    with pytest.raises(ShapeError):
+        ag.row_slice(table, 3, 13)
 
 
 # A training forward of the block stack, for the tape's retention rule.
