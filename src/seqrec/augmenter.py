@@ -360,34 +360,28 @@ def _decode_runs(
     far and computes the newest step's logits only. Each step picks the
     argmax, or draws from the softmax when an rng is given. Returns runs in
     generation (reverse) order; a run ends at STOP or at max_insert items.
-    All anchors still active at a step share one forward.
+    All anchors still active at a step share one forward. The runs so far
+    are one (anchors, max_insert) array of teacher ids, right-padded with
+    PAD, and the active anchors one index array, so a step's bookkeeping
+    is a single mask of the rows that did not pick STOP.
     """
     dims = enc.dims
     stop = _stop_class(dims)
-    n_anchors = anchors.shape[0]
-    runs: list[list[int]] = [[] for _ in range(n_anchors)]
-    active = list(range(n_anchors))
+    runs = np.full((anchors.shape[0], dims.max_insert), PAD_ID, dtype=np.int64)
+    active = np.arange(anchors.shape[0])
     with ag.no_grad():
         for step in range(dims.max_insert):
-            idx = np.array(active, dtype=np.int64)
-            teacher = (
-                np.array([runs[i] for i in active], dtype=np.int64)
-                if step > 0 else np.zeros((len(active), 0), dtype=np.int64)
-            )
             logits = generator_forward(
-                ag.constant(anchors[idx]), teacher, enc, aug, last_only=True
+                ag.constant(anchors[active]), runs[active, :step], enc, aug, last_only=True
             ).data
             picks = logits.argmax(axis=-1) if rng is None else _sample_rows(logits, rng)
-            survivors = []
-            for row, pick in zip(active, picks):
-                if int(pick) == stop:
-                    continue
-                runs[row].append(int(pick) + 1)  # class -> item id
-                survivors.append(row)
-            active = survivors
-            if not active:
+            going = picks != stop
+            active = active[going]
+            runs[active, step] = picks[going] + 1  # class -> item id
+            if not active.size:
                 break
-    return runs
+    lengths = np.count_nonzero(runs != PAD_ID, axis=1).tolist()
+    return [run[:n] for run, n in zip(runs.tolist(), lengths)]
 
 
 def _clip_inputs(seqs: list[list[int]], dims: ModelDims) -> list[list[int]]:

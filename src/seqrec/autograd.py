@@ -29,7 +29,12 @@ rule that could give the same array to two sinks, so it copies for the
 second.
 
 An op writes in place only into an array it allocated itself: never into
-its inputs' data, nor into the incoming gradient g. A backward rule may
+its inputs' data, nor into the incoming gradient g. The one exception is
+relu(x, in_place=True), which writes its output into x's array. Only a
+caller that owns that buffer and drops x may ask for it, and only when no
+rule reads x's data: the Transformer FFN hands over its W1 product, which
+matmul's rule never reads (it keeps its operands, not its output), and
+relu's own rule reads only its output. A backward rule may
 also write into an array its own forward allocated and saved, because a
 node's rule runs once and is released right after. Within that rule the
 block ops build each result in the one array they create: matmul adds its
@@ -443,8 +448,11 @@ def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tensor_sum(x, axis=axis, keepdims=keepdims), _as_tensor(1.0 / count))
 
 
-def relu(x: Tensor) -> Tensor:
-    y = np.maximum(x.data, 0.0)
+def relu(x: Tensor, in_place: bool = False) -> Tensor:
+    """max(x, 0). With in_place, written into x's own array, which the caller
+    hands over: it must own that buffer, no rule may read it, and it must
+    drop x (see the module doc)."""
+    y = np.maximum(x.data, 0.0, out=x.data if in_place else None)
     out = Tensor(y)
 
     def bw(g, sx):

@@ -87,6 +87,17 @@ def _read_array(fh) -> tuple[str, np.ndarray]:
     return name, arr
 
 
+def _read_arrays(fh, count: int) -> dict[str, np.ndarray]:
+    """count array blocks, keyed by name; a name may appear only once."""
+    arrays: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        name, arr = _read_array(fh)
+        if name in arrays:
+            raise CheckpointError(f"array {name!r} appears twice")
+        arrays[name] = arr
+    return arrays
+
+
 class _CrcWriter:
     """Write-through file wrapper keeping a running zlib.crc32 of what it wrote."""
 
@@ -169,14 +180,14 @@ def load_checkpoint(path):
     (config_len,) = struct.unpack("<I", _read_exact(buf, 4))
     config_text = _read_text(buf, config_len, "config text")
     (n_params,) = struct.unpack("<I", _read_exact(buf, 4))
-    params = dict(_read_array(buf) for _ in range(n_params))
+    params = _read_arrays(buf, n_params)
     (has_opt,) = struct.unpack("<B", _read_exact(buf, 1))
     opt_step = None
     opt_arrays = None
     if has_opt:
         (opt_step,) = struct.unpack("<Q", _read_exact(buf, 8))
         (n_opt,) = struct.unpack("<I", _read_exact(buf, 4))
-        opt_arrays = dict(_read_array(buf) for _ in range(n_opt))
+        opt_arrays = _read_arrays(buf, n_opt)
     if buf.tell() != end:
         raise CheckpointError(f"checkpoint payload ends at byte {buf.tell()}, expected {end}")
     return config_text, params, opt_step, opt_arrays

@@ -255,7 +255,9 @@ def write_sequences(path, sequences: list[ItemSequence]) -> None:
 
 
 def read_sequences(path) -> list[ItemSequence]:
+    """Read a sequence file; each line holds one non-empty, unique user id."""
     out = []
+    line_of_user: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != SEQ_FILE_HEADER:
@@ -267,13 +269,20 @@ def read_sequences(path) -> list[ItemSequence]:
             if ":" not in line:
                 raise ParseError(f"missing ':' separator: {line!r}", line_no)
             user, _, rest = line.partition(":")
+            user = user.strip()
+            if not user:
+                raise ParseError(f"empty user id: {line!r}", line_no)
+            if user in line_of_user:
+                raise ParseError(f"duplicate user {user!r} (first on line "
+                                 f"{line_of_user[user]})", line_no)
+            line_of_user[user] = line_no
             try:
                 items = [int(tok) for tok in rest.split()]
             except ValueError:
                 raise ParseError(f"non-integer item id: {rest!r}", line_no) from None
             if not items:
-                raise ParseError(f"user {user.strip()!r} has no items", line_no)
-            out.append(ItemSequence(user.strip(), items))
+                raise ParseError(f"user {user!r} has no items", line_no)
+            out.append(ItemSequence(user, items))
     return out
 
 

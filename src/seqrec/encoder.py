@@ -172,6 +172,14 @@ def transformer_stack(
     and values still cover all T columns), and every other step of that
     block runs on it alone. Batches are right-aligned, so the final column
     holds a real token in every row.
+
+    A block keeps an intermediate alive only until its last reader has it:
+    q and k go once the scores exist, the scores once the softmax has
+    them, the attention weights and v once the context exists, the context
+    once its Wo projection is added, and the FFN output once the second
+    layer norm has run. ReLU writes into the W1 product, so the FFN holds
+    one (N, T, 4e) array, not two. What a backward rule reads stays alive
+    on the tape (see autograd); a no-grad pass holds nothing more.
     """
     ids = np.asarray(ids, dtype=np.int64)
     n, t = ids.shape
@@ -192,13 +200,19 @@ def transformer_stack(
             mask = mask[:, :, -1:, :]
         q = split_heads(ag.matmul(h, blk.Wq), rows)
         scores = ag.matmul(q, ag.transpose_last(k)) * scale + ag.constant(mask)
+        del q, k
         attn = _dropout(ag.softmax(scores), dims, stream)
+        del scores
         ctx = ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)).reshape(n, rows, e)
+        del attn, v
         h = h + _dropout(ag.matmul(ctx, blk.Wo), dims, stream)
+        del ctx
         h = ag.layer_norm(h, blk.ln1_g, blk.ln1_b)
-        f = ag.relu(ag.matmul(h, blk.W1, blk.b1))
+        # the W1 product is a buffer only this block holds, so ReLU may overwrite it
+        f = ag.relu(ag.matmul(h, blk.W1, blk.b1), in_place=True)
         f = _dropout(ag.matmul(f, blk.W2, blk.b2), dims, stream)
         h = ag.layer_norm(h + f, blk.ln2_g, blk.ln2_b)
+        del f
     return h.reshape(n, e) if last_only else h
 
 
@@ -208,8 +222,9 @@ def encode_batch(
     stream: SeedStream | None = None,
 ) -> Tensor:
     """Full encoder forward: embeddings then the block stack."""
-    h = embed_sequence(ids, enc, stream=stream)
-    return transformer_stack(h, enc.blocks, enc.dims, ids, stream=stream)
+    # no local holds the embeddings, so the stack frees them after block 0 reads them
+    return transformer_stack(embed_sequence(ids, enc, stream=stream), enc.blocks, enc.dims,
+                             ids, stream=stream)
 
 
 def take_last_position(h: Tensor) -> Tensor:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Tensor
+from .errors import CheckpointError
 
 # Adam's moment decay rates and denominator guard.
 BETA1 = 0.9
@@ -31,13 +32,19 @@ class ParamStore:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Set every parameter from values, which must name exactly these parameters."""
+        extra = [name for name in values if name not in self._params]
+        if extra:
+            raise CheckpointError(f"array {extra[0]!r} is not a parameter of this model "
+                                  f"({len(extra)} such arrays)")
         for name, t in self._params.items():
             if name not in values:
-                raise KeyError(f"missing value for parameter {name!r}")
-            src = values[name]
-            if src.shape != t.data.shape:
-                raise ValueError(f"shape mismatch for {name!r}: {src.shape} vs {t.data.shape}")
-            t.data = src.astype(t.data.dtype, copy=True)
+                raise CheckpointError(f"missing array for parameter {name!r}")
+            if values[name].shape != t.data.shape:
+                raise CheckpointError(f"array {name!r} has shape {values[name].shape}, "
+                                      f"the model needs {t.data.shape}")
+        for name, t in self._params.items():
+            t.data = values[name].astype(t.data.dtype, copy=True)
 
 
 class AdamState:

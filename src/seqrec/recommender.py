@@ -50,8 +50,8 @@ def full_forward(
     stream: SeedStream | None = None,
 ) -> Tensor:
     """Encoder then recommender stack; (N, e) states at the final position."""
-    h = encode_batch(ids, enc, stream=stream)
-    return transformer_stack(h, rec.blocks, rec.dims, ids, stream=stream, last_only=True)
+    return transformer_stack(encode_batch(ids, enc, stream=stream), rec.blocks, rec.dims, ids,
+                             stream=stream, last_only=True)
 
 
 def _class_forward(

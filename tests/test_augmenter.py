@@ -653,3 +653,44 @@ def test_greedy_decode_matches_full_row_decoding(monkeypatch):
     monkeypatch.setattr(am, "generator_forward", full_rows)
     assert am._decode_runs(anchors, model.enc, model.aug) == last_step
     assert sum(len(run) >= 2 for run in last_step) >= 5  # several multi-step runs
+
+
+def _decode_runs_row_by_row(anchors, enc, aug, rng=None):
+    """The decode _decode_runs replaced: one Python list per run, rebuilt per step."""
+    stop = am._stop_class(enc.dims)
+    runs = [[] for _ in range(anchors.shape[0])]
+    active = list(range(anchors.shape[0]))
+    with ag.no_grad():
+        for step in range(enc.dims.max_insert):
+            teacher = (np.array([runs[i] for i in active], dtype=np.int64) if step > 0
+                       else np.zeros((len(active), 0), dtype=np.int64))
+            logits = generator_forward(ag.constant(anchors[np.array(active, dtype=np.int64)]),
+                                       teacher, enc, aug, last_only=True).data
+            picks = logits.argmax(axis=-1) if rng is None else am._sample_rows(logits, rng)
+            survivors = []
+            for row, pick in zip(active, picks):
+                if int(pick) != stop:
+                    runs[row].append(int(pick) + 1)
+                    survivors.append(row)
+            active = survivors
+            if not active:
+                break
+    return runs
+
+
+def test_decode_runs_match_the_row_by_row_decode():
+    # greedy and sampled runs of the pinned model from every position of a
+    # batch: same runs, same draws used
+    model = _load_model_ckpt(FIXTURE)[2]
+    seqs = [[(start + 3 * j) % 120 + 1 for j in range(n)]
+            for start, n in ((0, 6), (37, 9), (60, 3), (115, 8), (90, 14), (11, 20))]
+    anchors = np.concatenate(am._decide_ops(seqs, model.enc, model.aug)[0])
+    want = _decode_runs_row_by_row(anchors, model.enc, model.aug)
+    assert am._decode_runs(anchors, model.enc, model.aug) == want
+    assert len({len(run) for run in want}) >= 3  # runs end at different steps
+    for seed in (3, 4):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = am._decode_runs(anchors, model.enc, model.aug, rng=got_rng)
+        assert got == _decode_runs_row_by_row(anchors, model.enc, model.aug, rng=want_rng)
+        assert all(type(x) is int for run in got for x in run)
+        assert got_rng.random() == want_rng.random()

@@ -218,6 +218,29 @@ def test_backward_frees_node_gradients_as_it_goes():
     assert loss.grad is None and h.grad is None
 
 
+def test_in_place_relu_writes_into_its_input_and_keeps_the_gradient():
+    rng = np.random.default_rng(11)
+    x_data = rng.standard_normal((7, 5))
+    x = ag.constant(x_data.copy())
+    y = ag.relu(x)
+    np.testing.assert_array_equal(x.data, x_data)  # the default leaves its input alone
+    assert not np.shares_memory(y.data, x.data)
+    y_in_place = ag.relu(x, in_place=True)
+    assert np.shares_memory(y_in_place.data, x.data)
+    np.testing.assert_array_equal(y_in_place.data, y.data)
+
+    w_data = rng.standard_normal((5, 4))
+
+    def grad(in_place):
+        w = ag.param(w_data)
+        h = ag.relu(ag.matmul(ag.constant(x_data), w), in_place=in_place)
+        ag.backward((h * ag.constant(np.linspace(-1.0, 1.0, 28).reshape(7, 4))).sum())
+        return h.data, w.grad
+
+    for got, want in zip(grad(True), grad(False)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_no_grad_blocks_recording():
     x = ag.param([1.0, 2.0])
     with ag.no_grad():

@@ -18,7 +18,10 @@ from seqrec.config import (
     parse_config_lines,
     read_meta,
 )
+from seqrec.encoder import ModelDims
 from seqrec.errors import CheckpointError, ConfigError
+from seqrec.optim import ParamStore
+from seqrec.trainer import build_model, model_arrays, model_from_arrays
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "ring120-full.ckpt"
 
@@ -315,6 +318,54 @@ def test_v1_invalid_utf8_rejected(tmp_path, where):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match=f"{where}.* not valid UTF-8"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("table", ["params", "optimizer"])
+def test_repeated_array_name_rejected(tmp_path, version, table):
+    # a writer that emitted one name twice; dict() would keep the last copy
+    path = tmp_path / "model.ckpt"
+    arrays = {"wa": np.zeros(3), "wb": np.ones(3)}
+    save_checkpoint(path, "seed = 1\n", arrays if table == "params" else {"w": np.zeros(2)},
+                    opt_step=1, opt_arrays=arrays if table == "optimizer" else {})
+    payload = path.read_bytes()[len(ckpt.MAGIC):-4].replace(b"wb", b"wa")
+    if version == 1:
+        raw = ckpt.MAGIC_V1 + payload
+    else:
+        raw = ckpt.MAGIC + payload
+        raw += zlib.crc32(raw).to_bytes(4, "little")
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match="array 'wa' appears twice"):
+        load_checkpoint(path)
+
+
+def _tiny_model_arrays():
+    dims = ModelDims(n_items=6, embed_dim=4, dropout=0.0, max_aug_len=8)
+    return dims, model_arrays(build_model(dims, seed=0, with_aug=False))
+
+
+def test_model_from_arrays_rejects_arrays_the_model_lacks():
+    dims, arrays = _tiny_model_arrays()
+    assert model_from_arrays(dims, arrays).aug is None
+    arrays["enc.blocks.1.Wq"] = np.zeros((4, 4))  # a second layer the config lacks
+    with pytest.raises(CheckpointError, match="'enc.blocks.1.Wq' is not a parameter"):
+        model_from_arrays(dims, arrays)
+
+
+def test_load_values_reports_a_missing_or_misshapen_parameter():
+    dims, arrays = _tiny_model_arrays()
+    store = ParamStore(build_model(dims, seed=1, with_aug=False).named_params())
+    before = store.copy_values()
+    for name, value in (("enc.pos_emb", None), ("rec.blocks.0.b1", np.zeros(3))):
+        bad = dict(arrays)
+        if value is None:
+            del bad[name]
+        else:
+            bad[name] = value
+        with pytest.raises(CheckpointError, match=repr(name)):
+            store.load_values(bad)
+        for key, arr in store.copy_values().items():  # nothing half-loaded
+            np.testing.assert_array_equal(arr, before[key])
 
 
 def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):

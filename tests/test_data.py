@@ -378,7 +378,11 @@ def test_vocab_file_rejects_malformed_ids(tmp_path, lines, message, line_no):
     (["u1: 3 x 5"], "non-integer item id", 2),
     (["u1: 3 4", "", "u2: 4 2.5"], "non-integer item id", 4),
     (["u1: 1 2 3", "u2:"], "user 'u2' has no items", 3),
-], ids=["missing-colon", "non-integer", "non-integer-after-blank", "no-items"])
+    (["u1: 1 2 3", "u2: 4", "", "u1: 2 3 4"], "duplicate user 'u1' (first on line 2)", 5),
+    (["u1: 1 2 3", ": 1 2"], "empty user id", 3),
+    (["  : 1 2"], "empty user id", 2),
+], ids=["missing-colon", "non-integer", "non-integer-after-blank", "no-items",
+        "duplicate-user", "empty-user", "blank-user"])
 def test_sequence_file_rejects_malformed_lines(tmp_path, lines, message, line_no):
     path = tmp_path / "sequences.txt"
     path.write_text("\n".join(["#seqrec-v1", *lines]) + "\n")

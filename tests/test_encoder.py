@@ -255,6 +255,9 @@ def _old_stack(ids, enc: EncoderParams, stream, last_only):
 
 @pytest.mark.parametrize("last_only", [False, True], ids=["full", "last_only"])
 def test_stack_matches_the_one_output_op_block_bit_for_bit(last_only):
+    # a training block (taped, dropout on) with its early releases and the
+    # in-place ReLU: every value and gradient as the oracle's, which keeps
+    # every array and copies for ReLU
     dims = ModelDims(n_items=20, embed_dim=16, n_layers=2, n_heads=2, dropout=0.1)
     probe = EncoderParams(dims, seed=21)
     rng = np.random.default_rng(8)

@@ -1,5 +1,7 @@
 """Recommender: scoring rules, loss closed forms, candidate scores."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -283,3 +285,24 @@ def test_training_stacks_run_one_forward_per_length_class(parts, forward_ids, st
     getattr(recommender, stack)(train_rows(), enc, rec)
     # classes of 2, 3, 5, 9, 17 and 33-60 slots (the 75-item row is clipped)
     assert [ids.shape[1] for ids in forward_ids] == [2, 3, 5, 9, 17, 60]
+
+
+def test_scoring_forward_peaks_at_most_32_mib():
+    # traced peak of a no-grad full_forward at embed 64 over the widest
+    # augment-at-test scoring class of the benchmark, 136 rows x 60 slots:
+    # 67.0 MiB while each block's locals kept every intermediate and ReLU
+    # copied the W1 product; 27.7 MiB when each array goes once read and
+    # ReLU overwrites the W1 product (39.6 MiB with a ReLU copy)
+    dims = ModelDims(n_items=120, embed_dim=64, dropout=0.1)
+    enc, rec = EncoderParams(dims, seed=0), RecommenderParams(dims, seed=1)
+    ids = np.random.default_rng(0).integers(1, 121, size=(136, 60))
+    with ag.no_grad():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = full_forward(ids, enc, rec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (136, 64)
+    assert peak <= 32 * 2**20, f"scoring forward peaked at {peak / 2**20:.1f} MiB"
