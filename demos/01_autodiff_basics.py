@@ -21,9 +21,15 @@ x.zero_grad()
 ag.backward((x * 2.0 + x * 5.0).sum())
 print("d(2x+5x)/dx         ->", x.grad, "(expect [7, 7])")
 
-# softmax rows always sum to one, so the gradient of their sum vanishes
-y = ag.param([[0.5, -1.0, 3.0]])
-ag.backward(ag.softmax(y).sum())
+# softmax takes a boolean mask of the cells each row may use; this causal
+# one lets row t see columns <= t, as attention does, and a blocked cell
+# gets weight exactly 0
+y = ag.param([[0.5, -1.0, 3.0], [0.2, 0.1, -0.4], [1.0, 2.0, 0.0]])
+causal = np.tril(np.ones((3, 3), dtype=bool))
+probs = ag.softmax(y, causal)
+print("causal softmax rows:\n", np.round(probs.data, 3))
+# rows always sum to one, so the gradient of their sum vanishes
+ag.backward(probs.sum())
 print("grad of sum(softmax) ->", np.abs(y.grad).max(), "(expect 0)")
 
 # --- checking an analytic gradient against finite differences ---------------

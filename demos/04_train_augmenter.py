@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Teach the augmenter to restore damaged ring sequences (~5 minutes).
+"""Teach the augmenter to restore damaged ring sequences (20-40 s on 2 vCPUs).
 
 On a ring every transition is deterministic, so the restoration task is
 fully solvable: injected noise breaks adjacency (delete it), gaps in the

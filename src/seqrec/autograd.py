@@ -40,7 +40,8 @@ node's rule runs once and is released right after. Within that rule the
 block ops build each result in the one array they create: matmul adds its
 bias into the GEMM output, layer_norm centres, scales and applies its
 affine in two buffers (the normalised copy it keeps for backward, and the
-output), softmax exponentiates and normalises its shifted copy, and
+output), softmax copies its input with each blocked cell set to NEG_INF,
+then shifts, exponentiates and normalises that copy, and
 dropout keeps a boolean mask and scales its masked copy. cross_entropy
 holds one catalog-wide buffer: its shifted copy, exponentiated and
 normalised in place into the softmax it saves, which its backward turns
@@ -49,6 +50,9 @@ into the logits' gradient in place.
 Shapes follow numpy broadcasting on the elementwise ops; reductions that
 broadcasting introduces are summed back out in the backward rules. All
 softmax/log paths are max-shifted so finite inputs never produce NaN/Inf.
+A masked logit is NEG_INF, defined here once: softmax takes a boolean
+"allowed" mask and applies it itself, and the contrastive self-mask adds
+it.
 
 matmul against a 2-d right operand (a weight or a transposed item table)
 is one 2-d GEMM over the flattened leading axes of the left operand, in
@@ -63,6 +67,9 @@ import contextlib
 import numpy as np
 
 from .errors import ShapeError
+
+NEG_INF = -1e30  # a blocked logit; finite, so a row blocked throughout stays NaN-free
+
 
 class Tensor:
     """A numpy array with an optional gradient; a taped op's output also has a node."""
@@ -108,9 +115,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
@@ -122,9 +126,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, -_as_tensor(other))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), -self)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -472,9 +473,18 @@ def softplus(x: Tensor) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis, max-shifted for stability."""
-    y = x.data - x.data.max(axis=-1, keepdims=True)
+def softmax(x: Tensor, allowed: np.ndarray) -> Tensor:
+    """Softmax over the last axis of x where the boolean allowed (broadcast
+    against x) is True; a blocked cell gets weight 0, or 1/T in a row
+    blocked throughout. Max-shifted for stability.
+
+    The one copy is x with every blocked cell set to NEG_INF, which is what
+    adding an additive mask of 0 and NEG_INF gives bit for bit while |x| is
+    below 7e13. The rule is the unmasked softmax's: a blocked cell of a row
+    with an allowed cell has weight exactly 0, so its gradient is exactly 0.
+    """
+    y = np.where(allowed, x.data, NEG_INF)
+    y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)

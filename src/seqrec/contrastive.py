@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
-from .encoder import NEG_INF
+from .autograd import NEG_INF, Tensor
 from .errors import ConfigError
 
 

@@ -4,7 +4,9 @@ Batches are right-aligned (left-padded with PAD=0). Position indices count
 real tokens only, and attention gives PAD keys exactly zero weight, so the
 hidden states of real positions do not depend on how much padding a batch
 adds (up to BLAS kernel rounding at the last ulp). Attention is causal:
-position t sees positions <= t.
+position t sees positions <= t. The mask is one boolean (N, 1, T, T)
+array (attention_mask) that ag.softmax applies itself, setting each
+blocked score to autograd's NEG_INF in its own copy.
 
 A forward trains exactly when it is given a SeedStream: each dropout site
 then draws its mask from the stream's next generator, in a fixed order.
@@ -24,8 +26,7 @@ from .data import PAD_ID
 from .errors import ShapeError
 from .seeding import SeedStream, rng_for
 
-NEG_INF = -1e30  # additive mask value; finite so all-masked rows stay NaN-free
-FFN_MULT = 4     # FFN inner width, in multiples of embed_dim
+FFN_MULT = 4  # FFN inner width, in multiples of embed_dim
 
 
 @dataclass
@@ -119,11 +120,11 @@ def position_indices(ids: np.ndarray) -> np.ndarray:
 
 
 def attention_mask(ids: np.ndarray) -> np.ndarray:
-    """(N, 1, T, T) additive mask: 0 allowed, NEG_INF blocked (PAD keys, future keys)."""
+    """(N, 1, T, T) boolean mask: True where query t may attend to key s,
+    i.e. s <= t and key s is a real token (not PAD)."""
     t = ids.shape[1]
     key_real = (ids != PAD_ID)[:, None, None, :]
-    allowed = key_real & np.tril(np.ones((t, t), dtype=bool))[None, None]
-    return np.where(allowed, 0.0, NEG_INF)
+    return key_real & np.tril(np.ones((t, t), dtype=bool))[None, None]
 
 
 def _dropout(h: Tensor, dims: ModelDims, stream: SeedStream | None) -> Tensor:
@@ -199,9 +200,9 @@ def transformer_stack(
             h = take_last_position(h).reshape(n, 1, e)
             mask = mask[:, :, -1:, :]
         q = split_heads(ag.matmul(h, blk.Wq), rows)
-        scores = ag.matmul(q, ag.transpose_last(k)) * scale + ag.constant(mask)
+        scores = ag.matmul(q, ag.transpose_last(k)) * scale
         del q, k
-        attn = _dropout(ag.softmax(scores), dims, stream)
+        attn = _dropout(ag.softmax(scores, mask), dims, stream)
         del scores
         ctx = ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)).reshape(n, rows, e)
         del attn, v

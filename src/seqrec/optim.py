@@ -66,10 +66,17 @@ class AdamState:
     @classmethod
     def from_state_arrays(cls, arrays: dict[str, np.ndarray], step_count: int,
                           lr: float) -> "AdamState":
-        """A saved state (state_arrays() and step_count): moments for the names it holds."""
+        """A saved state (state_arrays() and step_count): moments for the names it holds.
+
+        Every array must be named m.<parameter> or v.<parameter>; which
+        parameters those are, and their shapes, the run that resumes checks.
+        """
         state = cls(ParamStore({}), lr)
         for key, arr in arrays.items():
-            moment, name = key.split(".", 1)
+            moment, _, name = key.partition(".")
+            if moment not in ("m", "v") or not name:
+                raise CheckpointError(f"Adam state array {key!r} is not named "
+                                      f"m.<parameter> or v.<parameter>")
             getattr(state, moment)[name] = arr.copy()
         state.step_count = int(step_count)
         return state

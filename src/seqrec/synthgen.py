@@ -32,8 +32,14 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_items < 120:
             raise ValueError("need >= 120 items so 99-negative sampling stays feasible")
+        if self.n_users < 1:
+            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if self.structure not in ("ring", "block"):
             raise ValueError(f"unknown structure {self.structure!r}")
+        if self.n_blocks < 1:
+            raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
+        if not 0.0 <= self.in_block_prob <= 1.0:  # NaN fails too
+            raise ValueError(f"in_block_prob must be in [0, 1], got {self.in_block_prob}")
         if self.structure == "block" and self.n_items % self.n_blocks != 0:
             raise ValueError("n_items must divide evenly into n_blocks")
         if not 0.0 <= self.noise_rate < 1.0:

@@ -204,9 +204,10 @@ def _start(phase: str, cfg: RunConfig, n_items: int, model: RecModel,
 
     The starting model (fresh, on a phase-1 model, or resume.model) must have
     cfg's dims, since checkpoints store cfg, and a resumed Adam state must
-    hold moments for every parameter the run trains; it steps at cfg.lr, the
-    lr those checkpoints store. Phase 1 trains encoder + augmenter; phase 2
-    encoder + recommender, + augmenter where the mode says.
+    hold both moments, each of the parameter's shape, for every parameter
+    the run trains; it steps at cfg.lr, the lr those checkpoints store.
+    Phase 1 trains encoder + augmenter; phase 2 encoder + recommender,
+    + augmenter where the mode says.
     """
     source = "resumed" if resume is not None else "phase-1"  # a fresh model has cfg's dims
     have, want = asdict(model.dims), asdict(dims_from_config(cfg, n_items))
@@ -221,10 +222,17 @@ def _start(phase: str, cfg: RunConfig, n_items: int, model: RecModel,
     params = ParamStore(model.named_params(parts))
     if resume is None:
         return TrainResult(model, AdamState(params, lr=cfg.lr), patience_left=cfg.patience), params
-    missing = [name for name, _ in params.items() if name not in resume.opt.m]
-    if missing:
-        raise ConfigError(f"the resumed Adam state holds no moments for parameter "
-                          f"{missing[0]!r}, which a {phase} run in mode {cfg.mode!r} trains")
+    moments = {"m": resume.opt.m, "v": resume.opt.v}
+    for name, t in params.items():
+        lacking = [f"{kind}.{name}" for kind, held in moments.items() if name not in held]
+        if lacking:
+            what = "moments" if len(lacking) == 2 else f"moment {lacking[0]!r}"
+            raise ConfigError(f"the resumed Adam state holds no {what} for parameter "
+                              f"{name!r}, which a {phase} run in mode {cfg.mode!r} trains")
+        for kind, held in moments.items():
+            if held[name].shape != t.data.shape:
+                raise ConfigError(f"the resumed Adam state's array '{kind}.{name}' has shape "
+                                  f"{held[name].shape}, the parameter {t.data.shape}")
     resume.opt.lr = float(cfg.lr)
     return resume, params
 

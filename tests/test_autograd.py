@@ -45,15 +45,18 @@ def test_xavier_rejects_bad_shapes():
         ag.xavier_init((4, -1), np.random.default_rng(1))
 
 
+ALL = np.True_  # a softmax mask that allows every cell
+
+
 def test_softmax_uniform_on_equal_logits():
-    out = ag.softmax(ag.constant([0.0, 0.0, 0.0]))
+    out = ag.softmax(ag.constant([0.0, 0.0, 0.0]), ALL)
     np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_softmax_rows_are_distributions():
     rng = np.random.default_rng(0)
     x = ag.constant(rng.standard_normal((7, 11)) * 30)
-    y = ag.softmax(x).data
+    y = ag.softmax(x, ALL).data
     assert np.all(y >= 0)
     np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -153,8 +156,28 @@ def test_backward_dot_square():
 
 def test_backward_sum_of_softmax_is_zero():
     x = ag.param([[0.3, -1.2, 2.0, 0.0]])
-    ag.backward(ag.softmax(x).sum())
+    ag.backward(ag.softmax(x, ALL).sum())
     np.testing.assert_allclose(x.grad, 0.0, atol=1e-12)
+
+
+def test_masked_softmax_gives_blocked_cells_no_weight_and_no_gradient():
+    # a (2, 1, 4, 6) mask broadcast over 3 heads, as attention applies it;
+    # every row keeps an allowed cell and is the softmax of those cells alone
+    rng = np.random.default_rng(6)
+    x = ag.param(rng.standard_normal((2, 3, 4, 6)) * 5)
+    allowed = _allowed(rng, (2, 1, 4, 6))
+    g = rng.standard_normal(x.shape)
+    y = ag.softmax(x, allowed)
+    ag.backward((y * ag.constant(g)).sum())
+    blocked = np.broadcast_to(~allowed, x.shape)
+    assert np.all(y.data[blocked] == 0.0) and np.all(x.grad[blocked] == 0.0)
+    for idx in np.ndindex(x.shape[:-1]):
+        keep = ~blocked[idx]
+        p = np.exp(x.data[idx][keep] - x.data[idx][keep].max())
+        p /= p.sum()
+        np.testing.assert_allclose(y.data[idx][keep], p, rtol=1e-12)
+        gk = g[idx][keep]
+        np.testing.assert_allclose(x.grad[idx][keep], p * (gk - gk @ p), rtol=1e-9, atol=1e-15)
 
 
 def test_backward_rejects_non_scalar():
@@ -255,7 +278,7 @@ def test_forward_backward_bitwise_deterministic():
         x = ag.constant(np.linspace(-1, 1, 6).reshape(1, 6))
         h = ag.relu(ag.matmul(x, w))
         h = ag.dropout(h, 0.4, rng=np.random.default_rng(77))
-        loss = ag.softmax(h).sum() + ag.cross_entropy(h, np.array([2])).mean()
+        loss = ag.softmax(h, ALL).sum() + ag.cross_entropy(h, np.array([2])).mean()
         ag.backward(loss)
         return loss.item(), w.grad.copy()
 
@@ -274,6 +297,14 @@ def _rand(rng, *shape):
     return ag.param(rng.standard_normal(shape))
 
 
+def _allowed(rng, shape):
+    """A random boolean softmax mask that allows at least one cell per row."""
+    allowed = rng.random(shape) < 0.5
+    rows = allowed.reshape(-1, shape[-1])
+    rows[np.arange(len(rows)), rng.integers(0, shape[-1], size=len(rows))] = True
+    return allowed
+
+
 OP_CASES = {
     "add": lambda p, c: (ag.add(p["a"], p["b"])).sum(),
     "add_broadcast": lambda p, c: (ag.add(p["a"], p["row"])).sum(),
@@ -288,7 +319,8 @@ OP_CASES = {
         ag.matmul(ag.transpose(p["t3"], (1, 0, 2)), p["m2"])).sum(),
     "matmul_transposed_weight": lambda p, c: ag.softplus(
         ag.matmul(p["t3"], ag.transpose_last(p["table"]))).sum(),
-    "softmax": lambda p, c: (ag.softmax(p["a"]) * c["w"]).sum(),
+    "softmax": lambda p, c: (ag.softmax(p["a"], ALL) * c["w"]).sum(),
+    "softmax_masked": lambda p, c: (ag.softmax(p["a"], c["allowed"]) * c["w"]).sum(),
     "relu": lambda p, c: ag.relu(p["a"]).sum(),
     "softplus": lambda p, c: ag.softplus(p["a"]).sum(),
     "layer_norm": lambda p, c: (ag.layer_norm(p["a"], p["gain"], p["beta"]) * c["w"]).sum(),
@@ -339,6 +371,7 @@ def test_primitive_gradients_match_finite_differences(name):
         affine = np.random.default_rng(4000 + trial)
         params["bias"] = _rand(affine, 3)
         params["gain"], params["beta"] = _rand(affine, 6), _rand(affine, 6)
+        consts["allowed"] = _allowed(np.random.default_rng(5000 + trial), (4, 6))
         used = {k: v for k, v in params.items()}
         worst = max(worst, max_rel_error(lambda: build_case(used, consts), used, rng))
     assert worst <= 1e-4, f"{name}: worst rel err {worst:.3e}"
@@ -478,7 +511,7 @@ def test_no_taped_rule_holds_a_tensor():
 
 def test_activations_no_rule_reads_are_freed_before_backward(monkeypatch):
     # the Wo projection (dropout keeps only its mask) and every add output
-    # (layer_norm, dropout and softmax keep their own arrays) are freed once
+    # (layer_norm and dropout keep their own arrays) are freed once
     # the forward drops them; holding them changes no gradient
     enc = EncoderParams(TRAIN_DIMS, seed=4)
     ids = _left_padded_ids(np.random.default_rng(5))
@@ -517,7 +550,7 @@ def test_activations_no_rule_reads_are_freed_before_backward(monkeypatch):
 
     n_held, alive_held, want = run(hold=True)
     n, alive, got = run(hold=False)
-    assert n == n_held == 1 + 2 * 4 and alive_held == n  # embedding add; 3 adds + Wo a block
+    assert n == n_held == 1 + 2 * 3 and alive_held == n  # embedding add; 2 adds + Wo a block
     assert alive == 0, f"{alive} of {n} activations outlive the forward"
     for name, g in want.items():
         np.testing.assert_array_equal(got[name], g, err_msg=name)

@@ -69,6 +69,19 @@ def base_run(workspace):
     return out
 
 
+@pytest.mark.parametrize("flags, refusal", [
+    (["--users", "-3"], "n_users must be >= 1, got -3"),
+    (["--structure", "block", "--blocks", "0"], "n_blocks must be >= 1, got 0"),
+    (["--in-block-prob", "7"], "in_block_prob must be in [0, 1], got 7.0"),
+    (["--in-block-prob", "nan"], "in_block_prob must be in [0, 1], got nan"),
+], ids=["users", "blocks", "in_block_prob", "in_block_prob_nan"])
+def test_synth_refuses_a_spec_it_cannot_generate(tmp_path, capsys, flags, refusal):
+    log = tmp_path / "interactions.txt"
+    assert main(["synth", "--out-file", str(log), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert not log.exists()
+
+
 def test_preprocess_outputs(workspace):
     root, _, data = workspace
     assert (data / "sequences.txt").exists()
@@ -458,6 +471,35 @@ def test_resume_refuses_a_mode_that_trains_the_augmenter_the_run_did_not(workspa
     assert f"{ckpt}: the resumed Adam state holds no moments for parameter 'aug." in err
     assert "in mode 'cotrain' trains" in err
     assert not (out / "train-log.txt").exists()  # no epoch ran
+
+
+@pytest.mark.parametrize("edit, refusal", [
+    (lambda opt: opt.pop("v.enc.item_emb"),
+     "the resumed Adam state holds no moment 'v.enc.item_emb' for parameter 'enc.item_emb'"),
+    (lambda opt: opt.update({"m.enc.item_emb": opt["m.enc.item_emb"][:3]}),
+     "the resumed Adam state's array 'm.enc.item_emb' has shape (3, 16), the parameter ("),
+    (lambda opt: opt.update({"lr": np.array([0.003])}),
+     "Adam state array 'lr' is not named m.<parameter> or v.<parameter>"),
+], ids=["missing_v", "cut_m", "stray_array"])
+def test_resume_refuses_an_adam_state_that_does_not_fit_before_any_batch(
+        base_run, workspace, tmp_path, monkeypatch, capsys, edit, refusal):
+    # base_run's last checkpoint, one epoch short of a 2-epoch run and CRC-valid,
+    # with one Adam array dropped, cut or added
+    _, _, data = workspace
+    text, params, opt_step, opt_arrays = load_checkpoint(base_run / "recommender-last.ckpt")
+    assert "epochs_recommender = 1\n" in text
+    edit(opt_arrays)
+    ckpt = tmp_path / "bad-adam.ckpt"
+    save_checkpoint(ckpt, text.replace("epochs_recommender = 1", "epochs_recommender = 2"),
+                    params, opt_step=opt_step, opt_arrays=opt_arrays)
+    loops = []
+    monkeypatch.setattr(trainer, "_run_epochs", lambda *a, **k: loops.append(a))
+    out = tmp_path / "resumed"
+    rc = main(["train-recommender", "--data", str(data), "--resume", str(ckpt),
+               "--out", str(out)])
+    assert rc == 1
+    assert refusal in capsys.readouterr().err
+    assert loops == []  # the epoch loop never started
 
 
 def test_resume_with_other_dims_is_refused_before_training(phase1_run, workspace, tmp_path,

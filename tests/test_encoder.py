@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from seqrec import autograd as ag
+from seqrec.autograd import NEG_INF
 from seqrec.encoder import (
-    NEG_INF,
     EncoderParams,
     ModelDims,
     attention_mask,
@@ -76,24 +76,27 @@ def test_train_dropout_keyed_by_stream(enc):
 
 def test_attention_mask_blocks_pad_and_future():
     ids = np.array([[0, 3, 4]])
-    mask = attention_mask(ids)[0, 0]
-    # column 0 is PAD: blocked for the real queries
-    assert mask[1, 0] == NEG_INF and mask[2, 0] == NEG_INF
-    # future blocked
-    assert mask[1, 2] == NEG_INF
-    # self and past real positions allowed
-    assert mask[1, 1] == 0.0 and mask[2, 1] == 0.0 and mask[2, 2] == 0.0
+    mask = attention_mask(ids)
+    assert mask.dtype == bool and mask.shape == (1, 1, 3, 3)
+    # column 0 is PAD: blocked for every query; a key after its query is
+    # blocked; the query itself and earlier real keys are allowed
+    np.testing.assert_array_equal(mask[0, 0], [[False, False, False],
+                                               [False, True, False],
+                                               [False, True, True]])
 
 
 def test_masked_attention_rows_are_distributions():
     rng = np.random.default_rng(0)
     ids = np.array([[0, 0, 3, 4, 5]])
     scores = ag.constant(rng.standard_normal((1, 1, 5, 5)))
-    weights = ag.softmax(scores + ag.constant(attention_mask(ids))).data[0, 0]
+    mask = attention_mask(ids)
+    weights = ag.softmax(scores, mask).data[0, 0]
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
-    # blocked entries carry exactly zero weight for real queries
-    assert weights[2, 0] == 0.0 and weights[2, 1] == 0.0
-    assert weights[3, 4] == 0.0
+    # blocked entries carry exactly zero weight for real queries, and a PAD
+    # query, blocked throughout, spreads its weight evenly
+    real = mask[0, 0, 2:]
+    assert np.all(weights[2:][~real] == 0.0) and np.all(weights[2:][real] > 0.0)
+    np.testing.assert_array_equal(weights[:2], 0.2)
 
 
 def test_causality_prefix_invariant_to_suffix(enc):
@@ -180,9 +183,10 @@ def test_last_only_matches_the_full_stacks_last_column(n_layers):
 
 
 # The block as it was built from one-output ops: a separate add for each FFN
-# bias, an np.var layer norm followed by "* gain + bias", an unshifted-buffer
-# softmax and a float dropout mask. Forward rules and gradients are the
-# previous kernel's, so transformer_stack must match them bit for bit.
+# bias, an np.var layer norm followed by "* gain + bias", an additive float64
+# attention mask, an unshifted-buffer softmax and a float dropout mask.
+# Forward rules and gradients are the previous kernel's, so transformer_stack
+# must match them bit for bit.
 
 
 def _old_softmax(x):
@@ -228,7 +232,7 @@ def _old_stack(ids, enc: EncoderParams, stream, last_only):
     h = ag.embedding_lookup(enc.item_emb, ids)
     h = _old_dropout(h + ag.embedding_lookup(enc.pos_emb, position_indices(ids)),
                      dims.dropout, stream)
-    mask = attention_mask(ids)
+    mask = np.where(attention_mask(ids), 0.0, NEG_INF)  # additive, a float64 constant
 
     def split_heads(x, rows):
         return ag.transpose(x.reshape(n, rows, heads, dh), (0, 2, 1, 3))
@@ -253,11 +257,18 @@ def _old_stack(ids, enc: EncoderParams, stream, last_only):
     return h.reshape(n, e) if last_only else h
 
 
+def _constant_adds():
+    """Taped adds with a constant input: in a block stack, only a mask add."""
+    return sum(node.rule.__qualname__.startswith("add.") and None in node.sinks
+               for node in ag._TAPE)
+
+
 @pytest.mark.parametrize("last_only", [False, True], ids=["full", "last_only"])
 def test_stack_matches_the_one_output_op_block_bit_for_bit(last_only):
-    # a training block (taped, dropout on) with its early releases and the
-    # in-place ReLU: every value and gradient as the oracle's, which keeps
-    # every array and copies for ReLU
+    # a training block (taped, dropout on) with its early releases, the
+    # in-place ReLU and the boolean mask applied inside softmax: every value
+    # and gradient as the oracle's, which keeps every array, copies for ReLU
+    # and adds a float mask to the scores
     dims = ModelDims(n_items=20, embed_dim=16, n_layers=2, n_heads=2, dropout=0.1)
     probe = EncoderParams(dims, seed=21)
     rng = np.random.default_rng(8)
@@ -271,16 +282,24 @@ def test_stack_matches_the_one_output_op_block_bit_for_bit(last_only):
 
     def run(forward):
         h = forward(SeedStream(4, "oracle"))
+        tape.append((ag.tape_size(), _constant_adds()))
         ag.backward((h * ag.constant(np.linspace(-1.0, 1.0, h.size).reshape(h.shape))).sum())
         grads = {}
         for name, p in probe.named_params().items():
             grads[name], p.grad = p.grad, None
         return h.data, grads
 
+    tape = []
     got, got_grads = run(lambda s: transformer_stack(embed_sequence(ids, probe, s),
                                                      probe.blocks, dims, ids, s,
                                                      last_only=last_only))
     want, want_grads = run(lambda s: _old_stack(ids, probe, s, last_only))
+    # the oracle tapes one mask add a block, and six nodes a block that the
+    # fused ops never had: two bias adds and each layer norm's gain mul and
+    # bias add
+    (got_len, got_adds), (want_len, want_adds) = tape
+    assert (got_adds, want_adds) == (0, dims.n_layers)
+    assert want_len - got_len == dims.n_layers * (1 + 6)
     np.testing.assert_array_equal(got, want)
     assert set(got_grads) == set(want_grads)
     for name, g in want_grads.items():
