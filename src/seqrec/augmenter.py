@@ -29,7 +29,7 @@ draw none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -141,18 +141,36 @@ def generator_forward(
 
 
 @dataclass
-class AugLossStats:
-    """Detached per-batch numbers for logging and closed-form checks."""
+class RestorationStats:
+    """Detached sums and counts of restoration passes; records pool with +,
+    from the zero record RestorationStats(). Hits are counted only by
+    restoration_accuracy, and are 0 otherwise."""
 
-    op_nll_sum: float
-    ins_nll_sum: float
-    n_records: int
-    n_op_positions: int
-    n_ins_targets: int  # teacher-forced targets incl. STOP steps
+    op_nll_sum: float = 0.0
+    ins_nll_sum: float = 0.0
+    n_records: int = 0
+    n_op_positions: int = 0  # the real positions, which alone are scored
+    n_ins_targets: int = 0  # teacher-forced targets incl. STOP steps
+    n_ins_items: int = 0  # n_ins_targets without the STOP steps
+    op_hits: int = 0  # argmax hits over the n_op_positions
+    ins_hits: int = 0  # argmax hits over the n_ins_items
+
+    def __add__(self, other: RestorationStats) -> RestorationStats:
+        return RestorationStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
     @property
     def loss(self) -> float:
-        return (self.op_nll_sum + self.ins_nll_sum) / self.n_records
+        """Restoration NLL per record; inf over no records."""
+        nll = self.op_nll_sum + self.ins_nll_sum
+        return nll / self.n_records if self.n_records else float("inf")
+
+    @property
+    def op_accuracy(self) -> float:
+        return self.op_hits / self.n_op_positions if self.n_op_positions else 0.0
+
+    @property
+    def ins_top1(self) -> float:
+        return self.ins_hits / self.n_ins_items if self.n_ins_items else 0.0
 
 
 def _encode_classes(
@@ -177,25 +195,24 @@ def _encode_classes(
     return classes
 
 
-def _assemble_records(records: list[CorruptionRecord], w: int):
-    """Align labels and runs to the (len(records), w) grid of right-aligned rows.
+def _assemble_records(records: list[CorruptionRecord], w: int, base: int):
+    """Place labels and runs in the (len(records), w) grid of right-aligned rows.
 
-    Returns the op targets, the mask of real positions and the runs as
-    (flat anchor index into the grid, target run); a record's sentinel run
-    (its deleted tail, anchored at column w-1) follows its insert runs.
+    Cells are flat indices counted from base, the grid's first cell.
+    Returns the real positions' cells, rows in order, their op targets, and
+    the runs as (anchor cell, target run); a record's sentinel run (its
+    deleted tail, anchored at column w-1) follows its insert runs.
     """
-    n = len(records)
-    op_targets = np.zeros((n, w), dtype=np.int64)
-    op_mask = np.zeros((n, w))
+    cells, op_targets = [], []
     runs: list[tuple[int, list[int]]] = []
     for i, rec in enumerate(records):
-        offset = w - 1 - len(rec.s_mod)  # column of s_mod[0]
-        op_targets[i, offset:w - 1] = rec.ops
-        op_mask[i, offset:w - 1] = 1.0
-        for pos, run in rec.ins_targets.items():
-            runs.append((i * w + offset + pos, list(run)))
-        runs.append((i * w + (w - 1), list(rec.tail_targets)))
-    return op_targets, op_mask, runs
+        end = base + i * w + w - 1  # the sentinel's cell
+        start = end - len(rec.s_mod)  # s_mod[0]'s cell
+        cells.extend(range(start, end))
+        op_targets.extend(rec.ops)
+        runs.extend((start + pos, list(run)) for pos, run in rec.ins_targets.items())
+        runs.append((end, list(rec.tail_targets)))
+    return cells, op_targets, runs
 
 
 def _run_matrices(runs: list[tuple[int, list[int]]], stop_class: int):
@@ -217,82 +234,65 @@ def _run_matrices(runs: list[tuple[int, list[int]]], stop_class: int):
     return anchor_idx, teacher, steps, targets.reshape(-1)[steps]
 
 
-@dataclass
-class RestorationStats(AugLossStats):
-    """AugLossStats plus argmax hit counts; pool batches by summing counts."""
-
-    op_hits: int  # over the n_op_positions real positions
-    ins_hits: int  # over the n_ins_items teacher-forced run items
-    n_ins_items: int  # n_ins_targets without the STOP steps
-
-
-def _hits(logits: Tensor, targets: np.ndarray, rows: np.ndarray) -> int:
-    """Argmax hits over the rows marked True."""
-    return int(((logits.data.argmax(axis=-1) == targets) & rows).sum())
-
-
 def _restoration_forward(
     records: list[CorruptionRecord],
     enc: EncoderParams,
     aug: AugmenterParams,
     stream: SeedStream | None = None,
     count_hits: bool = False,
-) -> tuple[Tensor, AugLossStats, dict[str, int] | None]:
+) -> tuple[Tensor, RestorationStats]:
     """Encode the damaged sequences, then score operations and teacher-forced runs.
 
-    Returns the restoration NLL sum (operations over real positions, plus
-    every run step up to and including STOP), the batch's AugLossStats and,
-    with count_hits, RestorationStats' hit counts (else None).
+    Returns the restoration NLL sum (operations at the real positions, plus
+    every run step up to and including STOP) and the batch's
+    RestorationStats, whose hits are counted only with count_hits.
     The encoder runs once per length class of the damaged sequences
-    (_encode_classes), and the operation head and the run anchors read one
-    concatenation of the classes' flattened states, so the operation head's
-    rows are the classes' grids in class order. The generator runs once per
-    length class of runs, so no pass pads a run beyond twice its steps; each
-    pass projects only its real steps, and one cross-entropy per class
-    scores them, so a class's catalog-wide logits are dropped as soon as
-    they are scored. The classes' per-step losses are summed in one
-    concatenation, in _run_matrices order.
+    (_encode_classes). The run anchors and the operation head read one
+    concatenation of the classes' flattened states; the head reads only the
+    real positions' rows, so no padding or sentinel cell is scored. The
+    generator runs once per length class of runs, so no pass pads a run
+    beyond twice its steps; each pass projects only its real steps, and one
+    cross-entropy per class scores them, so a class's catalog-wide logits
+    are dropped as soon as they are scored. The classes' per-step losses
+    are summed in one concatenation, in _run_matrices order.
     """
     if not records:
         raise ValueError("restoration needs a non-empty batch")
     dims = enc.dims
-    states, op_targets, op_masks = [], [], []
+    states, cells, op_targets = [], [], []
     runs: list[tuple[int, list[int]]] = []
     base = 0  # flat index of the class's first cell in the concatenation
     for rows, h in _encode_classes([r.s_mod for r in records], enc, stream=stream):
         n_c, w_c = h.shape[:2]
-        targets_c, mask_c, runs_c = _assemble_records([records[i] for i in rows], w_c)
+        cells_c, targets_c, runs_c = _assemble_records([records[i] for i in rows], w_c, base)
         states.append(h.reshape(n_c * w_c, dims.embed_dim))
-        op_targets.append(targets_c.reshape(-1))
-        op_masks.append(mask_c.reshape(-1))
-        runs.extend((base + anchor, run) for anchor, run in runs_c)
+        cells += cells_c
+        op_targets += targets_c
+        runs += runs_c
         base += n_c * w_c
     h_flat = ag.concat(states, axis=0)
-    op_targets, op_mask = np.concatenate(op_targets), np.concatenate(op_masks)
-    op_logits = predict_op_logits(h_flat, aug)
-    op_nll = (ag.cross_entropy(op_logits, op_targets) * ag.constant(op_mask)).sum()
-    hits = None
-    if count_hits:
-        hits = {"op_hits": _hits(op_logits, op_targets, op_mask > 0),
-                "ins_hits": 0, "n_ins_items": 0}
+    op_targets = np.array(op_targets, dtype=np.int64)
+    op_logits = predict_op_logits(ag.embedding_lookup(h_flat, cells), aug)
+    op_nll = ag.cross_entropy(op_logits, op_targets).sum()
+    op_hits = int((op_logits.data.argmax(axis=-1) == op_targets).sum()) if count_hits else 0
     stop = _stop_class(dims)
     losses = []
+    ins_hits = n_ins_items = 0
     for rows in length_classes([len(run) for _, run in runs]):
         anchor_idx, teacher, steps, targets = _run_matrices([runs[j] for j in rows], stop)
         logits = generator_forward(ag.embedding_lookup(h_flat, anchor_idx), teacher,
                                    enc, aug, stream=stream, steps=steps)
         losses.append(ag.cross_entropy(logits, targets))
-        if hits is not None:
-            items = targets != stop
-            hits["ins_hits"] += _hits(logits, targets, items)
-            hits["n_ins_items"] += int(items.sum())
+        items = targets != stop
+        n_ins_items += int(items.sum())
+        if count_hits:
+            ins_hits += int(((logits.data.argmax(axis=-1) == targets) & items).sum())
         del logits  # freed before the next class computes its own
     gen_losses = ag.concat(losses, axis=0)
     gen_nll = gen_losses.sum()
-    stats = AugLossStats(op_nll_sum=op_nll.item(), ins_nll_sum=gen_nll.item(),
-                         n_records=len(records), n_op_positions=int(op_mask.sum()),
-                         n_ins_targets=gen_losses.size)
-    return op_nll + gen_nll, stats, hits
+    stats = RestorationStats(op_nll.item(), gen_nll.item(), len(records), op_targets.size,
+                             gen_losses.size, n_ins_items, op_hits, ins_hits)
+    return op_nll + gen_nll, stats
 
 
 def augmenter_loss(
@@ -300,13 +300,14 @@ def augmenter_loss(
     enc: EncoderParams,
     aug: AugmenterParams,
     stream: SeedStream | None = None,
-) -> tuple[Tensor, AugLossStats]:
+) -> tuple[Tensor, RestorationStats]:
     """Batch-mean restoration NLL: operation labels + teacher-forced runs.
 
     Every record contributes one end-of-sequence run (its deleted tail, or
     just STOP), so the generator also learns when nothing belongs at the end.
+    The stats count no hits, which would argmax every run class's logits.
     """
-    nll, stats, _ = _restoration_forward(records, enc, aug, stream=stream)
+    nll, stats = _restoration_forward(records, enc, aug, stream=stream)
     return nll * (1.0 / stats.n_records), stats
 
 
@@ -315,15 +316,14 @@ def restoration_accuracy(
     enc: EncoderParams,
     aug: AugmenterParams,
 ) -> RestorationStats:
-    """Held-out diagnostics of one batch from a single no-grad pass.
+    """Held-out RestorationStats of one batch from a single no-grad pass.
 
     The loss numbers are augmenter_loss's; op_hits counts argmax operation
-    hits over real positions, ins_hits argmax hits over teacher-forced run
-    items (STOP steps excluded), each run class's as it is scored.
+    hits over the real positions, ins_hits argmax hits over teacher-forced
+    run items (STOP steps excluded), each run class's as it is scored.
     """
     with ag.no_grad():
-        _, stats, hits = _restoration_forward(records, enc, aug, count_hits=True)
-    return RestorationStats(**vars(stats), **hits)
+        return _restoration_forward(records, enc, aug, count_hits=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +425,24 @@ def _decide_ops(
     cells = [slice(w - 1 - len(s), w) for s in seqs]
     return [h[i, c] for i, c in enumerate(cells)], [ops[i, c] for i, c in enumerate(cells)]
 
+
+def generation_op_proportions(
+    seqs: list[list[int]],
+    enc: EncoderParams,
+    aug: AugmenterParams,
+    batch_size: int = 256,
+) -> tuple[float, float, float]:
+    """Realized keep/delete/insert fractions when augmenting seqs greedily.
+
+    The inputs are clipped as generation clips them (_clip_inputs), and
+    their ops decided batch_size sequences at a time.
+    """
+    counts = np.zeros(3)
+    for start in range(0, len(seqs), batch_size):
+        _, ops = _decide_ops(_clip_inputs(seqs[start:start + batch_size], enc.dims), enc, aug)
+        counts += np.bincount(np.concatenate([o[:-1] for o in ops]), minlength=3)
+    total = counts.sum()
+    return tuple(counts / total) if total else (0.0, 0.0, 0.0)
 
 def generate_augmented_batch(
     seqs: list[list[int]],

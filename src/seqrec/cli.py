@@ -13,7 +13,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .augmenter import generate_augmented_batch
+from .augmenter import generate_augmented_batch, generation_op_proportions
 from .augops import OP_NAMES, corrupt_sequence
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import MODES, RunConfig, config_to_lines, load_config, parse_config_lines, read_meta
@@ -39,7 +39,6 @@ from .trainer import (
     TrainResult,
     corruption_config,
     dims_from_config,
-    generation_op_proportions,
     model_arrays,
     model_from_arrays,
     train_augmenter,
@@ -341,8 +340,8 @@ def cmd_sweep(args) -> int:
         row = dict(cell)
         row["sum"] = f"{report.total:.4f}"
         if sweep_probs and phase2.model.aug is not None:
-            props = generation_op_proportions(split.trainable_prefixes(), phase2.model,
-                                              batch_size=cell_cfg.batch_size)
+            props = generation_op_proportions(split.trainable_prefixes(), phase2.model.enc,
+                                              phase2.model.aug, batch_size=cell_cfg.batch_size)
             row["operation"] = "[" + ", ".join(f"{100 * p:.0f}%" for p in props) + "]"
         rows.append(row)
         print(" | ".join(f"{k}={v}" for k, v in row.items()))

@@ -255,7 +255,10 @@ def write_sequences(path, sequences: list[ItemSequence]) -> None:
 
 
 def read_sequences(path) -> list[ItemSequence]:
-    """Read a sequence file; each line holds one non-empty, unique user id."""
+    """Read a sequence file; each line holds one non-empty, unique user id.
+
+    A line splits at its last ':', so a user id may itself hold ':'.
+    """
     out = []
     line_of_user: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -268,7 +271,7 @@ def read_sequences(path) -> list[ItemSequence]:
                 continue
             if ":" not in line:
                 raise ParseError(f"missing ':' separator: {line!r}", line_no)
-            user, _, rest = line.partition(":")
+            user, _, rest = line.rpartition(":")
             user = user.strip()
             if not user:
                 raise ParseError(f"empty user id: {line!r}", line_no)

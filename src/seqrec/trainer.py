@@ -34,8 +34,7 @@ import numpy as np
 from . import autograd as ag
 from .augmenter import (
     AugmenterParams,
-    _clip_inputs,
-    _decide_ops,
+    RestorationStats,
     augmenter_loss,
     generate_augmented_batch,
     restoration_accuracy,
@@ -144,9 +143,11 @@ def _chunks(seq, size):
 # ---------------------------------------------------------------------------
 
 
-def _corrupt_batch(seqs, ccfg, rng, max_mod_len):
-    """One corruption batch drawn from rng; over-long damage is skipped."""
-    return [rec for rec in corrupt_sequence(seqs, ccfg, rng) if len(rec.s_mod) <= max_mod_len]
+def _corrupt_batch(seqs, ccfg, rng, dims: ModelDims):
+    """One corruption batch drawn from rng; damage that leaves the MASK
+    sentinel no slot in the max_aug_len window is skipped."""
+    return [rec for rec in corrupt_sequence(seqs, ccfg, rng)
+            if len(rec.s_mod) <= dims.max_aug_len - 1]
 
 
 def _check_prefix_lengths(split: SplitDataset, max_len: int) -> None:
@@ -170,27 +171,14 @@ def validation_aug_loss(split: SplitDataset, model: RecModel, ccfg: CorruptionCo
     once, as one batch in split order from one generator keyed (seed,
     "valid-corrupt"), and the records are then scored in chunks of
     batch_size, one no-grad pass per chunk; so the records do not depend on
-    batch_size. Hits and their denominators are summed over chunks, so the
-    accuracies do not depend on batch_size either.
+    batch_size. The chunks' RestorationStats are pooled before any ratio is
+    taken, so the accuracies do not depend on batch_size either.
     """
     records = _corrupt_batch(split.trainable_prefixes(), ccfg, rng_for(seed, "valid-corrupt"),
-                             model.dims.max_aug_len - 1)
-    total, count = 0.0, 0
-    op_hits = op_total = ins_hits = ins_total = 0
-    for chunk in _chunks(records, batch_size):
-        stats = restoration_accuracy(chunk, model.enc, model.aug)
-        total += stats.op_nll_sum + stats.ins_nll_sum
-        count += stats.n_records
-        op_hits += stats.op_hits
-        op_total += stats.n_op_positions
-        ins_hits += stats.ins_hits
-        ins_total += stats.n_ins_items
-    mean = total / count if count else float("inf")
-    detail = {
-        "op_accuracy": op_hits / op_total if op_total else 0.0,
-        "ins_top1": ins_hits / ins_total if ins_total else 0.0,
-    }
-    return mean, detail
+                             model.dims)
+    stats = sum((restoration_accuracy(chunk, model.enc, model.aug)
+                 for chunk in _chunks(records, batch_size)), RestorationStats())
+    return stats.loss, {"op_accuracy": stats.op_accuracy, "ins_top1": stats.ins_top1}
 
 
 # Per phase: the tag of its batch-order, batch and dropout keys, and the history
@@ -312,7 +300,7 @@ def train_augmenter(
     ccfg = corruption_config(cfg, vocab.n_items)
 
     def batch_loss(seqs, rng, stream):
-        records = _corrupt_batch(seqs, ccfg, rng, model.dims.max_aug_len - 1)
+        records = _corrupt_batch(seqs, ccfg, rng, model.dims)
         if not records:
             return None
         loss, stats = augmenter_loss(records, model.enc, model.aug, stream=stream)
@@ -387,7 +375,7 @@ def joint_loss(
             total = total + beta * l_tri
     if cfg.policy.trains_augmenter:
         ccfg = corruption_config(cfg, model.dims.n_items)
-        records = _corrupt_batch(seqs, ccfg, rng, model.dims.max_aug_len - 1)
+        records = _corrupt_batch(seqs, ccfg, rng, model.dims)
         if records:
             l_aug, stats = augmenter_loss(records, model.enc, model.aug, stream=stream)
             parts["aug"] = stats.loss
@@ -461,22 +449,3 @@ def model_from_arrays(dims: ModelDims, arrays: dict[str, np.ndarray]) -> RecMode
     store = ParamStore(model.named_params())
     store.load_values(arrays)
     return model
-
-
-def generation_op_proportions(
-    seqs: list[list[int]],
-    model: RecModel,
-    batch_size: int = 256,
-) -> tuple[float, float, float]:
-    """Realized keep/delete/insert fractions when augmenting `seqs` greedily.
-
-    The inputs are clipped as generation clips them.
-    """
-    counts = np.zeros(3)
-    for chunk in _chunks(seqs, batch_size):
-        _, ops = _decide_ops(_clip_inputs(chunk, model.dims), model.enc, model.aug)
-        counts += np.bincount(np.concatenate([o[:-1] for o in ops]), minlength=3)
-    total = counts.sum()
-    if total == 0:
-        return (0.0, 0.0, 0.0)
-    return tuple(counts / total)

@@ -255,10 +255,18 @@ CLASS_RECORDS = [
 
 
 def _one_pass_restoration(records, enc, aug):
-    """Oracle: every run padded into one generator pass, every step scored and masked."""
+    """Oracle: one padded encoder and generator pass, every cell scored and masked."""
     ids = pad_batch([r.s_mod + [DIMS.mask_id] for r in records])
     n, w = ids.shape
-    op_targets, op_mask, runs = am._assemble_records(records, w)
+    op_targets = np.zeros((n, w), dtype=np.int64)
+    op_mask = np.zeros((n, w))
+    runs = []
+    for i, rec in enumerate(records):
+        offset = w - 1 - len(rec.s_mod)  # column of s_mod[0]
+        op_targets[i, offset:w - 1] = rec.ops
+        op_mask[i, offset:w - 1] = 1.0
+        runs += [(i * w + offset + pos, run) for pos, run in rec.ins_targets.items()]
+        runs.append((i * w + w - 1, rec.tail_targets))
     h = encode_batch(ids, enc)
     op_logits = predict_op_logits(h, aug)
     m = max(len(run) for _, run in runs)
@@ -378,6 +386,31 @@ def test_restoration_dropout_is_deterministic():
     assert loss_a != augmenter_loss(ENCODER_CLASS_RECORDS, enc, aug)[0].item()  # masks drawn
     for name, g in grads_a.items():
         np.testing.assert_array_equal(g, grads_b[name], err_msg=name)
+
+
+def test_operation_head_scores_only_real_positions(monkeypatch):
+    # the operation head reads the real positions' rows alone, so no padding
+    # or sentinel cell is scored and no mask weights the per-cell losses: the
+    # taped pass multiplies by no constant array
+    enc, aug = fresh_params(21)
+    head_rows, constant_muls = [], []
+    head, mul = am.predict_op_logits, ag.mul
+
+    def recording_head(h, *args):
+        head_rows.append(h.shape[0])
+        return head(h, *args)
+
+    def recording_mul(a, b):
+        constant_muls.extend(t.shape for t in (a, b) if not t.requires_grad and t.ndim)
+        return mul(a, b)
+
+    monkeypatch.setattr(am, "predict_op_logits", recording_head)
+    monkeypatch.setattr(ag, "mul", recording_mul)
+    _, stats = augmenter_loss(ENCODER_CLASS_RECORDS, enc, aug)
+    ag.clear_tape()
+    assert stats.n_op_positions == sum(len(r.s_mod) for r in ENCODER_CLASS_RECORDS)
+    assert head_rows == [stats.n_op_positions]
+    assert constant_muls == []
 
 
 def test_generator_passes_score_only_real_steps(monkeypatch):

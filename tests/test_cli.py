@@ -101,6 +101,22 @@ def test_preprocess_idempotent(workspace, tmp_path):
     assert (again / "vocab.txt").read_text() == (data / "vocab.txt").read_text()
 
 
+def test_user_ids_holding_colons_survive_preprocess_and_corrupt(workspace, tmp_path, capsys):
+    # a 5 x 5 grid survives 5-core filtering whole
+    _, cfg, _ = workspace
+    users = ["a:1", "b:2:", "c", "d:x:y", "e"]
+    log = tmp_path / "interactions.txt"
+    log.write_text("".join(f"{u} i{k} {k}\n" for u in users for k in range(5)))
+    data = tmp_path / "processed"
+    assert main(["preprocess", "--input", str(log), "--out", str(data)]) == 0
+    assert [s.user_id for s in read_sequences(data / "sequences.txt")] == users
+    capsys.readouterr()
+    rc = main(["corrupt", "--data", str(data), "--config", str(cfg), "--limit", "5"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert [l for l in out.splitlines() if l.startswith("user ")] == [f"user {u}" for u in users]
+
+
 def test_corrupt_prints_records(workspace, capsys):
     _, cfg, data = workspace
     rc = main(["corrupt", "--data", str(data), "--config", str(cfg), "--limit", "3"])

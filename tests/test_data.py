@@ -334,7 +334,9 @@ def test_make_batches_deterministic():
 
 
 def test_sequence_file_round_trip(tmp_path):
-    seqs = [ItemSequence("u1", [1, 2, 3]), ItemSequence("u2", [9])]
+    # item ids are integers, so a user id may hold ':'
+    seqs = [ItemSequence("u1", [1, 2, 3]), ItemSequence("u2", [9]),
+            ItemSequence("user:7", [1, 2, 3]), ItemSequence("a:1:", [4])]
     path = tmp_path / "sequences.txt"
     write_sequences(path, seqs)
     assert path.read_text().startswith("#seqrec-v1\n")

@@ -11,7 +11,7 @@ import pytest
 from seqrec import augmenter as am
 from seqrec import autograd as ag
 from seqrec import recommender, trainer
-from seqrec.augmenter import restoration_accuracy
+from seqrec.augmenter import generation_op_proportions, restoration_accuracy
 from seqrec.augops import AugConfig, CorruptionConfig, random_augment
 from seqrec.checkpoint import load_checkpoint
 from seqrec.config import MODES, RunConfig, parse_config_lines, read_meta
@@ -25,7 +25,6 @@ from seqrec.trainer import (
     _corrupt_batch,
     build_model,
     dims_from_config,
-    generation_op_proportions,
     joint_loss,
     model_arrays,
     model_from_arrays,
@@ -597,7 +596,8 @@ def test_resume_of_other_dims_or_with_pretrained_is_refused(tiny_data, monkeypat
 
 def test_generation_op_proportions_sum_to_one(tiny_data, tiny_model):
     split, _ = tiny_data
-    props = generation_op_proportions([u.train for u in split.users[:20]], tiny_model)
+    props = generation_op_proportions([u.train for u in split.users[:20]], tiny_model.enc,
+                                      tiny_model.aug)
     assert len(props) == 3
     assert abs(sum(props) - 1.0) < 1e-12
 
@@ -607,7 +607,8 @@ def test_generation_op_proportions_are_the_augmenters_ops(tiny_data, trained_mod
     seqs = [u.train for u in split.users]
     assert sum(len(s) for s in seqs) == 332
     for batch_size in (256, 7):
-        props = generation_op_proportions(seqs, trained_model, batch_size=batch_size)
+        props = generation_op_proportions(seqs, trained_model.enc, trained_model.aug,
+                                          batch_size=batch_size)
         assert props == (73 / 332, 9 / 332, 250 / 332)
 
 
@@ -616,8 +617,9 @@ def test_op_proportions_clip_like_generation(trained_model):
     # as generate_augmented_batch clips it
     cap = trained_model.dims.max_aug_len
     seq = [(7 + j) % 120 + 1 for j in range(cap)]
-    props = generation_op_proportions([seq], trained_model)
-    assert props == generation_op_proportions([seq[-(cap - 1):]], trained_model)
+    enc, aug = trained_model.enc, trained_model.aug
+    props = generation_op_proportions([seq], enc, aug)
+    assert props == generation_op_proportions([seq[-(cap - 1):]], enc, aug)
     assert abs(sum(props) - 1.0) < 1e-12
 
 
@@ -660,8 +662,7 @@ def test_validation_encodes_each_record_once_per_length_class(tiny_data, tiny_mo
 def test_validation_pools_hits_not_ratios(tiny_data, trained_model):
     split, _ = tiny_data
     prefixes = [u.train for u in split.users if len(u.train) >= 2]
-    records = _corrupt_batch(prefixes, CCFG, rng_for(3, "valid-corrupt"),
-                             trained_model.dims.max_aug_len - 1)
+    records = _corrupt_batch(prefixes, CCFG, rng_for(3, "valid-corrupt"), trained_model.dims)
     whole = restoration_accuracy(records, trained_model.enc, trained_model.aug)
     assert 0 < whole.ins_hits < whole.n_ins_items  # a figure that weighting can move
     for batch_size in (7, 16, 64):
