@@ -16,7 +16,8 @@ and saves only the arrays it reads; it never holds a Tensor. So an
 intermediate's data is freed as soon as the forward code drops it, unless
 a rule reads it: matmul keeps each operand only for the other operand's
 gradient, softmax and relu keep their output, cross_entropy keeps its
-softmax, embedding_lookup keeps only its ids, and add, reshape, transpose,
+softmax, embedding_lookup keeps only its ids, ffn keeps only its input
+(its rule recomputes the hidden layer), and add, reshape, transpose,
 concat, row_slice and sum keep no array at all. A rule computes nothing for
 a constant input.
 
@@ -28,13 +29,14 @@ without a copy; later ones are added into it in place. add() is the one
 rule that could give the same array to two sinks, so it copies for the
 second.
 
-An op writes in place only into an array it allocated itself: never into
-its inputs' data, nor into the incoming gradient g. The one exception is
-relu(x, in_place=True), which writes its output into x's array. Only a
-caller that owns that buffer and drops x may ask for it, and only when no
-rule reads x's data: the Transformer FFN hands over its W1 product, which
-matmul's rule never reads (it keeps its operands, not its output), and
-relu's own rule reads only its output. A backward rule may
+An op writes in place only into an array it allocated itself, never into
+its inputs' data. The one exception is relu(x, in_place=True), which
+writes its output into x's array. Only a caller that owns that buffer and
+drops x may ask for it: ffn hands over its W1 product, a buffer it
+allocated and no rule reads, since ffn runs its three steps untaped. A
+backward rule may write into the incoming gradient g, because g is its
+node's own (see above) and never read once the rule has run: relu,
+dropout and softmax turn g into their input's gradient in place. It may
 also write into an array its own forward allocated and saved, because a
 node's rule runs once and is released right after. Within that rule the
 block ops build each result in the one array they create: matmul adds its
@@ -457,9 +459,47 @@ def relu(x: Tensor, in_place: bool = False) -> Tensor:
     out = Tensor(y)
 
     def bw(g, sx):
-        _accum(sx, g * (y > 0))  # y > 0 exactly where x > 0
+        g *= y > 0  # y > 0 exactly where x > 0
+        _accum(sx, g)
 
     return _record(out, (x,), bw)
+
+
+def ffn(h: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
+    """relu(h @ W1 + b1) @ W2 + b2, taped as one node that keeps no hidden layer.
+
+    The forward is matmul, in-place relu and matmul, run untaped. The rule
+    keeps only h's data (and the weights') and recomputes the (rows, inner)
+    hidden layer in backward with the forward's exact expressions, so every
+    gradient equals the three composed ops' bit for bit.
+    """
+    with no_grad():
+        out = matmul(relu(matmul(h, W1, b1), in_place=True), W2, b2)
+    h_shape = h.shape
+    k, inner = W1.shape
+    m = W2.shape[1]
+    h2, w1, bias1, w2 = h.data.reshape(-1, k), W1.data, b1.data, W2.data
+
+    def bw(g, sh, sw1, sb1, sw2, sb2):
+        f = h2 @ w1
+        f += bias1
+        np.maximum(f, 0.0, out=f)
+        g2 = g.reshape(-1, m)
+        gf = g2 @ w2.T
+        gf *= f > 0
+        if sw2 is not None:
+            _accum(sw2, f.T @ g2)
+        if sb2 is not None:
+            _accum(sb2, _unbroadcast(g, (m,)))
+        del f
+        if sh is not None:
+            _accum(sh, (gf @ w1.T).reshape(h_shape))
+        if sw1 is not None:
+            _accum(sw1, h2.T @ gf)
+        if sb1 is not None:
+            _accum(sb1, _unbroadcast(gf.reshape(*h_shape[:-1], inner), (inner,)))
+
+    return _record(out, (h, W1, b1, W2, b2), bw)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -491,9 +531,9 @@ def softmax(x: Tensor, allowed: np.ndarray) -> Tensor:
 
     def bw(g, sx):
         inner = (g * y).sum(axis=-1, keepdims=True)
-        gx = g - inner
-        gx *= y
-        _accum(sx, gx)
+        g -= inner
+        g *= y
+        _accum(sx, g)
 
     return _record(out, (x,), bw)
 
@@ -543,9 +583,9 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     out = Tensor(y)
 
     def bw(g, sx):
-        gx = g * keep
-        gx *= scale
-        _accum(sx, gx)
+        g *= keep
+        g *= scale
+        _accum(sx, g)
 
     return _record(out, (x,), bw)
 

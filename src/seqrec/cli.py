@@ -50,11 +50,12 @@ def _load_processed(data_dir):
     data_dir = Path(data_dir)
     sequences = read_sequences(data_dir / "sequences.txt")
     vocab = read_vocabulary(data_dir / "vocab.txt")
+    n_items = vocab.n_items
     for seq in sequences:
-        bad = [i for i in seq.items if not 1 <= i <= vocab.n_items]
-        if bad:
+        if min(seq.items) < 1 or max(seq.items) > n_items:
+            bad = next(i for i in seq.items if not 1 <= i <= n_items)
             raise ParseError(f"{data_dir / 'sequences.txt'}: user {seq.user_id!r} has item "
-                             f"id {bad[0]} outside the vocabulary's 1..{vocab.n_items}")
+                             f"id {bad} outside the vocabulary's 1..{n_items}")
     return sequences, vocab
 
 

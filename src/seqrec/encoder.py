@@ -178,9 +178,11 @@ def transformer_stack(
     q and k go once the scores exist, the scores once the softmax has
     them, the attention weights and v once the context exists, the context
     once its Wo projection is added, and the FFN output once the second
-    layer norm has run. ReLU writes into the W1 product, so the FFN holds
-    one (N, T, 4e) array, not two. What a backward rule reads stays alive
-    on the tape (see autograd); a no-grad pass holds nothing more.
+    layer norm has run. The FFN is one ag.ffn op: ReLU writes into the W1
+    product, so a pass holds one (N, T, 4e) array, not two, and only while
+    the op runs; the tape keeps none, since the op's rule recomputes it.
+    What a backward rule reads stays alive on the tape (see autograd); a
+    no-grad pass holds nothing more.
     """
     ids = np.asarray(ids, dtype=np.int64)
     n, t = ids.shape
@@ -209,9 +211,7 @@ def transformer_stack(
         h = h + _dropout(ag.matmul(ctx, blk.Wo), dims, stream)
         del ctx
         h = ag.layer_norm(h, blk.ln1_g, blk.ln1_b)
-        # the W1 product is a buffer only this block holds, so ReLU may overwrite it
-        f = ag.relu(ag.matmul(h, blk.W1, blk.b1), in_place=True)
-        f = _dropout(ag.matmul(f, blk.W2, blk.b2), dims, stream)
+        f = _dropout(ag.ffn(h, blk.W1, blk.b1, blk.W2, blk.b2), dims, stream)
         h = ag.layer_norm(h + f, blk.ln2_g, blk.ln2_b)
         del f
     return h.reshape(n, e) if last_only else h

@@ -322,6 +322,8 @@ OP_CASES = {
     "softmax": lambda p, c: (ag.softmax(p["a"], ALL) * c["w"]).sum(),
     "softmax_masked": lambda p, c: (ag.softmax(p["a"], c["allowed"]) * c["w"]).sum(),
     "relu": lambda p, c: ag.relu(p["a"]).sum(),
+    "ffn": lambda p, c: ag.softplus(
+        ag.ffn(p["t3"], p["m2"], p["bias"], p["ffn_w2"], p["ffn_b2"])).sum(),
     "softplus": lambda p, c: ag.softplus(p["a"]).sum(),
     "layer_norm": lambda p, c: (ag.layer_norm(p["a"], p["gain"], p["beta"]) * c["w"]).sum(),
     "embedding": lambda p, c: (ag.embedding_lookup(p["table"], c["ids"]) * c["w3"]).sum(),
@@ -372,6 +374,8 @@ def test_primitive_gradients_match_finite_differences(name):
         params["bias"] = _rand(affine, 3)
         params["gain"], params["beta"] = _rand(affine, 6), _rand(affine, 6)
         consts["allowed"] = _allowed(np.random.default_rng(5000 + trial), (4, 6))
+        second = np.random.default_rng(6000 + trial)
+        params["ffn_w2"], params["ffn_b2"] = _rand(second, 3, 4), _rand(second, 4)
         used = {k: v for k, v in params.items()}
         worst = max(worst, max_rel_error(lambda: build_case(used, consts), used, rng))
     assert worst <= 1e-4, f"{name}: worst rel err {worst:.3e}"
@@ -409,6 +413,104 @@ def test_weight_matmul_matches_numpy_reference(lead):
     want_w = np.matmul(np.swapaxes(a.data, -1, -2), up).reshape(-1, k, m).sum(axis=0)
     np.testing.assert_allclose(w.grad, want_w, rtol=1e-12)
     assert a.grad.shape == a.shape and w.grad.shape == w.shape
+
+
+def _composed_ffn(h, W1, b1, W2, b2):
+    return ag.matmul(ag.relu(ag.matmul(h, W1, b1)), W2, b2)
+
+
+@pytest.mark.parametrize("constant_h", [False, True], ids=["param_h", "constant_h"])
+@pytest.mark.parametrize("shape", [(5, 7, 8), (5, 1, 8), (9, 8)], ids=["NTe", "last_only", "2d"])
+def test_ffn_matches_the_composed_ops_bit_for_bit(shape, constant_h):
+    # the one node that recomputes its hidden layer in backward: value and
+    # all five gradients as matmul, relu and matmul give them, and a
+    # constant input still gives the weights their gradients
+    rng = np.random.default_rng(31)
+    e, inner = shape[-1], 4 * shape[-1]
+    h_data = rng.standard_normal(shape)
+    kept = h_data.copy()
+    weights = {"W1": rng.standard_normal((e, inner)), "b1": 0.5 * rng.standard_normal(inner),
+               "W2": rng.standard_normal((inner, e)), "b2": rng.standard_normal(e)}
+    up = rng.standard_normal(shape)
+
+    def run(op):
+        h = ag.constant(h_data) if constant_h else ag.param(h_data)
+        ws = {name: ag.param(w) for name, w in weights.items()}
+        out = op(h, ws["W1"], ws["b1"], ws["W2"], ws["b2"])
+        nodes = ag.tape_size()
+        ag.backward((out * ag.constant(up)).sum())
+        return nodes, out.data, h.grad, {name: w.grad for name, w in ws.items()}
+
+    got_nodes, got, got_h, got_w = run(ag.ffn)
+    want_nodes, want, want_h, want_w = run(_composed_ffn)
+    assert (got_nodes, want_nodes) == (1, 3)
+    np.testing.assert_array_equal(got, want)
+    if constant_h:
+        assert got_h is None and want_h is None
+    else:
+        np.testing.assert_array_equal(got_h, want_h)
+    for name, g in want_w.items():
+        assert g is not None, name
+        np.testing.assert_array_equal(got_w[name], g, err_msg=name)
+    np.testing.assert_array_equal(h_data, kept)  # relu wrote into ffn's own buffer
+
+
+def _softmax_grad(x, up):
+    s = np.exp(x - x.max(axis=-1, keepdims=True))
+    s = s / s.sum(axis=-1, keepdims=True)
+    return s * (up - (up * s).sum(axis=-1, keepdims=True))
+
+
+def _keep(seed, shape, rate=0.3):
+    return np.random.default_rng(seed).random(shape) >= rate
+
+
+# relu, dropout and softmax spend the gradient their node owns; each case
+# hands one of them a gradient that is a view (a concat slice, a transpose,
+# a reshape) or that a later rule shares out, next to a numpy reference
+# computed out of place: (loss builder, reference of x's gradient, x's shape,
+# the upstream weights' shape).
+ALIASING_CASES = {
+    "relu_of_concat": (
+        lambda x, w: (ag.relu(ag.concat([x, x])) * w).sum(),
+        lambda x, w: w[:3] * (x > 0) + w[3:] * (x > 0), (3, 4), (6, 4)),
+    "concat_of_relus": (
+        lambda x, w: (ag.concat([ag.relu(x), ag.relu(x * -1.0)], axis=1) * w).sum(),
+        lambda x, w: w[:, :4] * (x > 0) - w[:, 4:] * (x < 0), (3, 4), (3, 8)),
+    "dropout_of_transpose": (
+        lambda x, w: (ag.dropout(ag.transpose(x, (1, 0)), 0.3, np.random.default_rng(5))
+                      * w).sum(),
+        lambda x, w: (w * _keep(5, (4, 3)) / 0.7).T, (3, 4), (4, 3)),
+    "transpose_of_dropout": (
+        lambda x, w: (ag.transpose(ag.dropout(x, 0.3, np.random.default_rng(5)), (1, 0))
+                      * w).sum(),
+        lambda x, w: w.T * _keep(5, (3, 4)) / 0.7, (3, 4), (4, 3)),
+    "softmax_after_reshape": (
+        lambda x, w: (ag.softmax(x.reshape(2, 6), ALL) * w).sum(),
+        lambda x, w: _softmax_grad(x.reshape(2, 6), w).reshape(3, 4), (3, 4), (2, 6)),
+    "reshape_of_softmax": (
+        lambda x, w: (ag.softmax(x, ALL).reshape(12) * w).sum(),
+        lambda x, w: _softmax_grad(x, w.reshape(3, 4)), (3, 4), (12,)),
+    "relu_of_add": (
+        lambda x, w: (ag.relu(ag.add(x, x)) * w).sum(),
+        lambda x, w: 2.0 * w * (x > 0), (3, 4), (3, 4)),
+    "add_of_relus": (
+        lambda x, w: (ag.add(ag.relu(x), ag.relu(x * -1.0)) * w).sum(),
+        lambda x, w: w * (x > 0) - w * (x < 0), (3, 4), (3, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALIASING_CASES))
+def test_in_place_rules_are_safe_on_shared_and_viewed_gradients(name):
+    build, reference, x_shape, w_shape = ALIASING_CASES[name]
+    rng = np.random.default_rng(41)
+    x = ag.param(rng.standard_normal(x_shape))
+    x.data += np.sign(x.data) * 0.05  # keep relu kinks away from the FD step
+    w_data = rng.standard_normal(w_shape)
+    w = ag.constant(w_data)
+    assert max_rel_error(lambda: build(x, w), {"x": x}, rng, coords_per_param=12) <= 1e-6
+    ag.backward(build(x, w))
+    np.testing.assert_allclose(x.grad, reference(x.data, w_data), rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("rows", [1, 122, 602])
@@ -500,7 +602,7 @@ def test_no_taped_rule_holds_a_tensor():
     try:
         assert ag._TAPE[-1] is loss._node
         ops = {node.rule.__qualname__.split(".")[0] for node in ag._TAPE}
-        assert {"embedding_lookup", "dropout", "matmul", "softmax", "layer_norm", "relu",
+        assert {"embedding_lookup", "dropout", "matmul", "softmax", "layer_norm", "ffn",
                 "add", "mul", "concat", "cross_entropy", "softplus"} <= ops
         for node in ag._TAPE:
             cells = [c.cell_contents for c in node.rule.__closure__ or ()]
@@ -574,3 +676,27 @@ def test_training_forward_holds_at_most_100_mib():
         ag.clear_tape()
     assert out.shape == (256, 40, 64)
     assert live <= 100 * 2**20, f"training forward holds {live / 2**20:.1f} MiB"
+
+
+def test_training_forward_holds_no_ffn_hidden_layer():
+    # the same (256, 40) forward at embed 64: ffn keeps no (N*T, 4e) hidden
+    # layer on the tape, so the forward holds 53.8 MiB (73.8 while the relu
+    # output was taped) and forward plus backward peaks at 95.6 MiB (110.8)
+    dims = ModelDims(n_items=100, embed_dim=64, dropout=0.1)
+    probe = EncoderParams(dims, seed=0)
+    ids = np.random.default_rng(0).integers(1, 101, size=(256, 40))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = encode_batch(ids, probe, stream=SeedStream(0, "memory"))
+        live = tracemalloc.get_traced_memory()[0] - before
+        loss = (out * ag.constant(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))).sum()
+        del out
+        ag.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        ag.clear_tape()
+    assert live <= 60 * 2**20, f"training forward holds {live / 2**20:.1f} MiB"
+    assert peak <= 108 * 2**20, f"forward and backward peak at {peak / 2**20:.1f} MiB"
+    assert all(p.grad is not None for p in probe.named_params().values())

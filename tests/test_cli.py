@@ -587,6 +587,19 @@ def test_sequence_ids_outside_the_vocabulary_are_refused(workspace, tmp_path, ca
     assert "user 'u2' has item id 121 outside the vocabulary's 1..120" in capsys.readouterr().err
 
 
+def test_the_first_bad_id_late_in_a_long_sequence_is_named(workspace, tmp_path, capsys):
+    _, cfg, data = workspace
+    bad = tmp_path / "data"
+    bad.mkdir()
+    (bad / "vocab.txt").write_text((data / "vocab.txt").read_text())
+    late = " ".join(map(str, list(range(1, 46)) + [0, 7, 300, 9]))
+    (bad / "sequences.txt").write_text(f"#seqrec-v1\nu1: {' '.join(map(str, range(1, 121)))}\n"
+                                       f"u2: {late}\n")
+    rc = main(["corrupt", "--data", str(bad), "--config", str(cfg), "--limit", "1"])
+    assert rc == 1
+    assert "user 'u2' has item id 0 outside the vocabulary's 1..120" in capsys.readouterr().err
+
+
 def test_resume_refuses_another_phase_checkpoint(workspace, tmp_path, capsys):
     _, _, data = workspace
     rc = main(["train-augmenter", "--data", str(data), "--resume", str(FIXTURE),

@@ -266,9 +266,10 @@ def _constant_adds():
 @pytest.mark.parametrize("last_only", [False, True], ids=["full", "last_only"])
 def test_stack_matches_the_one_output_op_block_bit_for_bit(last_only):
     # a training block (taped, dropout on) with its early releases, the
-    # in-place ReLU and the boolean mask applied inside softmax: every value
-    # and gradient as the oracle's, which keeps every array, copies for ReLU
-    # and adds a float mask to the scores
+    # ffn node that recomputes its hidden layer in backward and the boolean
+    # mask applied inside softmax: every value and gradient as the oracle's,
+    # which keeps every array, copies for ReLU and adds a float mask to the
+    # scores
     dims = ModelDims(n_items=20, embed_dim=16, n_layers=2, n_heads=2, dropout=0.1)
     probe = EncoderParams(dims, seed=21)
     rng = np.random.default_rng(8)
@@ -294,12 +295,12 @@ def test_stack_matches_the_one_output_op_block_bit_for_bit(last_only):
                                                      probe.blocks, dims, ids, s,
                                                      last_only=last_only))
     want, want_grads = run(lambda s: _old_stack(ids, probe, s, last_only))
-    # the oracle tapes one mask add a block, and six nodes a block that the
-    # fused ops never had: two bias adds and each layer norm's gain mul and
-    # bias add
+    # the oracle tapes one mask add a block, six nodes a block that the
+    # fused ops never had (two bias adds and each layer norm's gain mul and
+    # bias add), and the W1 matmul and relu nodes that ffn folds into its own
     (got_len, got_adds), (want_len, want_adds) = tape
     assert (got_adds, want_adds) == (0, dims.n_layers)
-    assert want_len - got_len == dims.n_layers * (1 + 6)
+    assert want_len - got_len == dims.n_layers * (1 + 6 + 2)
     np.testing.assert_array_equal(got, want)
     assert set(got_grads) == set(want_grads)
     for name, g in want_grads.items():
