@@ -6,7 +6,8 @@ positions, generates a short run of new items with a reverse generator:
 a small causal Transformer anchored on the insertion position's hidden
 state that emits items most-recent-first until a STOP symbol.
 
-Sequences are encoded with a trailing MASK sentinel. The sentinel's hidden
+Sequences are encoded with a trailing MASK sentinel into one flat array of
+cells, one pass per length class (encoder.class_passes). The sentinel's
 state anchors end-of-sequence insertions: its generation target is the run
 of items deleted from the tail (possibly just STOP). Operation supervision
 covers only the real positions, so the per-position operation loss of an
@@ -36,12 +37,13 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .augops import OP_INSERT, CorruptionRecord, restore_sequence
-from .data import PAD_ID, length_classes, pad_batch
+from .data import PAD_ID, length_classes
 from .encoder import (
     BlockParams,
     EncoderParams,
     ModelDims,
     _dropout,
+    class_passes,
     encode_batch,
     transformer_stack,
 )
@@ -173,46 +175,21 @@ class RestorationStats:
         return self.ins_hits / self.n_ins_items if self.n_ins_items else 0.0
 
 
-def _encode_classes(
+def _encode_cells(
     seqs: list[list[int]],
     enc: EncoderParams,
     stream: SeedStream | None = None,
-) -> list[tuple[np.ndarray, Tensor]]:
+) -> tuple[Tensor, np.ndarray]:
     """Encode each sequence plus its MASK sentinel, one pass per length class.
 
-    Returns (rows, h) per data.length_classes class of len(seq), shortest
-    first: the class's indices into seqs and its (n_c, w_c, e) states.
-    Rows are right-aligned to the class's widest, so seqs[rows[k]] fills
-    columns w_c-1-len .. w_c-2 and its sentinel column w_c-1, and no row is
-    padded to more than twice its slots. Each class draws its dropout masks
+    Returns encoder.class_passes' flat (cells, e) states and sentinel[i],
+    the cell of seqs[i]'s sentinel: item j of seqs[i] sits at cell
+    sentinel[i] - len(seqs[i]) + j. Each class draws its dropout masks
     from stream in class order.
     """
     mask_id = enc.dims.mask_id
-    classes = []
-    for rows in length_classes([len(s) for s in seqs]):
-        ids = pad_batch([seqs[i] + [mask_id] for i in rows])
-        classes.append((rows, encode_batch(ids, enc, stream=stream)))
-    return classes
-
-
-def _assemble_records(records: list[CorruptionRecord], w: int, base: int):
-    """Place labels and runs in the (len(records), w) grid of right-aligned rows.
-
-    Cells are flat indices counted from base, the grid's first cell.
-    Returns the real positions' cells, rows in order, their op targets, and
-    the runs as (anchor cell, target run); a record's sentinel run (its
-    deleted tail, anchored at column w-1) follows its insert runs.
-    """
-    cells, op_targets = [], []
-    runs: list[tuple[int, list[int]]] = []
-    for i, rec in enumerate(records):
-        end = base + i * w + w - 1  # the sentinel's cell
-        start = end - len(rec.s_mod)  # s_mod[0]'s cell
-        cells.extend(range(start, end))
-        op_targets.extend(rec.ops)
-        runs.extend((start + pos, list(run)) for pos, run in rec.ins_targets.items())
-        runs.append((end, list(rec.tail_targets)))
-    return cells, op_targets, runs
+    return class_passes([s + [mask_id] for s in seqs],
+                        lambda ids: encode_batch(ids, enc, stream=stream))
 
 
 def _run_matrices(runs: list[tuple[int, list[int]]], stop_class: int):
@@ -247,9 +224,9 @@ def _restoration_forward(
     every run step up to and including STOP) and the batch's
     RestorationStats, whose hits are counted only with count_hits.
     The encoder runs once per length class of the damaged sequences
-    (_encode_classes). The run anchors and the operation head read one
-    concatenation of the classes' flattened states; the head reads only the
-    real positions' rows, so no padding or sentinel cell is scored. The
+    (_encode_cells); the run anchors and the operation head read its flat
+    states, records in cell order, and the head reads only the real
+    positions' rows, so no padding or sentinel cell is scored. The
     generator runs once per length class of runs, so no pass pads a run
     beyond twice its steps; each pass projects only its real steps, and one
     cross-entropy per class scores them, so a class's catalog-wide logits
@@ -258,24 +235,21 @@ def _restoration_forward(
     """
     if not records:
         raise ValueError("restoration needs a non-empty batch")
-    dims = enc.dims
-    states, cells, op_targets = [], [], []
+    h_flat, sentinel = _encode_cells([r.s_mod for r in records], enc, stream=stream)
+    cells, op_targets = [], []
     runs: list[tuple[int, list[int]]] = []
-    base = 0  # flat index of the class's first cell in the concatenation
-    for rows, h in _encode_classes([r.s_mod for r in records], enc, stream=stream):
-        n_c, w_c = h.shape[:2]
-        cells_c, targets_c, runs_c = _assemble_records([records[i] for i in rows], w_c, base)
-        states.append(h.reshape(n_c * w_c, dims.embed_dim))
-        cells += cells_c
-        op_targets += targets_c
-        runs += runs_c
-        base += n_c * w_c
-    h_flat = ag.concat(states, axis=0)
+    for i in np.argsort(sentinel):
+        rec, end = records[i], int(sentinel[i])
+        start = end - len(rec.s_mod)  # s_mod[0]'s cell
+        cells.extend(range(start, end))
+        op_targets.extend(rec.ops)
+        runs.extend((start + pos, list(run)) for pos, run in rec.ins_targets.items())
+        runs.append((end, list(rec.tail_targets)))
     op_targets = np.array(op_targets, dtype=np.int64)
     op_logits = predict_op_logits(ag.embedding_lookup(h_flat, cells), aug)
     op_nll = ag.cross_entropy(op_logits, op_targets).sum()
     op_hits = int((op_logits.data.argmax(axis=-1) == op_targets).sum()) if count_hits else 0
-    stop = _stop_class(dims)
+    stop = _stop_class(enc.dims)
     losses = []
     ins_hits = n_ins_items = 0
     for rows in length_classes([len(run) for _, run in runs]):
@@ -403,27 +377,19 @@ def _decide_ops(
     Returns, per sequence, its (len + 1, e) hidden states and its len + 1
     ops, sentinel last: the argmax operation, or one drawn from its softmax
     when an rng is given. The encoder runs once per length class
-    (_encode_classes). Each class's op logits are copied into the right of
-    an (n, w) grid; sampling draws over a row's real cells only, rows in
-    order, so padding uses up no draws.
+    (_encode_cells); the op head then reads each sequence's cells, rows in
+    input order, so sampling draws over real cells only and padding uses up
+    no draws.
     """
-    dims = enc.dims
-    n, w = len(seqs), max(len(s) for s in seqs) + 1
-    h = np.zeros((n, w, dims.embed_dim))
-    op_logits = np.zeros((n, w, 3))
     with ag.no_grad():
-        for rows, h_class in _encode_classes(seqs, enc):
-            cols = slice(w - h_class.shape[1], w)
-            h[rows, cols] = h_class.data
-            op_logits[rows, cols] = predict_op_logits(h_class, aug).data
-    if rng is None:
-        ops = op_logits.argmax(axis=-1)
-    else:
-        real = np.arange(w) >= w - 1 - np.array([len(s) for s in seqs])[:, None]
-        ops = np.zeros((n, w), dtype=np.int64)
-        ops[real] = _sample_rows(op_logits[real], rng)
-    cells = [slice(w - 1 - len(s), w) for s in seqs]
-    return [h[i, c] for i, c in enumerate(cells)], [ops[i, c] for i, c in enumerate(cells)]
+        h_flat, sentinel = _encode_cells(seqs, enc)
+        h = h_flat.data[np.concatenate([np.arange(end - len(s), end + 1)
+                                        for s, end in zip(seqs, sentinel)])]
+        del h_flat
+        op_logits = predict_op_logits(ag.constant(h), aug).data
+    ops = op_logits.argmax(axis=-1) if rng is None else _sample_rows(op_logits, rng)
+    splits = np.cumsum([len(s) + 1 for s in seqs])[:-1]
+    return np.split(h, splits), np.split(ops, splits)
 
 
 def generation_op_proportions(

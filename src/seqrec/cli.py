@@ -244,11 +244,12 @@ def cmd_train_recommender(args) -> int:
     return 0
 
 
-def _parse_ratio(raw: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in raw.split(":")]
-    if len(parts) != 3:
-        raise ConfigError(f"ratio must be three ':'-separated numbers, got {raw!r}")
-    return tuple(parts)
+def _parse_ratio(raw: str, flag: str) -> tuple[float, float, float]:
+    try:
+        keep, delete, insert = (float(x) for x in raw.split(":"))
+    except ValueError:  # a part that is no number, or not three parts
+        raise ConfigError(f"{flag} must be three ':'-separated numbers, got {raw!r}") from None
+    return keep, delete, insert
 
 
 def cmd_evaluate(args) -> int:
@@ -263,7 +264,7 @@ def cmd_evaluate(args) -> int:
     noisy = None
     if args.noisy:
         ratio = (NoisySimConfig.ratio if args.noisy_ratio is None
-                 else _parse_ratio(args.noisy_ratio))
+                 else _parse_ratio(args.noisy_ratio, "--noisy-ratio"))
         noisy = NoisySimConfig(ratio=ratio, seed=cfg.seed)
     transform = None
     if args.testaug:
@@ -287,11 +288,25 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate_noise(args) -> int:
     cfg = _read_config(args)
     sequences, vocab = _load_processed(_data_dir(args, cfg))
-    noisy_cfg = NoisySimConfig(ratio=_parse_ratio(args.ratio), seed=cfg.seed)
+    noisy_cfg = NoisySimConfig(ratio=_parse_ratio(args.ratio, "--ratio"), seed=cfg.seed)
     noised = simulate_noisy_testset(sequences, noisy_cfg, vocab)
     write_sequences(args.out_file, noised)
     print(f"wrote {len(noised)} noised sequences to {args.out_file}")
     return 0
+
+
+def _grid_value(cfg: RunConfig, key: str, raw: str) -> RunConfig:
+    """A copy of cfg with one --grid value set, refused under its key."""
+    out = dataclasses.replace(cfg)
+    try:
+        if key == "probs":
+            out.p_keep, out.p_delete, out.p_insert = _parse_ratio(raw, key)
+        else:
+            setattr(out, key, float(raw))
+        out.validate()
+    except ValueError as err:
+        raise ConfigError(f"--grid {key}={raw}: {err}") from None
+    return out
 
 
 def cmd_sweep(args) -> int:
@@ -310,9 +325,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one --grid")
     sweep_probs = any(key == "probs" for key, _ in grids)
 
-    cells: list[dict[str, str]] = [{}]
-    for key, values in grids:
-        cells = [dict(cell, **{key: v}) for cell in cells for v in values]
+    cells: list[tuple[dict[str, str], RunConfig]] = [({}, cfg)]
+    for key, values in grids:  # every cell's config is checked before any training
+        cells = [(dict(cell, **{key: v}), _grid_value(cell_cfg, key, v))
+                 for cell, cell_cfg in cells for v in values]
 
     needs_phase1 = cfg.policy.needs_phase1_augmenter
     pretrained = None
@@ -321,16 +337,7 @@ def cmd_sweep(args) -> int:
         pretrained = train_augmenter(split, vocab, cfg).model
 
     rows = []
-    for cell in cells:
-        cell_cfg = dataclasses.replace(cfg)
-        if "alpha" in cell:
-            cell_cfg.alpha = float(cell["alpha"])
-        if "beta" in cell:
-            cell_cfg.beta = float(cell["beta"])
-        if "probs" in cell:
-            pk, pd, pi = _parse_ratio(cell["probs"])
-            cell_cfg.p_keep, cell_cfg.p_delete, cell_cfg.p_insert = pk, pd, pi
-        cell_cfg.validate()
+    for cell, cell_cfg in cells:
         if needs_phase1 and sweep_probs:
             pretrained = train_augmenter(split, vocab, cell_cfg).model
         phase2 = train_recommender(split, vocab, cell_cfg, pretrained=pretrained)

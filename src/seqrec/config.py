@@ -105,6 +105,12 @@ class RunConfig:
 
     def validate(self) -> None:
         self.policy  # refuses an unknown mode
+        for key, f in _FIELDS.items():  # what a `key = value` line cannot carry back
+            value = getattr(self, key)
+            if f.type == "str" and ("#" in value or value != value.strip()
+                                    or len(value.splitlines()) > 1):
+                raise ConfigError(f"{key} must hold no '#', line break or leading or "
+                                  f"trailing whitespace, got {value!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
         for key, low in _AT_LEAST.items():

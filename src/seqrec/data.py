@@ -216,10 +216,12 @@ def pad_batch(seqs: list[list[int]]) -> np.ndarray:
 def length_classes(lengths) -> list[np.ndarray]:
     """Row indices grouped by power-of-two length class, shortest class first.
 
-    A row of length L takes L + 1 slots (a trailing sentinel or STOP step);
-    its class is L.bit_length(), so the classes hold 1, 2, 3-4, 5-8, ...
-    slots and padding to a class's widest row at most doubles any row.
-    Indices keep their input order within a class.
+    A row of length L takes L + 1 slots (a trailing sentinel, MASK slot or
+    STOP step); its class is L.bit_length(), so the classes hold 1, 2, 3-4,
+    5-8, ... slots and padding to a class's widest row at most doubles any
+    row. Indices keep their input order within a class. It groups the rows
+    of every encoder and recommender stack (encoder.class_passes) and the
+    generator's teacher runs (augmenter._restoration_forward).
     """
     keys = np.array([int(n).bit_length() for n in lengths], dtype=np.int64)
     if not keys.size:

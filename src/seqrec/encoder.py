@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import PAD_ID
+from .data import PAD_ID, length_classes, pad_batch
 from .errors import ShapeError
 from .seeding import SeedStream, rng_for
 
@@ -226,6 +226,29 @@ def encode_batch(
     # no local holds the embeddings, so the stack frees them after block 0 reads them
     return transformer_stack(embed_sequence(ids, enc, stream=stream), enc.blocks, enc.dims,
                              ids, stream=stream)
+
+
+def class_passes(rows: list[list[int]], forward) -> tuple[Tensor, np.ndarray]:
+    """Run forward(pad_batch(c)) once per length class c of rows; return (states, last).
+
+    The classes are data.length_classes on len(row) - 1, shortest first, so
+    no row is padded to more than twice its width, and a forward that draws
+    dropout masks draws them in class order. states holds the classes'
+    outputs as rows of e: an (n_c, w_c, e) one flattened, an (n_c, e) one as
+    it is. last[i] is the flat index of rows[i]'s final cell; rows are
+    right-aligned, so its other cells sit just before it.
+    """
+    classes = length_classes([len(r) - 1 for r in rows])
+    states, ends, base = [], [], 0
+    for idx in classes:
+        h = forward(pad_batch([rows[i] for i in idx]))
+        w = h.shape[1] if h.ndim == 3 else 1
+        states.append(h.reshape(len(idx) * w, h.shape[2]) if h.ndim == 3 else h)
+        ends.append(base + w * np.arange(1, len(idx) + 1) - 1)
+        base += len(idx) * w
+    last = np.empty(len(rows), dtype=np.int64)
+    last[np.concatenate(classes)] = np.concatenate(ends)
+    return (states[0] if len(states) == 1 else ag.concat(states, axis=0)), last
 
 
 def take_last_position(h: Tensor) -> Tensor:

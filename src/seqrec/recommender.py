@@ -5,7 +5,7 @@ item table; inference appends a MASK slot after the full history so the
 prediction conditions on every real item. Sequence representations for the
 contrastive losses come from the same stack's last-position states. Every
 caller reads only that position, so the stack's last block computes it alone,
-and every caller runs one pass per length class of its rows (_class_forward).
+and every caller runs one pass per length class of its rows (class_passes).
 A pass trains, drawing its dropout masks, exactly when it is given a
 SeedStream; scoring takes none.
 """
@@ -16,11 +16,11 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import length_classes, pad_batch
 from .encoder import (
     BlockParams,
     EncoderParams,
     ModelDims,
+    class_passes,
     encode_batch,
     transformer_stack,
 )
@@ -62,19 +62,14 @@ def _class_forward(
 ) -> Tensor:
     """(N, e) final-position states of `rows`, in input order.
 
-    One full_forward runs per length class of rows (data.length_classes on
-    len(row) - 1), so no row is padded to more than twice its width. Each
-    class draws its dropout masks from `stream` in class order; one row
-    gather puts the classes' states back in input order.
+    One full_forward per length class (encoder.class_passes), each drawing
+    its dropout masks from `stream` in class order; one row gather puts the
+    states back in input order, unless they already are.
     """
-    classes = length_classes([len(r) - 1 for r in rows])
-    states = [full_forward(pad_batch([rows[i] for i in idx]), enc, rec, stream=stream)
-              for idx in classes]
-    if len(states) == 1:
-        return states[0]
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[np.concatenate(classes)] = np.arange(len(rows))
-    return ag.embedding_lookup(ag.concat(states, axis=0), inverse)
+    states, last = class_passes(rows, lambda ids: full_forward(ids, enc, rec, stream=stream))
+    if np.array_equal(last, np.arange(len(rows))):
+        return states
+    return ag.embedding_lookup(states, last)
 
 
 def sequence_reprs(

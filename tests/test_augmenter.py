@@ -488,13 +488,13 @@ def test_restoration_head_holds_one_catalog_wide_buffer_per_class(monkeypatch):
 
 
 def _one_hot_op_patch(monkeypatch, layout):
-    """Force op predictions: layout maps (row, col offset from left) -> op."""
+    """Force op predictions: layout maps a cell -> op, cells counting every
+    sequence's positions then its sentinel, sequences in order."""
 
     def fake_logits(h, aug_):
-        n, w, _ = h.shape
-        logits = np.zeros((n, w, 3))
-        for (row, col), op in layout.items():
-            logits[row, col, op] = 10.0
+        logits = np.zeros((h.shape[0], 3))
+        for cell, op in layout.items():
+            logits[cell, op] = 10.0
         return ag.constant(logits)
 
     monkeypatch.setattr(am, "predict_op_logits", fake_logits)
@@ -512,9 +512,9 @@ def test_generate_all_keep_is_identity(monkeypatch):
 def test_generate_splices_insert_run_reversed(monkeypatch):
     enc, aug = fresh_params(16)
     seq = [5, 2, 9]
-    # batch width is len(seq)+1 (sentinel), so col 0 is the first real item;
-    # force insert there with a decoded run in reverse order [x, y] = [7, 3]
-    _one_hot_op_patch(monkeypatch, {(0, 0): OP_INSERT})
+    # cell 0 is the first real item; force insert there with a decoded run
+    # in reverse order [x, y] = [7, 3]
+    _one_hot_op_patch(monkeypatch, {0: OP_INSERT})
 
     def fake_decode(anchors, *a, **k):
         runs = [[] for _ in range(anchors.shape[0])]
@@ -536,13 +536,12 @@ def test_generate_oracle_restores_corruption(monkeypatch):
     for seq, record in zip(seqs, corrupt_sequence(seqs, ccfg, rng_for(0))):
         if len(record.s_mod) > DIMS.max_aug_len - 1:
             continue
-        w = len(record.s_mod) + 1
-        layout = {(0, pos): op for pos, op in enumerate(record.ops)}
+        ops = record.ops
 
-        def fake_logits(h, aug_, layout=layout, w=w):
-            logits = np.zeros((1, w, 3))
-            for (row, col), op in layout.items():
-                logits[row, col, op] = 10.0
+        def fake_logits(h, aug_, ops=ops):
+            assert h.shape[0] == len(ops) + 1  # the real cells and the sentinel
+            logits = np.zeros((h.shape[0], 3))
+            logits[np.arange(len(ops)), ops] = 10.0
             return ag.constant(logits)
 
         runs = [record.ins_targets[p] for p in sorted(record.ins_targets)]

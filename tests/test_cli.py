@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqrec import trainer
+from seqrec import cli, trainer
 from seqrec.augmenter import generate_augmented_batch
 from seqrec.checkpoint import load_checkpoint, save_checkpoint
 from seqrec.cli import _load_model_ckpt, _save_model_ckpt, main
@@ -632,6 +632,47 @@ def test_sweep_refuses_a_bad_contrast_ratio_before_training(workspace, tmp_path,
     captured = capsys.readouterr()
     assert "error: gamma must be in (0,1), got 0.0" in captured.err
     assert "training shared augmenter" not in captured.out
+
+
+@pytest.mark.parametrize("grid, refusal", [
+    ("alpha=x", "--grid alpha=x: could not convert string to float: 'x'"),
+    ("alpha=0.1,-1", "--grid alpha=-1: alpha must be finite and >= 0, got -1.0"),
+], ids=["not-a-number", "bad-later-cell"])
+def test_sweep_refuses_a_bad_grid_value_before_training(workspace, tmp_path, capsys,
+                                                       monkeypatch, grid, refusal):
+    # a bad later cell is refused before the first cell trains
+    _, cfg, data = workspace
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before every cell was checked")
+
+    monkeypatch.setattr(cli, "train_augmenter", no_training)
+    monkeypatch.setattr(cli, "train_recommender", no_training)
+    rc = main(["sweep", "--data", str(data), "--config", str(cfg),
+               "--out", str(tmp_path / "sweep"), "--mode", "full", "--grid", grid])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: {refusal}" in captured.err
+    assert "training shared augmenter" not in captured.out
+
+
+def test_sweep_names_a_bad_probs_value(workspace, tmp_path, capsys):
+    _, cfg, data = workspace
+    rc = main(["sweep", "--data", str(data), "--config", str(cfg),
+               "--out", str(tmp_path / "sweep"), "--grid", "probs=0.4:0.5:0.1,0.5:x:0.5"])
+    assert rc == 1
+    assert ("error: --grid probs=0.5:x:0.5: probs must be three ':'-separated numbers, "
+            "got '0.5:x:0.5'") in capsys.readouterr().err
+
+
+def test_out_dir_holding_a_hash_is_refused_before_training(workspace, tmp_path, capsys):
+    # `out_dir = runs/#a` would read back from a checkpoint as `runs/`
+    _, cfg, data = workspace
+    rc = main(["train-augmenter", "--data", str(data), "--config", str(cfg),
+               "--out", str(tmp_path / "runs" / "#a")])
+    assert rc == 1
+    assert "error: out_dir must hold no '#'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_probs_grid_reports_operation_column(workspace, tmp_path):

@@ -191,6 +191,21 @@ def test_round_trip_through_lines():
     assert meta["epoch"] == "3"
 
 
+@pytest.mark.parametrize("value", ["runs/a b", "data/a=b", "C:\\data\\run 1", "runs/ä"])
+def test_accepted_paths_survive_the_lines(value):
+    cfg = RunConfig(interactions=value, processed_dir=value, out_dir=value)
+    assert parse_config_lines(config_to_lines(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key", ["interactions", "processed_dir", "out_dir"])
+@pytest.mark.parametrize("value", ["runs/#a", "data/a#b", "a\nb", "a\rb", " a", "a ", "a\t"])
+def test_paths_a_config_line_cannot_carry_are_refused(key, value):
+    # a '#' would start a comment when the line is read back, and the reader
+    # splits lines and strips values
+    with pytest.raises(ConfigError, match=f"^{key} must hold no '#'"):
+        RunConfig(**{key: value})
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 9\nlr = 0.01\n")

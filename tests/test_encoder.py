@@ -5,10 +5,13 @@ import pytest
 
 from seqrec import autograd as ag
 from seqrec.autograd import NEG_INF
+from seqrec import recommender
+from seqrec.data import pad_batch
 from seqrec.encoder import (
     EncoderParams,
     ModelDims,
     attention_mask,
+    class_passes,
     embed_sequence,
     encode_batch,
     position_indices,
@@ -136,6 +139,57 @@ def test_take_last_position():
     h = ag.constant(np.arange(24.0).reshape(2, 3, 4))
     out = take_last_position(h)
     np.testing.assert_array_equal(out.data, h.data[:, -1, :])
+
+
+# rows over six length classes, out of class order
+CLASS_ROWS = [[1 + (3 * i + j) % 20 for j in range(n)]
+              for i, n in enumerate((9, 1, 4, 2, 3, 17, 5))]
+
+
+def test_class_passes_find_each_rows_cells(enc):
+    # each row's cells, found from last, match its real cells of one padded
+    # pass over every row, for a forward of (n, w, e) and one of (n, e)
+    rec = recommender.RecommenderParams(DIMS, seed=43)
+    ids = pad_batch(CLASS_ROWS)
+    widths = []
+
+    def full_states(ids_):
+        widths.append(ids_.shape[1])
+        return encode_batch(ids_, enc)
+
+    with ag.no_grad():
+        states, last = class_passes(CLASS_ROWS, full_states)
+        one_pass = encode_batch(ids, enc).data
+        final, final_last = class_passes(
+            CLASS_ROWS, lambda ids_: recommender.full_forward(ids_, enc, rec))
+        one_pass_final = recommender.full_forward(ids, enc, rec).data
+    assert widths == [1, 2, 4, 5, 9, 17]  # each class's widest row, shortest class first
+    assert states.shape == (1 + 2 + 2 * 4 + 5 + 9 + 17, 16)  # every class's cells, flat
+    assert len(set(last.tolist())) == len(CLASS_ROWS)
+    for i, row in enumerate(CLASS_ROWS):
+        cells = states.data[last[i] - len(row) + 1:last[i] + 1]
+        np.testing.assert_allclose(cells, one_pass[i, -len(row):], atol=1e-12, rtol=0)
+    assert final.shape == (len(CLASS_ROWS), 16)
+    np.testing.assert_allclose(final.data[final_last], one_pass_final, atol=1e-12, rtol=0)
+
+
+def test_rows_in_class_order_tape_no_gather(enc):
+    rec = recommender.RecommenderParams(DIMS, seed=44)
+
+    def taped(run):
+        ag.clear_tape()
+        out = run()
+        size = ag.tape_size()
+        ag.clear_tape()
+        return out, size
+
+    ordered = sorted(CLASS_ROWS, key=len)
+    passes, n_passes = taped(lambda: class_passes(
+        ordered, lambda ids: recommender.full_forward(ids, enc, rec))[0])
+    states, n_ordered = taped(lambda: recommender._class_forward(ordered, enc, rec))
+    assert n_ordered == n_passes
+    np.testing.assert_array_equal(states.data, passes.data)
+    assert taped(lambda: recommender._class_forward(CLASS_ROWS, enc, rec))[1] == n_passes + 1
 
 
 def test_encoder_gradients_flow_to_all_params(enc):
