@@ -7,7 +7,7 @@ Run: python3 demos/01_autodiff_basics.py
 import numpy as np
 
 from seqrec import autograd as ag
-from seqrec.optim import AdamState, ParamStore, adam_step
+from seqrec.optim import AdamState, adam_step
 
 # --- tensors and gradients --------------------------------------------------
 
@@ -62,9 +62,9 @@ print(f"analytic {analytic:+.8f} vs finite difference {fd:+.8f}")
 # --- a few Adam steps on a quadratic bowl ------------------------------------
 
 p = ag.param([4.0, -3.0])
-store = ParamStore({"p": p})
-opt = AdamState(store, lr=0.05)
+params = {"p": p}  # a name -> Tensor table, as a component's named_params() returns
+opt = AdamState(params, lr=0.05)
 for step in range(200):
     ag.backward((p * p).sum())
-    adam_step(store, opt)
+    adam_step(params, opt)
 print("after 200 Adam steps on |p|^2:", np.round(p.data, 4))

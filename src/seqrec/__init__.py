@@ -47,7 +47,7 @@ from .evaluate import (
     simulate_noisy_testset,
     user_metrics,
 )
-from .optim import AdamState, ParamStore, adam_step
+from .optim import AdamState, adam_step
 from .recommender import RecommenderParams, rec_loss, sequence_reprs
 from .synthgen import SynthSpec, generate
 from .trainer import (

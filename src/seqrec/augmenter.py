@@ -42,6 +42,7 @@ from .encoder import (
     BlockParams,
     EncoderParams,
     ModelDims,
+    Params,
     _dropout,
     class_passes,
     encode_batch,
@@ -50,34 +51,26 @@ from .encoder import (
 from .seeding import SeedStream, rng_for
 
 
-class AugmenterParams:
+class AugmenterParams(Params):
     """Operation head plus the reverse generator's own stack and tables."""
+
+    prefix = "aug"
 
     def __init__(self, dims: ModelDims, seed: int):
         self.dims = dims
         e = dims.embed_dim
         # 3 operation logits per position, ordered (keep, delete, insert).
         self.op_proj = ag.xavier_init((3, e), rng_for(seed, "aug", "op_proj"))
-        self.gen_blocks = [
-            BlockParams(dims, (seed, "aug", "gen_block", i))
-            for i in range(dims.n_layers)
-        ]
         # Teacher-forced runs can span a whole deleted prefix, so the
         # generator's position table covers max_len + anchor.
         self.gen_pos = ag.xavier_init(
             (dims.max_len + 1, e), rng_for(seed, "aug", "gen_pos")
         )
         self.stop_emb = ag.xavier_init((1, e), rng_for(seed, "aug", "stop_emb"))
-
-    def named_params(self, prefix: str = "aug") -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.op_proj": self.op_proj,
-            f"{prefix}.gen_pos": self.gen_pos,
-            f"{prefix}.stop_emb": self.stop_emb,
-        }
-        for i, blk in enumerate(self.gen_blocks):
-            out.update(blk.named_params(f"{prefix}.gen_blocks.{i}"))
-        return out
+        self.gen_blocks = [
+            BlockParams(dims, (seed, "aug", "gen_block", i))
+            for i in range(dims.n_layers)
+        ]
 
 
 def predict_op_logits(h: Tensor, aug: AugmenterParams) -> Tensor:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 
 from .augops import AugConfig, CorruptionConfig
@@ -157,15 +158,29 @@ def _check_retired(key: str, raw: str, line_no: int) -> None:
                           f"got {raw.strip()!r}")
 
 
+def _line_body(line: str, line_no: int) -> str:
+    """A config line without its comment and outer whitespace.
+
+    A '#' at the start of the line or after whitespace starts a comment; a
+    '#' inside a value is refused, not cut off (`out_dir = runs/#a`).
+    """
+    comment = re.search(r"(?:^|\s)#", line)
+    body = line[:comment.start()] if comment else line
+    if "#" in body:
+        raise ConfigError(f"config line {line_no}: a '#' inside a value, got {line.strip()!r}; "
+                          f"a comment starts with '#' after whitespace")
+    return body.strip()
+
+
 def parse_config_lines(lines) -> RunConfig:
     """Apply `key = value` lines over defaults; unknown keys are an error.
 
-    Lines starting with '#' (and inline '# ...' suffixes) are comments.
-    Keys starting with '_' are checkpoint metadata and are ignored here.
+    Comments follow _line_body. Keys starting with '_' are checkpoint
+    metadata and are ignored here.
     """
     cfg = RunConfig()
     for line_no, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _line_body(line, line_no)
         if not line:
             continue
         if "=" not in line:
@@ -200,10 +215,10 @@ def config_to_lines(cfg: RunConfig, meta: dict | None = None) -> list[str]:
 
 
 def read_meta(lines) -> dict[str, str]:
-    """Extract _meta keys from serialized config lines."""
+    """Extract _meta keys from serialized config lines (comments as in _line_body)."""
     meta = {}
-    for line in lines:
-        line = line.split("#", 1)[0].strip()
+    for line_no, line in enumerate(lines, start=1):
+        line = _line_body(line, line_no)
         if line.startswith("_") and "=" in line:
             key, _, raw = line.partition("=")
             meta[key.strip()[1:]] = raw.strip()

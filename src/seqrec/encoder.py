@@ -61,7 +61,33 @@ class ModelDims:
         return self.embed_dim // self.n_heads
 
 
-class BlockParams:
+class Params:
+    """A component's trainable parameters, named by the attributes that hold them.
+
+    named_params walks the attributes in assignment order, which is the
+    checkpoint's array order: a Tensor is prefix.attr, a Params adds its
+    table under prefix.attr, a list's item i under prefix.attr.i, and
+    anything else (dims, a missing component) adds nothing.
+    """
+
+    prefix = ""  # named_params' default prefix
+
+    def named_params(self, prefix: str | None = None) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        _add_named(out, self.prefix if prefix is None else prefix, self)
+        return out
+
+
+def _add_named(out: dict[str, Tensor], name: str, value) -> None:
+    if isinstance(value, Tensor):
+        out[name] = value
+    elif isinstance(value, (Params, list)):
+        items = vars(value).items() if isinstance(value, Params) else enumerate(value)
+        for key, item in items:
+            _add_named(out, f"{name}.{key}" if name else key, item)
+
+
+class BlockParams(Params):
     """One Transformer block: self-attention + FFN, post-norm with affine."""
 
     def __init__(self, dims: ModelDims, seed_parts: tuple):
@@ -84,14 +110,11 @@ class BlockParams:
         self.ln2_g = ag.param(np.ones(e))
         self.ln2_b = ag.param(np.zeros(e))
 
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        names = ["Wq", "Wk", "Wv", "Wo", "ln1_g", "ln1_b",
-                 "W1", "b1", "W2", "b2", "ln2_g", "ln2_b"]
-        return {f"{prefix}.{n}": getattr(self, n) for n in names}
 
-
-class EncoderParams:
+class EncoderParams(Params):
     """Item/position embeddings plus the encoder's block stack."""
+
+    prefix = "enc"
 
     def __init__(self, dims: ModelDims, seed: int):
         self.dims = dims
@@ -104,12 +127,6 @@ class EncoderParams:
         self.blocks = [
             BlockParams(dims, (seed, "enc", "block", i)) for i in range(dims.n_layers)
         ]
-
-    def named_params(self, prefix: str = "enc") -> dict[str, Tensor]:
-        out = {f"{prefix}.item_emb": self.item_emb, f"{prefix}.pos_emb": self.pos_emb}
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.named_params(f"{prefix}.blocks.{i}"))
-        return out
 
 
 def position_indices(ids: np.ndarray) -> np.ndarray:

@@ -154,6 +154,14 @@ def dist(sum_noisy: float, sum_raw: float) -> float:
     return (sum_noisy - sum_raw) / sum_raw
 
 
+def check_negative_count(n_negatives: int, n_items: int) -> None:
+    """Refuse a negative count no user can fill: a user's free pool holds at
+    most n_items - 1 items, so every user would be skipped."""
+    if n_negatives >= n_items:
+        raise ConfigError(f"n_negatives {n_negatives} must be below the catalog's {n_items} "
+                          f"items: no user could be ranked")
+
+
 def evaluate_model(
     split: SplitDataset,
     vocab: Vocabulary,
@@ -179,10 +187,11 @@ def evaluate_model(
     one array pass. `transform_context` maps each scoring chunk's list of
     contexts to the list that is scored (used by augment-at-test
     evaluation). Users whose negative pool is too small are skipped and
-    counted.
+    counted; a count no user can fill is refused (check_negative_count).
     """
     if which not in ("valid", "test"):
         raise ValueError(f"split must be 'valid' or 'test', got {which!r}")
+    check_negative_count(n_negatives, vocab.n_items)
     users = sorted(split.users, key=lambda u: u.user_id)
     scored = [ItemSequence(u.user_id, u.full()[:-1] if which == "valid" else u.full())
               for u in users]

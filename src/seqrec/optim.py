@@ -1,4 +1,4 @@
-"""Named parameter collections and the Adam optimizer."""
+"""The Adam optimizer over a name -> Tensor table (a component's named_params())."""
 
 from __future__ import annotations
 
@@ -13,44 +13,10 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-class ParamStore:
-    """Ordered name -> Tensor mapping for one trainable parameter set."""
-
-    def __init__(self, named: dict[str, Tensor]):
-        self._params: dict[str, Tensor] = dict(named)
-
-    def items(self):
-        return self._params.items()
-
-    def fill_missing_grads(self) -> None:
-        """Give zero gradients to params a loss did not touch this step."""
-        for t in self._params.values():
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Set every parameter from values, which must name exactly these parameters."""
-        extra = [name for name in values if name not in self._params]
-        if extra:
-            raise CheckpointError(f"array {extra[0]!r} is not a parameter of this model "
-                                  f"({len(extra)} such arrays)")
-        for name, t in self._params.items():
-            if name not in values:
-                raise CheckpointError(f"missing array for parameter {name!r}")
-            if values[name].shape != t.data.shape:
-                raise CheckpointError(f"array {name!r} has shape {values[name].shape}, "
-                                      f"the model needs {t.data.shape}")
-        for name, t in self._params.items():
-            t.data = values[name].astype(t.data.dtype, copy=True)
-
-
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter."""
 
-    def __init__(self, params: ParamStore, lr: float = 0.001):
+    def __init__(self, params: dict[str, Tensor], lr: float = 0.001):
         self.lr = float(lr)
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -71,7 +37,7 @@ class AdamState:
         Every array must be named m.<parameter> or v.<parameter>; which
         parameters those are, and their shapes, the run that resumes checks.
         """
-        state = cls(ParamStore({}), lr)
+        state = cls({}, lr)
         for key, arr in arrays.items():
             moment, _, name = key.partition(".")
             if moment not in ("m", "v") or not name:
@@ -82,7 +48,7 @@ class AdamState:
         return state
 
 
-def adam_step(params: ParamStore, state: AdamState) -> None:
+def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """One bias-corrected Adam update; gradients are consumed (reset to None)."""
     missing = [name for name, t in params.items() if t.grad is None]
     if missing:

@@ -20,6 +20,7 @@ from .encoder import (
     BlockParams,
     EncoderParams,
     ModelDims,
+    Params,
     class_passes,
     encode_batch,
     transformer_stack,
@@ -27,20 +28,16 @@ from .encoder import (
 from .seeding import SeedStream
 
 
-class RecommenderParams:
+class RecommenderParams(Params):
     """The recommender's block stack; the item table is shared with the encoder."""
+
+    prefix = "rec"
 
     def __init__(self, dims: ModelDims, seed: int):
         self.dims = dims
         self.blocks = [
             BlockParams(dims, (seed, "rec", "block", i)) for i in range(dims.n_layers)
         ]
-
-    def named_params(self, prefix: str = "rec") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.named_params(f"{prefix}.blocks.{i}"))
-        return out
 
 
 def full_forward(

@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autograd as ag
+from .autograd import Tensor
 from .augmenter import (
     AugmenterParams,
     RestorationStats,
@@ -43,32 +44,45 @@ from .augops import AugConfig, CorruptionConfig, corrupt_sequence, random_augmen
 from .config import RunConfig
 from .contrastive import batch_contrastive_loss, triplet_loss
 from .data import SplitDataset, Vocabulary, make_batches
-from .encoder import EncoderParams, ModelDims
-from .errors import ConfigError, NonFiniteError
-from .evaluate import evaluate_model
-from .optim import AdamState, ParamStore, adam_step
+from .encoder import EncoderParams, ModelDims, Params
+from .errors import CheckpointError, ConfigError, NonFiniteError
+from .evaluate import check_negative_count, evaluate_model
+from .optim import AdamState, adam_step
 from .recommender import RecommenderParams, rec_loss, sequence_reprs
 from .seeding import SeedStream, rng_for
 
 
 @dataclass
-class RecModel:
-    """Bundle of all trainable components sharing one ModelDims."""
+class RecModel(Params):
+    """Bundle of all trainable components sharing one ModelDims; its
+    parameters are named enc.*, aug.*, rec.* (Params), in that order."""
 
     dims: ModelDims
     enc: EncoderParams
     aug: AugmenterParams | None = None
     rec: RecommenderParams | None = None
 
-    def named_params(self, components=("enc", "aug", "rec")):
-        out = {}
-        if "enc" in components:
-            out.update(self.enc.named_params("enc"))
-        if "aug" in components and self.aug is not None:
-            out.update(self.aug.named_params("aug"))
-        if "rec" in components and self.rec is not None:
-            out.update(self.rec.named_params("rec"))
-        return out
+    def named_params(self, components=("enc", "aug", "rec")) -> dict[str, Tensor]:
+        """The parameters of the named components, in the table's order."""
+        return {name: t for name, t in super().named_params().items()
+                if name.split(".", 1)[0] in components}
+
+    def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Set every parameter from values, which must name exactly these; a refused
+        load sets none."""
+        params = self.named_params()
+        extra = [name for name in values if name not in params]
+        if extra:
+            raise CheckpointError(f"array {extra[0]!r} is not a parameter of this model "
+                                  f"({len(extra)} such arrays)")
+        for name, t in params.items():
+            if name not in values:
+                raise CheckpointError(f"missing array for parameter {name!r}")
+            if values[name].shape != t.data.shape:
+                raise CheckpointError(f"array {name!r} has shape {values[name].shape}, "
+                                      f"the model needs {t.data.shape}")
+        for name, t in params.items():
+            t.data = values[name].astype(t.data.dtype, copy=True)
 
 
 def dims_from_config(cfg: RunConfig, n_items: int) -> ModelDims:
@@ -116,14 +130,17 @@ class TrainResult:
     patience_left: int = 0
 
 
-def _step(loss, params: ParamStore, opt: AdamState, key: tuple) -> None:
+def _step(loss, params: dict[str, Tensor], opt: AdamState, key: tuple) -> None:
     """Backward and one Adam step, refused when the loss or a gradient is not finite.
 
-    key is the batch's (seed, phase, epoch, batch); the run stops before a
-    NaN or Inf reaches the parameters, the Adam moments or a checkpoint.
+    A parameter the loss did not reach steps on a zero gradient. key is the
+    batch's (seed, phase, epoch, batch); the run stops before a NaN or Inf
+    reaches the parameters, the Adam moments or a checkpoint.
     """
     ag.backward(loss)
-    params.fill_missing_grads()
+    for t in params.values():
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
     bad = [name for name, t in params.items() if not np.isfinite(t.grad).all()]
     if bad or not np.isfinite(loss.item()):
         seed, phase, epoch, batch = key
@@ -187,7 +204,7 @@ _PHASES = {"augmenter": ("aug", "val_loss", -1), "recommender": ("rec", "val_sum
 
 
 def _start(phase: str, cfg: RunConfig, n_items: int, model: RecModel,
-           resume: TrainResult | None) -> tuple[TrainResult, ParamStore]:
+           resume: TrainResult | None) -> tuple[TrainResult, dict[str, Tensor]]:
     """The run's starting state and the parameters its phase trains.
 
     The starting model (fresh, on a phase-1 model, or resume.model) must have
@@ -195,7 +212,8 @@ def _start(phase: str, cfg: RunConfig, n_items: int, model: RecModel,
     hold both moments, each of the parameter's shape, for every parameter
     the run trains; it steps at cfg.lr, the lr those checkpoints store.
     Phase 1 trains encoder + augmenter; phase 2 encoder + recommender,
-    + augmenter where the mode says.
+    + augmenter where the mode says, and refuses an n_negatives its
+    validation could rank no user with.
     """
     source = "resumed" if resume is not None else "phase-1"  # a fresh model has cfg's dims
     have, want = asdict(model.dims), asdict(dims_from_config(cfg, n_items))
@@ -203,11 +221,13 @@ def _start(phase: str, cfg: RunConfig, n_items: int, model: RecModel,
     if differ:
         raise ConfigError(f"the {source} model does not match the run config "
                           f"({source} vs config): {'; '.join(differ)}")
+    if phase == "recommender":
+        check_negative_count(cfg.n_negatives, n_items)
     if phase == "augmenter":
         parts = ("enc", "aug")
     else:
         parts = ("enc", "rec", "aug") if cfg.policy.trains_augmenter else ("enc", "rec")
-    params = ParamStore(model.named_params(parts))
+    params = model.named_params(parts)
     if resume is None:
         return TrainResult(model, AdamState(params, lr=cfg.lr), patience_left=cfg.patience), params
     moments = {"m": resume.opt.m, "v": resume.opt.v}
@@ -226,7 +246,7 @@ def _start(phase: str, cfg: RunConfig, n_items: int, model: RecModel,
 
 
 def _run_epochs(phase: str, split: SplitDataset, cfg: RunConfig, result: TrainResult,
-                params: ParamStore, batch_loss, validate, on_epoch=None,
+                params: dict[str, Tensor], batch_loss, validate, on_epoch=None,
                 log=None) -> TrainResult:
     """The epoch loop of both phases, from result.epoch + 1 up to cfg.epochs_<phase>.
 
@@ -437,15 +457,17 @@ def train_recommender(
 
 
 def model_arrays(model: RecModel) -> dict[str, np.ndarray]:
-    """Named parameter arrays of every component present (for checkpoints)."""
-    return ParamStore(model.named_params()).copy_values()
+    """A copy of every present component's named parameter arrays (for checkpoints)."""
+    return {name: t.data.copy() for name, t in model.named_params().items()}
 
 
 def model_from_arrays(dims: ModelDims, arrays: dict[str, np.ndarray]) -> RecModel:
-    """Rebuild a model from checkpoint arrays; components inferred by prefix."""
+    """Rebuild a model from checkpoint arrays; components inferred by prefix.
+
+    RecModel.load_values refuses arrays that do not match the model's table.
+    """
     prefixes = {name.split(".", 1)[0] for name in arrays}
     model = build_model(dims, 0, with_aug="aug" in prefixes,
                         with_rec="rec" in prefixes)
-    store = ParamStore(model.named_params())
-    store.load_values(arrays)
+    model.load_values(arrays)
     return model

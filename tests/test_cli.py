@@ -12,7 +12,7 @@ from seqrec.cli import _load_model_ckpt, _save_model_ckpt, main
 from seqrec.config import config_to_lines, parse_config_lines, read_meta
 from seqrec.data import leave_one_out_split, read_sequences, read_vocabulary
 from seqrec.evaluate import NoisySimConfig, evaluate_model
-from seqrec.optim import AdamState, ParamStore
+from seqrec.optim import AdamState
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "ring120-full.ckpt"
 
@@ -475,7 +475,7 @@ def test_resume_refuses_a_mode_that_trains_the_augmenter_the_run_did_not(workspa
     # of its mode, which covers no augmenter parameter
     _, _, data = workspace
     cfg, _, model, _, _ = _load_model_ckpt(FIXTURE)
-    opt = AdamState(ParamStore(model.named_params(("enc", "rec"))), cfg.lr)
+    opt = AdamState(model.named_params(("enc", "rec")), cfg.lr)
     ckpt = tmp_path / "full.ckpt"
     _save_model_ckpt(ckpt, cfg, "recommender",
                      trainer.TrainResult(model, opt, epoch=0, patience_left=cfg.patience))
@@ -576,6 +576,29 @@ def test_prefix_longer_than_max_len_is_refused_before_training(workspace, tmp_pa
     assert not (out / "train-log.txt").exists()  # no epoch ran
 
 
+def test_negatives_no_fewer_than_the_catalog_are_refused(workspace, base_run, tmp_path,
+                                                         capsys):
+    # the workspace catalog holds 120 items, so no user could be ranked
+    _, cfg, data = workspace
+    many = tmp_path / "many.cfg"
+    many.write_text(cfg.read_text() + "n_negatives = 500\n")
+    out = tmp_path / "many"
+    rc = main(["train-recommender", "--data", str(data), "--config", str(many),
+               "--out", str(out)])
+    assert rc == 1
+    assert "n_negatives 500 must be below the catalog's 120 items" in capsys.readouterr().err
+    assert not (out / "train-log.txt").exists()  # no epoch ran
+
+    text, params, _, _ = load_checkpoint(base_run / "recommender-best.ckpt")
+    ckpt = tmp_path / "many.ckpt"
+    save_checkpoint(ckpt, text.replace("n_negatives = 99", "n_negatives = 120"), params)
+    rc = main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "report")])
+    assert rc == 1
+    assert "n_negatives 120 must be below the catalog's 120 items" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()  # no report written
+
+
 def test_sequence_ids_outside_the_vocabulary_are_refused(workspace, tmp_path, capsys):
     _, cfg, data = workspace
     bad = tmp_path / "data"
@@ -673,6 +696,24 @@ def test_out_dir_holding_a_hash_is_refused_before_training(workspace, tmp_path, 
     assert rc == 1
     assert "error: out_dir must hold no '#'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_resume_refuses_a_stored_out_dir_holding_a_hash(phase1_run, workspace, tmp_path,
+                                                      monkeypatch, capsys):
+    # a checkpoint written before such values were refused at save; its line
+    # must not read back as `out_dir = runs/`
+    _, _, data = workspace
+    text, params, opt_step, opt_arrays = load_checkpoint(phase1_run / "augmenter-last.ckpt")
+    lines = [("out_dir = runs/#a" if line.startswith("out_dir =") else line)
+             for line in text.splitlines()]
+    ckpt = tmp_path / "old.ckpt"
+    save_checkpoint(ckpt, "\n".join(lines) + "\n", params, opt_step=opt_step,
+                    opt_arrays=opt_arrays)
+    monkeypatch.chdir(tmp_path)
+    rc = main(["train-augmenter", "--data", str(data), "--resume", str(ckpt)])
+    assert rc == 1
+    assert "'#' inside a value, got 'out_dir = runs/#a'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sweep_probs_grid_reports_operation_column(workspace, tmp_path):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqrec import autograd as ag
 from seqrec import checkpoint as ckpt
 from seqrec.checkpoint import load_checkpoint, save_checkpoint
 from seqrec.cli import build_parser
@@ -20,7 +21,6 @@ from seqrec.config import (
 )
 from seqrec.encoder import ModelDims
 from seqrec.errors import CheckpointError, ConfigError
-from seqrec.optim import ParamStore
 from seqrec.trainer import build_model, model_arrays, model_from_arrays
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "ring120-full.ckpt"
@@ -200,10 +200,26 @@ def test_accepted_paths_survive_the_lines(value):
 @pytest.mark.parametrize("key", ["interactions", "processed_dir", "out_dir"])
 @pytest.mark.parametrize("value", ["runs/#a", "data/a#b", "a\nb", "a\rb", " a", "a ", "a\t"])
 def test_paths_a_config_line_cannot_carry_are_refused(key, value):
-    # a '#' would start a comment when the line is read back, and the reader
-    # splits lines and strips values
+    # a '#' inside a value is refused when the line is read back, and the
+    # reader splits lines and strips values
     with pytest.raises(ConfigError, match=f"^{key} must hold no '#'"):
         RunConfig(**{key: value})
+
+
+def test_a_comment_starts_at_a_hash_after_whitespace():
+    assert parse_config_lines(["# seed = 4", "  # note", "seed = 3  # note"]).seed == 3
+    assert read_meta(["_phase = aug\t# note", "seed = 3"]) == {"phase": "aug"}
+
+
+@pytest.mark.parametrize("read, lines, bad", [
+    (parse_config_lines, ["out_dir = runs/#a"], 1),
+    (parse_config_lines, ["seed = 3", "processed_dir = data/a#b"], 2),
+    (read_meta, ["_phase = aug#x"], 1),
+])
+def test_a_hash_inside_a_value_is_refused_not_cut(read, lines, bad):
+    with pytest.raises(ConfigError, match=re.escape(f"config line {bad}: a '#' inside a value, "
+                                                    f"got {lines[bad - 1]!r}")):
+        read(lines)
 
 
 def test_load_config_file(tmp_path):
@@ -369,8 +385,8 @@ def test_model_from_arrays_rejects_arrays_the_model_lacks():
 
 def test_load_values_reports_a_missing_or_misshapen_parameter():
     dims, arrays = _tiny_model_arrays()
-    store = ParamStore(build_model(dims, seed=1, with_aug=False).named_params())
-    before = store.copy_values()
+    model = build_model(dims, seed=1, with_aug=False)
+    before = model_arrays(model)
     for name, value in (("enc.pos_emb", None), ("rec.blocks.0.b1", np.zeros(3))):
         bad = dict(arrays)
         if value is None:
@@ -378,9 +394,58 @@ def test_load_values_reports_a_missing_or_misshapen_parameter():
         else:
             bad[name] = value
         with pytest.raises(CheckpointError, match=repr(name)):
-            store.load_values(bad)
-        for key, arr in store.copy_values().items():  # nothing half-loaded
+            model.load_values(bad)
+        for key, arr in model_arrays(model).items():  # nothing half-loaded
             np.testing.assert_array_equal(arr, before[key])
+
+
+# The checkpoint contract: a model's arrays are saved and loaded by these
+# names, and saved in this order.
+TWO_LAYER_NAMES = [
+    "enc.item_emb", "enc.pos_emb",
+    "enc.blocks.0.Wq", "enc.blocks.0.Wk", "enc.blocks.0.Wv", "enc.blocks.0.Wo",
+    "enc.blocks.0.ln1_g", "enc.blocks.0.ln1_b", "enc.blocks.0.W1", "enc.blocks.0.b1",
+    "enc.blocks.0.W2", "enc.blocks.0.b2", "enc.blocks.0.ln2_g", "enc.blocks.0.ln2_b",
+    "enc.blocks.1.Wq", "enc.blocks.1.Wk", "enc.blocks.1.Wv", "enc.blocks.1.Wo",
+    "enc.blocks.1.ln1_g", "enc.blocks.1.ln1_b", "enc.blocks.1.W1", "enc.blocks.1.b1",
+    "enc.blocks.1.W2", "enc.blocks.1.b2", "enc.blocks.1.ln2_g", "enc.blocks.1.ln2_b",
+    "aug.op_proj", "aug.gen_pos", "aug.stop_emb",
+    "aug.gen_blocks.0.Wq", "aug.gen_blocks.0.Wk", "aug.gen_blocks.0.Wv",
+    "aug.gen_blocks.0.Wo", "aug.gen_blocks.0.ln1_g", "aug.gen_blocks.0.ln1_b",
+    "aug.gen_blocks.0.W1", "aug.gen_blocks.0.b1", "aug.gen_blocks.0.W2",
+    "aug.gen_blocks.0.b2", "aug.gen_blocks.0.ln2_g", "aug.gen_blocks.0.ln2_b",
+    "aug.gen_blocks.1.Wq", "aug.gen_blocks.1.Wk", "aug.gen_blocks.1.Wv",
+    "aug.gen_blocks.1.Wo", "aug.gen_blocks.1.ln1_g", "aug.gen_blocks.1.ln1_b",
+    "aug.gen_blocks.1.W1", "aug.gen_blocks.1.b1", "aug.gen_blocks.1.W2",
+    "aug.gen_blocks.1.b2", "aug.gen_blocks.1.ln2_g", "aug.gen_blocks.1.ln2_b",
+    "rec.blocks.0.Wq", "rec.blocks.0.Wk", "rec.blocks.0.Wv", "rec.blocks.0.Wo",
+    "rec.blocks.0.ln1_g", "rec.blocks.0.ln1_b", "rec.blocks.0.W1", "rec.blocks.0.b1",
+    "rec.blocks.0.W2", "rec.blocks.0.b2", "rec.blocks.0.ln2_g", "rec.blocks.0.ln2_b",
+    "rec.blocks.1.Wq", "rec.blocks.1.Wk", "rec.blocks.1.Wv", "rec.blocks.1.Wo",
+    "rec.blocks.1.ln1_g", "rec.blocks.1.ln1_b", "rec.blocks.1.W1", "rec.blocks.1.b1",
+    "rec.blocks.1.W2", "rec.blocks.1.b2", "rec.blocks.1.ln2_g", "rec.blocks.1.ln2_b",
+]
+TWO_LAYER_DIMS = ModelDims(n_items=30, embed_dim=8, n_layers=2, n_heads=2)
+
+
+def test_parameter_names_and_order_are_pinned():
+    model = build_model(TWO_LAYER_DIMS, 3)
+    assert len(TWO_LAYER_NAMES) == 77
+    assert list(model.named_params()) == list(model_arrays(model)) == TWO_LAYER_NAMES
+    # a component subset keeps the table's order, in whatever order it is named
+    assert list(model.named_params(("rec", "enc"))) == [
+        name for name in TWO_LAYER_NAMES if not name.startswith("aug.")]
+    assert list(model.enc.named_params()) == TWO_LAYER_NAMES[:26]
+    assert list(model.aug.named_params("x"))[:3] == ["x.op_proj", "x.gen_pos", "x.stop_emb"]
+
+
+def test_a_tensor_set_on_a_block_is_a_parameter():
+    model = build_model(TWO_LAYER_DIMS, 3)
+    model.enc.blocks[1].extra = ag.param(np.zeros(2))
+    names = list(model.named_params())
+    assert names[names.index("enc.blocks.1.ln2_b") + 1] == "enc.blocks.1.extra"
+    assert len(names) == 78
+    np.testing.assert_array_equal(model_arrays(model)["enc.blocks.1.extra"], np.zeros(2))
 
 
 def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):

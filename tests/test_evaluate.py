@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -300,7 +301,7 @@ def test_perfect_scorer_gives_sum_nine(monkeypatch):
 def test_random_scorer_hit_rate_near_expectation(monkeypatch):
     split, vocab = make_split(n_users=1000, n_items=200, seq_len=6, seed=5)
     def scorer(contexts, cands, enc, rec):
-        rng = np.random.default_rng(abs(hash(cands.tobytes())) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(cands.tobytes()))  # hash() is salted
         return rng.standard_normal(cands.shape)
     monkeypatch.setattr(evaluate, "score_candidates", scorer)
     report = evaluate_model(split, vocab, None, None, seed=2)
@@ -410,13 +411,28 @@ def test_pool_too_small_user_leaves_other_users_negatives_unchanged(monkeypatch)
     assert rows == [row for uid, row in zip(order, baseline) if uid != "u13"]
 
 
-def test_catalog_smaller_than_negatives_skips_everyone(monkeypatch):
+@pytest.mark.parametrize("n_negatives", [50, 99])
+def test_catalog_no_larger_than_negatives_is_refused(monkeypatch, n_negatives):
+    # a user's free pool holds at most 49 of the 50 items: no user could be ranked
     split, vocab = make_split(n_users=10, n_items=50)
     rows = []
     monkeypatch.setattr(evaluate, "score_candidates", recording_scorer(rows))
-    report = evaluate_model(split, vocab, None, None, seed=0, n_negatives=99)
+    with pytest.raises(ConfigError, match=f"^n_negatives {n_negatives} must be below the "
+                                          f"catalog's 50 items"):
+        evaluate_model(split, vocab, None, None, seed=0, n_negatives=n_negatives)
+    assert rows == []
+
+
+def test_pools_smaller_than_negatives_skip_everyone(monkeypatch):
+    # 50 items, 45 negatives: each user holds 8 distinct items, leaving a pool of 42
+    split = leave_one_out_split([ItemSequence(f"u{k}", list(range(k + 1, k + 9)))
+                                 for k in range(10)])
+    rows = []
+    monkeypatch.setattr(evaluate, "score_candidates", recording_scorer(rows))
+    report = evaluate_model(split, make_vocab(50), None, None, seed=0, n_negatives=45)
     assert (report.n_users, report.n_skipped, rows) == (0, 10, [])
     assert report.total == 0.0
+    assert evaluate_model(split, make_vocab(50), None, None, n_negatives=42).n_users == 10
 
 
 def test_empty_train_prefix_is_scored_without_its_target(monkeypatch):

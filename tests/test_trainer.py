@@ -18,7 +18,7 @@ from seqrec.config import MODES, RunConfig, parse_config_lines, read_meta
 from seqrec.data import PAD_ID, ItemSequence, leave_one_out_split, length_classes
 from seqrec.cli import _save_model_ckpt
 from seqrec.errors import ConfigError, NonFiniteError
-from seqrec.optim import AdamState, ParamStore
+from seqrec.optim import AdamState
 from seqrec.seeding import SeedStream, rng_for
 from seqrec.trainer import (
     TrainResult,
@@ -39,8 +39,8 @@ from test_recommender import assert_close_relative, loss_and_grads, one_padded_p
 
 
 def zero_grads(params):
-    """Drop every gradient of a name -> Tensor mapping (dict or ParamStore)."""
-    for _, t in params.items():
+    """Drop every gradient of a name -> Tensor table (named_params())."""
+    for t in params.values():
         t.grad = None
 
 
@@ -149,7 +149,7 @@ def test_joint_backward_gives_each_param_its_own_gradient(tiny_data, trained_mod
     split, _ = tiny_data
     seqs = batch_from(split)
     cfg = tiny_cfg()
-    store = ParamStore(trained_model.named_params())
+    store = trained_model.named_params()
 
     def two_backward_passes():
         zero_grads(store)
@@ -670,3 +670,14 @@ def test_validation_pools_hits_not_ratios(tiny_data, trained_model):
         assert detail["ins_top1"] == whole.ins_hits / whole.n_ins_items
         assert detail["op_accuracy"] == whole.op_hits / whole.n_op_positions
         assert loss == pytest.approx(whole.loss, rel=1e-12)
+
+
+def test_negatives_no_fewer_than_the_catalog_are_refused_before_the_first_batch(
+        tiny_data, monkeypatch):
+    split, vocab = tiny_data
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran")
+    monkeypatch.setattr(trainer, "joint_loss", no_batch)
+    with pytest.raises(ConfigError, match="^n_negatives 120 must be below the catalog's "
+                                          "120 items"):
+        train_recommender(split, vocab, tiny_cfg(mode="base", n_negatives=120))
