@@ -16,8 +16,10 @@ and saves only the arrays it reads; it never holds a Tensor. So an
 intermediate's data is freed as soon as the forward code drops it, unless
 a rule reads it: matmul keeps each operand only for the other operand's
 gradient, softmax and relu keep their output, cross_entropy keeps its
-softmax, embedding_lookup keeps only its ids, ffn keeps only its input
-(its rule recomputes the hidden layer), and add, reshape, transpose,
+softmax, embedding_lookup keeps only its ids, dropout keeps its boolean
+mask, ffn keeps only its input (its rule recomputes the hidden layer),
+attention keeps only its input and its boolean masks (its rule recomputes
+q, k, v, the scores and the softmax), and add, reshape, transpose,
 concat, row_slice and sum keep no array at all. A rule computes nothing for
 a constant input.
 
@@ -36,7 +38,8 @@ drops x may ask for it: ffn hands over its W1 product, a buffer it
 allocated and no rule reads, since ffn runs its three steps untaped. A
 backward rule may write into the incoming gradient g, because g is its
 node's own (see above) and never read once the rule has run: relu,
-dropout and softmax turn g into their input's gradient in place. It may
+dropout and softmax turn g into their input's gradient in place, and a
+last-only attention adds its query rows' gradient into g. It may
 also write into an array its own forward allocated and saved, because a
 node's rule runs once and is released right after. Within that rule the
 block ops build each result in the one array they create: matmul adds its
@@ -60,6 +63,12 @@ matmul against a 2-d right operand (a weight or a transposed item table)
 is one 2-d GEMM over the flattened leading axes of the left operand, in
 the forward and in both gradients; only stacked products (attention)
 take numpy's batched matmul.
+
+ffn and attention are the two taped ops that span several steps. Each
+runs its forward through the module's own ops under no_grad, so a tracer
+that wraps those ops still sees every step, and its rule recomputes the
+intermediates it needs from its input; each gradient equals the composed
+ops' bit for bit.
 """
 
 from __future__ import annotations
@@ -502,6 +511,126 @@ def ffn(h: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
     return _record(out, (h, W1, b1, W2, b2), bw)
 
 
+def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor, allowed: np.ndarray,
+              n_heads: int, rate: float = 0.0, rngs=None, last_only: bool = False) -> Tensor:
+    """A block's attention sublayer, h + dropout(attend(h) @ Wo), taped as one node.
+
+    h is (N, T, e) and allowed the boolean (N, 1, T, T) mask softmax
+    applies. Each head's queries, keys and values are h's projections by
+    Wq, Wk and Wv, split into n_heads; the scores, scaled by 1/sqrt(e /
+    n_heads), go through softmax(scores, allowed) and dropout and weigh the
+    values; the context goes through Wo and dropout and is added to h.
+    rngs is None (no dropout) or the generators of the two dropout sites,
+    the attention weights' then the output's, each dropping at rate. With
+    last_only the queries, the residual and so the (N, 1, e) output are h's
+    final column alone; keys and values still cover all T columns.
+
+    The forward runs matmul, transpose, mul, softmax and add untaped. The
+    rule keeps only h's data, the weights and the boolean masks, and
+    recomputes q, k, v, the scores and the softmax in backward with the
+    forward's exact expressions. Each gradient follows the composed ops'
+    rules expression for expression, and h's four parts (the residual with
+    the queries', then the values', then the keys') add up in the composed
+    tape's order, so every gradient equals theirs bit for bit.
+    """
+    n, t, e = h.shape
+    dh = e // n_heads
+    rows = 1 if last_only else t
+    if last_only:
+        allowed = allowed[:, :, -1:, :]
+    scale = 1.0 / np.sqrt(dh)
+    hq = Tensor(h.data[:, -1:].copy()) if last_only else h  # the query rows
+
+    def split(x, r):
+        return transpose(x.reshape(n, r, n_heads, dh), (0, 2, 1, 3))
+
+    keep_w = keep_o = None
+    with no_grad():
+        k = split(matmul(h, Wk), t)
+        v = split(matmul(h, Wv), t)
+        q = split(matmul(hq, Wq), rows)
+        w = softmax(mul(matmul(q, transpose_last(k)), Tensor(scale)), allowed)
+        del q, k
+        if rngs is not None:
+            keep_w = _drop(w.data, rate, rngs[0], out=w.data)[1]
+        ctx = transpose(matmul(w, v), (0, 2, 1, 3)).reshape(n, rows, e)
+        del w, v
+        o = matmul(ctx, Wo)
+        del ctx
+        if rngs is not None:
+            keep_o = _drop(o.data, rate, rngs[1], out=o.data)[1]
+        out = add(hq, o)
+        del o
+    hd, hqd = h.data, hq.data
+    wq, wk, wv, wo = Wq.data, Wk.data, Wv.data, Wo.data
+    drop_scale = 1.0 / (1.0 - rate)
+
+    def bw(g, sh, sq, sk, sv, so):
+        h2, hq2 = hd.reshape(-1, e), hqd.reshape(-1, e)
+
+        def heads(x, r):
+            return np.transpose(x.reshape(n, r, n_heads, dh), (0, 2, 1, 3))
+
+        k = heads(h2 @ wk, t)
+        v = heads(h2 @ wv, t)
+        q = heads(hq2 @ wq, rows)
+        kt = np.transpose(k, (0, 1, 3, 2))
+        w = np.matmul(q, kt)
+        w *= scale
+        w = _softmax(w, allowed)
+        a = w
+        if keep_w is not None:
+            a = w * keep_w
+            a *= drop_scale
+        ctx2 = np.transpose(np.matmul(a, v), (0, 2, 1, 3)).reshape(n, rows, e).reshape(-1, e)
+        go = g
+        if keep_o is not None:
+            go = g * keep_o
+            go *= drop_scale
+        go2 = go.reshape(-1, e)
+        gctx = (go2 @ wo.T).reshape(n, rows, e)
+        if so is not None:
+            _accum(so, ctx2.T @ go2)
+        del ctx2, go, go2
+        if sh is not None and not last_only:
+            _accum(sh, g)  # the residual's part comes first
+        gc = np.transpose(gctx.reshape(n, rows, n_heads, dh), (0, 2, 1, 3))
+        del gctx
+        ga = np.matmul(gc, np.swapaxes(v, -1, -2))
+        gv = np.matmul(np.swapaxes(a, -1, -2), gc)
+        del gc, a, v
+        if keep_w is not None:
+            ga *= keep_w
+            ga *= drop_scale
+        _softmax_grad(ga, w)
+        del w
+        ga *= scale
+        gq = np.matmul(ga, np.swapaxes(kt, -1, -2))
+        gkt = np.matmul(np.swapaxes(q, -1, -2), ga)
+        del ga, q, k, kt
+        gq2 = np.transpose(gq, (0, 2, 1, 3)).reshape(n, rows, e).reshape(-1, e)
+        del gq
+        if sq is not None:
+            _accum(sq, hq2.T @ gq2)
+        if sh is not None:
+            ghq = (gq2 @ wq.T).reshape(n, rows, e)
+            if last_only:  # the final column's residual and query parts, scattered
+                g += ghq
+                ghq = np.zeros((n, t, e))
+                ghq[:, -1:] += g
+            _accum(sh, ghq)
+        del gq2
+        for gx, sw, wx in ((gv, sv, wv), (np.transpose(gkt, (0, 1, 3, 2)), sk, wk)):
+            gx2 = np.transpose(gx, (0, 2, 1, 3)).reshape(n, t, e).reshape(-1, e)
+            if sw is not None:
+                _accum(sw, h2.T @ gx2)
+            if sh is not None:
+                _accum(sh, (gx2 @ wx.T).reshape(n, t, e))
+            del gx2
+
+    return _record(out, (h, Wq, Wk, Wv, Wo), bw)
+
+
 def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow."""
     xd = x.data
@@ -511,6 +640,24 @@ def softplus(x: Tensor) -> Tensor:
         _accum(sx, g / (1.0 + np.exp(-xd)))
 
     return _record(out, (x,), bw)
+
+
+def _softmax(x: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """softmax's forward: a copy of x with each blocked cell NEG_INF, then
+    shifted, exponentiated and normalised in place."""
+    y = np.where(allowed, x, NEG_INF)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """softmax's rule: g, which the caller owns, turned in place into the input's gradient."""
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    g -= inner
+    g *= y
+    return g
 
 
 def softmax(x: Tensor, allowed: np.ndarray) -> Tensor:
@@ -523,17 +670,11 @@ def softmax(x: Tensor, allowed: np.ndarray) -> Tensor:
     below 7e13. The rule is the unmasked softmax's: a blocked cell of a row
     with an allowed cell has weight exactly 0, so its gradient is exactly 0.
     """
-    y = np.where(allowed, x.data, NEG_INF)
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y = _softmax(x.data, allowed)
     out = Tensor(y)
 
     def bw(g, sx):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        g -= inner
-        g *= y
-        _accum(sx, g)
+        _accum(sx, _softmax_grad(g, y))
 
     return _record(out, (x,), bw)
 
@@ -570,16 +711,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     return _record(out, (x, gain, bias), bw)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a mask drawn from rng; identity when rate is 0."""
+def _drop(x: np.ndarray, rate: float, rng: np.random.Generator,
+          out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Inverted dropout of x with a mask drawn from rng: (x * keep / (1 - rate), keep).
+
+    out=x drops in place, for a caller that owns x.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    keep = rng.random(x.shape) >= rate
+    y = np.multiply(x, keep, out=out)
+    y *= 1.0 / (1.0 - rate)
+    return y, keep
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout with a mask drawn from rng; identity when rate is 0."""
     if rate == 0.0:
         return x
-    keep = rng.random(x.shape) >= rate
+    y, keep = _drop(x.data, rate, rng)
     scale = 1.0 / (1.0 - rate)
-    y = x.data * keep
-    y *= scale
     out = Tensor(y)
 
     def bw(g, sx):
@@ -601,7 +752,9 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     exponentiated and normalised in place into the softmax the rule keeps,
     and backward turns that softmax into the gradient in place. Only the
     target column of the log-softmax is formed, so no second catalog-wide
-    array is made, forward or backward.
+    array is made, forward or backward. The losses are taken before the
+    normalisation, which an untaped call (no_grad, or constant logits)
+    skips.
     """
     targets = np.asarray(targets, dtype=np.int64)
     n_classes = logits.shape[-1]
@@ -620,6 +773,8 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     total = p.sum(axis=-1, keepdims=True)
     picked -= np.log(total[..., 0])  # log_softmax at the target
     out = Tensor(-picked)
+    if not (_GRAD_ENABLED and logits.requires_grad):
+        return out  # no rule will read the softmax
     p /= total  # the softmax, the one array the rule keeps
 
     def bw(g, sl):

@@ -112,11 +112,13 @@ def _load_model_ckpt(path):
 
 
 def _train_logger(out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Print each line and append it to out_dir/train-log.txt, making out_dir
+    with the first line, so a run refused before its first epoch makes none."""
     log_path = out_dir / "train-log.txt"
 
     def log(line: str) -> None:
         print(line)
+        out_dir.mkdir(parents=True, exist_ok=True)
         with open(log_path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
 
@@ -133,12 +135,12 @@ def cmd_preprocess(args) -> int:
     input_path = args.input or cfg.interactions
     if not input_path:
         raise ConfigError("no input log: pass --input or set interactions")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     interactions = parse_interactions(input_path)
     filtered = five_core_filter(interactions)
     vocab = Vocabulary.from_interactions(filtered)
     sequences = build_sequences(filtered, vocab, max_len=cfg.max_len)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_sequences(out_dir / "sequences.txt", sequences)
     write_vocabulary(out_dir / "vocab.txt", vocab)
     stats = dataset_stats(sequences, vocab)
@@ -220,6 +222,7 @@ def _train(args, phase: str, train, metric: str, **options) -> None:
     log = _train_logger(out_dir)
 
     def on_epoch(result, improved):
+        out_dir.mkdir(parents=True, exist_ok=True)
         for kind in ("last", "best") if improved else ("last",):
             _save_model_ckpt(out_dir / f"{phase}-{kind}.ckpt", cfg, phase, result)
 

@@ -8,8 +8,15 @@ position t sees positions <= t. The mask is one boolean (N, 1, T, T)
 array (attention_mask) that ag.softmax applies itself, setting each
 blocked score to autograd's NEG_INF in its own copy.
 
+A block is two taped ops and two layer norms: ag.attention (projections,
+masked softmax, context, Wo and the residual add) and ag.ffn. Each op's
+rule recomputes its intermediates from its input in backward, so a
+training forward leaves no q, k, v, softmax or FFN hidden layer on the
+tape.
+
 A forward trains exactly when it is given a SeedStream: each dropout site
-then draws its mask from the stream's next generator, in a fixed order.
+then draws its mask from the stream's next generator, in a fixed order
+(per block: the attention weights, the Wo output, the FFN output).
 Without a stream, or at dropout 0, no mask is drawn and dropout is the
 identity.
 """
@@ -55,10 +62,6 @@ class ModelDims:
     @property
     def mask_id(self) -> int:
         return self.n_items + 1
-
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.n_heads
 
 
 class Params:
@@ -191,47 +194,31 @@ def transformer_stack(
     block runs on it alone. Batches are right-aligned, so the final column
     holds a real token in every row.
 
-    A block keeps an intermediate alive only until its last reader has it:
-    q and k go once the scores exist, the scores once the softmax has
-    them, the attention weights and v once the context exists, the context
-    once its Wo projection is added, and the FFN output once the second
-    layer norm has run. The FFN is one ag.ffn op: ReLU writes into the W1
-    product, so a pass holds one (N, T, 4e) array, not two, and only while
-    the op runs; the tape keeps none, since the op's rule recomputes it.
-    What a backward rule reads stays alive on the tape (see autograd); a
-    no-grad pass holds nothing more.
+    A block is ag.attention, a layer norm, ag.ffn with its dropout, and a
+    layer norm. The attention op takes the final column itself under
+    last_only and keeps, for backward, only the block input and the
+    boolean masks: q, k, v, the scores, the softmax and the context live
+    only while the op runs (each goes once its last reader has it), and
+    its rule recomputes them. The two attention dropout generators are
+    drawn before the op, in the order the sites run. The FFN is one ag.ffn
+    op: ReLU writes into the W1 product, so a pass holds one (N, T, 4e)
+    array, not two, and only while the op runs; the tape keeps none. The
+    FFN output goes once the second layer norm has run. What a backward
+    rule reads stays alive on the tape (see autograd); a no-grad pass
+    holds nothing more.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    n, t = ids.shape
-    e, heads, dh = dims.embed_dim, dims.n_heads, dims.head_dim
     mask = attention_mask(ids)
-    scale = 1.0 / np.sqrt(dh)
-
-    def split_heads(x, rows):
-        return ag.transpose(x.reshape(n, rows, heads, dh), (0, 2, 1, 3))
-
     for i, blk in enumerate(blocks):
-        k = split_heads(ag.matmul(h, blk.Wk), t)
-        v = split_heads(ag.matmul(h, blk.Wv), t)
-        rows = t
-        if last_only and i == len(blocks) - 1:
-            rows = 1
-            h = take_last_position(h).reshape(n, 1, e)
-            mask = mask[:, :, -1:, :]
-        q = split_heads(ag.matmul(h, blk.Wq), rows)
-        scores = ag.matmul(q, ag.transpose_last(k)) * scale
-        del q, k
-        attn = _dropout(ag.softmax(scores, mask), dims, stream)
-        del scores
-        ctx = ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)).reshape(n, rows, e)
-        del attn, v
-        h = h + _dropout(ag.matmul(ctx, blk.Wo), dims, stream)
-        del ctx
+        rngs = None if stream is None or dims.dropout == 0 else (stream.next_rng(),
+                                                                  stream.next_rng())
+        h = ag.attention(h, blk.Wq, blk.Wk, blk.Wv, blk.Wo, mask, dims.n_heads, dims.dropout,
+                         rngs, last_only=last_only and i == len(blocks) - 1)
         h = ag.layer_norm(h, blk.ln1_g, blk.ln1_b)
         f = _dropout(ag.ffn(h, blk.W1, blk.b1, blk.W2, blk.b2), dims, stream)
         h = ag.layer_norm(h + f, blk.ln2_g, blk.ln2_b)
         del f
-    return h.reshape(n, e) if last_only else h
+    return h.reshape(len(ids), dims.embed_dim) if last_only else h
 
 
 def encode_batch(
@@ -266,11 +253,3 @@ def class_passes(rows: list[list[int]], forward) -> tuple[Tensor, np.ndarray]:
     last = np.empty(len(rows), dtype=np.int64)
     last[np.concatenate(classes)] = np.concatenate(ends)
     return (states[0] if len(states) == 1 else ag.concat(states, axis=0)), last
-
-
-def take_last_position(h: Tensor) -> Tensor:
-    """(N, T, e) -> (N, e) rows at the final (right-aligned) position."""
-    n, t, e = h.shape
-    flat = h.reshape(n * t, e)
-    idx = np.arange(n, dtype=np.int64) * t + (t - 1)
-    return ag.embedding_lookup(flat, idx)

@@ -391,7 +391,8 @@ def test_restoration_dropout_is_deterministic():
 def test_operation_head_scores_only_real_positions(monkeypatch):
     # the operation head reads the real positions' rows alone, so no padding
     # or sentinel cell is scored and no mask weights the per-cell losses: the
-    # taped pass multiplies by no constant array
+    # taped pass multiplies by no constant array (attention's untaped scores
+    # times their scale are no taped mul)
     enc, aug = fresh_params(21)
     head_rows, constant_muls = [], []
     head, mul = am.predict_op_logits, ag.mul
@@ -401,8 +402,10 @@ def test_operation_head_scores_only_real_positions(monkeypatch):
         return head(h, *args)
 
     def recording_mul(a, b):
-        constant_muls.extend(t.shape for t in (a, b) if not t.requires_grad and t.ndim)
-        return mul(a, b)
+        out = mul(a, b)
+        if out._node is not None:
+            constant_muls.extend(t.shape for t in (a, b) if not t.requires_grad and t.ndim)
+        return out
 
     monkeypatch.setattr(am, "predict_op_logits", recording_head)
     monkeypatch.setattr(ag, "mul", recording_mul)

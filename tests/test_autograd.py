@@ -10,7 +10,14 @@ import pytest
 
 from gradcheck import max_rel_error
 from seqrec import autograd as ag
-from seqrec.encoder import EncoderParams, ModelDims, embed_sequence, encode_batch, transformer_stack
+from seqrec.encoder import (
+    EncoderParams,
+    ModelDims,
+    attention_mask,
+    embed_sequence,
+    encode_batch,
+    transformer_stack,
+)
 from seqrec.errors import ShapeError
 from seqrec.seeding import SeedStream
 
@@ -324,6 +331,12 @@ OP_CASES = {
     "relu": lambda p, c: ag.relu(p["a"]).sum(),
     "ffn": lambda p, c: ag.softplus(
         ag.ffn(p["t3"], p["m2"], p["bias"], p["ffn_w2"], p["ffn_b2"])).sum(),
+    "attention": lambda p, c: ag.softplus(ag.attention(
+        p["att_h"], *(p[f"att_w{x}"] for x in "qkvo"), c["att_allowed"], 2, 0.3,
+        (np.random.default_rng(7), np.random.default_rng(8)))).sum(),
+    "attention_last_only": lambda p, c: ag.softplus(ag.attention(
+        p["att_h"], *(p[f"att_w{x}"] for x in "qkvo"), c["att_allowed"], 2,
+        last_only=True)).sum(),
     "softplus": lambda p, c: ag.softplus(p["a"]).sum(),
     "layer_norm": lambda p, c: (ag.layer_norm(p["a"], p["gain"], p["beta"]) * c["w"]).sum(),
     "embedding": lambda p, c: (ag.embedding_lookup(p["table"], c["ids"]) * c["w3"]).sum(),
@@ -376,6 +389,11 @@ def test_primitive_gradients_match_finite_differences(name):
         consts["allowed"] = _allowed(np.random.default_rng(5000 + trial), (4, 6))
         second = np.random.default_rng(6000 + trial)
         params["ffn_w2"], params["ffn_b2"] = _rand(second, 3, 4), _rand(second, 4)
+        third = np.random.default_rng(7000 + trial)
+        params["att_h"] = _rand(third, 2, 4, 6)
+        for x in "qkvo":
+            params[f"att_w{x}"] = _rand(third, 6, 6)
+        consts["att_allowed"] = _allowed(third, (2, 1, 4, 4))
         used = {k: v for k, v in params.items()}
         worst = max(worst, max_rel_error(lambda: build_case(used, consts), used, rng))
     assert worst <= 1e-4, f"{name}: worst rel err {worst:.3e}"
@@ -453,6 +471,73 @@ def test_ffn_matches_the_composed_ops_bit_for_bit(shape, constant_h):
         assert g is not None, name
         np.testing.assert_array_equal(got_w[name], g, err_msg=name)
     np.testing.assert_array_equal(h_data, kept)  # relu wrote into ffn's own buffer
+
+
+def _composed_attention(h, Wq, Wk, Wv, Wo, allowed, n_heads, rate, rngs, last_only):
+    n, t, e = h.shape
+    dh = e // n_heads
+    rows = 1 if last_only else t
+
+    def split(x, r):
+        return ag.transpose(x.reshape(n, r, n_heads, dh), (0, 2, 1, 3))
+
+    def drop(x, site):
+        return x if rngs is None else ag.dropout(x, rate, rngs[site])
+
+    k = split(ag.matmul(h, Wk), t)
+    v = split(ag.matmul(h, Wv), t)
+    if last_only:
+        h = ag.embedding_lookup(h.reshape(n * t, e), np.arange(n) * t + (t - 1)).reshape(n, 1, e)
+        allowed = allowed[:, :, -1:, :]
+    q = split(ag.matmul(h, Wq), rows)
+    w = drop(ag.softmax(ag.matmul(q, ag.transpose_last(k)) * (1.0 / np.sqrt(dh)), allowed), 0)
+    ctx = ag.transpose(ag.matmul(w, v), (0, 2, 1, 3)).reshape(n, rows, e)
+    return h + drop(ag.matmul(ctx, Wo), 1)
+
+
+@pytest.mark.parametrize("dropout", [False, True], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("last_only", [False, True], ids=["full", "last_only"])
+@pytest.mark.parametrize("constant_h", [False, True], ids=["param_h", "constant_h"])
+def test_attention_matches_the_composed_ops_bit_for_bit(constant_h, last_only, n_heads, dropout):
+    # the one node that recomputes q, k, v and the softmax in backward:
+    # value, h's gradient (four parts in the composed order) and the four
+    # weights' gradients as the composed ops give them, over left-padded
+    # rows (a PAD query is blocked throughout), with the same dropout draws
+    rng = np.random.default_rng(37)
+    n, t, e = 5, 6, 8
+    ids = rng.integers(1, 20, size=(n, t))
+    for r in range(n):
+        ids[r, :r + 1] = 0
+    ids[0, 0] = 4
+    allowed = attention_mask(ids)
+    h_data = rng.standard_normal((n, t, e))
+    kept = h_data.copy()
+    weights = {x: rng.standard_normal((e, e)) for x in "qkvo"}
+    up = rng.standard_normal((n, 1 if last_only else t, e))
+
+    def run(op):
+        h = ag.constant(h_data) if constant_h else ag.param(h_data)
+        ws = {x: ag.param(w) for x, w in weights.items()}
+        rngs = (np.random.default_rng(1), np.random.default_rng(2)) if dropout else None
+        out = op(h, ws["q"], ws["k"], ws["v"], ws["o"], allowed, n_heads, 0.3, rngs, last_only)
+        nodes = ag.tape_size()
+        ag.backward((out * ag.constant(up)).sum())
+        return nodes, out.data, h.grad, {x: w.grad for x, w in ws.items()}
+
+    got_nodes, got, got_h, got_w = run(
+        lambda *args: ag.attention(*args[:-1], last_only=args[-1]))
+    want_nodes, want, want_h, want_w = run(_composed_attention)
+    assert got_nodes == 1 and want_nodes >= 18
+    np.testing.assert_array_equal(got, want)
+    if constant_h:
+        assert got_h is None and want_h is None
+    else:
+        np.testing.assert_array_equal(got_h, want_h)
+    for x, g in want_w.items():
+        assert g is not None, x
+        np.testing.assert_array_equal(got_w[x], g, err_msg=f"W{x}")
+    np.testing.assert_array_equal(h_data, kept)
 
 
 def _softmax_grad(x, up):
@@ -553,6 +638,24 @@ def test_cross_entropy_matches_the_log_softmax_oracle(shape, scale):
     np.testing.assert_array_equal(logits.data, kept)
 
 
+@pytest.mark.parametrize("shape, scale", [((7, 2001), 3.0), ((6, 40), 1e6)],
+                         ids=["wide", "large"])
+def test_untaped_cross_entropy_gives_the_taped_losses_bit_for_bit(shape, scale):
+    # an untaped call skips the normalisation only the rule reads; the
+    # losses are taken before it, under no_grad and for constant logits alike
+    rng = np.random.default_rng(shape[1] + 1)
+    data = scale * rng.standard_normal(shape)
+    targets = rng.integers(0, shape[1], size=shape[0])
+    taped = ag.cross_entropy(ag.param(data), targets)
+    assert ag.tape_size() == 1
+    ag.clear_tape()
+    with ag.no_grad():
+        no_grad = ag.cross_entropy(ag.param(data), targets)
+    constant = ag.cross_entropy(ag.constant(data), targets)
+    assert ag.tape_size() == 0
+    assert no_grad.data.tobytes() == taped.data.tobytes() == constant.data.tobytes()
+
+
 def test_row_slice_matches_the_whole_table_gather():
     # each row appears once, so the slice's gradient is the gather's bit for bit
     rng = np.random.default_rng(9)
@@ -602,7 +705,7 @@ def test_no_taped_rule_holds_a_tensor():
     try:
         assert ag._TAPE[-1] is loss._node
         ops = {node.rule.__qualname__.split(".")[0] for node in ag._TAPE}
-        assert {"embedding_lookup", "dropout", "matmul", "softmax", "layer_norm", "ffn",
+        assert {"embedding_lookup", "dropout", "matmul", "attention", "layer_norm", "ffn",
                 "add", "mul", "concat", "cross_entropy", "softplus"} <= ops
         for node in ag._TAPE:
             cells = [c.cell_contents for c in node.rule.__closure__ or ()]
@@ -658,11 +761,10 @@ def test_activations_no_rule_reads_are_freed_before_backward(monkeypatch):
         np.testing.assert_array_equal(got[name], g, err_msg=name)
 
 
-def test_training_forward_holds_at_most_100_mib():
-    # live memory of one training forward of a (256, 40) batch at embed 64,
-    # everything the tape keeps for backward: 202 MiB with one array per
-    # bias add, affine step and float dropout mask; 151 MiB while the tape
-    # held every op's output; 74 MiB with rules that save only what they read
+def _training_memory(backward: bool) -> tuple[float, float]:
+    """MiB traced over one training forward of a (256, 40) batch at embed 64:
+    (live after the forward, which is what the tape keeps for backward;
+    peak through backward too, or the forward's peak without backward)."""
     dims = ModelDims(n_items=100, embed_dim=64, dropout=0.1)
     probe = EncoderParams(dims, seed=0)
     ids = np.random.default_rng(0).integers(1, 101, size=(256, 40))
@@ -671,32 +773,34 @@ def test_training_forward_holds_at_most_100_mib():
         before = tracemalloc.get_traced_memory()[0]
         out = encode_batch(ids, probe, stream=SeedStream(0, "memory"))
         live = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-        ag.clear_tape()
-    assert out.shape == (256, 40, 64)
-    assert live <= 100 * 2**20, f"training forward holds {live / 2**20:.1f} MiB"
-
-
-def test_training_forward_holds_no_ffn_hidden_layer():
-    # the same (256, 40) forward at embed 64: ffn keeps no (N*T, 4e) hidden
-    # layer on the tape, so the forward holds 53.8 MiB (73.8 while the relu
-    # output was taped) and forward plus backward peaks at 95.6 MiB (110.8)
-    dims = ModelDims(n_items=100, embed_dim=64, dropout=0.1)
-    probe = EncoderParams(dims, seed=0)
-    ids = np.random.default_rng(0).integers(1, 101, size=(256, 40))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = encode_batch(ids, probe, stream=SeedStream(0, "memory"))
-        live = tracemalloc.get_traced_memory()[0] - before
-        loss = (out * ag.constant(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))).sum()
-        del out
-        ag.backward(loss)
+        assert out.shape == (256, 40, 64)
+        if backward:
+            loss = (out * ag.constant(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))).sum()
+            del out
+            ag.backward(loss)
+            assert all(p.grad is not None for p in probe.named_params().values())
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
         ag.clear_tape()
-    assert live <= 60 * 2**20, f"training forward holds {live / 2**20:.1f} MiB"
-    assert peak <= 108 * 2**20, f"forward and backward peak at {peak / 2**20:.1f} MiB"
-    assert all(p.grad is not None for p in probe.named_params().values())
+    return live / 2**20, peak / 2**20
+
+
+def test_training_forward_holds_no_attention_intermediates():
+    # everything the tape keeps for backward: 27.9 MiB now that attention
+    # keeps only its input and boolean masks; 53.8 MiB while the tape held
+    # q, k, v, the softmax and the context, 202 MiB with one array per bias
+    # add, affine step and float dropout mask, 151 MiB while the tape held
+    # every op's output, and 74 MiB while it held the FFN's hidden layer
+    live, _ = _training_memory(backward=False)
+    assert live <= 32, f"training forward holds {live:.1f} MiB"
+
+
+def test_training_forward_holds_no_ffn_hidden_layer():
+    # neither ffn nor attention keeps an intermediate on the tape, so the
+    # forward holds 27.9 MiB and forward plus backward peaks at 69.8 MiB
+    # (53.8 and 95.6 while attention's intermediates were taped; 73.8 and
+    # 110.8 while the relu output was taped too)
+    live, peak = _training_memory(backward=True)
+    assert live <= 32, f"training forward holds {live:.1f} MiB"
+    assert peak <= 76, f"forward and backward peak at {peak:.1f} MiB"

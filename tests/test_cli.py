@@ -599,6 +599,35 @@ def test_negatives_no_fewer_than_the_catalog_are_refused(workspace, base_run, tm
     assert not (tmp_path / "report").exists()  # no report written
 
 
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("case", ["negatives", "full_without_augmenter", "resume_other_dims",
+                                  "preprocess_missing_input"])
+def test_a_refused_command_writes_nothing(phase1_run, workspace, tmp_path, capsys, case):
+    # each refusal comes before the first file, so no out dir is left behind
+    _, cfg, data = workspace
+    out = str(tmp_path / "out")
+    train = ["--data", str(data), "--out", out]
+    if case == "negatives":
+        (tmp_path / "many.cfg").write_text(cfg.read_text() + "n_negatives = 500\n")
+        argv = ["train-recommender", *train, "--config", str(tmp_path / "many.cfg")]
+    elif case == "full_without_augmenter":
+        argv = ["train-recommender", *train, "--config", str(cfg), "--mode", "full"]
+    elif case == "resume_other_dims":
+        (tmp_path / "other.cfg").write_text(cfg.read_text() + "embed_dim = 32\n")
+        argv = ["train-augmenter", *train, "--config", str(tmp_path / "other.cfg"),
+                "--resume", str(phase1_run / "augmenter-last.ckpt")]
+    else:
+        argv = ["preprocess", "--input", str(tmp_path / "missing.txt"), "--out", out]
+    before = _tree(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _tree(tmp_path) == before
+
+
 def test_sequence_ids_outside_the_vocabulary_are_refused(workspace, tmp_path, capsys):
     _, cfg, data = workspace
     bad = tmp_path / "data"

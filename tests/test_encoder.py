@@ -15,7 +15,6 @@ from seqrec.encoder import (
     embed_sequence,
     encode_batch,
     position_indices,
-    take_last_position,
     transformer_stack,
 )
 from seqrec.errors import ShapeError
@@ -135,12 +134,6 @@ def test_output_shape(enc):
         assert encode_batch(ids, enc).shape == (2, t, 16)
 
 
-def test_take_last_position():
-    h = ag.constant(np.arange(24.0).reshape(2, 3, 4))
-    out = take_last_position(h)
-    np.testing.assert_array_equal(out.data, h.data[:, -1, :])
-
-
 # rows over six length classes, out of class order
 CLASS_ROWS = [[1 + (3 * i + j) % 20 for j in range(n)]
               for i, n in enumerate((9, 1, 4, 2, 3, 17, 5))]
@@ -221,7 +214,7 @@ def test_last_only_matches_the_full_stacks_last_column(n_layers):
         h = embed_sequence(ids, probe)
         out = transformer_stack(h, probe.blocks, dims, ids, last_only=last_only)
         if not last_only:
-            out = take_last_position(out)
+            out = _take_last(out)
         ag.backward((out * weights).sum())
         grads = {}
         for name, p in probe.named_params().items():
@@ -241,6 +234,12 @@ def test_last_only_matches_the_full_stacks_last_column(n_layers):
 # attention mask, an unshifted-buffer softmax and a float dropout mask.
 # Forward rules and gradients are the previous kernel's, so transformer_stack
 # must match them bit for bit.
+
+
+def _take_last(h):
+    """(N, T, e) -> (N, e): the final column, as one taped gather."""
+    n, t, e = h.shape
+    return ag.embedding_lookup(h.reshape(n * t, e), np.arange(n, dtype=np.int64) * t + (t - 1))
 
 
 def _old_softmax(x):
@@ -282,7 +281,8 @@ def _old_dropout(x, rate, stream):
 def _old_stack(ids, enc: EncoderParams, stream, last_only):
     dims = enc.dims
     n, t = ids.shape
-    e, heads, dh = dims.embed_dim, dims.n_heads, dims.head_dim
+    e, heads = dims.embed_dim, dims.n_heads
+    dh = e // heads
     h = ag.embedding_lookup(enc.item_emb, ids)
     h = _old_dropout(h + ag.embedding_lookup(enc.pos_emb, position_indices(ids)),
                      dims.dropout, stream)
@@ -297,7 +297,7 @@ def _old_stack(ids, enc: EncoderParams, stream, last_only):
         rows = t
         if last_only and i == len(enc.blocks) - 1:
             rows = 1
-            h = take_last_position(h).reshape(n, 1, e)
+            h = _take_last(h).reshape(n, 1, e)
             mask = mask[:, :, -1:, :]
         q = split_heads(ag.matmul(h, blk.Wq), rows)
         scores = ag.matmul(q, ag.transpose_last(k)) * (1.0 / np.sqrt(dh)) + ag.constant(mask)
@@ -351,10 +351,16 @@ def test_stack_matches_the_one_output_op_block_bit_for_bit(last_only):
     want, want_grads = run(lambda s: _old_stack(ids, probe, s, last_only))
     # the oracle tapes one mask add a block, six nodes a block that the
     # fused ops never had (two bias adds and each layer norm's gain mul and
-    # bias add), and the W1 matmul and relu nodes that ffn folds into its own
+    # bias add), the W1 matmul and relu nodes that ffn folds into its own,
+    # and 19 of the 20 attention nodes that attention folds into its one (q,
+    # k and v: a matmul, reshape and transpose each; the keys' transpose,
+    # the scores' matmul and scale, softmax, dropout, the context's matmul,
+    # transpose and reshape, the Wo matmul, its dropout and the residual
+    # add); a last-only stack's final block also folds the three nodes of
+    # the final column's gather
     (got_len, got_adds), (want_len, want_adds) = tape
     assert (got_adds, want_adds) == (0, dims.n_layers)
-    assert want_len - got_len == dims.n_layers * (1 + 6 + 2)
+    assert want_len - got_len == dims.n_layers * (1 + 6 + 2 + 19) + 3 * last_only
     np.testing.assert_array_equal(got, want)
     assert set(got_grads) == set(want_grads)
     for name, g in want_grads.items():

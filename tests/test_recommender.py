@@ -12,7 +12,6 @@ from seqrec.encoder import (
     EncoderParams,
     ModelDims,
     encode_batch,
-    take_last_position,
     transformer_stack,
 )
 from seqrec.recommender import (
@@ -144,7 +143,7 @@ def test_rec_loss_matches_manual_nll(parts):
     ids = np.array([seq[:-1] + [DIMS.mask_id]])
     with ag.no_grad():  # every position through the recommender stack, then the last
         h = transformer_stack(encode_batch(ids, enc), rec.blocks, DIMS, ids)
-        logits = item_logits(take_last_position(h), enc).data[0]
+        logits = item_logits(ag.constant(h.data[:, -1]), enc).data[0]
     shifted = logits - logits.max()
     manual = -(shifted[seq[-1] - 1] - np.log(np.exp(shifted).sum()))
     assert abs(loss.item() - manual) < 1e-12

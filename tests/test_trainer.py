@@ -523,6 +523,51 @@ def test_non_finite_step_stops_before_adam_and_checkpoint(tiny_data, tmp_path, p
     assert ckpt.read_bytes() == saved[0]
 
 
+def _inf_gradient(t):
+    """A zero-valued scalar whose rule gives t an infinite gradient."""
+    def bw(g, st):
+        ag._accum(st, np.full(t.shape, np.inf))
+
+    return ag._record(ag.Tensor(0.0), (t,), bw)
+
+
+@pytest.mark.parametrize("phase", ["augmenter", "recommender"])
+def test_finite_loss_with_a_non_finite_gradient_stops_before_adam(tiny_data, tmp_path,
+                                                                  monkeypatch, phase):
+    # from epoch 1 on, each loss adds a zero whose rule writes inf into
+    # enc.pos_emb's gradient: the loss stays finite, the gradient does not
+    split, vocab = tiny_data
+    cfg = tiny_cfg(mode="base", epochs_augmenter=3, epochs_recommender=3)
+    ckpt = tmp_path / f"{phase}-last.ckpt"
+    saved, poisoned, losses, steps = {}, [], [], []
+
+    def on_epoch(result, improved):
+        _save_model_ckpt(ckpt, cfg, phase, result)
+        saved[result.epoch] = ckpt.read_bytes()
+        poisoned.append(result.model.enc.pos_emb)
+
+    backward, adam_step = ag.backward, trainer.adam_step
+
+    def poisoned_backward(loss):
+        losses.append(loss.item())
+        backward(loss + _inf_gradient(poisoned[0]) if poisoned else loss)
+
+    def counted_adam_step(params, opt):
+        steps.append(bool(poisoned))
+        adam_step(params, opt)
+
+    monkeypatch.setattr(ag, "backward", poisoned_backward)
+    monkeypatch.setattr(trainer, "adam_step", counted_adam_step)
+    train = train_augmenter if phase == "augmenter" else train_recommender
+    with pytest.raises(NonFiniteError, match="non-finite gradient of enc.pos_emb") as err:
+        train(split, vocab, cfg, on_epoch=on_epoch)
+    assert err.value.key == (cfg.seed, phase, 1, 0)
+    assert np.isfinite(losses[-1])
+    assert steps and not any(steps)  # Adam never stepped once the poison was in
+    assert list(saved) == [0]
+    assert ckpt.read_bytes() == saved[0]
+
+
 def test_resume_matches_unbroken_run(tiny_data):
     split, vocab = tiny_data
     cfg = tiny_cfg(mode="base", epochs_recommender=3, dropout=0.2)
