@@ -17,11 +17,9 @@ intermediate's data is freed as soon as the forward code drops it, unless
 a rule reads it: matmul keeps each operand only for the other operand's
 gradient, softmax and relu keep their output, cross_entropy keeps its
 softmax, embedding_lookup keeps only its ids, dropout keeps its boolean
-mask, ffn keeps only its input (its rule recomputes the hidden layer),
-attention keeps only its input and its boolean masks (its rule recomputes
-q, k, v, the scores and the softmax), and add, reshape, transpose,
-concat, row_slice and sum keep no array at all. A rule computes nothing for
-a constant input.
+mask, recompute keeps only its inputs' arrays and its generators' states,
+and add, reshape, transpose, concat, row_slice and sum keep no array at
+all. A rule computes nothing for a constant input.
 
 Gradient buffers have one owner. A backward rule hands each sink an
 array that no other sink holds: a new array, or a reshape, transpose or
@@ -34,23 +32,22 @@ second.
 An op writes in place only into an array it allocated itself, never into
 its inputs' data. The one exception is relu(x, in_place=True), which
 writes its output into x's array. Only a caller that owns that buffer and
-drops x may ask for it: ffn hands over its W1 product, a buffer it
-allocated and no rule reads, since ffn runs its three steps untaped. A
-backward rule may write into the incoming gradient g, because g is its
-node's own (see above) and never read once the rule has run: relu,
-dropout and softmax turn g into their input's gradient in place, and a
-last-only attention adds its query rows' gradient into g. It may
-also write into an array its own forward allocated and saved, because a
-node's rule runs once and is released right after. Within that rule the
-block ops build each result in the one array they create: matmul adds its
-bias into the GEMM output, layer_norm centres, scales and applies its
-affine in two buffers (the normalised copy it keeps for backward, and the
-output), softmax copies its input with each blocked cell set to NEG_INF,
-then shifts, exponentiates and normalises that copy, and
-dropout keeps a boolean mask and scales its masked copy. cross_entropy
-holds one catalog-wide buffer: its shifted copy, exponentiated and
-normalised in place into the softmax it saves, which its backward turns
-into the logits' gradient in place.
+drops x may ask for it: ffn hands over its W1 product, which no rule
+reads (matmul's rule reads its operands, not its output). A backward rule
+may write into the incoming gradient g, because g is its node's own (see
+above) and never read once the rule has run: relu, dropout and softmax
+turn g into their input's gradient in place. It may also write into an
+array its own forward allocated and saved, because a node's rule runs
+once and is released right after. Within that rule the block ops build
+each result in the one array they create: matmul adds its bias into the
+GEMM output, layer_norm centres, scales and applies its affine in two
+buffers (the normalised copy it keeps for backward, and the output),
+softmax copies its input with each blocked cell set to NEG_INF, then
+shifts, exponentiates and normalises that copy, and dropout keeps a
+boolean mask and scales its masked copy. cross_entropy holds one
+catalog-wide buffer: its shifted copy, exponentiated and normalised in
+place into the softmax it saves, which its backward turns into the
+logits' gradient in place.
 
 Shapes follow numpy broadcasting on the elementwise ops; reductions that
 broadcasting introduces are summed back out in the backward rules. All
@@ -64,11 +61,15 @@ is one 2-d GEMM over the flattened leading axes of the left operand, in
 the forward and in both gradients; only stacked products (attention)
 take numpy's batched matmul.
 
-ffn and attention are the two taped ops that span several steps. Each
-runs its forward through the module's own ops under no_grad, so a tracer
-that wraps those ops still sees every step, and its rule recomputes the
-intermediates it needs from its input; each gradient equals the composed
-ops' bit for bit.
+recompute(fn, inputs, rngs) is gradient checkpointing (Chen et al.,
+2016): fn runs untaped, and one node keeps only its inputs' arrays. Its
+rule sets each listed generator back to its state before the forward,
+replays fn on the tape over fresh leaves of those arrays, runs the
+replayed nodes alone from the node's gradient, and adds each leaf's
+gradient into its sink. ffn and attention are their composed ops under
+recompute, so a block's sublayers leave no intermediate on the tape, and
+their gradients are those ops' own rules. A tracer that wraps the ops
+sees each step in the forward and again in the replay.
 """
 
 from __future__ import annotations
@@ -185,15 +186,19 @@ _GRAD_ENABLED = True
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block (inference/eval paths)."""
+def _grad_mode(enabled: bool):
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    _GRAD_ENABLED = enabled
     try:
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def no_grad():
+    """Disable tape recording inside the block (inference/eval paths)."""
+    return _grad_mode(False)
 
 
 def tape_size() -> int:
@@ -247,7 +252,13 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     _accum(_sink(loss), np.ones_like(loss.data))
-    while _TAPE:
+    _drain(0)
+
+
+def _drain(mark: int) -> None:
+    """Run the rules of the tape's nodes above position mark, last first,
+    releasing each node as soon as its rule has run."""
+    while len(_TAPE) > mark:
         node = _TAPE.pop()
         if node.grad is not None:
             node.rule(node.grad, *node.sinks)
@@ -474,46 +485,56 @@ def relu(x: Tensor, in_place: bool = False) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def ffn(h: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
-    """relu(h @ W1 + b1) @ W2 + b2, taped as one node that keeps no hidden layer.
+def recompute(fn, inputs, rngs=()) -> Tensor:
+    """fn(*inputs), taped as one node that keeps only the inputs' arrays.
 
-    The forward is matmul, in-place relu and matmul, run untaped. The rule
-    keeps only h's data (and the weights') and recomputes the (rows, inner)
-    hidden layer in backward with the forward's exact expressions, so every
-    gradient equals the three composed ops' bit for bit.
+    fn composes this module's ops over the Tensors it is given; it may
+    capture floats, arrays and generators, never a Tensor. The forward runs
+    fn untaped. The rule sets each generator in rngs back to its state
+    before the forward, replays fn on the tape (under no_grad too) over
+    fresh leaves of the inputs' arrays, runs only the replayed nodes from
+    g and adds each leaf's gradient into its input's sink once. So a
+    dropout inside fn draws the forward's mask again only when its
+    generator is listed in rngs.
+
+    Each gradient is the composed ops' bit for bit when each input feeds fn
+    once, or feeds nothing outside it; otherwise an input's parts from
+    inside fn are summed before they join its other parts.
     """
+    states = [rng.bit_generator.state for rng in rngs]
     with no_grad():
-        out = matmul(relu(matmul(h, W1, b1), in_place=True), W2, b2)
-    h_shape = h.shape
-    k, inner = W1.shape
-    m = W2.shape[1]
-    h2, w1, bias1, w2 = h.data.reshape(-1, k), W1.data, b1.data, W2.data
+        out = fn(*inputs)
+    arrays = [x.data for x in inputs]
 
-    def bw(g, sh, sw1, sb1, sw2, sb2):
-        f = h2 @ w1
-        f += bias1
-        np.maximum(f, 0.0, out=f)
-        g2 = g.reshape(-1, m)
-        gf = g2 @ w2.T
-        gf *= f > 0
-        if sw2 is not None:
-            _accum(sw2, f.T @ g2)
-        if sb2 is not None:
-            _accum(sb2, _unbroadcast(g, (m,)))
-        del f
-        if sh is not None:
-            _accum(sh, (gf @ w1.T).reshape(h_shape))
-        if sw1 is not None:
-            _accum(sw1, h2.T @ gf)
-        if sb1 is not None:
-            _accum(sb1, _unbroadcast(gf.reshape(*h_shape[:-1], inner), (inner,)))
+    def bw(g, *sinks):
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
+        mark = len(_TAPE)
+        leaves = [Tensor(a, requires_grad=s is not None) for a, s in zip(arrays, sinks)]
+        with _grad_mode(True):
+            y = fn(*leaves)
+        _accum(_sink(y), g)
+        del y
+        _drain(mark)
+        for leaf, s in zip(leaves, sinks):
+            if leaf.grad is not None:
+                _accum(s, leaf.grad)
 
-    return _record(out, (h, W1, b1, W2, b2), bw)
+    return _record(out, tuple(inputs), bw)
+
+
+def ffn(h: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
+    """relu(h @ W1 + b1) @ W2 + b2 under recompute; ReLU writes into the W1
+    product, so a pass holds one (rows, inner) hidden array, not two."""
+    def fn(h, W1, b1, W2, b2):
+        return matmul(relu(matmul(h, W1, b1), in_place=True), W2, b2)
+
+    return recompute(fn, (h, W1, b1, W2, b2))
 
 
 def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor, allowed: np.ndarray,
               n_heads: int, rate: float = 0.0, rngs=None, last_only: bool = False) -> Tensor:
-    """A block's attention sublayer, h + dropout(attend(h) @ Wo), taped as one node.
+    """A block's attention sublayer, h + dropout(attend(h) @ Wo), under recompute.
 
     h is (N, T, e) and allowed the boolean (N, 1, T, T) mask softmax
     applies. Each head's queries, keys and values are h's projections by
@@ -523,15 +544,11 @@ def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor, allowed
     rngs is None (no dropout) or the generators of the two dropout sites,
     the attention weights' then the output's, each dropping at rate. With
     last_only the queries, the residual and so the (N, 1, e) output are h's
-    final column alone; keys and values still cover all T columns.
+    final column alone, gathered from h; keys and values still cover all T
+    columns.
 
-    The forward runs matmul, transpose, mul, softmax and add untaped. The
-    rule keeps only h's data, the weights and the boolean masks, and
-    recomputes q, k, v, the scores and the softmax in backward with the
-    forward's exact expressions. Each gradient follows the composed ops'
-    rules expression for expression, and h's four parts (the residual with
-    the queries', then the values', then the keys') add up in the composed
-    tape's order, so every gradient equals theirs bit for bit.
+    The ops run in the order keys, values, the final column's gather,
+    queries, and each intermediate is dropped once read.
     """
     n, t, e = h.shape
     dh = e // n_heads
@@ -539,96 +556,29 @@ def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor, allowed
     if last_only:
         allowed = allowed[:, :, -1:, :]
     scale = 1.0 / np.sqrt(dh)
-    hq = Tensor(h.data[:, -1:].copy()) if last_only else h  # the query rows
 
     def split(x, r):
         return transpose(x.reshape(n, r, n_heads, dh), (0, 2, 1, 3))
 
-    keep_w = keep_o = None
-    with no_grad():
+    def fn(h, Wq, Wk, Wv, Wo):
         k = split(matmul(h, Wk), t)
         v = split(matmul(h, Wv), t)
-        q = split(matmul(hq, Wq), rows)
-        w = softmax(mul(matmul(q, transpose_last(k)), Tensor(scale)), allowed)
+        if last_only:
+            h = embedding_lookup(h.reshape(n * t, e), np.arange(n) * t + (t - 1)).reshape(n, 1, e)
+        q = split(matmul(h, Wq), rows)
+        w = softmax(matmul(q, transpose_last(k)) * scale, allowed)
         del q, k
         if rngs is not None:
-            keep_w = _drop(w.data, rate, rngs[0], out=w.data)[1]
+            w = dropout(w, rate, rngs[0])
         ctx = transpose(matmul(w, v), (0, 2, 1, 3)).reshape(n, rows, e)
         del w, v
         o = matmul(ctx, Wo)
         del ctx
         if rngs is not None:
-            keep_o = _drop(o.data, rate, rngs[1], out=o.data)[1]
-        out = add(hq, o)
-        del o
-    hd, hqd = h.data, hq.data
-    wq, wk, wv, wo = Wq.data, Wk.data, Wv.data, Wo.data
-    drop_scale = 1.0 / (1.0 - rate)
+            o = dropout(o, rate, rngs[1])
+        return h + o
 
-    def bw(g, sh, sq, sk, sv, so):
-        h2, hq2 = hd.reshape(-1, e), hqd.reshape(-1, e)
-
-        def heads(x, r):
-            return np.transpose(x.reshape(n, r, n_heads, dh), (0, 2, 1, 3))
-
-        k = heads(h2 @ wk, t)
-        v = heads(h2 @ wv, t)
-        q = heads(hq2 @ wq, rows)
-        kt = np.transpose(k, (0, 1, 3, 2))
-        w = np.matmul(q, kt)
-        w *= scale
-        w = _softmax(w, allowed)
-        a = w
-        if keep_w is not None:
-            a = w * keep_w
-            a *= drop_scale
-        ctx2 = np.transpose(np.matmul(a, v), (0, 2, 1, 3)).reshape(n, rows, e).reshape(-1, e)
-        go = g
-        if keep_o is not None:
-            go = g * keep_o
-            go *= drop_scale
-        go2 = go.reshape(-1, e)
-        gctx = (go2 @ wo.T).reshape(n, rows, e)
-        if so is not None:
-            _accum(so, ctx2.T @ go2)
-        del ctx2, go, go2
-        if sh is not None and not last_only:
-            _accum(sh, g)  # the residual's part comes first
-        gc = np.transpose(gctx.reshape(n, rows, n_heads, dh), (0, 2, 1, 3))
-        del gctx
-        ga = np.matmul(gc, np.swapaxes(v, -1, -2))
-        gv = np.matmul(np.swapaxes(a, -1, -2), gc)
-        del gc, a, v
-        if keep_w is not None:
-            ga *= keep_w
-            ga *= drop_scale
-        _softmax_grad(ga, w)
-        del w
-        ga *= scale
-        gq = np.matmul(ga, np.swapaxes(kt, -1, -2))
-        gkt = np.matmul(np.swapaxes(q, -1, -2), ga)
-        del ga, q, k, kt
-        gq2 = np.transpose(gq, (0, 2, 1, 3)).reshape(n, rows, e).reshape(-1, e)
-        del gq
-        if sq is not None:
-            _accum(sq, hq2.T @ gq2)
-        if sh is not None:
-            ghq = (gq2 @ wq.T).reshape(n, rows, e)
-            if last_only:  # the final column's residual and query parts, scattered
-                g += ghq
-                ghq = np.zeros((n, t, e))
-                ghq[:, -1:] += g
-            _accum(sh, ghq)
-        del gq2
-        for gx, sw, wx in ((gv, sv, wv), (np.transpose(gkt, (0, 1, 3, 2)), sk, wk)):
-            gx2 = np.transpose(gx, (0, 2, 1, 3)).reshape(n, t, e).reshape(-1, e)
-            if sw is not None:
-                _accum(sw, h2.T @ gx2)
-            if sh is not None:
-                _accum(sh, (gx2 @ wx.T).reshape(n, t, e))
-            del gx2
-
-    return _record(out, (h, Wq, Wk, Wv, Wo), bw)
+    return recompute(fn, (h, Wq, Wk, Wv, Wo), rngs or ())
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -642,24 +592,6 @@ def softplus(x: Tensor) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def _softmax(x: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """softmax's forward: a copy of x with each blocked cell NEG_INF, then
-    shifted, exponentiated and normalised in place."""
-    y = np.where(allowed, x, NEG_INF)
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    return y
-
-
-def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """softmax's rule: g, which the caller owns, turned in place into the input's gradient."""
-    inner = (g * y).sum(axis=-1, keepdims=True)
-    g -= inner
-    g *= y
-    return g
-
-
 def softmax(x: Tensor, allowed: np.ndarray) -> Tensor:
     """Softmax over the last axis of x where the boolean allowed (broadcast
     against x) is True; a blocked cell gets weight 0, or 1/T in a row
@@ -670,11 +602,17 @@ def softmax(x: Tensor, allowed: np.ndarray) -> Tensor:
     below 7e13. The rule is the unmasked softmax's: a blocked cell of a row
     with an allowed cell has weight exactly 0, so its gradient is exactly 0.
     """
-    y = _softmax(x.data, allowed)
+    y = np.where(allowed, x.data, NEG_INF)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def bw(g, sx):
-        _accum(sx, _softmax_grad(g, y))
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        g -= inner
+        g *= y
+        _accum(sx, g)
 
     return _record(out, (x,), bw)
 
@@ -711,26 +649,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     return _record(out, (x, gain, bias), bw)
 
 
-def _drop(x: np.ndarray, rate: float, rng: np.random.Generator,
-          out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted dropout of x with a mask drawn from rng: (x * keep / (1 - rate), keep).
-
-    out=x drops in place, for a caller that owns x.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = rng.random(x.shape) >= rate
-    y = np.multiply(x, keep, out=out)
-    y *= 1.0 / (1.0 - rate)
-    return y, keep
-
-
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout with a mask drawn from rng; identity when rate is 0."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    y, keep = _drop(x.data, rate, rng)
+    keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
+    y = x.data * keep
+    y *= scale
     out = Tensor(y)
 
     def bw(g, sx):

@@ -8,11 +8,11 @@ position t sees positions <= t. The mask is one boolean (N, 1, T, T)
 array (attention_mask) that ag.softmax applies itself, setting each
 blocked score to autograd's NEG_INF in its own copy.
 
-A block is two taped ops and two layer norms: ag.attention (projections,
-masked softmax, context, Wo and the residual add) and ag.ffn. Each op's
-rule recomputes its intermediates from its input in backward, so a
-training forward leaves no q, k, v, softmax or FFN hidden layer on the
-tape.
+A block is two sublayers and two layer norms: ag.attention (projections,
+masked softmax, context, Wo and the residual add) and ag.ffn. Each is its
+composed ops under ag.recompute, one taped node that replays them in
+backward, so a training forward leaves no q, k, v, softmax or FFN hidden
+layer on the tape.
 
 A forward trains exactly when it is given a SeedStream: each dropout site
 then draws its mask from the stream's next generator, in a fixed order
@@ -195,17 +195,17 @@ def transformer_stack(
     holds a real token in every row.
 
     A block is ag.attention, a layer norm, ag.ffn with its dropout, and a
-    layer norm. The attention op takes the final column itself under
-    last_only and keeps, for backward, only the block input and the
-    boolean masks: q, k, v, the scores, the softmax and the context live
-    only while the op runs (each goes once its last reader has it), and
-    its rule recomputes them. The two attention dropout generators are
-    drawn before the op, in the order the sites run. The FFN is one ag.ffn
-    op: ReLU writes into the W1 product, so a pass holds one (N, T, 4e)
-    array, not two, and only while the op runs; the tape keeps none. The
-    FFN output goes once the second layer norm has run. What a backward
-    rule reads stays alive on the tape (see autograd); a no-grad pass
-    holds nothing more.
+    layer norm. Each sublayer is one ag.recompute node that keeps, for
+    backward, only its inputs' arrays and replays its ops in backward. The
+    attention op takes the final column itself under last_only; q, k, v,
+    the scores, the softmax and the context live only while it runs (each
+    goes once its last reader has it). Its two dropout generators are
+    drawn before the op, in the order the sites run, and backward sets
+    them back to redraw the same masks. In ag.ffn ReLU writes into the W1
+    product, so a pass holds one (N, T, 4e) array, not two, and only while
+    the op runs. The FFN output goes once the second layer norm has run.
+    What a backward rule reads stays alive on the tape (see autograd); a
+    no-grad pass holds nothing more.
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = attention_mask(ids)

@@ -1,7 +1,9 @@
 """Autodiff kernel: forward values, gradients vs finite differences,
 tape semantics, and determinism."""
 
+import contextlib
 import tracemalloc
+import types
 import weakref
 from itertools import combinations
 
@@ -337,6 +339,11 @@ OP_CASES = {
     "attention_last_only": lambda p, c: ag.softplus(ag.attention(
         p["att_h"], *(p[f"att_w{x}"] for x in "qkvo"), c["att_allowed"], 2,
         last_only=True)).sum(),
+    # t3 feeds recompute's fn once and the residual add outside it, as
+    # ffn's input does in a block
+    "recompute_shared_input": lambda p, c: ag.softplus(p["t3"] + ag.recompute(
+        lambda h, w: ag.matmul(ag.softplus(ag.matmul(h, w)), ag.transpose_last(w)),
+        (p["t3"], p["m2"]))).sum(),
     "softplus": lambda p, c: ag.softplus(p["a"]).sum(),
     "layer_norm": lambda p, c: (ag.layer_norm(p["a"], p["gain"], p["beta"]) * c["w"]).sum(),
     "embedding": lambda p, c: (ag.embedding_lookup(p["table"], c["ids"]) * c["w3"]).sum(),
@@ -440,8 +447,8 @@ def _composed_ffn(h, W1, b1, W2, b2):
 @pytest.mark.parametrize("constant_h", [False, True], ids=["param_h", "constant_h"])
 @pytest.mark.parametrize("shape", [(5, 7, 8), (5, 1, 8), (9, 8)], ids=["NTe", "last_only", "2d"])
 def test_ffn_matches_the_composed_ops_bit_for_bit(shape, constant_h):
-    # the one node that recomputes its hidden layer in backward: value and
-    # all five gradients as matmul, relu and matmul give them, and a
+    # one recompute node that replays matmul, relu and matmul in backward:
+    # value and all five gradients as the composed ops give them, and a
     # constant input still gives the weights their gradients
     rng = np.random.default_rng(31)
     e, inner = shape[-1], 4 * shape[-1]
@@ -500,7 +507,7 @@ def _composed_attention(h, Wq, Wk, Wv, Wo, allowed, n_heads, rate, rngs, last_on
 @pytest.mark.parametrize("last_only", [False, True], ids=["full", "last_only"])
 @pytest.mark.parametrize("constant_h", [False, True], ids=["param_h", "constant_h"])
 def test_attention_matches_the_composed_ops_bit_for_bit(constant_h, last_only, n_heads, dropout):
-    # the one node that recomputes q, k, v and the softmax in backward:
+    # one recompute node that replays the composed ops in backward:
     # value, h's gradient (four parts in the composed order) and the four
     # weights' gradients as the composed ops give them, over left-padded
     # rows (a PAD query is blocked throughout), with the same dropout draws
@@ -538,6 +545,44 @@ def test_attention_matches_the_composed_ops_bit_for_bit(constant_h, last_only, n
         assert g is not None, x
         np.testing.assert_array_equal(got_w[x], g, err_msg=f"W{x}")
     np.testing.assert_array_equal(h_data, kept)
+
+
+def test_backward_under_no_grad_still_replays_a_recompute_node():
+    # the replay tapes whether or not no_grad is on, so a backward run
+    # inside no_grad gives every input the composed ops' gradient
+    rng = np.random.default_rng(43)
+    h_data = rng.standard_normal((3, 4, 5))
+    weights = [rng.standard_normal(shape) for shape in ((5, 20), (20,), (20, 5), (5,))]
+    up = rng.standard_normal((3, 4, 5))
+
+    def run(op, mode):
+        h, ws = ag.param(h_data), [ag.param(w) for w in weights]
+        loss = (op(h, *ws) * ag.constant(up)).sum()
+        with mode():
+            ag.backward(loss)
+        return [h.grad] + [w.grad for w in ws]
+
+    got = run(ag.ffn, ag.no_grad)
+    want = run(_composed_ffn, contextlib.nullcontext)
+    assert ag.tape_size() == 0
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g is not None, i
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("listed", [True, False], ids=["listed", "unlisted"])
+def test_recompute_redraws_the_forward_mask_only_from_listed_generators(listed):
+    # backward sets a listed generator back to its state before the
+    # forward, so the replayed dropout draws the forward's mask again; an
+    # unlisted generator draws its next mask instead
+    x = ag.param(np.random.default_rng(47).standard_normal(64))
+    draws = np.random.default_rng(5)
+    first, second = (draws.random(64) >= 0.5 for _ in range(2))
+    rng = np.random.default_rng(5)
+    out = ag.recompute(lambda x: ag.dropout(x, 0.5, rng), (x,), (rng,) if listed else ())
+    np.testing.assert_array_equal(out.data, x.data * first * 2.0)
+    ag.backward(out.sum())
+    np.testing.assert_array_equal(x.grad, (first if listed else second) * 2.0)
 
 
 def _softmax_grad(x, up):
@@ -686,14 +731,18 @@ def _left_padded_ids(rng):
 
 
 def _holds_tensor(value):
+    """A Tensor, or a list, tuple or function whose items or closure cells hold one."""
     if isinstance(value, (list, tuple)):
         return any(_holds_tensor(v) for v in value)
+    if isinstance(value, types.FunctionType):
+        return any(_holds_tensor(c.cell_contents) for c in value.__closure__ or ())
     return isinstance(value, ag.Tensor)
 
 
 def test_no_taped_rule_holds_a_tensor():
     # a rule saves arrays, never a Tensor, so no output outlives the
-    # forward code's last reference through the tape
+    # forward code's last reference through the tape; recompute's rule
+    # holds its fn, so neither fn nor a function fn captures may hold one
     enc = EncoderParams(TRAIN_DIMS, seed=1)
     rng = np.random.default_rng(2)
     ids = _left_padded_ids(rng)
@@ -705,11 +754,10 @@ def test_no_taped_rule_holds_a_tensor():
     try:
         assert ag._TAPE[-1] is loss._node
         ops = {node.rule.__qualname__.split(".")[0] for node in ag._TAPE}
-        assert {"embedding_lookup", "dropout", "matmul", "attention", "layer_norm", "ffn",
+        assert {"embedding_lookup", "dropout", "matmul", "recompute", "layer_norm",
                 "add", "mul", "concat", "cross_entropy", "softplus"} <= ops
         for node in ag._TAPE:
-            cells = [c.cell_contents for c in node.rule.__closure__ or ()]
-            assert not any(_holds_tensor(c) for c in cells), node.rule.__qualname__
+            assert not _holds_tensor(node.rule), node.rule.__qualname__
     finally:
         ag.clear_tape()
 
@@ -787,9 +835,10 @@ def _training_memory(backward: bool) -> tuple[float, float]:
 
 
 def test_training_forward_holds_no_attention_intermediates():
-    # everything the tape keeps for backward: 27.9 MiB now that attention
-    # keeps only its input and boolean masks; 53.8 MiB while the tape held
-    # q, k, v, the softmax and the context, 202 MiB with one array per bias
+    # everything the tape keeps for backward: 26.9 MiB now that attention
+    # keeps only its inputs' arrays (27.9 MiB with its two dropout masks
+    # too); 53.8 MiB while the tape held q, k, v, the softmax and the
+    # context, 202 MiB with one array per bias
     # add, affine step and float dropout mask, 151 MiB while the tape held
     # every op's output, and 74 MiB while it held the FFN's hidden layer
     live, _ = _training_memory(backward=False)
@@ -798,9 +847,11 @@ def test_training_forward_holds_no_attention_intermediates():
 
 def test_training_forward_holds_no_ffn_hidden_layer():
     # neither ffn nor attention keeps an intermediate on the tape, so the
-    # forward holds 27.9 MiB and forward plus backward peaks at 69.8 MiB
-    # (53.8 and 95.6 while attention's intermediates were taped; 73.8 and
-    # 110.8 while the relu output was taped too)
+    # forward holds 26.9 MiB and forward plus backward, which replays one
+    # sublayer's ops at a time, peaks at 68.9 MiB (27.9 and 69.8 while
+    # attention kept its dropout masks; 53.8 and 95.6 while attention's
+    # intermediates were taped; 73.8 and 110.8 while the relu output was
+    # taped too)
     live, peak = _training_memory(backward=True)
     assert live <= 32, f"training forward holds {live:.1f} MiB"
     assert peak <= 76, f"forward and backward peak at {peak:.1f} MiB"

@@ -320,10 +320,10 @@ def _constant_adds():
 @pytest.mark.parametrize("last_only", [False, True], ids=["full", "last_only"])
 def test_stack_matches_the_one_output_op_block_bit_for_bit(last_only):
     # a training block (taped, dropout on) with its early releases, the
-    # ffn node that recomputes its hidden layer in backward and the boolean
-    # mask applied inside softmax: every value and gradient as the oracle's,
-    # which keeps every array, copies for ReLU and adds a float mask to the
-    # scores
+    # two recompute nodes that replay each sublayer's ops in backward and
+    # the boolean mask applied inside softmax: every value and gradient as
+    # the oracle's, which keeps every array, copies for ReLU and adds a
+    # float mask to the scores
     dims = ModelDims(n_items=20, embed_dim=16, n_layers=2, n_heads=2, dropout=0.1)
     probe = EncoderParams(dims, seed=21)
     rng = np.random.default_rng(8)
